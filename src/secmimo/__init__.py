@@ -33,6 +33,7 @@ from .grassmann import (
     perturb_quantize,
     perturb_to_distance,
     quant_error_bound,
+    quantization_target,
     quantize,
 )
 from .harness import (

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, SecMimoError
 from .grassmann import FeedbackSchedule
 from .harness import (
+    ExperimentConfig,
     fitted_slopes_from_rows,
     read_csv,
     render_csv,
@@ -84,19 +85,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "scenario",
-    "nr",
-    "snr_min",
-    "snr_max",
-    "snr_step",
-    "trials",
-    "seed",
-    "rho",
-    "epsilon",
-    "nf",
-    "out",
-)
+# Config-file keys and the JSON type each must hold; float admits any
+# number, and "nr" may also hold a list of integers.
+_CONFIG_TYPES = {
+    "scenario": str,
+    "nr": int,
+    "snr_min": float,
+    "snr_max": float,
+    "snr_step": float,
+    "trials": int,
+    "seed": int,
+    "rho": float,
+    "epsilon": float,
+    "nf": int,
+    "out": str,
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):  # JSON true/false are ints to Python
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _load_config_file(path: str) -> dict:
@@ -109,13 +119,20 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    unknown = sorted(set(data) - set(_CONFIG_TYPES))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    for key, value in data.items():
+        kind = _CONFIG_TYPES[key]
+        items = value if key == "nr" and isinstance(value, list) else [value]
+        if not all(_has_type(item, kind) for item in items):
+            raise ConfigError(
+                f"config key {key!r} in {path} must hold {_TYPE_NAMES[kind]}, got {value!r}"
+            )
     return data
 
 
-def _cmd_run(args) -> int:
+def _experiment_config(args) -> ExperimentConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
 
     def setting(key, default=None):
@@ -155,20 +172,31 @@ def _cmd_run(args) -> int:
                 epsilon if epsilon is not None else 0.0
             )
 
-    cfg = scenario_config(scenario, n_r_list, **overrides)
+    return scenario_config(scenario, n_r_list, **overrides)
+
+
+def _cmd_run(args) -> int:
+    try:
+        cfg = _experiment_config(args)
+    except InvalidInputError as exc:
+        # raised by the antenna-config and schedule constructors
+        raise ConfigError(str(exc)) from exc
     result = run_experiment(cfg)
     if cfg.out_path:
         write_csv(result, cfg.out_path)
         print(f"wrote {len(result.rows)} rows to {cfg.out_path}")
-        for key, fit in sorted(result.slopes.items()):
-            n_t, n_r, n_j, n_e = key
-            print(
-                f"n_t={n_t} n_r={n_r} n_j={n_j} n_e={n_e} "
-                f"perfect_slope={fit['perfect']:.3f} quantized_slope={fit['quantized']:.3f}"
-            )
+        _print_slopes(result.slopes)
     else:
         sys.stdout.write(render_csv(result))
     return 0
+
+
+def _print_slopes(fits: dict) -> None:
+    for (n_t, n_r, n_j, n_e), fit in sorted(fits.items()):
+        print(
+            f"n_t={n_t} n_r={n_r} n_j={n_j} n_e={n_e} "
+            f"perfect_slope={fit['perfect']:.3f} quantized_slope={fit['quantized']:.3f}"
+        )
 
 
 def _cmd_verify(args) -> int:
@@ -195,12 +223,7 @@ def _cmd_slopes(args) -> int:
         fits = fitted_slopes_from_rows(rows)
     except InvalidInputError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
-    for key, fit in sorted(fits.items()):
-        n_t, n_r, n_j, n_e = key
-        print(
-            f"n_t={n_t} n_r={n_r} n_j={n_j} n_e={n_e} "
-            f"perfect_slope={fit['perfect']:.3f} quantized_slope={fit['quantized']:.3f}"
-        )
+    _print_slopes(fits)
     return 0
 
 

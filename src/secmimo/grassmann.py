@@ -8,9 +8,10 @@ tested through the chordal distance, never entrywise.
 Two quantizers live here: the exhaustive minimum-distance search against an
 explicit codebook (tractable for small bit budgets, used as the oracle), and
 a random-perturbation surrogate that constructs a neighbor at exactly the
-worst-case distance the sphere-packing bound predicts for a given bit
-budget. Experiments use the surrogate because packing-based codebooks are
-infeasible beyond a few tens of bits.
+worst-case distance the sphere-packing bound (Dai, Liu & Rider, IEEE Trans.
+IT 2008) predicts for a given bit budget, solving a closed form for the step
+size and checking the distance once. Experiments use the surrogate because
+packing-based codebooks are infeasible beyond a few tens of bits.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ MAX_EXHAUSTIVE_BITS = 20
 # Achieved-vs-target distance tolerance of the perturbation quantizer.
 PERTURB_TOL = 1e-6
 
-# Target clamp just inside the manifold diameter so the bisection stays
-# well posed at tiny bit budgets.
+# Target clamp just inside the manifold diameter: the bound exceeds it at
+# tiny bit budgets, and the closed-form root diverges near it.
 _DIAMETER_CLAMP = 0.999
 
 
@@ -213,83 +214,70 @@ def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
     return best, idx, chordal_distance(best, f)
 
 
-def _orthonormalize(mat: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(mat)
-    return q
+def quantization_target(n_f: int, n_t: int, n_r: int) -> float:
+    """Distance perturb_quantize realizes: quant_error_bound clamped inside the diameter."""
+    diameter = math.sqrt(min(n_r, n_t - n_r))
+    return min(quant_error_bound(n_f, n_t, n_r), _DIAMETER_CLAMP * diameter)
 
 
-def perturb_to_distance(
-    point, distance: float, rng: np.random.Generator, tol: float = PERTURB_TOL
-) -> GrassmannPoint:
+def perturb_to_distance(point, distance: float, rng: np.random.Generator) -> GrassmannPoint:
     """Construct a subspace at a prescribed chordal distance from `point`.
 
-    Orthonormalizes F + eps * Z for a Gaussian direction Z confined to the
-    orthogonal complement of span(F), with eps found by bisection on the
-    achieved distance. Retries with a fresh Z up to 8 times if the target
-    cannot be bracketed, then raises.
+    With one Gaussian direction Z projected off span(F), span(F + eps Z) has
+    principal angles tan(theta_i) = eps sigma_i(Z), so for t = eps^2
+
+        d(t)^2 = sum_i t sigma_i^2 / (1 + t sigma_i^2)
+
+    over the r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the
+    concave 1 / (r - d(t)^2) climbs from t = 0 to the target, and one QR
+    gives the point. A positive target draws one n_t x n_r Gaussian matrix.
+    The achieved distance must match to PERTURB_TOL; a miss (a rank-deficient
+    Z, a measure-zero event) raises PerturbationError.
     """
     f = _rep(point)
     n_t, n_r = f.shape
-    diameter = math.sqrt(min(n_r, n_t - n_r))
-    if distance < 0 or distance >= diameter:
+    r = min(n_r, n_t - n_r)
+    if distance < 0 or distance >= math.sqrt(r):
         raise InvalidInputError(
             f"target distance {distance} outside [0, sqrt(min(n_r, n_t - n_r)))"
         )
     if distance < 1e-15:
         return GrassmannPoint(f.copy())
-    proj_perp = np.eye(n_t) - f @ f.conj().T
-    for _ in range(8):
-        # Restricting the Gaussian direction to the orthogonal complement of
-        # span(F) makes every distance up to the manifold diameter reachable
-        # by scaling; a raw direction saturates at the (random) distance of
-        # an independent subspace, which cannot bracket near-diameter
-        # targets. For small eps the two constructions agree to first order.
-        z = proj_perp @ random_gaussian_matrix(n_t, n_r, rng)
-
-        def achieved(eps: float) -> float:
-            return chordal_distance(f, _orthonormalize(f + eps * z))
-
-        hi = 1.0
-        while achieved(hi) < distance and hi < 1e9:
-            hi *= 2.0
-        if achieved(hi) < distance:
-            continue  # this Z cannot reach the target; redraw
-        lo = 0.0
-        best_eps, best_err = hi, abs(achieved(hi) - distance)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            d_mid = achieved(mid)
-            err = abs(d_mid - distance)
-            if err < best_err:
-                best_eps, best_err = mid, err
-            if err <= 0.1 * tol or (hi - lo) < 1e-18:
-                break
-            if d_mid < distance:
-                lo = mid
-            else:
-                hi = mid
-        candidate = _orthonormalize(f + best_eps * z)
-        if abs(chordal_distance(f, candidate) - distance) <= tol:
-            return GrassmannPoint(candidate)
-    raise PerturbationError(
-        f"could not reach chordal distance {distance:.6g} after 8 perturbation attempts"
-    )
+    z = random_gaussian_matrix(n_t, n_r, rng)
+    z = z - f @ (f.conj().T @ z)
+    s2 = np.linalg.svd(z, compute_uv=False)[:r] ** 2
+    d2 = distance * distance
+    t = 0.0
+    # Converges in at most 8 steps on a full-rank Z; the cap only ends the
+    # loop when a rank-deficient Z cannot reach the target.
+    for _ in range(64):
+        a = 1.0 + t * s2
+        g = float(np.sum(t * s2 / a))
+        # Newton step on 1 / (r - g), written so that r - d2 never cancels
+        # against r - g at tiny targets.
+        step = (d2 - g) * (r - g) / ((r - d2) * float(np.sum(s2 / (a * a))))
+        t += step
+        if step <= 1e-15 * t:
+            break
+    q, _ = np.linalg.qr(f + math.sqrt(t) * z)
+    achieved = chordal_distance(f, q)
+    if not abs(achieved - distance) <= PERTURB_TOL:
+        raise PerturbationError(f"reached chordal distance {achieved:.6g}, not {distance:.6g}")
+    return GrassmannPoint(q)
 
 
 def perturb_quantize(point, n_f: int, rng: np.random.Generator) -> GrassmannPoint:
     """Random-perturbation surrogate for quantization with n_f bits.
 
-    Returns a subspace whose distance from `point` equals the sphere-packing
-    worst case for n_f bits (clamped just inside the manifold diameter).
-    Requires n_t >= 2 n_r so the perturbation approximation is valid.
+    Returns a subspace whose distance from `point` equals
+    quantization_target(n_f, n_t, n_r). Requires n_t >= 2 n_r so the
+    perturbation approximation is valid.
     """
     f = _rep(point)
     n_t, n_r = f.shape
     if n_t < 2 * n_r:
         raise ShapeError(f"perturbation quantizer needs n_t >= 2 n_r, got ({n_t}, {n_r})")
-    diameter = math.sqrt(min(n_r, n_t - n_r))
-    target = min(quant_error_bound(n_f, n_t, n_r), _DIAMETER_CLAMP * diameter)
-    return perturb_to_distance(f, target, rng)
+    return perturb_to_distance(f, quantization_target(n_f, n_t, n_r), rng)
 
 
 def feedback_bits(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:

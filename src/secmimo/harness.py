@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -323,30 +324,20 @@ def write_csv(result: ExperimentResult, path: str) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    """Read rows previously written by :func:`write_csv`."""
+    """Read rows written by :func:`write_csv`; a malformed file is a ConfigError."""
+    columns = typing.get_type_hints(ResultRow)  # column name -> str, int or float
     rows: list[ResultRow] = []
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_HEADER.split(","):
-                raise ConfigError(f"{path} does not look like a secmimo results file")
-            for rec in reader:
-                rows.append(
-                    ResultRow(
-                        scenario=rec["scenario"],
-                        n_t=int(rec["n_t"]),
-                        n_r=int(rec["n_r"]),
-                        n_j=int(rec["n_j"]),
-                        n_e=int(rec["n_e"]),
-                        snr_db=float(rec["snr_db"]),
-                        nf_bits=int(rec["nf_bits"]),
-                        r_perfect_mean=float(rec["r_perfect_mean"]),
-                        r_quantized_mean=float(rec["r_quantized_mean"]),
-                        gap_mean=float(rec["gap_mean"]),
-                        leakage_mean=float(rec["leakage_mean"]),
-                        trials=int(rec["trials"]),
-                    )
-                )
+            try:
+                if reader.fieldnames != CSV_HEADER.split(","):
+                    raise ConfigError(f"{path} does not look like a secmimo results file")
+                for rec in reader:
+                    rows.append(ResultRow(**{key: kind(rec[key]) for key, kind in columns.items()}))
+            # a short row (None fields), a non-numeric field, or undecodable bytes
+            except (csv.Error, TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read results from {path}: {exc}") from exc
     return rows

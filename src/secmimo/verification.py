@@ -12,7 +12,6 @@ the test suite asserts on the same outcomes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .grassmann import (
     feedback_bits,
     perturb_quantize,
     perturb_to_distance,
-    quant_error_bound,
+    quantization_target,
 )
 from .linalg import (
     LOG2_E,
@@ -90,10 +89,7 @@ def _trial_matrices(acfg: AntennaConfig, nf: int, rng: np.random.Generator):
     prec_p = tx_precoders_perfect(channels.Hd)
     # quantize at the worst-case distance for nf bits; going through
     # perturb_to_distance keeps narrow ambients (n_t < 2 n_r) usable here
-    target = min(
-        quant_error_bound(nf, acfg.n_t, acfg.n_r),
-        0.999 * math.sqrt(min(acfg.n_r, acfg.n_t - acfg.n_r)),
-    )
+    target = quantization_target(nf, acfg.n_t, acfg.n_r)
     fhat = perturb_to_distance(GrassmannPoint(filters.F), target, rng)
     prec_q = tx_precoders_quantized(fhat)
     return channels, filters, prec_p, fhat, prec_q
@@ -287,8 +283,7 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
         channels = sample_channels(acfg, rng)
         filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
         nf = int(rng.integers(10, 60))
-        delta = quant_error_bound(nf, acfg.n_t, acfg.n_r)
-        delta = min(delta, 0.999 * math.sqrt(min(acfg.n_r, acfg.n_t - acfg.n_r)))
+        delta = quantization_target(nf, acfg.n_t, acfg.n_r)
         fhat = perturb_to_distance(GrassmannPoint(filters.F), delta, rng)
         prec_q = tx_precoders_quantized(fhat)
         policy = PowerPolicy(P=float(10.0 ** rng.uniform(0.0, 5.0)), rho=0.5)
@@ -336,9 +331,7 @@ def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
         n_t = 2 * n_r
         f = GrassmannPoint(random_truncated_unitary(n_t, n_r, rng))
         nf = int(rng.integers(1, 80))
-        target = min(
-            quant_error_bound(nf, n_t, n_r), 0.999 * math.sqrt(min(n_r, n_t - n_r))
-        )
+        target = quantization_target(nf, n_t, n_r)
         fhat = perturb_quantize(f, nf, rng)
         err = abs(chordal_distance(f, fhat) - target)
         worst = max(worst, err)

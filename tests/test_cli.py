@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from secmimo.cli import cli_main
 from secmimo.harness import CSV_HEADER, ExperimentResult, ResultRow, write_csv
@@ -107,6 +108,22 @@ class TestRun:
         assert cli_main(["run", "--config", str(cfg_file)]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"trials": "ten"}, {"seed": True}, {"nr": [2, "3"]}, {"rho": "half"}, {"out": 5}],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, bad):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(bad))
+        assert cli_main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+        assert repr(next(iter(bad))) in err
+
+    def test_invalid_antenna_count_is_config_error(self, capsys):
+        assert cli_main(["run", "--nr", "1", "--trials", "1"]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_slope_rejects_fixed_bits(self, capsys):
         args = ["run", "--scenario", "slope", "--nr", "2", "--nf", "30", "--trials", "1"]
         assert cli_main(args) == 1
@@ -184,3 +201,10 @@ class TestSlopes:
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")
         assert cli_main(["slopes", str(path)]) == 1
+
+    def test_non_numeric_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\ncustom,4,2,1,x,10,10,1,1,0,0,5\n")
+        assert cli_main(["slopes", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line 2" in err and len(err.splitlines()) == 1

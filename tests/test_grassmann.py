@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from secmimo import grassmann
 from secmimo.errors import (
     CodebookTooLargeError,
     InvalidInputError,
+    PerturbationError,
     ShapeError,
 )
 from secmimo.grassmann import (
@@ -24,7 +28,7 @@ from secmimo.grassmann import (
     quant_error_bound,
     quantize,
 )
-from secmimo.linalg import random_truncated_unitary
+from secmimo.linalg import random_gaussian_matrix, random_truncated_unitary
 
 # delta(40; 4, 2) = 2 * 2^(-39/8), frozen from the closed form
 DELTA_40_4_2 = 0.0681567332915786
@@ -259,6 +263,43 @@ class TestPerturbToDistance:
         target = 0.999 * math.sqrt(2)
         fhat = perturb_to_distance(f, target, rng)
         assert abs(chordal_distance(f, fhat) - target) <= 1e-6
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 4).flatmap(
+            lambda n_r: st.tuples(st.just(n_r), st.integers(n_r + 1, 2 * n_r + 3))
+        ),
+        fraction=st.floats(1e-6, 0.999999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hits_target_to_round_off(self, dims, fraction, seed):
+        """Exact hit across ambients, narrow ones (n_t < 2 n_r) included."""
+        n_r, n_t = dims
+        rng = np.random.default_rng(seed)
+        f = haar_point(n_t, n_r, rng)
+        target = fraction * math.sqrt(min(n_r, n_t - n_r))
+        fhat = perturb_to_distance(f, target, rng)
+        assert abs(chordal_distance(f, fhat) - target) <= 1e-12
+
+    def test_one_gaussian_draw_per_call(self):
+        f = haar_point(6, 2, np.random.default_rng(23))
+        rng, twin = np.random.default_rng(24), np.random.default_rng(24)
+        perturb_to_distance(f, 0.7, rng)
+        random_gaussian_matrix(6, 2, twin)
+        np.testing.assert_array_equal(rng.standard_normal(4), twin.standard_normal(4))
+
+    def test_rank_deficient_direction_fails_final_check(self, monkeypatch):
+        """A rank-one direction cannot pass distance 1 on G(6, 3)."""
+
+        def rank_one(m, n, rng):
+            return np.outer(rng.standard_normal(m), rng.standard_normal(n)).astype(complex)
+
+        monkeypatch.setattr(grassmann, "random_gaussian_matrix", rank_one)
+        rng = np.random.default_rng(25)
+        f = haar_point(6, 3, rng)
+        assert chordal_distance(f, perturb_to_distance(f, 0.9, rng)) == pytest.approx(0.9)
+        with pytest.raises(PerturbationError):
+            perturb_to_distance(f, 1.5, rng)
 
 
 class TestFeedbackBits:
