@@ -27,7 +27,17 @@ from .errors import (
     PerturbationError,
     ShapeError,
 )
-from .linalg import ORTHO_TOL, as_matrix, random_gaussian_matrix, random_truncated_unitary
+from .linalg import (
+    ORTHO_TOL,
+    adjoint,
+    as_stack,
+    complex_gaussian,
+    first_flagged,
+    haar_columns,
+    orthonormality_error,
+    random_gaussian_matrix,
+    random_truncated_unitary,
+)
 
 # Largest bit budget for which an explicit codebook is still generated and
 # scanned exhaustively. Beyond this use perturb_quantize.
@@ -40,25 +50,31 @@ PERTURB_TOL = 1e-6
 # tiny bit budgets, and the closed-form root diverges near it.
 _DIAMETER_CLAMP = 0.999
 
+# Targets below this leave the point where it is and draw no direction.
+ZERO_DISTANCE = 1e-15
+
 
 @dataclass(frozen=True)
 class GrassmannPoint:
-    """Subspace representative: a tall matrix with orthonormal columns."""
+    """Subspace representative: a tall matrix with orthonormal columns.
+
+    The matrix may also be a stack of representatives, ``(..., n_t, n_r)``,
+    one point per leading index.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = as_matrix(self.matrix, "subspace representative")
-        n_t, n_r = mat.shape
+        mat = as_stack(self.matrix, "subspace representative")
+        n_t, n_r = mat.shape[-2:]
         if n_t < n_r:
             raise ShapeError(f"representative must be tall, got {n_t}x{n_r}")
-        gram = mat.conj().T @ mat
-        if np.linalg.norm(gram - np.eye(n_r)) > ORTHO_TOL:
+        if np.any(orthonormality_error(mat) > ORTHO_TOL):
             raise InvalidInputError("representative columns are not orthonormal to 1e-10")
         object.__setattr__(self, "matrix", mat)
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.matrix.shape
 
 
@@ -103,8 +119,10 @@ class FeedbackSchedule:
             if self.fixed_bits is None or self.fixed_bits < 1:
                 raise InvalidInputError("fixed schedule needs fixed_bits >= 1")
         elif self.mode == "scaled":
-            if self.epsilon is None or self.epsilon < 0:
-                raise InvalidInputError("scaled schedule needs epsilon >= 0")
+            if self.epsilon is None or not 0 <= self.epsilon < math.inf:
+                raise InvalidInputError(
+                    f"scaled schedule needs a finite epsilon >= 0, got {self.epsilon}"
+                )
         else:
             raise InvalidInputError(f"unknown schedule mode {self.mode!r}")
 
@@ -117,19 +135,20 @@ class FeedbackSchedule:
         return cls(mode="scaled", epsilon=float(epsilon))
 
 
-def chordal_distance(a, b) -> float:
+def chordal_distance(a, b):
     """Chordal distance (1/sqrt(2)) * ||A A* - B B*||_F between two subspaces.
 
     Symmetric, zero iff the column spaces coincide, invariant under
     right-unitary changes of representative, and bounded by
-    sqrt(min(n_r, n_t - n_r)).
+    sqrt(min(n_r, n_t - n_r)). Stacks of representatives broadcast over
+    their leading axes and give an array of distances.
     """
     s = _rep(a)
     f = _rep(b)
-    if s.shape != f.shape:
+    if s.shape[-2:] != f.shape[-2:]:
         raise ShapeError(f"subspace shapes differ: {s.shape} vs {f.shape}")
-    diff = s @ s.conj().T - f @ f.conj().T
-    return float(np.linalg.norm(diff) / math.sqrt(2.0))
+    diff = s @ adjoint(s) - f @ adjoint(f)
+    return (np.linalg.norm(diff, axis=(-2, -1)) / math.sqrt(2.0))[()]
 
 
 def _log_ball_volume_coefficient(n_t: int, n_r: int) -> float:
@@ -180,15 +199,9 @@ def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) ->
             f"(max {MAX_EXHAUSTIVE_BITS} bits); use perturb_quantize instead"
         )
     size = 2**n_f
-    # Batched Haar draws: QR of a stack of Gaussian matrices.
-    z = (
-        rng.standard_normal(size=(size, n_t, n_r))
-        + 1j * rng.standard_normal(size=(size, n_t, n_r))
-    ) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2).copy()
-    d[d == 0] = 1.0
-    q = q * (d / np.abs(d)).conj()[:, np.newaxis, :]
+    # Batched Haar draws: all real parts first, then all imaginary parts.
+    parts = rng.standard_normal(size=(2, size, n_t, n_r))
+    q = haar_columns(complex_gaussian(np.moveaxis(parts, 0, 1)))
     points = tuple(GrassmannPoint(q[i]) for i in range(size))
     return Codebook(points=points, bits=n_f, ambient=(n_t, n_r))
 
@@ -220,50 +233,80 @@ def quantization_target(n_f: int, n_t: int, n_r: int) -> float:
     return min(quant_error_bound(n_f, n_t, n_r), _DIAMETER_CLAMP * diameter)
 
 
-def perturb_to_distance(point, distance: float, rng: np.random.Generator) -> GrassmannPoint:
-    """Construct a subspace at a prescribed chordal distance from `point`.
+def _check_target(distance, r: int) -> None:
+    if np.any((np.asarray(distance) < 0) | (np.asarray(distance) >= math.sqrt(r))):
+        raise InvalidInputError(
+            f"target distance {distance} outside [0, sqrt(min(n_r, n_t - n_r)))"
+        )
 
-    With one Gaussian direction Z projected off span(F), span(F + eps Z) has
-    principal angles tan(theta_i) = eps sigma_i(Z), so for t = eps^2
+
+def perturb_along(point, z, distance) -> GrassmannPoint:
+    """Move `point` along the Gaussian direction `z` to a chordal distance.
+
+    With Z projected off span(F), span(F + eps Z) has principal angles
+    tan(theta_i) = eps sigma_i(Z), so for t = eps^2
 
         d(t)^2 = sum_i t sigma_i^2 / (1 + t sigma_i^2)
 
     over the r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the
     concave 1 / (r - d(t)^2) climbs from t = 0 to the target, and one QR
-    gives the point. A positive target draws one n_t x n_r Gaussian matrix.
-    The achieved distance must match to PERTURB_TOL; a miss (a rank-deficient
-    Z, a measure-zero event) raises PerturbationError.
+    gives the point. The achieved distance must match to PERTURB_TOL; a miss
+    (a rank-deficient Z, a measure-zero event) raises PerturbationError.
+
+    Broadcasts over stacks: `point` is ``(..., n_t, n_r)``, `z` holds one
+    n_t x n_r direction per element and `distance` one target per element.
+    An element whose target is below ZERO_DISTANCE keeps the point itself
+    and ignores its direction. Each element runs Newton's method to its own
+    stopping rule, so an element's result does not depend on the stack.
     """
     f = _rep(point)
-    n_t, n_r = f.shape
+    n_t, n_r = f.shape[-2:]
     r = min(n_r, n_t - n_r)
-    if distance < 0 or distance >= math.sqrt(r):
-        raise InvalidInputError(
-            f"target distance {distance} outside [0, sqrt(min(n_r, n_t - n_r)))"
-        )
-    if distance < 1e-15:
-        return GrassmannPoint(f.copy())
-    z = random_gaussian_matrix(n_t, n_r, rng)
-    z = z - f @ (f.conj().T @ z)
-    s2 = np.linalg.svd(z, compute_uv=False)[:r] ** 2
-    d2 = distance * distance
-    t = 0.0
+    _check_target(distance, r)
+    z = z - f @ (adjoint(f) @ z)
+    s2 = np.linalg.svd(z, compute_uv=False)[..., :r] ** 2
+    target = np.broadcast_to(distance, s2.shape[:-1])
+    d2 = (target * target).reshape(-1)
+    s2 = s2.reshape(-1, r)
+    t = np.zeros(d2.shape)
+    live = np.flatnonzero(target.reshape(-1) >= ZERO_DISTANCE)
     # Converges in at most 8 steps on a full-rank Z; the cap only ends the
     # loop when a rank-deficient Z cannot reach the target.
     for _ in range(64):
-        a = 1.0 + t * s2
-        g = float(np.sum(t * s2 / a))
+        if live.size == 0:
+            break
+        tl, sl, dl = t[live, np.newaxis], s2[live], d2[live]
+        a = 1.0 + tl * sl
+        g = np.sum(tl * sl / a, axis=-1)
         # Newton step on 1 / (r - g), written so that r - d2 never cancels
         # against r - g at tiny targets.
-        step = (d2 - g) * (r - g) / ((r - d2) * float(np.sum(s2 / (a * a))))
-        t += step
-        if step <= 1e-15 * t:
-            break
-    q, _ = np.linalg.qr(f + math.sqrt(t) * z)
+        step = (dl - g) * (r - g) / ((r - dl) * np.sum(sl / (a * a), axis=-1))
+        t[live] += step
+        live = live[~(step <= 1e-15 * t[live])]
+    eps = np.sqrt(t).reshape(target.shape)[..., np.newaxis, np.newaxis]
+    q, _ = np.linalg.qr(f + eps * z)
+    q = np.where((target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis], f, q)
     achieved = chordal_distance(f, q)
-    if not abs(achieved - distance) <= PERTURB_TOL:
-        raise PerturbationError(f"reached chordal distance {achieved:.6g}, not {distance:.6g}")
+    miss = ~(np.abs(achieved - target) <= PERTURB_TOL)
+    if np.any(miss):
+        got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
+        raise PerturbationError(f"reached chordal distance {got:.6g}, not {want:.6g}")
     return GrassmannPoint(q)
+
+
+def perturb_to_distance(point, distance: float, rng: np.random.Generator) -> GrassmannPoint:
+    """Construct a subspace at a prescribed chordal distance from `point`.
+
+    A positive target draws one n_t x n_r Gaussian direction and moves
+    along it in closed form (:func:`perturb_along`); a target below
+    ZERO_DISTANCE returns the point and draws nothing.
+    """
+    f = _rep(point)
+    n_t, n_r = f.shape
+    _check_target(distance, min(n_r, n_t - n_r))
+    if distance < ZERO_DISTANCE:
+        return GrassmannPoint(f.copy())
+    return perturb_along(f, random_gaussian_matrix(n_t, n_r, rng), distance)
 
 
 def perturb_quantize(point, n_f: int, rng: np.random.Generator) -> GrassmannPoint:

@@ -2,10 +2,11 @@
 
 Each trial draws one channel realization plus the receiver design matrix,
 then sweeps the operating points (SNR grid, or SNR x bit-budget grid for the
-gap-versus-bits scenario) with those matrices held fixed. Trials are
-independent work units: every (curve, trial) pair gets its own child RNG
-stream derived injectively from the experiment seed, so results are
-bit-identical regardless of how many worker threads execute them.
+gap-versus-bits scenario) with those matrices held fixed. Every (curve,
+trial) pair gets its own child RNG stream derived injectively from the
+experiment seed. A curve's trials are evaluated TRIAL_BLOCK at a time as
+stacked arrays; each trial's numbers are computed element by element, so
+results are bit-identical for any block size.
 
 Scenarios
 ---------
@@ -23,16 +24,20 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
-from .grassmann import FeedbackSchedule, GrassmannPoint, feedback_bits, perturb_quantize
-from .linalg import random_truncated_unitary
+from .errors import ConfigError, InvalidInputError, SecMimoError
+from .grassmann import (
+    ZERO_DISTANCE,
+    FeedbackSchedule,
+    GrassmannPoint,
+    feedback_bits,
+    perturb_along,
+    quantization_target,
+)
 from .rates import (
     fit_slope,
     secrecy_rate_perfect_G,
@@ -43,12 +48,18 @@ from .transceiver import (
     PowerPolicy,
     leakage_power,
     rx_postfilter,
-    sample_channels,
+    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
 
 SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
+
+# Trials evaluated together as one stack. Larger blocks spread the fixed
+# cost of each numpy call over more trials but hold more memory at once: on
+# the benchmark's slope workload a block of 8 keeps peak RSS at the level of
+# a trial-at-a-time loop, while a whole 60-trial curve raised it by 7 MB.
+TRIAL_BLOCK = 8
 
 CSV_HEADER = (
     "scenario,n_t,n_r,n_j,n_e,snr_db,nf_bits,"
@@ -80,14 +91,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not self.snr_min < self.snr_max:
-            raise ConfigError(f"need snr_min < snr_max, got [{self.snr_min}, {self.snr_max}]")
-        if self.snr_step <= 0:
-            raise ConfigError(f"snr_step must be positive, got {self.snr_step}")
+        if not -math.inf < self.snr_min < self.snr_max < math.inf:
+            raise ConfigError(
+                f"need finite snr_min < snr_max, got [{self.snr_min}, {self.snr_max}]"
+            )
+        if not 0 < self.snr_step < math.inf:
+            raise ConfigError(f"snr_step must be positive and finite, got {self.snr_step}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.antenna_configs:
             raise ConfigError("at least one antenna configuration is required")
+        for cfg in self.antenna_configs:
+            if cfg.n_t < 2 * cfg.n_r:
+                raise ConfigError(
+                    f"the perturbation quantizer needs n_t >= 2 n_r, got ({cfg.n_t}, {cfg.n_r})"
+                )
         if self.scenario in ("slope", "saturation", "gap_vs_bits"):
             for cfg in self.antenna_configs:
                 if cfg.n_t != 2 * cfg.n_r or cfg.n_j != 1 or cfg.n_e != cfg.n_r:
@@ -188,72 +206,74 @@ def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[floa
     ]
 
 
-def _run_trial(
+def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(curve, trial)))
+
+
+def _run_block(
     acfg: AntennaConfig,
     points: list[tuple[float, int]],
     rho: float,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
-    """Evaluate all operating points for one channel draw.
+    """Evaluate all operating points for a block of channel draws, one per rng.
 
-    Returns an array of shape (n_points, 5) holding clipped perfect rate,
-    clipped quantized rate, raw perfect rate, raw quantized rate, leakage.
+    Returns an array of shape (len(rngs), n_points, 5) holding clipped
+    perfect rate, clipped quantized rate, raw perfect rate, raw quantized
+    rate, leakage.
     """
-    channels = sample_channels(acfg, rng)
-    b = random_truncated_unitary(acfg.n_t, acfg.d_s, rng)
+    policy = PowerPolicy(
+        P=np.array([PowerPolicy.from_snr_db(snr_db, rho=rho).P for snr_db, _ in points]),
+        rho=rho,
+    )
+    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf in points])
+    channels, b, z = sample_trials(acfg, rngs, targets >= ZERO_DISTANCE)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     prec_perfect = tx_precoders_perfect(channels.Hd)
-    f_true = GrassmannPoint(filters.F)
-    out = np.empty((len(points), 5))
-    for i, (snr_db, nf) in enumerate(points):
-        policy = PowerPolicy.from_snr_db(snr_db, rho=rho)
-        fhat = perturb_quantize(f_true, nf, rng)
-        prec_q = tx_precoders_quantized(fhat)
-        r_p = secrecy_rate_perfect_G(channels, prec_perfect, filters, policy, acfg)
-        r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg, nf)
-        leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
-        out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak)
-    return out
+    prec_q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets))
+    r_p = secrecy_rate_perfect_G(channels, prec_perfect, filters, policy, acfg)
+    r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg)
+    leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
+    return np.stack((r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak), axis=-1)
 
 
-def _resolve_workers(workers: int | None, trials: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-        env = os.environ.get("SIMSEC_THREADS", "").strip()
-        if env:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ConfigError(f"SIMSEC_THREADS must be an integer, got {env!r}") from None
-            if cap > 0:
-                workers = min(workers, cap)
-    return max(1, min(int(workers), trials))
+def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
+    """Per-trial outputs of one curve, shape (trials, n_points, 5), block by block.
+
+    A numerical failure is raised again with the curve, trial and seed of
+    the first trial that fails on its own, so the draw can be replayed.
+    """
+    acfg = cfg.antenna_configs[curve_idx]
+    blocks = []
+    for start in range(0, cfg.trials, TRIAL_BLOCK):
+        trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
+        rngs = [_trial_rng(cfg.seed, curve_idx, t) for t in trials]
+        try:
+            blocks.append(_run_block(acfg, points, cfg.rho, rngs))
+        except (SecMimoError, np.linalg.LinAlgError):
+            for t in trials:
+                try:
+                    _run_block(acfg, points, cfg.rho, [_trial_rng(cfg.seed, curve_idx, t)])
+                except (SecMimoError, np.linalg.LinAlgError) as exc:
+                    exc.args = (f"curve {curve_idx}, trial {t}, seed {cfg.seed}: {exc}",)
+                    raise
+            raise
+    return np.concatenate(blocks)
 
 
-def run_experiment(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the configured Monte Carlo experiment.
 
     Per-trial RNG streams derive from (seed, curve, trial), so reruns with
-    the same configuration produce identical results for any worker count.
-    Aggregation averages a dense (trials x points) array in fixed order.
+    the same configuration produce identical results. Aggregation averages
+    a dense (trials x points) array in fixed order.
     """
     cfg.validate()
-    n_workers = _resolve_workers(workers, cfg.trials)
     rows: list[ResultRow] = []
     slopes: dict = {}
     for curve_idx, acfg in enumerate(cfg.antenna_configs):
         points = _curve_points(cfg, acfg)
-
-        def one_trial(t: int, curve_idx=curve_idx, acfg=acfg, points=points) -> np.ndarray:
-            seq = np.random.SeedSequence(cfg.seed, spawn_key=(curve_idx, t))
-            return _run_trial(acfg, points, cfg.rho, np.random.default_rng(seq))
-
-        if n_workers == 1:
-            per_trial = [one_trial(t) for t in range(cfg.trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                per_trial = list(pool.map(one_trial, range(cfg.trials)))
-        means = np.stack(per_trial).mean(axis=0)
+        means = _curve_trials(cfg, curve_idx, points).mean(axis=0)
         key = (acfg.n_t, acfg.n_r, acfg.n_j, acfg.n_e)
         for i, (snr_db, nf) in enumerate(points):
             rows.append(

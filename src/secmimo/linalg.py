@@ -8,7 +8,9 @@ routes to the same quantities.
 
 Matrices are plain ``numpy`` arrays with complex128 entries. Every function
 is a pure function of its arguments; random ensembles take an explicit
-``numpy.random.Generator``.
+``numpy.random.Generator``. The decompositions, bases and log-determinants
+also take stacks of matrices, shape ``(..., m, n)``, and apply to each
+matrix of the stack; a stack fails a check when any of its matrices does.
 """
 
 from __future__ import annotations
@@ -38,34 +40,62 @@ RECON_RTOL = 1e-9
 LOG2_E = math.log2(math.e)
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array, validating shape and entries.
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite complex128 matrix or stack of matrices ``(..., m, n)``.
 
     Parameters
     ----------
     a : array_like
-        Input matrix.
+        Input matrix, or stack of matrices along the leading axes.
     name : str
         Label used in error messages.
 
     Returns
     -------
     numpy.ndarray
-        The validated complex128 matrix.
+        The validated complex128 array.
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.ndim < 2:
+        raise ShapeError(f"{name} must be a matrix or a stack of matrices, got ndim={arr.ndim}")
+    if arr.shape[-2] < 1 or arr.shape[-1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
 
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D complex128 array; :func:`as_stack` for one matrix."""
+    arr = as_stack(a, name)
+    if arr.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    return arr
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A*)/2, killing round-off asymmetry before factorizations."""
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adjoint(a))
+
+
+def orthonormality_error(a: np.ndarray):
+    """||A* A - I||_F of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(adjoint(a) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
+
+
+def first_flagged(values, flags):
+    """``values`` at the first true entry of ``flags``, in C order.
+
+    Stacked checks use it to report one offending value. ``flags`` has the
+    stack's leading shape, ``values`` that shape or that shape followed by
+    more axes; at least one flag must be set.
+    """
+    return np.asarray(values)[np.asarray(flags)][0]
 
 
 @dataclass(frozen=True)
@@ -99,9 +129,9 @@ def svd(a) -> SvdResult:
         U (m x m), singular values (length min(m, n), nonincreasing) and
         V (n x n) such that ``A = U @ diag_rect(s) @ V.conj().T``.
     """
-    arr = as_matrix(a, "svd input")
+    arr = as_stack(a, "svd input")
     u, s, vh = np.linalg.svd(arr, full_matrices=True)
-    return SvdResult(U=u, singular_values=s, V=vh.conj().T)
+    return SvdResult(U=u, singular_values=s, V=adjoint(vh))
 
 
 def qr_tall(a) -> QrTallResult:
@@ -117,22 +147,26 @@ def qr_tall(a) -> QrTallResult:
     DegenerateChannelError
         If the smallest singular value is below ``RANK_RTOL`` times the largest.
     """
-    arr = as_matrix(a, "qr input")
-    m, k = arr.shape
+    arr = as_stack(a, "qr input")
+    m, k = arr.shape[-2:]
     if m < k:
         raise ShapeError(f"qr_tall needs a tall matrix, got {m}x{k}")
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[-1] < RANK_RTOL * s[0]:
+    deficient = s[..., -1] < RANK_RTOL * s[..., 0]
+    if np.any(deficient):
+        low, high = first_flagged(s[..., [-1, 0]], deficient)
         raise DegenerateChannelError(
-            f"rank-deficient input to qr_tall (sigma_min/sigma_max = {s[-1] / s[0]:.3e})"
+            f"rank-deficient input to qr_tall (sigma_min/sigma_max = {low / high:.3e})"
         )
     f, c = np.linalg.qr(arr)
     # Fix the LAPACK sign ambiguity: make diag(C) positive real so the
     # factorization is a deterministic function of the input.
-    d = np.diag(c).copy()
+    d = np.diagonal(c, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
     phases = d / np.abs(d)
-    return QrTallResult(F=f * phases[np.newaxis, :], C=phases.conj()[:, np.newaxis] * c)
+    return QrTallResult(
+        F=f * phases[..., np.newaxis, :], C=phases.conj()[..., :, np.newaxis] * c
+    )
 
 
 def nullspace_basis(a) -> np.ndarray:
@@ -148,14 +182,14 @@ def nullspace_basis(a) -> np.ndarray:
     numpy.ndarray
         q x (q - p) matrix with orthonormal columns, ``A @ result ~ 0``.
     """
-    arr = as_matrix(a, "nullspace input")
-    p, q = arr.shape
+    arr = as_stack(a, "nullspace input")
+    p, q = arr.shape[-2:]
     if p >= q:
         raise NoNullspaceError(f"no generic nullspace for shape {p}x{q} (need p < q)")
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if s[-1] < RANK_RTOL * s[0]:
+    if np.any(s[..., -1] < RANK_RTOL * s[..., 0]):
         raise DegenerateChannelError("rank-deficient input to nullspace_basis")
-    return vh.conj().T[:, p:]
+    return adjoint(vh)[..., :, p:]
 
 
 def left_nullspace_basis(a) -> np.ndarray:
@@ -166,27 +200,30 @@ def left_nullspace_basis(a) -> np.ndarray:
     (the whole space annihilates nothing).
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError(f"left_nullspace input must be 2-D, got ndim={arr.ndim}")
-    p, q = arr.shape
+    if arr.ndim < 2:
+        raise ShapeError(
+            f"left_nullspace input must be a matrix or a stack of matrices, got ndim={arr.ndim}"
+        )
+    p, q = arr.shape[-2:]
     if p < 1:
         raise ShapeError("left_nullspace input must have at least one row")
     if q == 0:
-        return np.eye(p, dtype=np.complex128)
+        return np.broadcast_to(np.eye(p, dtype=np.complex128), arr.shape[:-1] + (p,))
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("left_nullspace input contains non-finite entries")
     if p <= q:
         raise NoNullspaceError(f"no left nullspace for shape {p}x{q} (need p > q)")
     u, s, _ = np.linalg.svd(arr, full_matrices=True)
-    if s[-1] < RANK_RTOL * s[0]:
+    if np.any(s[..., -1] < RANK_RTOL * s[..., 0]):
         raise DegenerateChannelError("rank-deficient input to left_nullspace_basis")
-    return u[:, q:]
+    return u[..., :, q:]
 
 
-def logdet_pd(a) -> float:
+def logdet_pd(a):
     """log2-determinant of a Hermitian positive-definite matrix.
 
     Computed via Cholesky factorization, never through a raw determinant.
+    A float for one matrix, an array over the leading axes for a stack.
 
     Raises
     ------
@@ -195,22 +232,23 @@ def logdet_pd(a) -> float:
     NotPositiveDefiniteError
         If the factorization fails; carries the smallest eigenvalue.
     """
-    arr = as_matrix(a, "logdet input")
-    n, m = arr.shape
+    arr = as_stack(a, "logdet input")
+    n, m = arr.shape[-2:]
     if n != m:
         raise ShapeError(f"logdet_pd needs a square matrix, got {n}x{m}")
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    if np.linalg.norm(arr - arr.conj().T) > 1e-10 * scale:
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
         raise InvalidInputError("logdet_pd input is not Hermitian to tolerance 1e-10")
     try:
         chol = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
-        eigs = np.linalg.eigvalsh(hermitian_part(arr))
+        low = float(np.min(np.linalg.eigvalsh(hermitian_part(arr))[..., 0]))
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {eigs[0]:.6e})",
-            min_eigenvalue=float(eigs[0]),
+            f"matrix is not positive definite (min eigenvalue {low:.6e})",
+            min_eigenvalue=low,
         ) from None
-    return float(2.0 * np.sum(np.log2(np.real(np.diag(chol)))))
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+    return (2.0 * np.sum(np.log2(diag), axis=-1))[()]
 
 
 def random_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,23 +259,35 @@ def random_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarr
     """
     if m < 1 or n < 1:
         raise ShapeError(f"matrix dimensions must be positive, got ({m}, {n})")
-    parts = rng.standard_normal(size=(2, m, n))
-    return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+    return complex_gaussian(rng.standard_normal(size=(2, m, n)))
+
+
+def complex_gaussian(parts: np.ndarray) -> np.ndarray:
+    """CN(0, 1) matrices from standard normals of shape ``(..., 2, m, n)``.
+
+    ``parts[..., 0, :, :]`` holds the real parts and ``parts[..., 1, :, :]``
+    the imaginary parts, each scaled to variance 1/2.
+    """
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / math.sqrt(2.0)
+
+
+def haar_columns(z: np.ndarray) -> np.ndarray:
+    """Orthonormal columns from a complex Gaussian matrix, or from each of a stack.
+
+    QR with the R-diagonal phases absorbed into Q, which makes the column
+    span Haar distributed on the Grassmannian.
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0  # measure-zero guard
+    return q * (d / np.abs(d)).conj()[..., np.newaxis, :]
 
 
 def random_truncated_unitary(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random m x k matrix with orthonormal columns.
-
-    QR of a complex Gaussian matrix with the R-diagonal phases absorbed into
-    Q, which makes the column span Haar distributed on the Grassmannian.
-    """
+    """Haar-random m x k matrix with orthonormal columns (see :func:`haar_columns`)."""
     if m < k:
         raise ShapeError(f"need m >= k for a truncated unitary, got ({m}, {k})")
-    z = random_gaussian_matrix(m, k, rng)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r).copy()
-    d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d)).conj()[np.newaxis, :]
+    return haar_columns(random_gaussian_matrix(m, k, rng))
 
 
 def gaussian_mi(

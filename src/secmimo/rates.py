@@ -11,6 +11,10 @@ explicitly formed Hermitian matrices; each matrix is symmetrized before
 factorization to kill round-off asymmetry. The generic Gaussian
 mutual-information oracle in :mod:`secmimo.linalg` provides an independent
 route to the same values.
+
+The post-filtered rates and the eavesdropper term also take stacks of
+matrices and a policy whose P is an array over the stack (see
+:mod:`secmimo.transceiver`); every field of the result is then an array.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import LOG2_E, as_matrix, hermitian_part, logdet_pd, svd
+from .linalg import LOG2_E, adjoint, as_matrix, as_stack, hermitian_part, logdet_pd, svd
 from .transceiver import (
     AntennaConfig,
     ChannelSet,
@@ -70,8 +74,13 @@ def _logdet_ratio(numer: np.ndarray, denom: np.ndarray) -> float:
     return logdet_pd(hermitian_part(numer)) - logdet_pd(hermitian_part(denom))
 
 
-def _clip(raw: float) -> float:
-    return raw if raw > 0.0 else 0.0
+def _per_matrix(x) -> np.ndarray:
+    # a scalar, or one value per element of a stack, as a factor per matrix
+    return np.asarray(x)[..., np.newaxis, np.newaxis]
+
+
+def _clip(raw):
+    return np.where(raw > 0.0, raw, 0.0)[()]
 
 
 def _eve_term(
@@ -86,13 +95,13 @@ def _eve_term(
     log-det ratio of the Eve covariance with and without the information
     signal; the artificial noise term sits in both determinants.
     """
-    kxs = policy.kxs(config.n_r) * policy.P
-    an = policy.an_cov_scale(config.n_t, config.n_r)
+    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
     e1 = he @ w1
     e2 = he @ w2
     eye = np.eye(config.n_e)
-    base = an * (e2 @ e2.conj().T) + policy.sigma2_eve * eye
-    return _logdet_ratio(policy.rho * kxs * (e1 @ e1.conj().T) + base, base)
+    base = an * (e2 @ adjoint(e2)) + policy.sigma2_eve * eye
+    return _logdet_ratio(policy.rho * kxs * (e1 @ adjoint(e1)) + base, base)
 
 
 def secrecy_rate_perfect_basic(
@@ -134,15 +143,15 @@ def secrecy_rate_perfect_G(
     rho G* V* Hd W1 Kxs W1* Hd* V G + sigma^2 G* G against the noise floor
     sigma^2 G* G. Negative term: the eavesdropper rate.
     """
-    hd = as_matrix(channels.Hd, "Hd")
+    hd = as_stack(channels.Hd, "Hd")
     g = filters.G
-    gvh = g.conj().T @ filters.V.conj().T @ hd
-    kxs = policy.kxs(config.n_r) * policy.P
+    gvh = adjoint(g) @ adjoint(filters.V) @ hd
+    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
     s1 = gvh @ precoders.W1
-    noise = policy.sigma2 * (g.conj().T @ g)
-    t_plus = _logdet_ratio(policy.rho * kxs * (s1 @ s1.conj().T) + noise, noise)
+    noise = policy.sigma2 * (adjoint(g) @ g)
+    t_plus = _logdet_ratio(policy.rho * kxs * (s1 @ adjoint(s1)) + noise, noise)
     t_minus = _eve_term(
-        as_matrix(channels.He, "He"), precoders.W1, precoders.W2, policy, config
+        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
     )
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
@@ -163,20 +172,20 @@ def secrecy_rate_quantized_G(
     numerator and the denominator of the positive term. `nf_bits` is carried
     only for diagnostics.
     """
-    hd = as_matrix(channels.Hd, "Hd")
+    hd = as_stack(channels.Hd, "Hd")
     g = filters.G
-    gvh = g.conj().T @ filters.V.conj().T @ hd
-    kxs = policy.kxs(config.n_r) * policy.P
-    an = policy.an_cov_scale(config.n_t, config.n_r)
+    gvh = adjoint(g) @ adjoint(filters.V) @ hd
+    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
     s1 = gvh @ precoders.W1
     s2 = gvh @ precoders.W2
-    leak = an * (s2 @ s2.conj().T)
-    noise = policy.sigma2 * (g.conj().T @ g)
+    leak = an * (s2 @ adjoint(s2))
+    noise = policy.sigma2 * (adjoint(g) @ g)
     t_plus = _logdet_ratio(
-        policy.rho * kxs * (s1 @ s1.conj().T) + leak + noise, leak + noise
+        policy.rho * kxs * (s1 @ adjoint(s1)) + leak + noise, leak + noise
     )
     t_minus = _eve_term(
-        as_matrix(channels.He, "He"), precoders.W1, precoders.W2, policy, config
+        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
     )
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)

@@ -11,11 +11,15 @@ Conventions: the information precoder W1 is n_t x n_r, the artificial-noise
 precoder W2 is n_t x (n_t - n_r), both with orthonormal columns and mutually
 orthogonal. With perfect knowledge W2 spans the nullspace of the direct
 channel, so the receiver sees no artificial noise at all.
+
+Every matrix may also be a stack of matrices along leading axes, one trial
+(or trial and operating point) per index; the builders here and the rate
+kernels apply to each element and broadcast trial-level stacks of shape
+``(T, 1, ...)`` against point-level stacks of shape ``(T, P, ...)``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +29,21 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientAntennasError,
     InvalidInputError,
-    NoNullspaceError,
     ShapeError,
 )
 from .grassmann import GrassmannPoint, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
+    adjoint,
     as_matrix,
+    as_stack,
+    complex_gaussian,
+    first_flagged,
+    haar_columns,
+    hermitian_part,
     left_nullspace_basis,
     nullspace_basis,
+    orthonormality_error,
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,
@@ -83,7 +93,8 @@ class PowerPolicy:
 
     `rho` is the fraction of the power budget P on the information signal;
     the rest drives artificial noise with covariance P/(n_t - n_r) I. The
-    information covariance is kxs_scale * P * I, defaulting to P/n_r.
+    information covariance is kxs_scale * P * I, defaulting to P/n_r. P may
+    also be an array over a stack's leading axes, one power per element.
     """
 
     P: float
@@ -93,7 +104,7 @@ class PowerPolicy:
     kxs_scale: float | None = None
 
     def __post_init__(self):
-        if self.P <= 0:
+        if np.any(np.asarray(self.P) <= 0):
             raise InvalidInputError(f"transmit power must be positive, got {self.P}")
         if not 0.0 < self.rho < 1.0:
             raise InvalidInputError(f"rho must lie in (0, 1), got {self.rho}")
@@ -107,7 +118,7 @@ class PowerPolicy:
 
     @property
     def snr_db(self) -> float:
-        return 10.0 * math.log10(self.P)
+        return 10.0 * np.log10(self.P)
 
     def kxs(self, n_r: int) -> float:
         """Scalar multiplier c of the information covariance c * P * I."""
@@ -141,13 +152,13 @@ class Precoders:
     mode: str  # "perfect" or "quantized"
 
     def __post_init__(self):
-        w1 = as_matrix(self.W1, "W1")
-        w2 = as_matrix(self.W2, "W2")
-        if np.linalg.norm(w1.conj().T @ w1 - np.eye(w1.shape[1])) > ORTHO_TOL:
+        w1 = as_stack(self.W1, "W1")
+        w2 = as_stack(self.W2, "W2")
+        if np.any(orthonormality_error(w1) > ORTHO_TOL):
             raise InvalidInputError("W1 columns are not orthonormal")
-        if np.linalg.norm(w2.conj().T @ w2 - np.eye(w2.shape[1])) > ORTHO_TOL:
+        if np.any(orthonormality_error(w2) > ORTHO_TOL):
             raise InvalidInputError("W2 columns are not orthonormal")
-        if np.linalg.norm(w1.conj().T @ w2) > ORTHO_TOL:
+        if np.any(np.linalg.norm(adjoint(w1) @ w2, axis=(-2, -1)) > ORTHO_TOL):
             raise InvalidInputError("W1 and W2 are not orthogonal")
 
 
@@ -178,6 +189,36 @@ def sample_channels(config: AntennaConfig, rng: np.random.Generator) -> ChannelS
     return ChannelSet(Hd=hd, He=he, Hj=hj)
 
 
+def sample_trials(
+    config: AntennaConfig, rngs, directions
+) -> tuple[ChannelSet, np.ndarray, np.ndarray]:
+    """Channels, receiver design matrix B and quantizer directions of a block of trials.
+
+    Trial k draws from ``rngs[k]`` with one standard-normal call, in the
+    order of :func:`sample_channels`, then ``random_truncated_unitary(n_t,
+    d_s)`` for B, then one n_t x n_r Gaussian direction per operating point
+    flagged in `directions`. A generator's consecutive draws concatenate, so
+    each trial gets exactly what those calls made one after another return.
+
+    The channels and B have leading shape ``(len(rngs), 1)``, the directions
+    ``(len(rngs), len(directions))``, zero at the unflagged points.
+    """
+    n_t, n_r, trials = config.n_t, config.n_r, len(rngs)
+    flagged = np.asarray(directions, dtype=bool)
+    n_z = int(flagged.sum())
+    shapes = [(n_r, n_t), (config.n_e, n_t), (n_r, config.n_j), (n_t, config.d_s)]
+    sizes = [2 * m * n for m, n in shapes] + [2 * n_z * n_t * n_r]
+    normals = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
+    parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
+    hd, he, hj, b = (
+        complex_gaussian(part.reshape(trials, 1, 2, m, n))
+        for part, (m, n) in zip(parts, shapes)
+    )
+    z = np.zeros((trials, flagged.size, n_t, n_r), dtype=np.complex128)
+    z[:, flagged] = complex_gaussian(parts[-1].reshape(trials, n_z, 2, n_t, n_r))
+    return ChannelSet(Hd=hd, He=he, Hj=hj), haar_columns(b), z
+
+
 def eve_effective_channel(Ge, Gj) -> np.ndarray:
     """Jammer-free eavesdropper channel after projecting out the jammer.
 
@@ -206,17 +247,15 @@ def tx_precoders_perfect(Hd) -> Precoders:
     W2 spans the nullspace of Hd so artificial noise vanishes at the
     receiver; W1 spans the orthogonal complement (the row space).
     """
-    hd = as_matrix(Hd, "Hd")
-    n_r, n_t = hd.shape
+    hd = as_stack(Hd, "Hd")
+    n_r, n_t = hd.shape[-2:]
     if n_t <= n_r:
         raise ShapeError(f"need n_t > n_r for an artificial-noise nullspace, got {hd.shape}")
     dec = svd(hd)
     s = dec.singular_values
-    if s[-1] < 1e-12 * s[0]:
+    if np.any(s[..., -1] < 1e-12 * s[..., 0]):
         raise DegenerateChannelError("rank-deficient direct channel")
-    w1 = dec.V[:, :n_r]
-    w2 = dec.V[:, n_r:]
-    return Precoders(W1=w1, W2=w2, mode="perfect")
+    return Precoders(W1=dec.V[..., :, :n_r], W2=dec.V[..., :, n_r:], mode="perfect")
 
 
 def tx_precoders_quantized(fhat) -> Precoders:
@@ -228,8 +267,7 @@ def tx_precoders_quantized(fhat) -> Precoders:
     if not isinstance(fhat, GrassmannPoint):
         fhat = GrassmannPoint(np.asarray(fhat, dtype=np.complex128))
     f = fhat.matrix
-    w2 = nullspace_basis(f.conj().T)
-    return Precoders(W1=f, W2=w2, mode="quantized")
+    return Precoders(W1=f, W2=nullspace_basis(adjoint(f)), mode="quantized")
 
 
 def rx_nuller(Hj) -> np.ndarray:
@@ -239,19 +277,14 @@ def rx_nuller(Hj) -> np.ndarray:
     no jammer.
     """
     hj = np.asarray(Hj, dtype=np.complex128)
-    if hj.ndim != 2:
-        raise ShapeError("Hj must be 2-D")
-    n_r, n_j = hj.shape
-    if n_j == 0:
-        return np.eye(n_r, dtype=np.complex128)
-    if n_r <= n_j:
+    if hj.ndim < 2:
+        raise ShapeError("Hj must be a matrix or a stack of matrices")
+    n_r, n_j = hj.shape[-2:]
+    if 0 < n_j and n_r <= n_j:
         raise InsufficientAntennasError(
             f"receiver needs more antennas than the jammer, got n_r={n_r}, n_j={n_j}"
         )
-    try:
-        return left_nullspace_basis(hj)
-    except NoNullspaceError as exc:  # pragma: no cover - shape guard above
-        raise InsufficientAntennasError(str(exc)) from exc
+    return left_nullspace_basis(hj)
 
 
 def rx_postfilter(Hd, Hj, B=None, rng: np.random.Generator | None = None) -> ReceiverFilters:
@@ -259,37 +292,39 @@ def rx_postfilter(Hd, Hj, B=None, rng: np.random.Generator | None = None) -> Rec
 
     Factors the conjugated direct channel as Hd* = F C, nulls the jammer
     with V, and builds G* = B* F C V (V* C* C V)^{-1} for a tall
-    truncated-unitary B (Haar-sampled when not supplied).
+    truncated-unitary B (Haar-sampled when not supplied; a stack of
+    channels needs B supplied).
     """
-    hd = as_matrix(Hd, "Hd")
-    n_r, n_t = hd.shape
-    dec = qr_tall(hd.conj().T)
+    hd = as_stack(Hd, "Hd")
+    n_r, n_t = hd.shape[-2:]
+    dec = qr_tall(adjoint(hd))
     f, c = dec.F, dec.C
     v = rx_nuller(Hj)
-    d_s = v.shape[1]
+    d_s = v.shape[-1]
     if B is None:
         if rng is None:
             raise InvalidInputError("rx_postfilter needs either B or an rng to sample it")
         b = random_truncated_unitary(n_t, d_s, rng)
     else:
-        b = as_matrix(B, "B")
-        if b.shape != (n_t, d_s):
+        b = as_stack(B, "B")
+        if b.shape[-2:] != (n_t, d_s):
             raise ShapeError(f"B must be {n_t}x{d_s}, got {b.shape}")
-        if np.linalg.norm(b.conj().T @ b - np.eye(d_s)) > ORTHO_TOL:
+        if np.any(orthonormality_error(b) > ORTHO_TOL):
             raise InvalidInputError("B columns are not orthonormal")
     cv = c @ v
-    gram = cv.conj().T @ cv  # V* C* C V, Hermitian PD almost surely
-    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
-    if eigs[0] < 1e-12 * max(1.0, eigs[-1]):
+    gram = adjoint(cv) @ cv  # V* C* C V, Hermitian PD almost surely
+    eigs = np.linalg.eigvalsh(hermitian_part(gram))
+    singular = eigs[..., 0] < 1e-12 * np.maximum(1.0, eigs[..., -1])
+    if np.any(singular):
         raise DegenerateGeometryError(
-            f"V* C* C V is numerically singular (min eigenvalue {eigs[0]:.3e})"
+            "V* C* C V is numerically singular "
+            f"(min eigenvalue {first_flagged(eigs[..., 0], singular):.3e})"
         )
     # G* = (B* F C V) gram^{-1}; right-solve via the Hermitian of gram.
-    g_star = np.linalg.solve(gram, (b.conj().T @ f @ cv).conj().T).conj().T
-    g = g_star.conj().T
-    gg = g.conj().T @ g
-    gg_eigs = np.linalg.eigvalsh(0.5 * (gg + gg.conj().T))
-    if gg_eigs[0] < 1e-12 * max(1.0, gg_eigs[-1]):
+    g_star = adjoint(np.linalg.solve(gram, adjoint(adjoint(b) @ f @ cv)))
+    g = adjoint(g_star)
+    gg_eigs = np.linalg.eigvalsh(hermitian_part(adjoint(g) @ g))
+    if np.any(gg_eigs[..., 0] < 1e-12 * np.maximum(1.0, gg_eigs[..., -1])):
         raise DegenerateGeometryError("G* G is not positive definite")
     return ReceiverFilters(V=v, B=b, G=g, F=f, C=c)
 
@@ -302,13 +337,14 @@ def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> flo
     closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2. Exactly zero
     when W2Q spans the true channel nullspace.
     """
-    hd = as_matrix(Hd, "Hd")
-    w2q = as_matrix(W2Q, "W2Q")
-    an_cols = w2q.shape[1]
-    coupling = filters.G.conj().T @ filters.V.conj().T @ hd @ w2q
-    return float(
-        (1.0 - policy.rho) * policy.P / an_cols * np.linalg.norm(coupling) ** 2
-    )
+    hd = as_stack(Hd, "Hd")
+    w2q = as_stack(W2Q, "W2Q")
+    an_cols = w2q.shape[-1]
+    coupling = adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q
+    return (
+        (1.0 - policy.rho) * policy.P / an_cols
+        * np.linalg.norm(coupling, axis=(-2, -1)) ** 2
+    )[()]
 
 
 def leakage_bound(policy: PowerPolicy, n_f: int, config: AntennaConfig) -> float:

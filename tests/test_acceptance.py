@@ -6,8 +6,10 @@ experiments at desk scale; 6-8 are exactness/inequality sweeps; 9 pins the
 determinism contract.
 """
 
+import numpy as np
 import pytest
 
+from secmimo import harness
 from secmimo.grassmann import FeedbackSchedule
 from secmimo.harness import render_csv, run_experiment, scenario_config
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
@@ -165,8 +167,9 @@ def test_criterion_8_lemma_suite():
     assert ok
 
 
-def test_criterion_9_determinism():
-    """Identical seed and config give byte-identical CSV for 1, 4, 8 workers."""
+def test_criterion_9_determinism(monkeypatch):
+    """Identical seed and config give byte-identical CSV and bitwise-equal
+    per-trial arrays for blocks of 1, 8 and a whole curve, and on a rerun."""
     cfg = scenario_config(
         "slope",
         [2],
@@ -176,12 +179,20 @@ def test_criterion_9_determinism():
         snr_max=40.0,
         snr_step=10.0,
     )
-    texts = [render_csv(run_experiment(cfg, workers=w)) for w in (1, 4, 8)]
-    rerun = render_csv(run_experiment(cfg, workers=4))
-    ok = texts[0] == texts[1] == texts[2] == rerun
+    points = harness._curve_points(cfg, cfg.antenna_configs[0])
+    texts, per_trial = [], []
+    for block in (1, 8, cfg.trials):
+        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        texts.append(render_csv(run_experiment(cfg)))
+        per_trial.append(harness._curve_trials(cfg, 0, points))
+    rerun = render_csv(run_experiment(cfg))
+    ok = texts[0] == texts[1] == texts[2] == rerun and all(
+        np.array_equal(arr, per_trial[0]) for arr in per_trial[1:]
+    )
     _report(
         "criterion-9 determinism",
         ok,
-        f"{len(texts[0].encode())} bytes identical across 1/4/8 workers and rerun",
+        f"{len(texts[0].encode())} bytes and {per_trial[0].size} per-trial values identical "
+        "across blocks of 1/8/16 trials and a rerun",
     )
     assert ok

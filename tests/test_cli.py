@@ -120,6 +120,23 @@ class TestRun:
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
         assert repr(next(iter(bad))) in err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--epsilon", "nan"], ["--epsilon", "inf"], ["--snr-max", "inf"], ["--snr-step", "nan"]],
+    )
+    def test_non_finite_number_is_config_error(self, capsys, extra):
+        assert cli_main(["run", "--nr", "2", "--trials", "1", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and len(err.splitlines()) == 1
+
+    def test_non_finite_epsilon_in_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text('{"nr": 2, "trials": 1, "epsilon": NaN}')
+        assert cli_main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "epsilon" in err
+        assert len(err.splitlines()) == 1
+
     def test_invalid_antenna_count_is_config_error(self, capsys):
         assert cli_main(["run", "--nr", "1", "--trials", "1"]) == 1
         assert "configuration error" in capsys.readouterr().err
@@ -150,6 +167,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_experiment", boom)
         assert cli_main(["run", "--scenario", "slope", "--nr", "2", "--trials", "1"]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_degenerate_draw_names_its_trial(self, tmp_path, capsys, degenerate_trials):
+        degenerate_trials(3, 6, {4})
+        args, out = _run_args(tmp_path)
+        args[args.index("--nr") + 1] = "3"
+        args[args.index("--trials") + 1] = "6"
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: curve 0, trial 4, seed 7: ")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestUsageErrors:

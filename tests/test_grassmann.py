@@ -23,6 +23,7 @@ from secmimo.grassmann import (
     codebook_generate,
     feedback_bits,
     haar_point,
+    perturb_along,
     perturb_quantize,
     perturb_to_distance,
     quant_error_bound,
@@ -287,6 +288,18 @@ class TestPerturbToDistance:
         perturb_to_distance(f, 0.7, rng)
         random_gaussian_matrix(6, 2, twin)
         np.testing.assert_array_equal(rng.standard_normal(4), twin.standard_normal(4))
+
+    def test_stack_matches_each_element(self):
+        """Each element of a stack gets its 2-D result; a zero target keeps the point."""
+        rng = np.random.default_rng(26)
+        f = haar_point(6, 3, rng).matrix
+        z = np.stack([random_gaussian_matrix(6, 3, rng) for _ in range(4)])
+        targets = np.array([0.0, 1e-9, 0.5, 1.7])
+        stacked = perturb_along(f, z, targets).matrix
+        for i in range(4):
+            np.testing.assert_array_equal(stacked[i], perturb_along(f, z[i], targets[i]).matrix)
+        np.testing.assert_array_equal(stacked[0], f)
+        np.testing.assert_allclose(chordal_distance(f, stacked), targets, rtol=0, atol=1e-12)
 
     def test_rank_deficient_direction_fails_final_check(self, monkeypatch):
         """A rank-one direction cannot pass distance 1 on G(6, 3)."""

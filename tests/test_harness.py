@@ -5,15 +5,16 @@ import csv
 import numpy as np
 import pytest
 
-from secmimo.errors import ConfigError
-from secmimo.grassmann import FeedbackSchedule
+from secmimo import harness
+from secmimo.errors import ConfigError, DegenerateChannelError
+from secmimo.grassmann import FeedbackSchedule, GrassmannPoint, perturb_quantize
 from secmimo.harness import (
     CSV_HEADER,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
     _curve_points,
-    _run_trial,
+    _curve_trials,
     fitted_slopes_from_rows,
     read_csv,
     render_csv,
@@ -21,7 +22,16 @@ from secmimo.harness import (
     scenario_config,
     write_csv,
 )
-from secmimo.transceiver import AntennaConfig
+from secmimo.rates import secrecy_rate_perfect_G, secrecy_rate_quantized_G
+from secmimo.transceiver import (
+    AntennaConfig,
+    PowerPolicy,
+    leakage_power,
+    rx_postfilter,
+    sample_channels,
+    tx_precoders_perfect,
+    tx_precoders_quantized,
+)
 
 
 def _small_cfg(**over):
@@ -81,6 +91,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _small_cfg(trials=0).validate()
 
+    def test_validation_rejects_narrow_ambient(self):
+        cfg = ExperimentConfig(
+            scenario="custom",
+            antenna_configs=(AntennaConfig(5, 3, 1, 2),),
+            schedule=FeedbackSchedule.fixed(12),
+        )
+        with pytest.raises(ConfigError, match="n_t >= 2 n_r"):
+            cfg.validate()
+
     def test_custom_scenario_free_antennas(self):
         cfg = ExperimentConfig(
             scenario="custom",
@@ -108,6 +127,30 @@ class TestPoints:
         assert pts == [(10.0, 10), (10.0, 20), (20.0, 10), (20.0, 20), (30.0, 10), (30.0, 20)]
 
 
+def _reference_trial(cfg, curve, trial):
+    """One trial through the scalar public kernels, one operating point at a time."""
+    acfg = cfg.antenna_configs[curve]
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(curve, trial)))
+    channels = sample_channels(acfg, rng)
+    filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
+    prec_p = tx_precoders_perfect(channels.Hd)
+    f_true = GrassmannPoint(filters.F)
+    points = _curve_points(cfg, acfg)
+    out = np.empty((len(points), 5))
+    for i, (snr_db, nf) in enumerate(points):
+        policy = PowerPolicy.from_snr_db(snr_db, rho=cfg.rho)
+        prec_q = tx_precoders_quantized(perturb_quantize(f_true, nf, rng))
+        r_p = secrecy_rate_perfect_G(channels, prec_p, filters, policy, acfg)
+        r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg, nf)
+        leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
+        out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak)
+    return out
+
+
+def _engine_trials(cfg, curve):
+    return _curve_trials(cfg, curve, _curve_points(cfg, cfg.antenna_configs[curve]))
+
+
 class TestDeterminism:
     def test_rerun_identical(self):
         cfg = _small_cfg()
@@ -116,40 +159,68 @@ class TestDeterminism:
         assert render_csv(r1) == render_csv(r2)
         assert r1.rows == r2.rows
 
-    def test_worker_count_invariance(self):
-        cfg = _small_cfg(trials=6)
-        texts = {render_csv(run_experiment(cfg, workers=w)) for w in (1, 2, 4)}
-        assert len(texts) == 1
+    def test_block_size_invariance(self, monkeypatch):
+        """Blocks of 1, 8 and a whole curve give the same bits, per trial and in the CSV."""
+        cfg = _small_cfg(trials=11)
+        texts, per_trial = [], []
+        for block in (1, 8, cfg.trials):
+            monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+            texts.append(render_csv(run_experiment(cfg)))
+            per_trial.append(_engine_trials(cfg, 0))
+        assert len(set(texts)) == 1
+        for arr in per_trial[1:]:
+            np.testing.assert_array_equal(arr, per_trial[0])
 
     def test_trial_streams_injective(self):
         """Trial t consumes the same stream regardless of the trial count."""
         cfg1 = _small_cfg(trials=1)
         cfg3 = _small_cfg(trials=3)
-        acfg = cfg1.antenna_configs[0]
-        points = _curve_points(cfg1, acfg)
-
-        def trial_out(t):
-            seq = np.random.SeedSequence(cfg1.seed, spawn_key=(0, t))
-            return _run_trial(acfg, points, cfg1.rho, np.random.default_rng(seq))
-
-        direct = np.stack([trial_out(t) for t in range(3)]).mean(axis=0)
+        direct = np.stack([_reference_trial(cfg3, 0, t) for t in range(3)]).mean(axis=0)
         r3 = run_experiment(cfg3)
         got = np.array([[row.r_perfect_mean, row.r_quantized_mean] for row in r3.rows])
         np.testing.assert_allclose(got[:, 0], direct[:, 0], rtol=0, atol=0)
         np.testing.assert_allclose(got[:, 1], direct[:, 1], rtol=0, atol=0)
 
         r1 = run_experiment(cfg1)
-        expected_first = trial_out(0)
         got1 = np.array([row.r_perfect_mean for row in r1.rows])
-        np.testing.assert_array_equal(got1, expected_first[:, 0])
+        np.testing.assert_array_equal(got1, _reference_trial(cfg1, 0, 0)[:, 0])
 
-    def test_env_thread_cap(self, monkeypatch):
-        cfg = _small_cfg(trials=4)
-        baseline = render_csv(run_experiment(cfg))
-        monkeypatch.setenv("SIMSEC_THREADS", "2")
-        assert render_csv(run_experiment(cfg)) == baseline
-        monkeypatch.setenv("SIMSEC_THREADS", "zebra")
-        with pytest.raises(ConfigError):
+
+class TestEngineOracle:
+    """The stacked engine against the scalar kernels, trial by trial, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            scenario_config("slope", [2, 3, 4], trials=10, seed=3),
+            scenario_config("gap_vs_bits", trials=10, seed=4),
+            # the second budget drives the target to 0: that point draws nothing
+            scenario_config("gap_vs_bits", trials=3, seed=5, nf_grid=(10, 40000)),
+            ExperimentConfig(
+                scenario="custom",
+                antenna_configs=(AntennaConfig(7, 3, 0, 2),),
+                schedule=FeedbackSchedule.scaled(0.25),
+                snr_min=0.0,
+                snr_max=40.0,
+                snr_step=10.0,
+                trials=10,
+                seed=6,
+            ),
+        ],
+        ids=["slope", "gap_vs_bits", "zero_target", "custom_no_jammer"],
+    )
+    def test_matches_scalar_kernels(self, cfg):
+        for curve in range(len(cfg.antenna_configs)):
+            engine = _engine_trials(cfg, curve)
+            reference = np.stack([_reference_trial(cfg, curve, t) for t in range(cfg.trials)])
+            np.testing.assert_array_equal(engine, reference)
+
+
+class TestReplayableFailure:
+    def test_names_first_failing_trial(self, degenerate_trials):
+        cfg = _small_cfg(trials=11)
+        degenerate_trials(2, 4, {9, 10})
+        with pytest.raises(DegenerateChannelError, match="^curve 0, trial 9, seed 7: rank"):
             run_experiment(cfg)
 
 

@@ -11,6 +11,7 @@ from secmimo.errors import (
     ShapeError,
 )
 from secmimo.linalg import (
+    adjoint,
     as_matrix,
     gaussian_mi,
     hermitian_part,
@@ -302,3 +303,40 @@ def test_as_matrix_guards():
         as_matrix(np.ones(3))
     with pytest.raises(InvalidInputError):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+class TestStacks:
+    """A stack of matrices gives, matrix by matrix, the bits of the 2-D call."""
+
+    @staticmethod
+    def _stack(rng, shape):
+        return np.stack([random_gaussian_matrix(*shape, rng) for _ in range(6)]).reshape(
+            2, 3, *shape
+        )
+
+    @pytest.mark.parametrize(
+        "kernel, shape",
+        [
+            (lambda a: svd(a).V, (3, 5)),
+            (lambda a: qr_tall(a).F, (5, 3)),
+            (lambda a: qr_tall(a).C, (5, 3)),
+            (nullspace_basis, (2, 5)),
+            (left_nullspace_basis, (5, 2)),
+            (lambda a: logdet_pd(hermitian_part(a @ adjoint(a)) + np.eye(4)), (4, 4)),
+        ],
+    )
+    def test_matches_each_matrix(self, kernel, shape):
+        stack = self._stack(np.random.default_rng(21), shape)
+        got = kernel(stack)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(got[idx], kernel(stack[idx]))
+
+    def test_one_bad_matrix_fails_the_stack(self):
+        stack = self._stack(np.random.default_rng(22), (5, 3))
+        stack[1, 2, :, 2] = stack[1, 2, :, 0]
+        with pytest.raises(DegenerateChannelError, match="sigma_min/sigma_max"):
+            qr_tall(stack)
+        grams = np.stack([np.eye(2), np.diag([1.0, -2.0])])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            logdet_pd(grams)
+        assert err.value.min_eigenvalue == pytest.approx(-2.0, abs=1e-9)
