@@ -56,14 +56,12 @@ from .linalg import (
     svd,
 )
 from .rates import (
-    RateSample,
     SdofEstimate,
     SecrecyRate,
     beta_P,
     eve_rate_limit,
     fit_slope,
     logdet_perturbation_check,
-    sdof_fit,
     secrecy_rate_perfect_G,
     secrecy_rate_perfect_basic,
     secrecy_rate_quantized_G,

@@ -200,6 +200,8 @@ def _print_slopes(fits: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     outcomes = run_verification(trials=args.trials, seed=args.seed)
     all_passed = True
     for suite in outcomes:

@@ -240,6 +240,15 @@ def _check_target(distance, r: int) -> None:
         )
 
 
+def _top_squared_singular_values(z: np.ndarray, r: int) -> np.ndarray:
+    """The r largest sigma_i(Z)^2 of each n_t x n_r matrix of `z`, descending.
+
+    They are the eigenvalues of the n_r x n_r Gram matrix Z* Z, which is
+    cheaper to factor than Z itself.
+    """
+    return np.linalg.eigvalsh(adjoint(z) @ z)[..., ::-1][..., :r]
+
+
 def perturb_along(point, z, distance) -> GrassmannPoint:
     """Move `point` along the Gaussian direction `z` to a chordal distance.
 
@@ -264,7 +273,7 @@ def perturb_along(point, z, distance) -> GrassmannPoint:
     r = min(n_r, n_t - n_r)
     _check_target(distance, r)
     z = z - f @ (adjoint(f) @ z)
-    s2 = np.linalg.svd(z, compute_uv=False)[..., :r] ** 2
+    s2 = _top_squared_singular_values(z, r)
     target = np.broadcast_to(distance, s2.shape[:-1])
     d2 = (target * target).reshape(-1)
     s2 = s2.reshape(-1, r)

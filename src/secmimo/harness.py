@@ -4,9 +4,9 @@ Each trial draws one channel realization plus the receiver design matrix,
 then sweeps the operating points (SNR grid, or SNR x bit-budget grid for the
 gap-versus-bits scenario) with those matrices held fixed. Every (curve,
 trial) pair gets its own child RNG stream derived injectively from the
-experiment seed. A curve's trials are evaluated TRIAL_BLOCK at a time as
-stacked arrays; each trial's numbers are computed element by element, so
-results are bit-identical for any block size.
+experiment seed. A curve's trials are evaluated about BLOCK_POINTS operating
+points at a time as stacked arrays; each trial's numbers are computed element
+by element, so results are bit-identical for any block size.
 
 Scenarios
 ---------
@@ -22,8 +22,10 @@ custom       caller-specified antenna configs and schedule.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 import typing
 from dataclasses import dataclass, field, replace
 
@@ -55,11 +57,11 @@ from .transceiver import (
 
 SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
 
-# Trials evaluated together as one stack. Larger blocks spread the fixed
-# cost of each numpy call over more trials but hold more memory at once: on
-# the benchmark's slope workload a block of 8 keeps peak RSS at the level of
-# a trial-at-a-time loop, while a whole 60-trial curve raised it by 7 MB.
-TRIAL_BLOCK = 8
+# Operating points (trials x points per trial) evaluated together as one
+# stack; a block holds max(1, BLOCK_POINTS // points per trial) trials.
+# Larger blocks spread the fixed cost of each numpy call over more trials
+# but hold more memory at once, and the memory grows with trials x points.
+BLOCK_POINTS = 240
 
 CSV_HEADER = (
     "scenario,n_t,n_r,n_j,n_e,snr_db,nf_bits,"
@@ -91,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not -math.inf < self.snr_min < self.snr_max < math.inf:
             raise ConfigError(
                 f"need finite snr_min < snr_max, got [{self.snr_min}, {self.snr_max}]"
@@ -212,21 +216,16 @@ def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
 
 def _run_block(
     acfg: AntennaConfig,
-    points: list[tuple[float, int]],
-    rho: float,
+    policy: PowerPolicy,
+    targets: np.ndarray,
     rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Evaluate all operating points for a block of channel draws, one per rng.
 
-    Returns an array of shape (len(rngs), n_points, 5) holding clipped
-    perfect rate, clipped quantized rate, raw perfect rate, raw quantized
-    rate, leakage.
+    `policy` and `targets` hold one power and one quantizer distance per point.
+    Returns an array of shape (len(rngs), n_points, 5) holding clipped perfect
+    rate, clipped quantized rate, raw perfect rate, raw quantized rate, leakage.
     """
-    policy = PowerPolicy(
-        P=np.array([PowerPolicy.from_snr_db(snr_db, rho=rho).P for snr_db, _ in points]),
-        rho=rho,
-    )
-    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf in points])
     channels, b, z = sample_trials(acfg, rngs, targets >= ZERO_DISTANCE)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     prec_perfect = tx_precoders_perfect(channels.Hd)
@@ -244,16 +243,20 @@ def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
     the first trial that fails on its own, so the draw can be replayed.
     """
     acfg = cfg.antenna_configs[curve_idx]
+    powers = [PowerPolicy.from_snr_db(snr_db, rho=cfg.rho).P for snr_db, _ in points]
+    policy = PowerPolicy(P=np.array(powers), rho=cfg.rho)
+    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf in points])
+    block = max(1, BLOCK_POINTS // len(points))
     blocks = []
-    for start in range(0, cfg.trials, TRIAL_BLOCK):
-        trials = range(start, min(start + TRIAL_BLOCK, cfg.trials))
+    for start in range(0, cfg.trials, block):
+        trials = range(start, min(start + block, cfg.trials))
         rngs = [_trial_rng(cfg.seed, curve_idx, t) for t in trials]
         try:
-            blocks.append(_run_block(acfg, points, cfg.rho, rngs))
+            blocks.append(_run_block(acfg, policy, targets, rngs))
         except (SecMimoError, np.linalg.LinAlgError):
             for t in trials:
                 try:
-                    _run_block(acfg, points, cfg.rho, [_trial_rng(cfg.seed, curve_idx, t)])
+                    _run_block(acfg, policy, targets, [_trial_rng(cfg.seed, curve_idx, t)])
                 except (SecMimoError, np.linalg.LinAlgError) as exc:
                     exc.args = (f"curve {curve_idx}, trial {t}, seed {cfg.seed}: {exc}",)
                     raise
@@ -335,11 +338,20 @@ def render_csv(result: ExperimentResult) -> str:
 
 
 def write_csv(result: ExperimentResult, path: str) -> None:
-    """Write aggregated rows, sorted by (n_r, snr_db), floats at 9 digits."""
+    """Write aggregated rows, sorted by (n_r, snr_db), floats at 9 digits.
+
+    The text goes to a temporary file beside `path` that then replaces it,
+    so a failed write keeps any earlier file whole and leaves no partial one.
+    """
+    text = render_csv(result)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(render_csv(result))
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise ConfigError(f"cannot write results to {path}: {exc}") from exc
 
 

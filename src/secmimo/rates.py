@@ -47,21 +47,6 @@ class SecrecyRate:
 
 
 @dataclass(frozen=True)
-class RateSample:
-    """Per-operating-point record produced by the Monte Carlo harness."""
-
-    P: float
-    snr_db: float
-    r_perfect: float
-    r_quantized: float
-    r_perfect_raw: float
-    r_quantized_raw: float
-    gap: float  # raw perfect minus raw quantized
-    leakage: float
-    nf_bits: int
-
-
-@dataclass(frozen=True)
 class SdofEstimate:
     """Least-squares slope of rate against log2(P) over an SNR window."""
 
@@ -71,7 +56,9 @@ class SdofEstimate:
 
 
 def _logdet_ratio(numer: np.ndarray, denom: np.ndarray) -> float:
-    return logdet_pd(hermitian_part(numer)) - logdet_pd(hermitian_part(denom))
+    # One call factors both; each matrix of a stack factors as it would alone.
+    logdets = logdet_pd(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))))
+    return logdets[0] - logdets[1]
 
 
 def _per_matrix(x) -> np.ndarray:
@@ -130,6 +117,39 @@ def secrecy_rate_perfect_basic(
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 
 
+def _post_filtered(
+    channels: ChannelSet,
+    precoders: Precoders,
+    filters: ReceiverFilters,
+    policy: PowerPolicy,
+    config: AntennaConfig,
+):
+    """The three Gram matrices of the post-filtered receive covariance.
+
+    S1 S1* of the information signal before its power scaling, the
+    artificial-noise leakage (1-rho) P/(n_t - n_r) S2 S2* and the noise
+    floor sigma^2 G* G, where S_i = G* V* Hd W_i. The leakage is zero to
+    round-off when W2 spans the nullspace of Hd.
+    """
+    g = filters.G
+    gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
+    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
+    s1 = gvh @ precoders.W1
+    s2 = gvh @ precoders.W2
+    return s1 @ adjoint(s1), an * (s2 @ adjoint(s2)), policy.sigma2 * (adjoint(g) @ g)
+
+
+def _secrecy_rate_G(channels, precoders, filters, policy, config) -> SecrecyRate:
+    signal, leak, noise = _post_filtered(channels, precoders, filters, policy, config)
+    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    t_plus = _logdet_ratio(policy.rho * kxs * signal + leak + noise, leak + noise)
+    t_minus = _eve_term(
+        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
+    )
+    raw = t_plus - t_minus
+    return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
+
+
 def secrecy_rate_perfect_G(
     channels: ChannelSet,
     precoders: Precoders,
@@ -141,20 +161,11 @@ def secrecy_rate_perfect_G(
 
     Positive term: log-det ratio of the post-filtered receive covariance
     rho G* V* Hd W1 Kxs W1* Hd* V G + sigma^2 G* G against the noise floor
-    sigma^2 G* G. Negative term: the eavesdropper rate.
+    sigma^2 G* G. Negative term: the eavesdropper rate. One kernel serves
+    this and :func:`secrecy_rate_quantized_G`; its leakage Gram matrix is
+    zero to round-off for perfect precoders.
     """
-    hd = as_stack(channels.Hd, "Hd")
-    g = filters.G
-    gvh = adjoint(g) @ adjoint(filters.V) @ hd
-    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
-    s1 = gvh @ precoders.W1
-    noise = policy.sigma2 * (adjoint(g) @ g)
-    t_plus = _logdet_ratio(policy.rho * kxs * (s1 @ adjoint(s1)) + noise, noise)
-    t_minus = _eve_term(
-        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
-    )
-    raw = t_plus - t_minus
-    return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
+    return _secrecy_rate_G(channels, precoders, filters, policy, config)
 
 
 def secrecy_rate_quantized_G(
@@ -172,23 +183,7 @@ def secrecy_rate_quantized_G(
     numerator and the denominator of the positive term. `nf_bits` is carried
     only for diagnostics.
     """
-    hd = as_stack(channels.Hd, "Hd")
-    g = filters.G
-    gvh = adjoint(g) @ adjoint(filters.V) @ hd
-    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
-    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    s1 = gvh @ precoders.W1
-    s2 = gvh @ precoders.W2
-    leak = an * (s2 @ adjoint(s2))
-    noise = policy.sigma2 * (adjoint(g) @ g)
-    t_plus = _logdet_ratio(
-        policy.rho * kxs * (s1 @ adjoint(s1)) + leak + noise, leak + noise
-    )
-    t_minus = _eve_term(
-        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
-    )
-    raw = t_plus - t_minus
-    return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
+    return _secrecy_rate_G(channels, precoders, filters, policy, config)
 
 
 def eve_rate_limit(
@@ -228,15 +223,9 @@ def beta_P(
     because the leakage matrix is positive semidefinite; converges to zero
     under the power-matched bit schedule.
     """
-    hd = as_matrix(channels.Hd, "Hd")
-    g = filters.G
-    gvh = g.conj().T @ filters.V.conj().T @ hd
-    s1 = gvh @ precoders.W1
-    s2 = gvh @ precoders.W2
-    m1 = policy.rho * policy.P * (s1 @ s1.conj().T)
-    m2 = policy.an_cov_scale(config.n_t, config.n_r) * (s2 @ s2.conj().T)
-    noise = policy.sigma2 * (g.conj().T @ g)
-    return _logdet_ratio(m1 + m2 + noise, m1 + noise)
+    signal, leak, noise = _post_filtered(channels, precoders, filters, policy, config)
+    m1 = policy.rho * policy.P * signal
+    return _logdet_ratio(m1 + leak + noise, m1 + noise)
 
 
 def logdet_perturbation_check(A, Delta) -> tuple[float, float, float]:
@@ -297,19 +286,3 @@ def fit_slope(
     log2_p = snr[mask] * (math.log2(10.0) / 10.0)
     slope, intercept = np.polyfit(log2_p, vals[mask], 1)
     return SdofEstimate(slope=float(slope), intercept=float(intercept), fit_window=(lo, hi))
-
-
-def sdof_fit(
-    samples,
-    window: tuple[float, float] | None = None,
-    which: str = "r_perfect",
-) -> SdofEstimate:
-    """Secure-degrees-of-freedom estimate from a list of rate samples.
-
-    Fits the selected rate field of each :class:`RateSample` against
-    log2(P); the slope approximates the number of securable streams.
-    """
-    samples = list(samples)
-    snr = np.array([s.snr_db for s in samples], dtype=float)
-    vals = np.array([getattr(s, which) for s in samples], dtype=float)
-    return fit_slope(snr, vals, window)

@@ -42,7 +42,6 @@ from .linalg import (
     haar_columns,
     hermitian_part,
     left_nullspace_basis,
-    nullspace_basis,
     orthonormality_error,
     qr_tall,
     random_gaussian_matrix,
@@ -261,13 +260,15 @@ def tx_precoders_perfect(Hd) -> Precoders:
 def tx_precoders_quantized(fhat) -> Precoders:
     """Precoders from a quantized subspace representative.
 
-    W1 is the representative itself; W2 spans the nullspace of its conjugate
-    transpose, which only approximately nulls the true channel.
+    W1 is the representative itself; W2, the trailing columns of its
+    complete QR, spans the nullspace of its conjugate transpose, which only
+    approximately nulls the true channel.
     """
     if not isinstance(fhat, GrassmannPoint):
         fhat = GrassmannPoint(np.asarray(fhat, dtype=np.complex128))
     f = fhat.matrix
-    return Precoders(W1=f, W2=nullspace_basis(adjoint(f)), mode="quantized")
+    q = np.linalg.qr(f, mode="complete").Q
+    return Precoders(W1=f, W2=q[..., :, f.shape[-1]:], mode="quantized")
 
 
 def rx_nuller(Hj) -> np.ndarray:
@@ -341,10 +342,9 @@ def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> flo
     w2q = as_stack(W2Q, "W2Q")
     an_cols = w2q.shape[-1]
     coupling = adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q
-    return (
-        (1.0 - policy.rho) * policy.P / an_cols
-        * np.linalg.norm(coupling, axis=(-2, -1)) ** 2
-    )[()]
+    # Summed one axis at a time, so a stack rounds like each matrix alone.
+    frob2 = np.sum(np.sum(coupling.real**2 + coupling.imag**2, axis=-1), axis=-1)
+    return ((1.0 - policy.rho) * policy.P / an_cols * frob2)[()]
 
 
 def leakage_bound(policy: PowerPolicy, n_f: int, config: AntennaConfig) -> float:

@@ -182,7 +182,7 @@ def test_criterion_9_determinism(monkeypatch):
     points = harness._curve_points(cfg, cfg.antenna_configs[0])
     texts, per_trial = [], []
     for block in (1, 8, cfg.trials):
-        monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+        monkeypatch.setattr(harness, "BLOCK_POINTS", block * len(points))
         texts.append(render_csv(run_experiment(cfg)))
         per_trial.append(harness._curve_trials(cfg, 0, points))
     rerun = render_csv(run_experiment(cfg))

@@ -137,6 +137,24 @@ class TestRun:
         assert err.startswith("configuration error") and "epsilon" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--nr", "2", "--trials", "1", "--seed", "-1"], ["verify", "--seed", "-1"]],
+    )
+    def test_negative_seed_is_config_error(self, capsys, args):
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "seed" in err
+        assert len(err.splitlines()) == 1
+
+    def test_negative_seed_in_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"nr": 2, "trials": 1, "seed": -1}))
+        assert cli_main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "seed" in err
+        assert len(err.splitlines()) == 1
+
     def test_invalid_antenna_count_is_config_error(self, capsys):
         assert cli_main(["run", "--nr", "1", "--trials", "1"]) == 1
         assert "configuration error" in capsys.readouterr().err

@@ -29,7 +29,13 @@ from secmimo.grassmann import (
     quant_error_bound,
     quantize,
 )
-from secmimo.linalg import random_gaussian_matrix, random_truncated_unitary
+from secmimo.linalg import (
+    adjoint,
+    complex_gaussian,
+    haar_columns,
+    random_gaussian_matrix,
+    random_truncated_unitary,
+)
 
 # delta(40; 4, 2) = 2 * 2^(-39/8), frozen from the closed form
 DELTA_40_4_2 = 0.0681567332915786
@@ -281,6 +287,30 @@ class TestPerturbToDistance:
         target = fraction * math.sqrt(min(n_r, n_t - n_r))
         fhat = perturb_to_distance(f, target, rng)
         assert abs(chordal_distance(f, fhat) - target) <= 1e-12
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 4).flatmap(
+            lambda n_r: st.tuples(st.just(n_r), st.integers(2 * n_r, 2 * n_r + 3))
+        ),
+        stack=st.sampled_from([(), (3,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_spectrum_matches_svd(self, dims, stack, seed):
+        """The quantizer's sigma_i(Z)^2 from eigvalsh(Z* Z) against the SVD oracle.
+
+        The Gram route is backward stable, so its error is bounded relative to
+        the largest value of each matrix; a small value of an ill-conditioned
+        direction can carry more relative error than that (6.8e-12 was seen).
+        """
+        n_r, n_t = dims
+        parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
+        f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
+        z = z - f @ (adjoint(f) @ z)  # as perturb_along projects it
+        s2 = grassmann._top_squared_singular_values(z, n_r)
+        oracle = np.linalg.svd(z, compute_uv=False) ** 2
+        assert s2.shape == oracle.shape
+        assert np.all(np.abs(s2 - oracle) <= 1e-12 * oracle[..., :1])
 
     def test_one_gaussian_draw_per_call(self):
         f = haar_point(6, 2, np.random.default_rng(23))

@@ -162,9 +162,10 @@ class TestDeterminism:
     def test_block_size_invariance(self, monkeypatch):
         """Blocks of 1, 8 and a whole curve give the same bits, per trial and in the CSV."""
         cfg = _small_cfg(trials=11)
+        n_points = len(_curve_points(cfg, cfg.antenna_configs[0]))
         texts, per_trial = [], []
         for block in (1, 8, cfg.trials):
-            monkeypatch.setattr(harness, "TRIAL_BLOCK", block)
+            monkeypatch.setattr(harness, "BLOCK_POINTS", block * n_points)
             texts.append(render_csv(run_experiment(cfg)))
             per_trial.append(_engine_trials(cfg, 0))
         assert len(set(texts)) == 1
@@ -216,6 +217,26 @@ class TestEngineOracle:
             np.testing.assert_array_equal(engine, reference)
 
 
+class TestBlockLinearAlgebra:
+    def test_no_per_point_svd(self, monkeypatch):
+        """Every SVD of a slope block is per trial, shape (T, 1, ...), never per point."""
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        cfg = scenario_config("slope", [2, 3, 4], trials=4, seed=3)
+        for curve, acfg in enumerate(cfg.antenna_configs):
+            points = _curve_points(cfg, acfg)
+            assert len(points) > 1
+            _curve_trials(cfg, curve, points)
+        assert shapes
+        assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in shapes), shapes
+
+
 class TestReplayableFailure:
     def test_names_first_failing_trial(self, degenerate_trials):
         cfg = _small_cfg(trials=11)
@@ -262,6 +283,28 @@ class TestCsv:
         assert sorted(back, key=lambda r: (r.n_r, r.snr_db)) == sorted(
             result.rows, key=lambda r: (r.n_r, r.snr_db)
         )
+
+    def test_failed_render_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        write_csv(self._fake_result(), str(path))
+        before = path.read_bytes()
+
+        def broken(result):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(harness, "render_csv", broken)
+        with pytest.raises(RuntimeError):
+            write_csv(ExperimentResult(rows=[], slopes={}), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_replace_leaves_no_partial_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(ConfigError, match="taken"):
+            write_csv(self._fake_result(), str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert list(target.iterdir()) == []
 
     def test_write_failure_reports_path(self):
         with pytest.raises(ConfigError, match="missing-dir"):

@@ -15,13 +15,11 @@ from secmimo.linalg import (
     random_gaussian_matrix,
 )
 from secmimo.rates import (
-    RateSample,
     beta_P,
     eve_rate_limit,
     fit_slope,
     logdet_perturbation_check,
     logdet_variational_objective,
-    sdof_fit,
     secrecy_rate_perfect_G,
     secrecy_rate_perfect_basic,
     secrecy_rate_quantized_G,
@@ -308,39 +306,26 @@ class TestVariationalObjective:
 
 
 class TestSdofFit:
-    def _samples(self, fn):
-        out = []
-        for snr in (10.0, 20.0, 30.0, 40.0, 50.0):
-            log2p = snr * math.log2(10.0) / 10.0
-            r = fn(log2p)
-            out.append(
-                RateSample(
-                    P=10 ** (snr / 10),
-                    snr_db=snr,
-                    r_perfect=r,
-                    r_quantized=r,
-                    r_perfect_raw=r,
-                    r_quantized_raw=r,
-                    gap=0.0,
-                    leakage=0.0,
-                    nf_bits=10,
-                )
-            )
-        return out
+    """The high-SNR slope fit of rate against log2(P) behind the SDoF estimates."""
+
+    SNRS = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+
+    def _rates(self, fn):
+        return np.array([fn(snr * math.log2(10.0) / 10.0) for snr in self.SNRS])
 
     def test_exact_line(self):
-        est = sdof_fit(self._samples(lambda x: 2.0 * x + 3.0), window=(10.0, 50.0))
+        est = fit_slope(self.SNRS, self._rates(lambda x: 2.0 * x + 3.0), window=(10.0, 50.0))
         assert est.slope == pytest.approx(2.0, abs=1e-12)
         assert est.intercept == pytest.approx(3.0, abs=1e-10)
 
     def test_constant(self):
-        est = sdof_fit(self._samples(lambda x: 4.5), window=(10.0, 50.0))
+        est = fit_slope(self.SNRS, self._rates(lambda x: 4.5), window=(10.0, 50.0))
         assert est.slope == pytest.approx(0.0, abs=1e-12)
 
     def test_default_window_is_top_20db(self):
-        est = sdof_fit(self._samples(lambda x: 1.0 * x))
+        est = fit_slope(self.SNRS, self._rates(lambda x: 1.0 * x))
         assert est.fit_window == (30.0, 50.0)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
-            sdof_fit(self._samples(lambda x: x), window=(45.0, 50.0))
+            fit_slope(self.SNRS, self._rates(lambda x: x), window=(45.0, 50.0))

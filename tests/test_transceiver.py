@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secmimo.errors import (
     DegenerateChannelError,
@@ -9,18 +11,34 @@ from secmimo.errors import (
     InvalidInputError,
     ShapeError,
 )
-from secmimo.grassmann import GrassmannPoint, perturb_to_distance, quant_error_bound
-from secmimo.linalg import qr_tall, random_gaussian_matrix, random_truncated_unitary
+from secmimo.grassmann import (
+    GrassmannPoint,
+    chordal_distance,
+    perturb_along,
+    perturb_to_distance,
+    quant_error_bound,
+)
+from secmimo.linalg import (
+    adjoint,
+    complex_gaussian,
+    haar_columns,
+    nullspace_basis,
+    qr_tall,
+    random_gaussian_matrix,
+    random_truncated_unitary,
+)
 from secmimo.transceiver import (
     AntennaConfig,
     PowerPolicy,
     Precoders,
+    ReceiverFilters,
     eve_effective_channel,
     leakage_bound,
     leakage_power,
     rx_nuller,
     rx_postfilter,
     sample_channels,
+    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
@@ -171,6 +189,23 @@ class TestTxPrecoders:
         assert np.linalg.norm(prec.W1.conj().T @ prec.W2) < 1e-10
         assert np.linalg.norm(prec.W1.conj().T @ prec.W1 - np.eye(3)) < 1e-10
 
+    @settings(deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 4).flatmap(
+            lambda n_r: st.tuples(st.just(n_r), st.integers(2 * n_r, 2 * n_r + 3))
+        ),
+        stack=st.sampled_from([(), (3,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quantized_w2_spans_nullspace_oracle(self, dims, stack, seed):
+        """The QR-completed W2 spans the nullspace basis's subspace, per matrix of a stack."""
+        n_r, n_t = dims
+        parts = np.random.default_rng(seed).standard_normal(stack + (2, n_t, n_r))
+        f = haar_columns(complex_gaussian(parts))
+        w2 = tx_precoders_quantized(f).W2
+        assert w2.shape == stack + (n_t, n_t - n_r)
+        assert np.all(chordal_distance(w2, nullspace_basis(adjoint(f))) <= 1e-12)
+
     def test_precoders_validation(self):
         with pytest.raises(InvalidInputError):
             Precoders(W1=np.ones((4, 2)), W2=np.ones((4, 2)), mode="perfect")
@@ -270,6 +305,23 @@ class TestLeakage:
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=100.0, rho=0.5)
         assert leakage_power(filters, ch.Hd, prec.W2, policy) < 1e-18
+
+    @pytest.mark.parametrize("n_r", [2, 3, 4])
+    def test_stack_matches_each_matrix_bitwise(self, n_r):
+        """A (trials, points) stack rounds each leakage value like its 2-D call."""
+        cfg = AntennaConfig(2 * n_r, n_r, 1, n_r)
+        rngs = [np.random.default_rng((20, t)) for t in range(8)]
+        targets = np.linspace(0.01, 0.9, 13)
+        ch, b, z = sample_trials(cfg, rngs, targets > 0)
+        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
+        w2q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets)).W2
+        powers = 10.0 ** np.arange(13)
+        stacked = leakage_power(filters, ch.Hd, w2q, PowerPolicy(P=powers, rho=0.5))
+        for t in range(8):
+            trial = ReceiverFilters(**{name: m[t, 0] for name, m in vars(filters).items()})
+            for p in range(13):
+                policy = PowerPolicy(P=powers[p], rho=0.5)
+                assert stacked[t, p] == leakage_power(trial, ch.Hd[t, 0], w2q[t, p], policy)
 
     def test_monte_carlo_cross_check(self):
         """Empirical mean of ||e_L||^2 over 1e5 Gaussian draws within 2%."""
