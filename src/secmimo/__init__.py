@@ -62,9 +62,8 @@ from .rates import (
     eve_rate_limit,
     fit_slope,
     logdet_perturbation_check,
-    secrecy_rate_perfect_G,
+    secrecy_rate_G,
     secrecy_rate_perfect_basic,
-    secrecy_rate_quantized_G,
 )
 from .transceiver import (
     AntennaConfig,
@@ -72,7 +71,6 @@ from .transceiver import (
     PowerPolicy,
     Precoders,
     ReceiverFilters,
-    eve_effective_channel,
     leakage_bound,
     leakage_power,
     rx_nuller,

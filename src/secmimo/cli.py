@@ -202,6 +202,8 @@ def _print_slopes(fits: dict) -> None:
 def _cmd_verify(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    if args.trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     outcomes = run_verification(trials=args.trials, seed=args.seed)
     all_passed = True
     for suite in outcomes:

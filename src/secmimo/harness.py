@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SecMimoError
+from .errors import ConfigError, SecMimoError
 from .grassmann import (
     ZERO_DISTANCE,
     FeedbackSchedule,
@@ -40,11 +40,7 @@ from .grassmann import (
     perturb_along,
     quantization_target,
 )
-from .rates import (
-    fit_slope,
-    secrecy_rate_perfect_G,
-    secrecy_rate_quantized_G,
-)
+from .rates import fit_slope, secrecy_rate_G
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
@@ -62,11 +58,6 @@ SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
 # Larger blocks spread the fixed cost of each numpy call over more trials
 # but hold more memory at once, and the memory grows with trials x points.
 BLOCK_POINTS = 240
-
-CSV_HEADER = (
-    "scenario,n_t,n_r,n_j,n_e,snr_db,nf_bits,"
-    "r_perfect_mean,r_quantized_mean,gap_mean,leakage_mean,trials"
-)
 
 # Default bit grid of the gap_vs_bits scenario.
 DEFAULT_NF_GRID = tuple(range(10, 101, 10))
@@ -177,6 +168,11 @@ class ResultRow:
     trials: int
 
 
+# CSV column name -> declared type (str, int or float), in column order.
+_COLUMNS = typing.get_type_hints(ResultRow)
+CSV_HEADER = ",".join(_COLUMNS)
+
+
 @dataclass
 class ExperimentResult:
     """Aggregated rows plus fitted high-SNR slopes per antenna curve."""
@@ -230,8 +226,8 @@ def _run_block(
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     prec_perfect = tx_precoders_perfect(channels.Hd)
     prec_q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets))
-    r_p = secrecy_rate_perfect_G(channels, prec_perfect, filters, policy, acfg)
-    r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg)
+    r_p = secrecy_rate_G(channels, prec_perfect, filters, policy, acfg)
+    r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
     leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
     return np.stack((r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak), axis=-1)
 
@@ -273,11 +269,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     cfg.validate()
     rows: list[ResultRow] = []
-    slopes: dict = {}
     for curve_idx, acfg in enumerate(cfg.antenna_configs):
         points = _curve_points(cfg, acfg)
         means = _curve_trials(cfg, curve_idx, points).mean(axis=0)
-        key = (acfg.n_t, acfg.n_r, acfg.n_j, acfg.n_e)
         for i, (snr_db, nf) in enumerate(points):
             rows.append(
                 ResultRow(
@@ -295,44 +289,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     trials=cfg.trials,
                 )
             )
-        if cfg.scenario != "gap_vs_bits":
-            snrs = np.array([p[0] for p in points])
-            try:
-                slopes[key] = {
-                    "perfect": fit_slope(snrs, means[:, 0]).slope,
-                    "quantized": fit_slope(snrs, means[:, 1]).slope,
-                }
-            except InvalidInputError:
-                pass  # sweep too short for a slope fit
+    # a sweep of fewer than three points has no slope to fit
+    slopes = {}
+    if cfg.scenario != "gap_vs_bits" and len(_snr_grid(cfg)) >= 3:
+        slopes = fitted_slopes_from_rows(rows)
     return ExperimentResult(rows=rows, slopes=slopes)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 def render_csv(result: ExperimentResult) -> str:
-    """CSV text for the aggregated rows, sorted by (n_r, snr_db)."""
-    ordered = sorted(result.rows, key=lambda r: (r.n_r, r.snr_db))
+    """CSV text for the aggregated rows, sorted by (n_r, snr_db).
+
+    Columns declared float are written at 9 significant digits, the others
+    with str, whatever the runtime type of the value.
+    """
     lines = [CSV_HEADER]
-    for r in ordered:
+    for r in sorted(result.rows, key=lambda r: (r.n_r, r.snr_db)):
+        cells = ((getattr(r, name), kind) for name, kind in _COLUMNS.items())
         lines.append(
-            ",".join(
-                (
-                    r.scenario,
-                    str(r.n_t),
-                    str(r.n_r),
-                    str(r.n_j),
-                    str(r.n_e),
-                    _fmt(r.snr_db),
-                    str(r.nf_bits),
-                    _fmt(r.r_perfect_mean),
-                    _fmt(r.r_quantized_mean),
-                    _fmt(r.gap_mean),
-                    _fmt(r.leakage_mean),
-                    str(r.trials),
-                )
-            )
+            ",".join(format(float(v), ".9g") if kind is float else str(v) for v, kind in cells)
         )
     return "\n".join(lines) + "\n"
 
@@ -357,7 +331,6 @@ def write_csv(result: ExperimentResult, path: str) -> None:
 
 def read_csv(path: str) -> list[ResultRow]:
     """Read rows written by :func:`write_csv`; a malformed file is a ConfigError."""
-    columns = typing.get_type_hints(ResultRow)  # column name -> str, int or float
     rows: list[ResultRow] = []
     try:
         with open(path, newline="") as fh:
@@ -366,7 +339,7 @@ def read_csv(path: str) -> list[ResultRow]:
                 if reader.fieldnames != CSV_HEADER.split(","):
                     raise ConfigError(f"{path} does not look like a secmimo results file")
                 for rec in reader:
-                    rows.append(ResultRow(**{key: kind(rec[key]) for key, kind in columns.items()}))
+                    rows.append(ResultRow(**{k: kind(rec[k]) for k, kind in _COLUMNS.items()}))
             # a short row (None fields), a non-numeric field, or undecodable bytes
             except (csv.Error, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
@@ -375,11 +348,10 @@ def read_csv(path: str) -> list[ResultRow]:
     return rows
 
 
-def fitted_slopes_from_rows(rows, window=None) -> dict:
+def fitted_slopes_from_rows(rows) -> dict:
     """Fit per-curve SDoF slopes from result rows (duplicate SNRs averaged).
 
-    With no explicit window, uses the top 20 dB of each curve, widening to
-    the full sweep when that leaves fewer than three points.
+    Each curve is fitted over :func:`fit_slope`'s default window.
     """
     curves: dict = {}
     for r in rows:
@@ -390,13 +362,10 @@ def fitted_slopes_from_rows(rows, window=None) -> dict:
         for r in items:
             by_snr.setdefault(r.snr_db, []).append(r)
         snrs = np.array(sorted(by_snr))
-        fit_window = window
-        if fit_window is None and np.sum(snrs >= snrs.max() - 20.0) < 3:
-            fit_window = (float(snrs.min()), float(snrs.max()))
         perf = np.array([np.mean([r.r_perfect_mean for r in by_snr[s]]) for s in snrs])
         quant = np.array([np.mean([r.r_quantized_mean for r in by_snr[s]]) for s in snrs])
         out[key] = {
-            "perfect": fit_slope(snrs, perf, fit_window).slope,
-            "quantized": fit_slope(snrs, quant, fit_window).slope,
+            "perfect": fit_slope(snrs, perf).slope,
+            "quantized": fit_slope(snrs, quant).slope,
         }
     return out

@@ -139,7 +139,22 @@ def _post_filtered(
     return s1 @ adjoint(s1), an * (s2 @ adjoint(s2)), policy.sigma2 * (adjoint(g) @ g)
 
 
-def _secrecy_rate_G(channels, precoders, filters, policy, config) -> SecrecyRate:
+def secrecy_rate_G(
+    channels: ChannelSet,
+    precoders: Precoders,
+    filters: ReceiverFilters,
+    policy: PowerPolicy,
+    config: AntennaConfig,
+) -> SecrecyRate:
+    """Secrecy rate under the two-stage receiver, for perfect or quantized CSI.
+
+    Positive term: log-det ratio of the post-filtered receive covariance
+    rho G* V* Hd W1 Kxs W1* Hd* V G + L + sigma^2 G* G against L + sigma^2 G* G,
+    where L is the artificial-noise leakage Gram matrix. L is zero to
+    round-off for perfect precoders, whose W2 spans the nullspace of Hd; for
+    quantized precoders the artificial noise leaks into both determinants.
+    Negative term: the eavesdropper rate.
+    """
     signal, leak, noise = _post_filtered(channels, precoders, filters, policy, config)
     kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
     t_plus = _logdet_ratio(policy.rho * kxs * signal + leak + noise, leak + noise)
@@ -148,42 +163,6 @@ def _secrecy_rate_G(channels, precoders, filters, policy, config) -> SecrecyRate
     )
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
-
-
-def secrecy_rate_perfect_G(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> SecrecyRate:
-    """Secrecy rate with perfect CSI under the two-stage receiver.
-
-    Positive term: log-det ratio of the post-filtered receive covariance
-    rho G* V* Hd W1 Kxs W1* Hd* V G + sigma^2 G* G against the noise floor
-    sigma^2 G* G. Negative term: the eavesdropper rate. One kernel serves
-    this and :func:`secrecy_rate_quantized_G`; its leakage Gram matrix is
-    zero to round-off for perfect precoders.
-    """
-    return _secrecy_rate_G(channels, precoders, filters, policy, config)
-
-
-def secrecy_rate_quantized_G(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-    nf_bits: int | None = None,
-) -> SecrecyRate:
-    """Secrecy rate when the transmitter only has the quantized subspace.
-
-    Same structure as the perfect-CSI rate, but artificial noise leaks into
-    the receive covariance: the leakage Gram matrix sits inside both the
-    numerator and the denominator of the positive term. `nf_bits` is carried
-    only for diagnostics.
-    """
-    return _secrecy_rate_G(channels, precoders, filters, policy, config)
 
 
 def eve_rate_limit(
@@ -197,8 +176,8 @@ def eve_rate_limit(
     As P grows, the Eve term converges to
     log2 det(I + rho/(1-rho) * (n_t - n_r)/n_r * A B^{-1}) with
     A = He W1 W1* He* and B = He W2 W2* He*, which exists because
-    n_e <= n_t - n_r keeps B invertible. Assumes the default
-    information covariance P/n_r I.
+    n_e <= n_t - n_r keeps B invertible. The information covariance is
+    P/n_r I, as in every rate here.
     """
     he = as_matrix(channels.He, "He")
     e1 = he @ precoders.W1
@@ -267,18 +246,22 @@ def fit_slope(
 ) -> SdofEstimate:
     """Least-squares slope of rate (bits) against log2(P) over an SNR window.
 
-    `window` is an inclusive (snr_lo, snr_hi) range in dB; None selects the
+    `window` is an inclusive (snr_lo, snr_hi) range in dB. None selects the
     top 20 dB of the sweep, since the slope is a large-P limit and low-SNR
-    points bias it.
+    points bias it, widened to the whole sweep when that holds fewer than
+    three points.
     """
     snr = np.asarray(snr_db, dtype=float)
     vals = np.asarray(rates, dtype=float)
     if snr.shape != vals.shape or snr.ndim != 1:
         raise InvalidInputError("snr_db and rates must be 1-D arrays of equal length")
-    if window is None:
+    default = window is None
+    if default:
         window = (float(snr.max()) - 20.0, float(snr.max()))
     lo, hi = window
     mask = (snr >= lo - 1e-9) & (snr <= hi + 1e-9)
+    if default and mask.sum() < 3:
+        lo, mask = float(snr.min()), np.ones_like(mask)
     if int(mask.sum()) < 3:
         raise InvalidInputError(
             f"need at least 3 samples in window [{lo}, {hi}] dB, got {int(mask.sum())}"

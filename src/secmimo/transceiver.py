@@ -35,7 +35,6 @@ from .grassmann import GrassmannPoint, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
     adjoint,
-    as_matrix,
     as_stack,
     complex_gaussian,
     first_flagged,
@@ -92,15 +91,14 @@ class PowerPolicy:
 
     `rho` is the fraction of the power budget P on the information signal;
     the rest drives artificial noise with covariance P/(n_t - n_r) I. The
-    information covariance is kxs_scale * P * I, defaulting to P/n_r. P may
-    also be an array over a stack's leading axes, one power per element.
+    information covariance is P/n_r I. P may also be an array over a stack's
+    leading axes, one power per element.
     """
 
     P: float
     rho: float
     sigma2: float = 1.0
     sigma2_eve: float = 1.0
-    kxs_scale: float | None = None
 
     def __post_init__(self):
         if np.any(np.asarray(self.P) <= 0):
@@ -120,13 +118,8 @@ class PowerPolicy:
         return 10.0 * np.log10(self.P)
 
     def kxs(self, n_r: int) -> float:
-        """Scalar multiplier c of the information covariance c * P * I."""
-        scale = 1.0 / n_r if self.kxs_scale is None else self.kxs_scale
-        if not 0.0 < scale <= 1.0 / n_r + 1e-12:
-            raise InvalidInputError(
-                f"kxs_scale must lie in (0, 1/n_r], got {scale} for n_r={n_r}"
-            )
-        return scale
+        """Scalar multiplier 1/n_r of the information covariance P/n_r I."""
+        return 1.0 / n_r
 
     def an_cov_scale(self, n_t: int, n_r: int) -> float:
         """Effective artificial-noise covariance scale (1 - rho) P / (n_t - n_r)."""
@@ -216,28 +209,6 @@ def sample_trials(
     z = np.zeros((trials, flagged.size, n_t, n_r), dtype=np.complex128)
     z[:, flagged] = complex_gaussian(parts[-1].reshape(trials, n_z, 2, n_t, n_r))
     return ChannelSet(Hd=hd, He=he, Hj=hj), haar_columns(b), z
-
-
-def eve_effective_channel(Ge, Gj) -> np.ndarray:
-    """Jammer-free eavesdropper channel after projecting out the jammer.
-
-    For an eavesdropper with N_e antennas seeing transmitter channel Ge and
-    jammer channel Gj, projecting onto the left nullspace of Gj removes the
-    jammer entirely and leaves an (N_e - n_j) x n_t effective channel.
-    """
-    ge = as_matrix(Ge, "Ge")
-    gj = np.asarray(Gj, dtype=np.complex128)
-    if gj.ndim != 2 or gj.shape[0] != ge.shape[0]:
-        raise ShapeError(f"Gj rows must match Ge rows, got {gj.shape} vs {ge.shape}")
-    if gj.shape[1] == 0:
-        return ge
-    if ge.shape[0] <= gj.shape[1]:
-        raise InsufficientAntennasError(
-            f"eavesdropper needs more antennas than jammer streams "
-            f"({ge.shape[0]} <= {gj.shape[1]})"
-        )
-    u0 = left_nullspace_basis(gj)
-    return u0.conj().T @ ge
 
 
 def tx_precoders_perfect(Hd) -> Precoders:

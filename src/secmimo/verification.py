@@ -38,8 +38,7 @@ from .rates import (
     eve_rate_limit,
     logdet_perturbation_check,
     logdet_variational_objective,
-    secrecy_rate_perfect_G,
-    secrecy_rate_quantized_G,
+    secrecy_rate_G,
 )
 from .transceiver import (
     AntennaConfig,
@@ -142,8 +141,8 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
         kxs = policy.kxs(acfg.n_r) * policy.P
         an = policy.an_cov_scale(acfg.n_t, acfg.n_r)
         vh = filters.V.conj().T @ channels.Hd
-        r_p = secrecy_rate_perfect_G(channels, prec_p, filters, policy, acfg)
-        r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg, nf)
+        r_p = secrecy_rate_G(channels, prec_p, filters, policy, acfg)
+        r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
         signal_cov = policy.rho * kxs * np.eye(acfg.n_r)
         mi_plus_p = gaussian_mi(vh @ prec_p.W1, signal_cov, None, policy.sigma2)
         lq = vh @ prec_q.W2
@@ -260,7 +259,7 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
         filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
         prec_p = tx_precoders_perfect(channels.Hd)
         policy = PowerPolicy(P=1e9, rho=0.5)
-        term = secrecy_rate_perfect_G(channels, prec_p, filters, policy, acfg).t_minus
+        term = secrecy_rate_G(channels, prec_p, filters, policy, acfg).t_minus
         limit = eve_rate_limit(channels, prec_p, policy, acfg)
         diff = abs(term - limit)
         worst = max(worst, diff)

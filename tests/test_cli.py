@@ -147,6 +147,14 @@ class TestRun:
         assert err.startswith("configuration error") and "seed" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_verify_trials_below_one_is_config_error(self, capsys, trials):
+        assert cli_main(["verify", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error") and "trials" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nr": 2, "trials": 1, "seed": -1}))

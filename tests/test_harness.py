@@ -22,7 +22,7 @@ from secmimo.harness import (
     scenario_config,
     write_csv,
 )
-from secmimo.rates import secrecy_rate_perfect_G, secrecy_rate_quantized_G
+from secmimo.rates import secrecy_rate_G
 from secmimo.transceiver import (
     AntennaConfig,
     PowerPolicy,
@@ -140,8 +140,8 @@ def _reference_trial(cfg, curve, trial):
     for i, (snr_db, nf) in enumerate(points):
         policy = PowerPolicy.from_snr_db(snr_db, rho=cfg.rho)
         prec_q = tx_precoders_quantized(perturb_quantize(f_true, nf, rng))
-        r_p = secrecy_rate_perfect_G(channels, prec_p, filters, policy, acfg)
-        r_q = secrecy_rate_quantized_G(channels, prec_q, filters, policy, acfg, nf)
+        r_p = secrecy_rate_G(channels, prec_p, filters, policy, acfg)
+        r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
         leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
         out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak)
     return out
@@ -259,6 +259,22 @@ class TestCsv:
         write_csv(ExperimentResult(rows=[], slopes={}), str(path))
         assert path.read_text() == CSV_HEADER + "\n"
 
+    def test_text_exact(self):
+        assert CSV_HEADER == (
+            "scenario,n_t,n_r,n_j,n_e,snr_db,nf_bits,"
+            "r_perfect_mean,r_quantized_mean,gap_mean,leakage_mean,trials"
+        )
+        result = self._fake_result()
+        # a JSON config gives an int snr_db; it renders like the float
+        result.rows.append(ResultRow("slope", 4, 2, 1, 2, 20, 20, 2 / 3, 1e-12, -0.125, 0.0, 10))
+        assert render_csv(result) == (
+            CSV_HEADER + "\n"
+            "slope,4,2,1,2,10,14,0.5,0.25,0.25,0.01,10\n"
+            "slope,4,2,1,2,20,20,0.666666667,1e-12,-0.125,0,10\n"
+            "slope,4,2,1,2,30,40,1.23456789,1,0.2,0.05,10\n"
+            "slope,6,3,1,3,20,30,2.5,2,0.5,0.1,10\n"
+        )
+
     def test_sorted_by_nr_then_snr(self, tmp_path):
         path = tmp_path / "out.csv"
         write_csv(self._fake_result(), str(path))
@@ -325,9 +341,28 @@ class TestSlopesFromRows:
             rows.append(
                 ResultRow("custom", 4, 2, 1, 2, snr, 10, 2 * log2p + 3, log2p, 0, 0, 5)
             )
-        fits = fitted_slopes_from_rows(rows, window=(10.0, 40.0))
+        fits = fitted_slopes_from_rows(rows)
         assert fits[(4, 2, 1, 2)]["perfect"] == pytest.approx(2.0, abs=1e-12)
         assert fits[(4, 2, 1, 2)]["quantized"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSlopeParity:
+    """`run` reports the slopes that `slopes` fits from the rows it wrote."""
+
+    @pytest.mark.parametrize(
+        "scenario, n_rs, sweep",
+        [
+            ("slope", None, {}),
+            ("saturation", None, {}),
+            # the top 20 dB holds two points, so the fit widens to the sweep
+            ("slope", [2], dict(snr_min=0.0, snr_max=60.0, snr_step=15.0)),
+        ],
+        ids=["slope", "saturation", "widened"],
+    )
+    def test_run_matches_rows(self, scenario, n_rs, sweep):
+        result = run_experiment(scenario_config(scenario, n_rs, trials=2, seed=5, **sweep))
+        assert len(result.slopes) == len({(r.n_r, r.n_t) for r in result.rows})
+        assert result.slopes == fitted_slopes_from_rows(result.rows)
 
 
 class TestExperimentOutputs:

@@ -20,9 +20,8 @@ from secmimo.rates import (
     fit_slope,
     logdet_perturbation_check,
     logdet_variational_objective,
-    secrecy_rate_perfect_G,
+    secrecy_rate_G,
     secrecy_rate_perfect_basic,
-    secrecy_rate_quantized_G,
 )
 from secmimo.transceiver import (
     AntennaConfig,
@@ -55,7 +54,7 @@ class TestPerfectBasic:
             He=np.array([[0.0, 1.0]], dtype=complex),
             Hj=np.zeros((1, 0), dtype=complex),
         )
-        policy = PowerPolicy(P=2.0, rho=0.5, kxs_scale=1.0)
+        policy = PowerPolicy(P=2.0, rho=0.5)
         rate = secrecy_rate_perfect_basic(ch, policy, cfg)
         assert rate.clipped == pytest.approx(1.0, abs=1e-12)
         assert rate.t_minus == pytest.approx(0.0, abs=1e-12)
@@ -100,13 +99,13 @@ class TestPerfectG:
         filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=25.0, rho=0.5)
-        with_g = secrecy_rate_perfect_G(ch, prec, filters, policy, cfg)
+        with_g = secrecy_rate_G(ch, prec, filters, policy, cfg)
         basic = secrecy_rate_perfect_basic(ch, policy, cfg)
         assert with_g.raw == pytest.approx(basic.raw, abs=1e-9)
 
     def test_t_plus_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(4)
-        rate = secrecy_rate_perfect_G(
+        rate = secrecy_rate_G(
             ch, prec_p, filters, PowerPolicy(P=100.0, rho=1e-12), cfg
         )
         assert rate.t_plus < 1e-6
@@ -119,21 +118,21 @@ class TestPerfectG:
             for k in range(20, 31):
                 policy = PowerPolicy(P=2.0**k, rho=0.5)
                 snrs.append(policy.snr_db)
-                rates.append(secrecy_rate_perfect_G(ch, prec_p, filters, policy, cfg).raw)
+                rates.append(secrecy_rate_G(ch, prec_p, filters, policy, cfg).raw)
             est = fit_slope(np.array(snrs), np.array(rates), window=(min(snrs), max(snrs)))
             assert est.slope == pytest.approx(cfg.d_s, abs=0.05)
 
     def test_t_plus_monotone_in_power(self):
         cfg, ch, filters, prec_p, _ = _random_trial(7)
         values = [
-            secrecy_rate_perfect_G(ch, prec_p, filters, PowerPolicy(P=p, rho=0.5), cfg).t_plus
+            secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=p, rho=0.5), cfg).t_plus
             for p in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_clipping(self):
         cfg, ch, filters, prec_p, _ = _random_trial(8)
-        rate = secrecy_rate_perfect_G(ch, prec_p, filters, PowerPolicy(P=1e-6, rho=0.5), cfg)
+        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=1e-6, rho=0.5), cfg)
         assert rate.clipped == max(rate.raw, 0.0)
 
 
@@ -146,9 +145,9 @@ class TestQuantizedG:
         filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
         prec_q = tx_precoders_quantized(GrassmannPoint(filters.F))
         policy = PowerPolicy(P=200.0, rho=0.5)
-        quantized = secrecy_rate_quantized_G(ch, prec_q, filters, policy, cfg)
-        perfect_same_basis = secrecy_rate_perfect_G(ch, prec_q, filters, policy, cfg)
-        assert quantized.raw == pytest.approx(perfect_same_basis.raw, abs=1e-9)
+        quantized = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
+        perfect = secrecy_rate_G(ch, tx_precoders_perfect(ch.Hd), filters, policy, cfg)
+        assert quantized.raw == pytest.approx(perfect.raw, abs=1e-9)
 
     def test_quantized_below_perfect_at_high_snr(self):
         """Raw quantized rate at or below raw perfect rate on >= 95% of trials."""
@@ -167,8 +166,8 @@ class TestQuantizedG:
                 nf = feedback_bits(policy.P, schedule, 4, 2)
                 fhat = perturb_quantize(GrassmannPoint(filters.F), nf, rng)
                 prec_q = tx_precoders_quantized(fhat)
-                r_p = secrecy_rate_perfect_G(ch, prec_p, filters, policy, cfg)
-                r_q = secrecy_rate_quantized_G(ch, prec_q, filters, policy, cfg, nf)
+                r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
+                r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
             ok += good
         assert ok >= 0.95 * trials
@@ -186,7 +185,7 @@ class TestQuantizedG:
                 policy = PowerPolicy.from_snr_db(snr)
                 fhat = perturb_quantize(GrassmannPoint(filters.F), 30, rng)
                 prec_q = tx_precoders_quantized(fhat)
-                values[snr] = secrecy_rate_quantized_G(ch, prec_q, filters, policy, cfg).clipped
+                values[snr] = secrecy_rate_G(ch, prec_q, filters, policy, cfg).clipped
             deltas.append(values[60.0] - values[50.0])
         assert float(np.mean(deltas)) < 0.5
 
@@ -207,8 +206,8 @@ class TestQuantizedG:
                 nf = feedback_bits(policy.P, schedule, 4, 2)
                 fhat = perturb_quantize(GrassmannPoint(filters.F), nf, rng)
                 prec_q = tx_precoders_quantized(fhat)
-                r_p = secrecy_rate_perfect_G(ch, prec_p, filters, policy, cfg)
-                r_q = secrecy_rate_quantized_G(ch, prec_q, filters, policy, cfg, nf)
+                r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
+                r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 gaps[i] += r_p.raw - r_q.raw
         gaps /= trials
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -227,7 +226,7 @@ class TestEveRateLimit:
         limit = eve_rate_limit(ch, prec_p, policy9, cfg)
         diffs = []
         for p in (1e3, 1e6, 1e9):
-            t_minus = secrecy_rate_perfect_G(
+            t_minus = secrecy_rate_G(
                 ch, prec_p, filters, PowerPolicy(P=p, rho=0.5), cfg
             ).t_minus
             diffs.append(abs(t_minus - limit))
@@ -325,6 +324,13 @@ class TestSdofFit:
     def test_default_window_is_top_20db(self):
         est = fit_slope(self.SNRS, self._rates(lambda x: 1.0 * x))
         assert est.fit_window == (30.0, 50.0)
+
+    def test_default_window_widens_to_sweep(self):
+        snrs = np.array([0.0, 15.0, 30.0, 45.0, 60.0])
+        rates = snrs * (math.log2(10.0) / 10.0)
+        est = fit_slope(snrs, rates)
+        assert est.fit_window == (0.0, 60.0)
+        assert est.slope == pytest.approx(1.0, abs=1e-12)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):

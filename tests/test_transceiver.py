@@ -32,7 +32,6 @@ from secmimo.transceiver import (
     PowerPolicy,
     Precoders,
     ReceiverFilters,
-    eve_effective_channel,
     leakage_bound,
     leakage_power,
     rx_nuller,
@@ -81,9 +80,6 @@ class TestPowerPolicy:
     def test_kxs_default_and_bounds(self):
         pol = PowerPolicy(P=8.0, rho=0.5)
         assert pol.kxs(4) == pytest.approx(0.25)
-        assert PowerPolicy(P=1.0, rho=0.5, kxs_scale=0.2).kxs(4) == pytest.approx(0.2)
-        with pytest.raises(InvalidInputError):
-            PowerPolicy(P=1.0, rho=0.5, kxs_scale=0.5).kxs(4)
 
 
 class TestSampleChannels:
@@ -114,36 +110,6 @@ class TestSampleChannels:
             ch = sample_channels(cfg, rng)
             s = np.linalg.svd(ch.Hd, compute_uv=False)
             assert s[-1] > 0
-
-
-class TestEveEffectiveChannel:
-    def test_single_jammer_column(self):
-        ge = random_gaussian_matrix(2, 4, np.random.default_rng(5))
-        gj = np.array([[1.0], [0.0]], dtype=complex)
-        he = eve_effective_channel(ge, gj)
-        assert he.shape == (1, 4)
-        np.testing.assert_allclose(np.abs(he[0]), np.abs(ge[1]), atol=1e-10)
-
-    def test_no_jammer_passthrough(self):
-        ge = random_gaussian_matrix(3, 4, np.random.default_rng(6))
-        he = eve_effective_channel(ge, np.zeros((3, 0)))
-        np.testing.assert_array_equal(he, ge)
-
-    def test_random_annihilation(self):
-        from secmimo.linalg import left_nullspace_basis
-
-        rng = np.random.default_rng(7)
-        ge = random_gaussian_matrix(4, 6, rng)
-        gj = random_gaussian_matrix(4, 1, rng)
-        he = eve_effective_channel(ge, gj)
-        assert he.shape == (3, 6)
-        u0 = left_nullspace_basis(gj)
-        assert np.linalg.norm(u0.conj().T @ gj) < 1e-10
-        np.testing.assert_allclose(he, u0.conj().T @ ge, atol=1e-12)
-
-    def test_too_few_antennas(self):
-        with pytest.raises(InsufficientAntennasError):
-            eve_effective_channel(np.eye(2), np.eye(2))
 
 
 class TestTxPrecoders:
