@@ -30,6 +30,7 @@ from .grassmann import (
     chordal_distance,
     codebook_generate,
     feedback_bits,
+    perturb_basis,
     perturb_quantize,
     perturb_to_distance,
     quant_error_bound,
@@ -64,6 +65,7 @@ from .rates import (
     logdet_perturbation_check,
     secrecy_rate_G,
     secrecy_rate_perfect_basic,
+    secrecy_rate_sweep,
 )
 from .transceiver import (
     AntennaConfig,

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--config", default=None, help="JSON file with the same keys; flags override it"
     )
-    run_p.set_defaults(func=_cmd_run)
+    run_p.set_defaults(func=_cmd_run, config_types=_config_types(run_p))
 
     verify_p = sub.add_parser("verify", help="run the invariant/lemma verification suites")
     verify_p.add_argument("--trials", type=int, default=100)
@@ -85,21 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Config-file keys and the JSON type each must hold; float admits any
-# number, and "nr" may also hold a list of integers.
-_CONFIG_TYPES = {
-    "scenario": str,
-    "nr": int,
-    "snr_min": float,
-    "snr_max": float,
-    "snr_step": float,
-    "trials": int,
-    "seed": int,
-    "rho": float,
-    "epsilon": float,
-    "nf": int,
-    "out": str,
-}
+def _config_types(run_parser: argparse.ArgumentParser) -> dict:
+    """Config-file keys and the JSON type each must hold, one per `run` flag but --config.
+
+    The key is the flag's dest and the type its argparse type, str when it
+    has none; float admits any number, and "nr", the repeatable flag, may
+    also hold a list of integers.
+    """
+    return {
+        action.dest: action.type or str
+        for action in run_parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
 
 
@@ -109,7 +108,7 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, types: dict) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -119,12 +118,14 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_TYPES))
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
     for key, value in data.items():
-        kind = _CONFIG_TYPES[key]
+        kind = types[key]
         items = value if key == "nr" and isinstance(value, list) else [value]
+        if not items:
+            raise ConfigError(f"config key {key!r} in {path} must hold at least one integer")
         if not all(_has_type(item, kind) for item in items):
             raise ConfigError(
                 f"config key {key!r} in {path} must hold {_TYPE_NAMES[kind]}, got {value!r}"
@@ -133,7 +134,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config, args.config_types) if args.config else {}
 
     def setting(key, default=None):
         flag = getattr(args, key)

@@ -249,8 +249,8 @@ def _top_squared_singular_values(z: np.ndarray, r: int) -> np.ndarray:
     return np.linalg.eigvalsh(adjoint(z) @ z)[..., ::-1][..., :r]
 
 
-def perturb_along(point, z, distance) -> GrassmannPoint:
-    """Move `point` along the Gaussian direction `z` to a chordal distance.
+def perturb_basis(point, z, distance) -> np.ndarray:
+    """Unitary [W1 W2] whose leading columns W1 sit at a chordal distance from `point`.
 
     With Z projected off span(F), span(F + eps Z) has principal angles
     tan(theta_i) = eps sigma_i(Z), so for t = eps^2
@@ -258,15 +258,19 @@ def perturb_along(point, z, distance) -> GrassmannPoint:
         d(t)^2 = sum_i t sigma_i^2 / (1 + t sigma_i^2)
 
     over the r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the
-    concave 1 / (r - d(t)^2) climbs from t = 0 to the target, and one QR
-    gives the point. The achieved distance must match to PERTURB_TOL; a miss
-    (a rank-deficient Z, a measure-zero event) raises PerturbationError.
+    concave 1 / (r - d(t)^2) climbs from t = 0 to the target, and one
+    complete QR of F + eps Z gives W1 (its first n_r columns) and the
+    orthogonal complement W2 (the rest). The achieved distance is
+    ||W2* F||_F, since both equal sqrt(sum_i sin^2 theta_i); it must match
+    to PERTURB_TOL, and a miss (a rank-deficient Z, a measure-zero event)
+    raises PerturbationError.
 
     Broadcasts over stacks: `point` is ``(..., n_t, n_r)``, `z` holds one
-    n_t x n_r direction per element and `distance` one target per element.
-    An element whose target is below ZERO_DISTANCE keeps the point itself
-    and ignores its direction. Each element runs Newton's method to its own
-    stopping rule, so an element's result does not depend on the stack.
+    n_t x n_r direction per element and `distance` one target per element;
+    the result is ``(..., n_t, n_t)``. An element whose target is below
+    ZERO_DISTANCE keeps the point itself as W1 and ignores its direction.
+    Each element runs Newton's method to its own stopping rule, so an
+    element's result does not depend on the stack.
     """
     f = _rep(point)
     n_t, n_r = f.shape[-2:]
@@ -293,14 +297,27 @@ def perturb_along(point, z, distance) -> GrassmannPoint:
         t[live] += step
         live = live[~(step <= 1e-15 * t[live])]
     eps = np.sqrt(t).reshape(target.shape)[..., np.newaxis, np.newaxis]
-    q, _ = np.linalg.qr(f + eps * z)
-    q = np.where((target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis], f, q)
-    achieved = chordal_distance(f, q)
+    # a zero target has eps = 0, so its W2 completes F itself
+    q = np.linalg.qr(f + eps * z, mode="complete").Q
+    zero = (target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis]
+    if np.any(zero):
+        q[..., :n_r] = np.where(zero, f, q[..., :n_r])
+    achieved = np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1))
     miss = ~(np.abs(achieved - target) <= PERTURB_TOL)
     if np.any(miss):
         got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
         raise PerturbationError(f"reached chordal distance {got:.6g}, not {want:.6g}")
-    return GrassmannPoint(q)
+    return q
+
+
+def perturb_along(point, z, distance) -> GrassmannPoint:
+    """Move `point` along the Gaussian direction `z` to a chordal distance.
+
+    The leading n_r columns of :func:`perturb_basis`, with the same
+    broadcasting and the same checks.
+    """
+    f = _rep(point)
+    return GrassmannPoint(perturb_basis(f, z, distance)[..., : f.shape[-1]])
 
 
 def perturb_to_distance(point, distance: float, rng: np.random.Generator) -> GrassmannPoint:

@@ -37,18 +37,18 @@ from .grassmann import (
     FeedbackSchedule,
     GrassmannPoint,
     feedback_bits,
-    perturb_along,
+    perturb_basis,
     quantization_target,
 )
-from .rates import fit_slope, secrecy_rate_G
+from .rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
-    leakage_power,
+    Precoders,
     rx_postfilter,
+    sample_directions,
     sample_trials,
     tx_precoders_perfect,
-    tx_precoders_quantized,
 )
 
 SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
@@ -96,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.antenna_configs:
             raise ConfigError("at least one antenna configuration is required")
+        if len(set(self.antenna_configs)) < len(self.antenna_configs):
+            raise ConfigError(
+                "antenna configurations must be distinct, got "
+                + ", ".join(f"({c.n_t}, {c.n_r}, {c.n_j}, {c.n_e})" for c in self.antenna_configs)
+            )
         for cfg in self.antenna_configs:
             if cfg.n_t < 2 * cfg.n_r:
                 raise ConfigError(
@@ -170,6 +175,7 @@ class ResultRow:
 
 # CSV column name -> declared type (str, int or float), in column order.
 _COLUMNS = typing.get_type_hints(ResultRow)
+_FLOAT_COLUMNS = [name for name, kind in _COLUMNS.items() if kind is float]
 CSV_HEADER = ",".join(_COLUMNS)
 
 
@@ -210,54 +216,75 @@ def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(curve, trial)))
 
 
-def _run_block(
+def _slice(stack, rows: slice):
+    """The same dataclass of stacked matrices, restricted to some trials."""
+    return type(stack)(**{name: m[rows] for name, m in vars(stack).items()})
+
+
+def _run_trials(
     acfg: AntennaConfig,
     policy: PowerPolicy,
     targets: np.ndarray,
     rngs: list[np.random.Generator],
+    block: int,
 ) -> np.ndarray:
-    """Evaluate all operating points for a block of channel draws, one per rng.
+    """Evaluate all operating points for a chunk of channel draws, one per rng.
 
-    `policy` and `targets` hold one power and one quantizer distance per point.
-    Returns an array of shape (len(rngs), n_points, 5) holding clipped perfect
-    rate, clipped quantized rate, raw perfect rate, raw quantized rate, leakage.
+    `policy` and `targets` hold one power and one quantizer distance per
+    point. The per-trial stage takes each trial's channels, B and receive
+    filters and sweeps the perfect-CSI rate over every power at once; the
+    per-point stage then quantizes and rates `block` trials at a time.
+    Returns an array of shape (len(rngs), n_points, 5) holding clipped
+    perfect rate, clipped quantized rate, raw perfect rate, raw quantized
+    rate, leakage.
     """
-    channels, b, z = sample_trials(acfg, rngs, targets >= ZERO_DISTANCE)
+    channels, b = sample_trials(acfg, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
-    prec_perfect = tx_precoders_perfect(channels.Hd)
-    prec_q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets))
-    r_p = secrecy_rate_G(channels, prec_perfect, filters, policy, acfg)
-    r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
-    leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
-    return np.stack((r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak), axis=-1)
+    f_true = GrassmannPoint(filters.F).matrix
+    r_p = secrecy_rate_sweep(
+        channels, tx_precoders_perfect(channels.Hd), filters, policy, acfg
+    )
+    out = np.empty((len(rngs), targets.size, 5))
+    out[..., 0], out[..., 2] = r_p.clipped, r_p.raw
+    for start in range(0, len(rngs), block):
+        rows = slice(start, start + block)
+        z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
+        q = perturb_basis(f_true[rows], z, targets)
+        prec_q = Precoders(W1=q[..., : acfg.n_r], W2=q[..., acfg.n_r :], mode="quantized")
+        r_q = secrecy_rate_G(_slice(channels, rows), prec_q, _slice(filters, rows), policy, acfg)
+        out[rows, :, 1], out[rows, :, 3], out[rows, :, 4] = r_q.clipped, r_q.raw, r_q.leakage
+    return out
 
 
 def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
-    """Per-trial outputs of one curve, shape (trials, n_points, 5), block by block.
+    """Per-trial outputs of one curve, shape (trials, n_points, 5), chunk by chunk.
 
-    A numerical failure is raised again with the curve, trial and seed of
-    the first trial that fails on its own, so the draw can be replayed.
+    Each chunk holds at most BLOCK_POINTS trials for the per-trial stage,
+    and the per-point stage walks it in blocks of about BLOCK_POINTS
+    operating points. A numerical failure is raised again with the curve,
+    trial and seed of the first trial that fails on its own, so the draw
+    can be replayed.
     """
     acfg = cfg.antenna_configs[curve_idx]
     powers = [PowerPolicy.from_snr_db(snr_db, rho=cfg.rho).P for snr_db, _ in points]
     policy = PowerPolicy(P=np.array(powers), rho=cfg.rho)
     targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf in points])
     block = max(1, BLOCK_POINTS // len(points))
-    blocks = []
-    for start in range(0, cfg.trials, block):
-        trials = range(start, min(start + block, cfg.trials))
+    chunks = []
+    for start in range(0, cfg.trials, BLOCK_POINTS):
+        trials = range(start, min(start + BLOCK_POINTS, cfg.trials))
         rngs = [_trial_rng(cfg.seed, curve_idx, t) for t in trials]
         try:
-            blocks.append(_run_block(acfg, policy, targets, rngs))
+            chunks.append(_run_trials(acfg, policy, targets, rngs, block))
         except (SecMimoError, np.linalg.LinAlgError):
             for t in trials:
                 try:
-                    _run_block(acfg, policy, targets, [_trial_rng(cfg.seed, curve_idx, t)])
+                    _run_trials(acfg, policy, targets, [_trial_rng(cfg.seed, curve_idx, t)], 1)
                 except (SecMimoError, np.linalg.LinAlgError) as exc:
                     exc.args = (f"curve {curve_idx}, trial {t}, seed {cfg.seed}: {exc}",)
                     raise
             raise
-    return np.concatenate(blocks)
+    return np.concatenate(chunks)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -339,8 +366,11 @@ def read_csv(path: str) -> list[ResultRow]:
                 if reader.fieldnames != CSV_HEADER.split(","):
                     raise ConfigError(f"{path} does not look like a secmimo results file")
                 for rec in reader:
-                    rows.append(ResultRow(**{k: kind(rec[k]) for k, kind in _COLUMNS.items()}))
-            # a short row (None fields), a non-numeric field, or undecodable bytes
+                    row = ResultRow(**{k: kind(rec[k]) for k, kind in _COLUMNS.items()})
+                    if not all(math.isfinite(getattr(row, k)) for k in _FLOAT_COLUMNS):
+                        raise ValueError("a numeric field is not finite")
+                    rows.append(row)
+            # a short row (None fields), a bad numeric field, or undecodable bytes
             except (csv.Error, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
@@ -351,21 +381,23 @@ def read_csv(path: str) -> list[ResultRow]:
 def fitted_slopes_from_rows(rows) -> dict:
     """Fit per-curve SDoF slopes from result rows (duplicate SNRs averaged).
 
-    Each curve is fitted over :func:`fit_slope`'s default window.
+    Rows sharing a curve and an SNR are summed in row order and divided by
+    their count. Each curve is fitted over :func:`fit_slope`'s default window.
     """
-    curves: dict = {}
-    for r in rows:
-        curves.setdefault((r.n_t, r.n_r, r.n_j, r.n_e), []).append(r)
+    points = np.array([(r.n_t, r.n_r, r.n_j, r.n_e, r.snr_db) for r in rows], dtype=float)
+    rates = np.array([(r.r_perfect_mean, r.r_quantized_mean) for r in rows], dtype=float)
+    keys, inverse, counts = np.unique(
+        points.reshape(-1, 5), axis=0, return_inverse=True, return_counts=True
+    )
+    means = np.zeros((len(keys), 2))
+    np.add.at(means, inverse.reshape(-1), rates.reshape(-1, 2))
+    means /= counts[:, np.newaxis]
+    # keys sort by curve, then SNR, so each curve is one run of keys
+    curves, starts = np.unique(keys[:, :4], axis=0, return_index=True)
     out = {}
-    for key, items in sorted(curves.items()):
-        by_snr: dict = {}
-        for r in items:
-            by_snr.setdefault(r.snr_db, []).append(r)
-        snrs = np.array(sorted(by_snr))
-        perf = np.array([np.mean([r.r_perfect_mean for r in by_snr[s]]) for s in snrs])
-        quant = np.array([np.mean([r.r_quantized_mean for r in by_snr[s]]) for s in snrs])
-        out[key] = {
-            "perfect": fit_slope(snrs, perf).slope,
-            "quantized": fit_slope(snrs, quant).slope,
+    for curve, idx in zip(curves, np.split(np.arange(len(keys)), starts[1:])):
+        out[tuple(int(n) for n in curve)] = {
+            "perfect": fit_slope(keys[idx, 4], means[idx, 0]).slope,
+            "quantized": fit_slope(keys[idx, 4], means[idx, 1]).slope,
         }
     return out

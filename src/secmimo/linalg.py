@@ -219,35 +219,54 @@ def left_nullspace_basis(a) -> np.ndarray:
     return u[..., :, q:]
 
 
-def logdet_pd(a):
-    """log2-determinant of a Hermitian positive-definite matrix.
-
-    Computed via Cholesky factorization, never through a raw determinant.
-    A float for one matrix, an array over the leading axes for a stack.
+def as_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite square matrix, or stack, Hermitian to relative tolerance 1e-10.
 
     Raises
     ------
     InvalidInputError
-        If the matrix is not Hermitian to relative tolerance 1e-10.
+        If an entry is not finite or a matrix is not Hermitian to
+        ``1e-10 * max(1, ||A||_F)``.
+    """
+    arr = as_stack(a, name)
+    n, m = arr.shape[-2:]
+    if n != m:
+        raise ShapeError(f"{name} must be square, got {n}x{m}")
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
+        raise InvalidInputError(f"{name} is not Hermitian to tolerance 1e-10")
+    return arr
+
+
+def cholesky_pd(a) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive-definite matrix or stack.
+
+    Checks the input with :func:`as_hermitian` first.
+
+    Raises
+    ------
     NotPositiveDefiniteError
         If the factorization fails; carries the smallest eigenvalue.
     """
-    arr = as_stack(a, "logdet input")
-    n, m = arr.shape[-2:]
-    if n != m:
-        raise ShapeError(f"logdet_pd needs a square matrix, got {n}x{m}")
-    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
-    if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
-        raise InvalidInputError("logdet_pd input is not Hermitian to tolerance 1e-10")
+    arr = as_hermitian(a, "Cholesky input")
     try:
-        chol = np.linalg.cholesky(arr)
+        return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
         low = float(np.min(np.linalg.eigvalsh(hermitian_part(arr))[..., 0]))
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite (min eigenvalue {low:.6e})",
             min_eigenvalue=low,
         ) from None
-    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
+
+
+def logdet_pd(a):
+    """log2-determinant of a Hermitian positive-definite matrix.
+
+    Computed via Cholesky factorization (:func:`cholesky_pd`), never
+    through a raw determinant. A float for one matrix, an array over the
+    leading axes for a stack.
+    """
+    diag = np.diagonal(cholesky_pd(a), axis1=-2, axis2=-1).real
     return (2.0 * np.sum(np.log2(diag), axis=-1))[()]
 
 

@@ -24,26 +24,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .linalg import LOG2_E, adjoint, as_matrix, as_stack, hermitian_part, logdet_pd, svd
+from .errors import InvalidInputError, NotPositiveDefiniteError
+from .linalg import (
+    LOG2_E,
+    adjoint,
+    as_hermitian,
+    as_matrix,
+    as_stack,
+    cholesky_pd,
+    hermitian_part,
+    logdet_pd,
+    svd,
+)
 from .transceiver import (
     AntennaConfig,
     ChannelSet,
     PowerPolicy,
     Precoders,
     ReceiverFilters,
+    an_leakage,
     rx_nuller,
 )
 
 
 @dataclass(frozen=True)
 class SecrecyRate:
-    """One secrecy-rate evaluation: floored value, raw value, both terms."""
+    """One secrecy-rate evaluation: floored value, raw value, both terms.
+
+    `leakage` is the artificial-noise power reaching the post-filtered
+    receiver (:func:`secmimo.transceiver.leakage_power`) for the rates that
+    use the two-stage receiver, and None otherwise.
+    """
 
     clipped: float
     raw: float
     t_plus: float
     t_minus: float
+    leakage: float | None = None
 
 
 @dataclass(frozen=True)
@@ -122,21 +139,19 @@ def _post_filtered(
     precoders: Precoders,
     filters: ReceiverFilters,
     policy: PowerPolicy,
-    config: AntennaConfig,
 ):
-    """The three Gram matrices of the post-filtered receive covariance.
+    """Post-filtered couplings S_i = G* V* Hd W_i and the noise floor sigma^2 G* G.
 
-    S1 S1* of the information signal before its power scaling, the
-    artificial-noise leakage (1-rho) P/(n_t - n_r) S2 S2* and the noise
-    floor sigma^2 G* G, where S_i = G* V* Hd W_i. The leakage is zero to
-    round-off when W2 spans the nullspace of Hd.
+    S1 carries the information signal and S2 the artificial noise, which
+    is zero to round-off when W2 spans the nullspace of Hd.
     """
     g = filters.G
     gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
-    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    s1 = gvh @ precoders.W1
-    s2 = gvh @ precoders.W2
-    return s1 @ adjoint(s1), an * (s2 @ adjoint(s2)), policy.sigma2 * (adjoint(g) @ g)
+    return gvh @ precoders.W1, gvh @ precoders.W2, policy.sigma2 * (adjoint(g) @ g)
+
+
+def _gram(s: np.ndarray) -> np.ndarray:
+    return s @ adjoint(s)
 
 
 def secrecy_rate_G(
@@ -150,19 +165,95 @@ def secrecy_rate_G(
 
     Positive term: log-det ratio of the post-filtered receive covariance
     rho G* V* Hd W1 Kxs W1* Hd* V G + L + sigma^2 G* G against L + sigma^2 G* G,
-    where L is the artificial-noise leakage Gram matrix. L is zero to
-    round-off for perfect precoders, whose W2 spans the nullspace of Hd; for
-    quantized precoders the artificial noise leaks into both determinants.
-    Negative term: the eavesdropper rate.
+    where L = (1-rho) P/(n_t - n_r) S2 S2* is the artificial-noise leakage
+    Gram matrix. L is zero to round-off for perfect precoders, whose W2
+    spans the nullspace of Hd; for quantized precoders the artificial noise
+    leaks into both determinants. Negative term: the eavesdropper rate.
+    The result's `leakage` is the trace of L (:func:`leakage_power`).
     """
-    signal, leak, noise = _post_filtered(channels, precoders, filters, policy, config)
+    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
     kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
-    t_plus = _logdet_ratio(policy.rho * kxs * signal + leak + noise, leak + noise)
+    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * _gram(s2)
+    t_plus = _logdet_ratio(policy.rho * kxs * _gram(s1) + leak + noise, leak + noise)
     t_minus = _eve_term(
         as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
     )
     raw = t_plus - t_minus
-    return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
+    return SecrecyRate(
+        clipped=_clip(raw),
+        raw=raw,
+        t_plus=t_plus,
+        t_minus=t_minus,
+        leakage=an_leakage(s2, policy),
+    )
+
+
+def _sweep_ratio(power, numer, denom, floor=None):
+    """log2 det(N + P numer) - log2 det(N + P denom) at every power P at once.
+
+    With the floor N = C C* (the identity when None), each determinant is
+    det N det(I + P K) for the whitened K = C^{-1} M C^{-*}, so the ratio is
+    sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i) over the
+    eigenvalues of the two K. The checks are logdet_pd's: every matrix
+    finite and Hermitian, N and each N + P M positive definite.
+    """
+    pair = as_hermitian(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "sweep input")
+    if floor is not None:
+        inv_c = np.linalg.inv(cholesky_pd(hermitian_part(floor)))
+        pair = inv_c @ pair @ adjoint(inv_c)
+    lam, nu = np.linalg.eigvalsh(pair)
+    p = np.asarray(power)[..., np.newaxis]
+    x, y = p * lam, p * nu
+    if not (np.all(x > -1.0) and np.all(y > -1.0)):
+        low = float(np.min(1.0 + np.minimum(x, y)))
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (min whitened eigenvalue {low:.6e})",
+            min_eigenvalue=low,
+        )
+    return (np.sum(np.log1p(x), axis=-1) - np.sum(np.log1p(y), axis=-1)) * LOG2_E
+
+
+def secrecy_rate_sweep(
+    channels: ChannelSet,
+    precoders: Precoders,
+    filters: ReceiverFilters,
+    policy: PowerPolicy,
+    config: AntennaConfig,
+) -> SecrecyRate:
+    """:func:`secrecy_rate_G` for precoders held fixed over a vector of powers.
+
+    With N = sigma^2 G* G = C C*, c1 = rho / n_r and c2 = (1-rho)/(n_t - n_r),
+    the positive term at power P is
+
+        t+(P) = sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i),
+
+    lambda and nu the eigenvalues of C^{-1} (c1 S + c2 L) C^{-*} and of
+    C^{-1} (c2 L) C^{-*}, where S = S1 S1* and L = S2 S2*. The eavesdropper
+    term is the same with (c1 E1 + c2 E2) / sigma_e^2 and c2 E2 / sigma_e^2,
+    E_i = He W_i W_i* He*. One eigen-solve per element serves every power.
+    `policy.P` broadcasts against the stack's leading shape as in
+    :func:`secrecy_rate_G`, so a stack of shape (T, 1) and T powers give
+    (T, P) arrays.
+    """
+    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
+    c1 = policy.rho * policy.kxs(config.n_r)
+    c2 = (1.0 - policy.rho) / (config.n_t - config.n_r)
+    leak = c2 * _gram(s2)
+    t_plus = _sweep_ratio(policy.P, c1 * _gram(s1) + leak, leak, floor=noise)
+    he = as_stack(channels.He, "He")
+    e1, e2 = he @ precoders.W1, he @ precoders.W2
+    eve_leak = c2 * _gram(e2)
+    t_minus = _sweep_ratio(
+        policy.P, (c1 * _gram(e1) + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
+    )
+    raw = t_plus - t_minus
+    return SecrecyRate(
+        clipped=_clip(raw),
+        raw=raw,
+        t_plus=t_plus,
+        t_minus=t_minus,
+        leakage=an_leakage(s2, policy),
+    )
 
 
 def eve_rate_limit(
@@ -202,8 +293,9 @@ def beta_P(
     because the leakage matrix is positive semidefinite; converges to zero
     under the power-matched bit schedule.
     """
-    signal, leak, noise = _post_filtered(channels, precoders, filters, policy, config)
-    m1 = policy.rho * policy.P * signal
+    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
+    m1 = _per_matrix(policy.rho * policy.P) * _gram(s1)
+    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * _gram(s2)
     return _logdet_ratio(m1 + leak + noise, m1 + noise)
 
 

@@ -146,12 +146,14 @@ class Precoders:
     def __post_init__(self):
         w1 = as_stack(self.W1, "W1")
         w2 = as_stack(self.W2, "W2")
-        if np.any(orthonormality_error(w1) > ORTHO_TOL):
-            raise InvalidInputError("W1 columns are not orthonormal")
-        if np.any(orthonormality_error(w2) > ORTHO_TOL):
-            raise InvalidInputError("W2 columns are not orthonormal")
-        if np.any(np.linalg.norm(adjoint(w1) @ w2, axis=(-2, -1)) > ORTHO_TOL):
-            raise InvalidInputError("W1 and W2 are not orthogonal")
+        if w1.shape[:-1] != w2.shape[:-1]:
+            raise ShapeError(f"W1 and W2 need the same rows and stack, got {w1.shape}, {w2.shape}")
+        # ||[W1 W2]* [W1 W2] - I||_F bounds ||W1* W1 - I||_F, ||W2* W2 - I||_F
+        # and ||W1* W2||_F at once; written so that NaN fails it
+        if not np.all(orthonormality_error(np.concatenate((w1, w2), axis=-1)) <= ORTHO_TOL):
+            raise InvalidInputError(
+                "W1 and W2 are not orthonormal columns of one unitary to 1e-10"
+            )
 
 
 @dataclass(frozen=True)
@@ -181,34 +183,43 @@ def sample_channels(config: AntennaConfig, rng: np.random.Generator) -> ChannelS
     return ChannelSet(Hd=hd, He=he, Hj=hj)
 
 
-def sample_trials(
-    config: AntennaConfig, rngs, directions
-) -> tuple[ChannelSet, np.ndarray, np.ndarray]:
-    """Channels, receiver design matrix B and quantizer directions of a block of trials.
+def sample_trials(config: AntennaConfig, rngs) -> tuple[ChannelSet, np.ndarray]:
+    """Channels and receiver design matrix B of a block of trials: each trial's first draw.
 
     Trial k draws from ``rngs[k]`` with one standard-normal call, in the
     order of :func:`sample_channels`, then ``random_truncated_unitary(n_t,
-    d_s)`` for B, then one n_t x n_r Gaussian direction per operating point
-    flagged in `directions`. A generator's consecutive draws concatenate, so
-    each trial gets exactly what those calls made one after another return.
-
-    The channels and B have leading shape ``(len(rngs), 1)``, the directions
-    ``(len(rngs), len(directions))``, zero at the unflagged points.
+    d_s)`` for B. A generator's consecutive draws concatenate, so each trial
+    gets exactly what those calls made one after another return. Every
+    array has leading shape ``(len(rngs), 1)``.
     """
     n_t, n_r, trials = config.n_t, config.n_r, len(rngs)
-    flagged = np.asarray(directions, dtype=bool)
-    n_z = int(flagged.sum())
     shapes = [(n_r, n_t), (config.n_e, n_t), (n_r, config.n_j), (n_t, config.d_s)]
-    sizes = [2 * m * n for m, n in shapes] + [2 * n_z * n_t * n_r]
+    sizes = [2 * m * n for m, n in shapes]
     normals = np.stack([rng.standard_normal(sum(sizes)) for rng in rngs])
     parts = np.split(normals, np.cumsum(sizes)[:-1], axis=1)
     hd, he, hj, b = (
         complex_gaussian(part.reshape(trials, 1, 2, m, n))
         for part, (m, n) in zip(parts, shapes)
     )
-    z = np.zeros((trials, flagged.size, n_t, n_r), dtype=np.complex128)
-    z[:, flagged] = complex_gaussian(parts[-1].reshape(trials, n_z, 2, n_t, n_r))
-    return ChannelSet(Hd=hd, He=he, Hj=hj), haar_columns(b), z
+    return ChannelSet(Hd=hd, He=he, Hj=hj), haar_columns(b)
+
+
+def sample_directions(config: AntennaConfig, rngs, directions) -> np.ndarray:
+    """Quantizer directions of a block of trials: each trial's second draw.
+
+    Trial k draws from ``rngs[k]``, after :func:`sample_trials`, one n_t x
+    n_r Gaussian direction per operating point flagged in `directions`, as
+    that many ``random_gaussian_matrix(n_t, n_r)`` calls would. The result
+    has shape ``(len(rngs), len(directions), n_t, n_r)``, zero at the
+    unflagged points.
+    """
+    n_t, n_r = config.n_t, config.n_r
+    flagged = np.asarray(directions, dtype=bool)
+    n_z = int(flagged.sum())
+    normals = np.stack([rng.standard_normal(2 * n_z * n_t * n_r) for rng in rngs])
+    z = np.zeros((len(rngs), flagged.size, n_t, n_r), dtype=np.complex128)
+    z[:, flagged] = complex_gaussian(normals.reshape(len(rngs), n_z, 2, n_t, n_r))
+    return z
 
 
 def tx_precoders_perfect(Hd) -> Precoders:
@@ -301,21 +312,28 @@ def rx_postfilter(Hd, Hj, B=None, rng: np.random.Generator | None = None) -> Rec
     return ReceiverFilters(V=v, B=b, G=g, F=f, C=c)
 
 
+def an_leakage(coupling, policy: PowerPolicy):
+    """(1-rho) P / (n_t - n_r) ||S2||_F^2 for the coupling S2 = G* V* Hd W2.
+
+    The sum runs over the last axis and then the next, so a stack rounds
+    each value like its matrix alone.
+    """
+    frob2 = np.sum(np.sum(coupling.real**2 + coupling.imag**2, axis=-1), axis=-1)
+    return ((1.0 - policy.rho) * policy.P / coupling.shape[-1] * frob2)[()]
+
+
 def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> float:
     """Mean artificial-noise power reaching the post-processed receiver.
 
     The leakage term is sqrt(1-rho) G* V* Hd W2Q x_an with x_an white of
     covariance P/(n_t - n_r) I; its expected squared norm evaluates in
-    closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2. Exactly zero
-    when W2Q spans the true channel nullspace.
+    closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2
+    (:func:`an_leakage`). Exactly zero when W2Q spans the true channel
+    nullspace.
     """
     hd = as_stack(Hd, "Hd")
     w2q = as_stack(W2Q, "W2Q")
-    an_cols = w2q.shape[-1]
-    coupling = adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q
-    # Summed one axis at a time, so a stack rounds like each matrix alone.
-    frob2 = np.sum(np.sum(coupling.real**2 + coupling.imag**2, axis=-1), axis=-1)
-    return ((1.0 - policy.rho) * policy.P / an_cols * frob2)[()]
+    return an_leakage(adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q, policy)
 
 
 def leakage_bound(policy: PowerPolicy, n_f: int, config: AntennaConfig) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, config file."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -110,7 +111,14 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"trials": "ten"}, {"seed": True}, {"nr": [2, "3"]}, {"rho": "half"}, {"out": 5}],
+        [
+            {"trials": "ten"},
+            {"seed": True},
+            {"nr": [2, "3"]},
+            {"nr": []},
+            {"rho": "half"},
+            {"out": 5},
+        ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, bad):
         cfg_file = tmp_path / "cfg.json"
@@ -128,6 +136,30 @@ class TestRun:
         assert cli_main(["run", "--nr", "2", "--trials", "1", *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and len(err.splitlines()) == 1
+
+    def test_repeated_curve_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"nr": [2, 2], "trials": 1}))
+        flags = ["run", "--nr", "2", "--nr", "2", "--trials", "1"]
+        for args in (flags, ["run", "--config", str(cfg_file)]):
+            assert cli_main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error") and "distinct" in captured.err
+            assert len(captured.err.splitlines()) == 1
+
+    def test_every_run_flag_is_a_config_key(self, tmp_path, capsys):
+        """Each flag `run --help` lists but --config may also come from the config file."""
+        assert cli_main(["run", "--help"]) == 0
+        flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) - {"help", "config"}
+        values = {"scenario": "custom", "nr": [2], "out": str(tmp_path / "x.csv")}
+        for flag in sorted(flags):
+            key = flag.replace("-", "_")
+            cfg_file = tmp_path / f"{key}.json"
+            cfg_file.write_text(json.dumps({key: values.get(key, 1)}))
+            cli_main(["run", "--config", str(cfg_file), "--trials", "1", "--snr-max", "10"])
+            err = capsys.readouterr().err
+            assert "unknown config keys" not in err and "must hold" not in err, (key, err)
 
     def test_non_finite_epsilon_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -255,6 +287,16 @@ class TestSlopes:
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")
         assert cli_main(["slopes", str(path)]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_field(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            CSV_HEADER + f"\ncustom,4,2,1,2,{value},10,1,1,0,0,5\ncustom,4,2,1,2,10,10,1,1,0,0,5\n"
+        )
+        assert cli_main(["slopes", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line 2" in err and len(err.splitlines()) == 1
 
     def test_non_numeric_field(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

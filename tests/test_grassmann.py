@@ -24,6 +24,7 @@ from secmimo.grassmann import (
     feedback_bits,
     haar_point,
     perturb_along,
+    perturb_basis,
     perturb_quantize,
     perturb_to_distance,
     quant_error_bound,
@@ -33,6 +34,7 @@ from secmimo.linalg import (
     adjoint,
     complex_gaussian,
     haar_columns,
+    orthonormality_error,
     random_gaussian_matrix,
     random_truncated_unitary,
 )
@@ -343,6 +345,40 @@ class TestPerturbToDistance:
         assert chordal_distance(f, perturb_to_distance(f, 0.9, rng)) == pytest.approx(0.9)
         with pytest.raises(PerturbationError):
             perturb_to_distance(f, 1.5, rng)
+
+
+class TestPerturbBasis:
+    @settings(deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 4).flatmap(
+            lambda n_r: st.tuples(st.just(n_r), st.integers(n_r + 1, 2 * n_r + 3))
+        ),
+        fraction=st.floats(0.0, 0.999999),
+        stack=st.sampled_from([(), (3,), (2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_complement_distance_is_chordal_distance(self, dims, fraction, stack, seed):
+        """||W2* F||_F equals the chordal distance of W1 from F, per element of a stack."""
+        n_r, n_t = dims
+        parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
+        f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
+        target = fraction * math.sqrt(min(n_r, n_t - n_r))
+        q = perturb_basis(f, z, target)
+        assert q.shape == stack + (n_t, n_t)
+        assert np.all(orthonormality_error(q) <= 1e-12)
+        by_complement = np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1))
+        by_projectors = chordal_distance(f, q[..., :n_r])
+        assert np.all(np.abs(by_complement - by_projectors) <= 1e-12)
+        assert np.all(np.abs(by_projectors - target) <= 1e-12)
+
+    def test_zero_target_keeps_the_point_and_completes_it(self):
+        rng = np.random.default_rng(27)
+        f = haar_point(6, 2, rng).matrix
+        z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(2)])
+        q = perturb_basis(f, z, np.array([0.0, 0.4]))
+        np.testing.assert_array_equal(q[0, :, :2], f)
+        assert np.linalg.norm(adjoint(q[0, :, 2:]) @ f) <= 1e-15
+        np.testing.assert_array_equal(perturb_along(f, z, np.array([0.0, 0.4])).matrix, q[..., :2])
 
 
 class TestFeedbackBits:

@@ -1,13 +1,20 @@
 """Tests for the Monte Carlo harness: configs, determinism, CSV round-trips."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from secmimo import harness
 from secmimo.errors import ConfigError, DegenerateChannelError
-from secmimo.grassmann import FeedbackSchedule, GrassmannPoint, perturb_quantize
+from secmimo.grassmann import (
+    ZERO_DISTANCE,
+    FeedbackSchedule,
+    GrassmannPoint,
+    perturb_basis,
+    quantization_target,
+)
 from secmimo.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,15 +29,15 @@ from secmimo.harness import (
     scenario_config,
     write_csv,
 )
-from secmimo.rates import secrecy_rate_G
+from secmimo.linalg import random_gaussian_matrix
+from secmimo.rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
 from secmimo.transceiver import (
     AntennaConfig,
     PowerPolicy,
-    leakage_power,
+    Precoders,
     rx_postfilter,
     sample_channels,
     tx_precoders_perfect,
-    tx_precoders_quantized,
 )
 
 
@@ -100,6 +107,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_t >= 2 n_r"):
             cfg.validate()
 
+    def test_validation_rejects_repeated_curve(self):
+        cfg = scenario_config("slope", [2, 3, 2], trials=1)
+        with pytest.raises(ConfigError, match="distinct"):
+            cfg.validate()
+
     def test_custom_scenario_free_antennas(self):
         cfg = ExperimentConfig(
             scenario="custom",
@@ -128,22 +140,36 @@ class TestPoints:
 
 
 def _reference_trial(cfg, curve, trial):
-    """One trial through the scalar public kernels, one operating point at a time."""
+    """One trial through the 2-D public kernels, one operating point at a time.
+
+    The scalar samplers draw what the engine's stacked samplers draw: the
+    channels, then B, then one direction per point with a positive target.
+    The perfect-CSI rate is one sweep over the curve's powers.
+    """
     acfg = cfg.antenna_configs[curve]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(curve, trial)))
     channels = sample_channels(acfg, rng)
     filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
-    prec_p = tx_precoders_perfect(channels.Hd)
-    f_true = GrassmannPoint(filters.F)
     points = _curve_points(cfg, acfg)
+    powers = np.array([PowerPolicy.from_snr_db(snr_db).P for snr_db, _ in points])
+    r_p = secrecy_rate_sweep(
+        channels,
+        tx_precoders_perfect(channels.Hd),
+        filters,
+        PowerPolicy(P=powers, rho=cfg.rho),
+        acfg,
+    )
     out = np.empty((len(points), 5))
     for i, (snr_db, nf) in enumerate(points):
         policy = PowerPolicy.from_snr_db(snr_db, rho=cfg.rho)
-        prec_q = tx_precoders_quantized(perturb_quantize(f_true, nf, rng))
-        r_p = secrecy_rate_G(channels, prec_p, filters, policy, acfg)
+        target = quantization_target(nf, acfg.n_t, acfg.n_r)
+        z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
+        if target >= ZERO_DISTANCE:
+            z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
+        q = perturb_basis(GrassmannPoint(filters.F), z, target)
+        prec_q = Precoders(W1=q[:, : acfg.n_r], W2=q[:, acfg.n_r :], mode="quantized")
         r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
-        leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
-        out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, leak)
+        out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
     return out
 
 
@@ -235,6 +261,32 @@ class TestBlockLinearAlgebra:
             _curve_trials(cfg, curve, points)
         assert shapes
         assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in shapes), shapes
+
+
+    def test_per_trial_work_once_per_chunk(self, monkeypatch):
+        """Filters, perfect precoders and the perfect-CSI rate run once per chunk."""
+        calls = {}
+
+        def counted(name):
+            original = getattr(harness, name)
+
+            def spy(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, spy)
+
+        per_trial = ("rx_postfilter", "tx_precoders_perfect", "secrecy_rate_sweep")
+        for name in per_trial + ("secrecy_rate_G",):
+            counted(name)
+        cfg = scenario_config("gap_vs_bits", trials=20, seed=2)
+        points = _curve_points(cfg, cfg.antenna_configs[0])
+        _curve_trials(cfg, 0, points)
+        assert calls == dict.fromkeys(per_trial, 1) | {"secrecy_rate_G": 3}
+        calls.clear()
+        monkeypatch.setattr(harness, "BLOCK_POINTS", 8)
+        _curve_trials(cfg, 0, points)
+        assert calls == dict.fromkeys(per_trial, 3) | {"secrecy_rate_G": 20}
 
 
 class TestReplayableFailure:
@@ -344,6 +396,37 @@ class TestSlopesFromRows:
         fits = fitted_slopes_from_rows(rows)
         assert fits[(4, 2, 1, 2)]["perfect"] == pytest.approx(2.0, abs=1e-12)
         assert fits[(4, 2, 1, 2)]["quantized"] == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_bitwise_equal_to_row_loop(self):
+        """Array grouping averages duplicates and fits exactly as the per-row loop did."""
+
+        def row_loop(rows):
+            curves: dict = {}
+            for r in rows:
+                curves.setdefault((r.n_t, r.n_r, r.n_j, r.n_e), []).append(r)
+            out = {}
+            for key, items in sorted(curves.items()):
+                by_snr: dict = {}
+                for r in items:
+                    by_snr.setdefault(r.snr_db, []).append(r)
+                snrs = np.array(sorted(by_snr))
+                perf = np.array([np.mean([r.r_perfect_mean for r in by_snr[s]]) for s in snrs])
+                quant = np.array([np.mean([r.r_quantized_mean for r in by_snr[s]]) for s in snrs])
+                out[key] = {
+                    "perfect": fit_slope(snrs, perf).slope,
+                    "quantized": fit_slope(snrs, quant).slope,
+                }
+            return out
+
+        rows = run_experiment(scenario_config("slope", [2, 3, 4], trials=2, seed=9)).rows
+        assert fitted_slopes_from_rows(rows) == row_loop(rows)
+        # duplicate SNRs, up to three rows each, in shuffled order
+        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+        dup = [replace(r, r_perfect_mean=r.r_perfect_mean * 1.1) for r in rows[::2]]
+        mixed = shuffled + dup + rows[::3]
+        assert fitted_slopes_from_rows(mixed) == row_loop(mixed)
+        assert fitted_slopes_from_rows([]) == {}
 
 
 class TestSlopeParity:

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secmimo.errors import InvalidInputError
-from secmimo.grassmann import FeedbackSchedule, GrassmannPoint, feedback_bits, perturb_quantize
+from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
+from secmimo.grassmann import (
+    FeedbackSchedule,
+    GrassmannPoint,
+    feedback_bits,
+    perturb_basis,
+    perturb_quantize,
+)
 from secmimo.linalg import (
     LOG2_E,
     gaussian_mi,
@@ -22,13 +30,19 @@ from secmimo.rates import (
     logdet_variational_objective,
     secrecy_rate_G,
     secrecy_rate_perfect_basic,
+    secrecy_rate_sweep,
 )
 from secmimo.transceiver import (
     AntennaConfig,
     ChannelSet,
     PowerPolicy,
+    Precoders,
+    ReceiverFilters,
+    leakage_power,
     rx_postfilter,
     sample_channels,
+    sample_directions,
+    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
@@ -211,6 +225,122 @@ class TestQuantizedG:
                 gaps[i] += r_p.raw - r_q.raw
         gaps /= trials
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+
+def _sweep_case(shape, seed, mode, fraction=0.5):
+    """One trial's channels, filters and perfect or quantized precoders."""
+    cfg = AntennaConfig(*shape)
+    rng = np.random.default_rng(seed)
+    ch = sample_channels(cfg, rng)
+    filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+    if mode == "perfect":
+        return cfg, ch, filters, tx_precoders_perfect(ch.Hd)
+    target = fraction * math.sqrt(min(cfg.n_r, cfg.n_t - cfg.n_r))
+    q = perturb_basis(filters.F, random_gaussian_matrix(cfg.n_t, cfg.n_r, rng), target)
+    return cfg, ch, filters, Precoders(W1=q[:, : cfg.n_r], W2=q[:, cfg.n_r :], mode="quantized")
+
+
+_SWEEP_SHAPES = st.sampled_from([(4, 2, 1, 2), (6, 3, 1, 3), (8, 4, 1, 4), (7, 3, 0, 2)])
+
+
+class TestSecrecyRateSweep:
+    @settings(deadline=None, derandomize=True)
+    @given(
+        shape=_SWEEP_SHAPES,
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["perfect", "quantized"]),
+        fraction=st.floats(0.0, 0.99),
+        log_powers=st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6),
+    )
+    def test_matches_pointwise_kernel(self, shape, seed, mode, fraction, log_powers):
+        """Each power of the sweep against secrecy_rate_G at that power, to 1e-10."""
+        cfg, ch, filters, prec = _sweep_case(shape, seed, mode, fraction)
+        powers = 10.0 ** np.array(log_powers)
+        sweep = secrecy_rate_sweep(ch, prec, filters, PowerPolicy(P=powers, rho=0.5), cfg)
+        for i, power in enumerate(powers):
+            point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5), cfg)
+            for name in ("t_plus", "t_minus", "raw"):
+                ref = getattr(point, name)
+                assert abs(getattr(sweep, name)[i] - ref) <= 1e-10 * max(1.0, abs(ref)), name
+            assert sweep.clipped[i] == max(sweep.raw[i], 0.0)
+            assert sweep.leakage[i] == point.leakage
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        shape=_SWEEP_SHAPES,
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["perfect", "quantized"]),
+        log_power=st.floats(0.0, 9.0),
+        rho=st.floats(0.1, 0.9),
+    )
+    def test_matches_gaussian_mi(self, shape, seed, mode, log_power, rho):
+        """Both terms against the generic oracle; G drops out of the receiver's MI."""
+        cfg, ch, filters, prec = _sweep_case(shape, seed, mode)
+        policy = PowerPolicy(P=10.0**log_power, rho=rho, sigma2=0.7, sigma2_eve=1.3)
+        rate = secrecy_rate_sweep(ch, prec, filters, policy, cfg)
+        signal_cov = rho * policy.P / cfg.n_r * np.eye(cfg.n_r)
+        an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
+        vh = filters.V.conj().T @ ch.Hd
+        leak, e2 = vh @ prec.W2, ch.He @ prec.W2
+        mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T), 0.7)
+        mi_minus = gaussian_mi(ch.He @ prec.W1, signal_cov, an * (e2 @ e2.conj().T), 1.3)
+        assert rate.t_plus == pytest.approx(mi_plus, rel=1e-9, abs=1e-9)
+        assert rate.t_minus == pytest.approx(mi_minus, rel=1e-9, abs=1e-9)
+
+    def test_stack_broadcasts_like_pointwise_kernel(self):
+        """A (T, 1) stack and P powers give (T, P) arrays, element by element."""
+        cfg = AntennaConfig(6, 3, 1, 3)
+        rngs = [np.random.default_rng((31, t)) for t in range(4)]
+        ch, b = sample_trials(cfg, rngs)
+        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
+        prec = tx_precoders_perfect(ch.Hd)
+        powers = 10.0 ** np.arange(0.0, 7.0)
+        sweep = secrecy_rate_sweep(ch, prec, filters, PowerPolicy(P=powers, rho=0.5), cfg)
+        assert sweep.raw.shape == (4, 7)
+        for t in range(4):
+            alone = secrecy_rate_sweep(
+                ChannelSet(**{k: m[t, 0] for k, m in vars(ch).items()}),
+                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0], mode="perfect"),
+                ReceiverFilters(**{k: m[t, 0] for k, m in vars(filters).items()}),
+                PowerPolicy(P=powers, rho=0.5),
+                cfg,
+            )
+            np.testing.assert_array_equal(sweep.raw[t], alone.raw)
+
+    def test_singular_noise_floor_is_not_positive_definite(self):
+        cfg, ch, filters, prec = _sweep_case((4, 2, 1, 2), 40, "perfect")
+        flat = ReceiverFilters(**dict(vars(filters), G=np.zeros_like(filters.G)))
+        with pytest.raises(NotPositiveDefiniteError):
+            secrecy_rate_sweep(ch, prec, flat, PowerPolicy(P=10.0, rho=0.5), cfg)
+
+    def test_non_finite_matrix_rejected(self):
+        cfg, ch, filters, prec = _sweep_case((4, 2, 1, 2), 41, "perfect")
+        he = ch.He.copy()
+        he[0, 0] = np.nan
+        bad = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
+        with pytest.raises(InvalidInputError):
+            secrecy_rate_sweep(bad, prec, filters, PowerPolicy(P=10.0, rho=0.5), cfg)
+
+
+class TestLeakageField:
+    @pytest.mark.parametrize("n_r", [2, 3, 4])
+    def test_equals_leakage_power_bitwise(self, n_r):
+        """SecrecyRate.leakage is leakage_power's value, for a (trials, points) stack."""
+        cfg = AntennaConfig(2 * n_r, n_r, 1, n_r)
+        rngs = [np.random.default_rng((32, t)) for t in range(5)]
+        targets = np.linspace(0.0, 0.9, 7)
+        ch, b = sample_trials(cfg, rngs)
+        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
+        q = perturb_basis(filters.F, sample_directions(cfg, rngs, targets > 0), targets)
+        prec = Precoders(W1=q[..., :n_r], W2=q[..., n_r:], mode="quantized")
+        policy = PowerPolicy(P=10.0 ** np.arange(7.0), rho=0.5)
+        leak = leakage_power(filters, ch.Hd, prec.W2, policy)
+        np.testing.assert_array_equal(secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, leak)
+        perfect = tx_precoders_perfect(ch.Hd)
+        np.testing.assert_array_equal(
+            secrecy_rate_sweep(ch, perfect, filters, policy, cfg).leakage,
+            leakage_power(filters, ch.Hd, perfect.W2, policy),
+        )
 
 
 class TestEveRateLimit:

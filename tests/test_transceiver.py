@@ -37,6 +37,7 @@ from secmimo.transceiver import (
     rx_nuller,
     rx_postfilter,
     sample_channels,
+    sample_directions,
     sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
@@ -176,6 +177,30 @@ class TestTxPrecoders:
         with pytest.raises(InvalidInputError):
             Precoders(W1=np.ones((4, 2)), W2=np.ones((4, 2)), mode="perfect")
 
+    @pytest.mark.parametrize(
+        "fault", ["w1_not_orthonormal", "w2_not_orthonormal", "not_orthogonal", "nan"]
+    )
+    def test_precoders_reject_each_fault(self, fault):
+        """The one Gram test catches each of the three old checks' faults, and NaN."""
+        w = random_truncated_unitary(5, 5, np.random.default_rng(28))
+        w1, w2 = w[:, :2].copy(), w[:, 2:].copy()
+        Precoders(W1=w1, W2=w2, mode="quantized")
+        if fault == "w1_not_orthonormal":
+            w1[:, 0] *= 1.0 + 1e-9
+        elif fault == "w2_not_orthonormal":
+            w2[:, 2] = w2[:, 1]
+        elif fault == "not_orthogonal":
+            w2[:, 0] = w1[:, 0]
+        else:
+            w2[3, 1] = np.nan
+        with pytest.raises(InvalidInputError):
+            Precoders(W1=w1, W2=w2, mode="quantized")
+
+    def test_precoders_reject_mismatched_stacks(self):
+        w = random_truncated_unitary(4, 4, np.random.default_rng(29))
+        with pytest.raises(ShapeError):
+            Precoders(W1=w[:, :2], W2=np.stack([w[:, 2:]] * 3), mode="quantized")
+
 
 class TestRxNuller:
     def test_single_jammer(self):
@@ -278,7 +303,8 @@ class TestLeakage:
         cfg = AntennaConfig(2 * n_r, n_r, 1, n_r)
         rngs = [np.random.default_rng((20, t)) for t in range(8)]
         targets = np.linspace(0.01, 0.9, 13)
-        ch, b, z = sample_trials(cfg, rngs, targets > 0)
+        ch, b = sample_trials(cfg, rngs)
+        z = sample_directions(cfg, rngs, targets > 0)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         w2q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets)).W2
         powers = 10.0 ** np.arange(13)
