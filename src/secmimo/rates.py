@@ -178,6 +178,10 @@ def secrecy_rate_G(
     t_minus = _eve_term(
         as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
     )
+    return _two_stage_rate(t_plus, t_minus, s2, policy)
+
+
+def _two_stage_rate(t_plus, t_minus, s2, policy: PowerPolicy) -> SecrecyRate:
     raw = t_plus - t_minus
     return SecrecyRate(
         clipped=_clip(raw),
@@ -232,7 +236,7 @@ def secrecy_rate_sweep(
     term is the same with (c1 E1 + c2 E2) / sigma_e^2 and c2 E2 / sigma_e^2,
     E_i = He W_i W_i* He*. One eigen-solve per element serves every power.
     `policy.P` broadcasts against the stack's leading shape as in
-    :func:`secrecy_rate_G`, so a stack of shape (T, 1) and T powers give
+    :func:`secrecy_rate_G`, so a stack of shape (T, 1) and P powers give
     (T, P) arrays.
     """
     s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
@@ -246,14 +250,7 @@ def secrecy_rate_sweep(
     t_minus = _sweep_ratio(
         policy.P, (c1 * _gram(e1) + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
     )
-    raw = t_plus - t_minus
-    return SecrecyRate(
-        clipped=_clip(raw),
-        raw=raw,
-        t_plus=t_plus,
-        t_minus=t_minus,
-        leakage=an_leakage(s2, policy),
-    )
+    return _two_stage_rate(t_plus, t_minus, s2, policy)
 
 
 def eve_rate_limit(
