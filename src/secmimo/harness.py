@@ -384,19 +384,24 @@ def fitted_slopes_from_rows(rows) -> dict:
     Rows sharing a curve and an SNR are summed in row order and divided by
     their count. Each curve is fitted over :func:`fit_slope`'s default window.
     """
+    if not rows:
+        return {}
     points = np.array([(r.n_t, r.n_r, r.n_j, r.n_e, r.snr_db) for r in rows], dtype=float)
     rates = np.array([(r.r_perfect_mean, r.r_quantized_mean) for r in rows], dtype=float)
-    keys, inverse, counts = np.unique(
-        points.reshape(-1, 5), axis=0, return_inverse=True, return_counts=True
-    )
-    means = np.zeros((len(keys), 2))
-    np.add.at(means, inverse.reshape(-1), rates.reshape(-1, 2))
-    means /= counts[:, np.newaxis]
-    # keys sort by curve, then SNR, so each curve is one run of keys
-    curves, starts = np.unique(keys[:, :4], axis=0, return_index=True)
+    # by curve, then SNR; the sort is stable, so equal keys keep their row order
+    order = np.lexsort(points.T[::-1])
+    points, rates = points[order], rates[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(points[1:] != points[:-1], axis=1)
+    group = np.cumsum(first) - 1
+    means = np.zeros((group[-1] + 1, 2))
+    np.add.at(means, group, rates)
+    means /= np.bincount(group)[:, np.newaxis]
+    keys = points[first]
+    curve_starts = np.flatnonzero(np.any(keys[1:, :4] != keys[:-1, :4], axis=1)) + 1
     out = {}
-    for curve, idx in zip(curves, np.split(np.arange(len(keys)), starts[1:])):
-        out[tuple(int(n) for n in curve)] = {
+    for idx in np.split(np.arange(len(keys)), curve_starts):
+        out[tuple(int(n) for n in keys[idx[0], :4])] = {
             "perfect": fit_slope(keys[idx, 4], means[idx, 0]).slope,
             "quantized": fit_slope(keys[idx, 4], means[idx, 1]).slope,
         }

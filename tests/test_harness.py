@@ -421,10 +421,15 @@ class TestSlopesFromRows:
 
         rows = run_experiment(scenario_config("slope", [2, 3, 4], trials=2, seed=9)).rows
         assert fitted_slopes_from_rows(rows) == row_loop(rows)
-        # duplicate SNRs, up to three rows each, in shuffled order
-        shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
-        dup = [replace(r, r_perfect_mean=r.r_perfect_mean * 1.1) for r in rows[::2]]
-        mixed = shuffled + dup + rows[::3]
+        # one to eight distinct values per (curve, SNR), rows in shuffled order;
+        # np.mean sums up to eight values in order, so the averages must agree bitwise
+        copies = [
+            replace(r, r_perfect_mean=r.r_perfect_mean * (1 + 0.1 * j), r_quantized_mean=0.3 * j)
+            for i, r in enumerate(rows)
+            for j in range(i % 8)
+        ]
+        pool = rows + copies
+        mixed = [pool[i] for i in np.random.default_rng(0).permutation(len(pool))]
         assert fitted_slopes_from_rows(mixed) == row_loop(mixed)
         assert fitted_slopes_from_rows([]) == {}
 
