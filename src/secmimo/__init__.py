@@ -31,8 +31,6 @@ from .grassmann import (
     codebook_generate,
     feedback_bits,
     perturb_basis,
-    perturb_quantize,
-    perturb_to_distance,
     quant_error_bound,
     quantization_target,
     quantize,

@@ -152,6 +152,10 @@ def _experiment_config(args) -> ExperimentConfig:
         raise ConfigError("slope scenario scales bits with power; use --epsilon, not --nf")
     if scenario == "saturation" and epsilon is not None:
         raise ConfigError("saturation scenario uses a fixed budget; use --nf, not --epsilon")
+    if scenario == "gap_vs_bits" and (nf is not None or epsilon is not None):
+        raise ConfigError("gap_vs_bits scenario sweeps its own bit grid; drop --nf and --epsilon")
+    if scenario == "custom" and nf is not None and epsilon is not None:
+        raise ConfigError("custom scenario takes --nf (fixed) or --epsilon (scaled), not both")
 
     overrides = {}
     for key in ("snr_min", "snr_max", "snr_step", "trials", "seed", "rho"):

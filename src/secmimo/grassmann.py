@@ -35,12 +35,12 @@ from .linalg import (
     first_flagged,
     haar_columns,
     orthonormality_error,
-    random_gaussian_matrix,
     random_truncated_unitary,
 )
 
 # Largest bit budget for which an explicit codebook is still generated and
-# scanned exhaustively. Beyond this use perturb_quantize.
+# scanned exhaustively. Beyond this, perturb_basis places the quantized
+# subspace at quantization_target instead.
 MAX_EXHAUSTIVE_BITS = 20
 
 # Achieved-vs-target distance tolerance of the perturbation quantizer.
@@ -87,20 +87,26 @@ def _rep(point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Ordered quantization codebook shared by transmitter and receiver."""
+    """Ordered quantization codebook shared by transmitter and receiver.
 
-    points: tuple
+    `points` is one ``(size, n_t, n_r)`` stack of representatives, validated
+    once as a stacked :class:`GrassmannPoint`.
+    """
+
+    points: np.ndarray
     bits: int
-    ambient: tuple[int, int]
 
     def __post_init__(self):
-        if not 1 <= len(self.points) <= 2**self.bits:
+        points = GrassmannPoint(self.points).matrix
+        if points.ndim != 3 or not 1 <= len(points) <= 2**self.bits:
             raise InvalidInputError(
-                f"codebook must hold between 1 and 2^{self.bits} points, got {len(self.points)}"
+                f"codebook must stack between 1 and 2^{self.bits} points, got {points.shape}"
             )
-        for p in self.points:
-            if _rep(p).shape != self.ambient:
-                raise ShapeError("codebook points must share the ambient shape")
+        object.__setattr__(self, "points", points)
+
+    @property
+    def ambient(self) -> tuple[int, int]:
+        return self.points.shape[1:]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -196,14 +202,12 @@ def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) ->
     if n_f > MAX_EXHAUSTIVE_BITS:
         raise CodebookTooLargeError(
             f"2^{n_f} codewords is beyond the exhaustive regime "
-            f"(max {MAX_EXHAUSTIVE_BITS} bits); use perturb_quantize instead"
+            f"(max {MAX_EXHAUSTIVE_BITS} bits); perturb at quantization_target instead"
         )
     size = 2**n_f
     # Batched Haar draws: all real parts first, then all imaginary parts.
     parts = rng.standard_normal(size=(2, size, n_t, n_r))
-    q = haar_columns(complex_gaussian(np.moveaxis(parts, 0, 1)))
-    points = tuple(GrassmannPoint(q[i]) for i in range(size))
-    return Codebook(points=points, bits=n_f, ambient=(n_t, n_r))
+    return Codebook(points=haar_columns(complex_gaussian(np.moveaxis(parts, 0, 1))), bits=n_f)
 
 
 def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
@@ -215,20 +219,17 @@ def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
     projector-difference definition.
     """
     f = _rep(point)
-    if len(book) == 0:
-        raise InvalidInputError("cannot quantize against an empty codebook")
     if f.shape != book.ambient:
         raise ShapeError(f"point shape {f.shape} does not match codebook ambient {book.ambient}")
-    stack = np.stack([_rep(p) for p in book.points])
-    cross = np.einsum("kij,il->kjl", stack.conj(), f)
+    cross = np.einsum("kij,il->kjl", book.points.conj(), f)
     d_sq = f.shape[1] - np.sum(np.abs(cross) ** 2, axis=(1, 2))
     idx = int(np.argmin(d_sq))
-    best = book.points[idx]
+    best = GrassmannPoint(book.points[idx])
     return best, idx, chordal_distance(best, f)
 
 
 def quantization_target(n_f: int, n_t: int, n_r: int) -> float:
-    """Distance perturb_quantize realizes: quant_error_bound clamped inside the diameter."""
+    """Perturbation quantizer's distance: quant_error_bound clamped inside the diameter."""
     diameter = math.sqrt(min(n_r, n_t - n_r))
     return min(quant_error_bound(n_f, n_t, n_r), _DIAMETER_CLAMP * diameter)
 
@@ -308,45 +309,6 @@ def perturb_basis(point, z, distance) -> np.ndarray:
         got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
         raise PerturbationError(f"reached chordal distance {got:.6g}, not {want:.6g}")
     return q
-
-
-def perturb_along(point, z, distance) -> GrassmannPoint:
-    """Move `point` along the Gaussian direction `z` to a chordal distance.
-
-    The leading n_r columns of :func:`perturb_basis`, with the same
-    broadcasting and the same checks.
-    """
-    f = _rep(point)
-    return GrassmannPoint(perturb_basis(f, z, distance)[..., : f.shape[-1]])
-
-
-def perturb_to_distance(point, distance: float, rng: np.random.Generator) -> GrassmannPoint:
-    """Construct a subspace at a prescribed chordal distance from `point`.
-
-    A positive target draws one n_t x n_r Gaussian direction and moves
-    along it in closed form (:func:`perturb_along`); a target below
-    ZERO_DISTANCE returns the point and draws nothing.
-    """
-    f = _rep(point)
-    n_t, n_r = f.shape
-    _check_target(distance, min(n_r, n_t - n_r))
-    if distance < ZERO_DISTANCE:
-        return GrassmannPoint(f.copy())
-    return perturb_along(f, random_gaussian_matrix(n_t, n_r, rng), distance)
-
-
-def perturb_quantize(point, n_f: int, rng: np.random.Generator) -> GrassmannPoint:
-    """Random-perturbation surrogate for quantization with n_f bits.
-
-    Returns a subspace whose distance from `point` equals
-    quantization_target(n_f, n_t, n_r). Requires n_t >= 2 n_r so the
-    perturbation approximation is valid.
-    """
-    f = _rep(point)
-    n_t, n_r = f.shape
-    if n_t < 2 * n_r:
-        raise ShapeError(f"perturbation quantizer needs n_t >= 2 n_r, got ({n_t}, {n_r})")
-    return perturb_to_distance(f, quantization_target(n_f, n_t, n_r), rng)
 
 
 def feedback_bits(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:

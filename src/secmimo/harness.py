@@ -37,18 +37,17 @@ from .grassmann import (
     FeedbackSchedule,
     GrassmannPoint,
     feedback_bits,
-    perturb_basis,
     quantization_target,
 )
 from .rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
-    Precoders,
     rx_postfilter,
     sample_directions,
     sample_trials,
     tx_precoders_perfect,
+    tx_precoders_quantized,
 )
 
 SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
@@ -130,13 +129,13 @@ def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConf
     rho = 1/2 and unit noise everywhere.
     """
     if scenario == "slope":
-        n_rs = tuple(n_r_list) if n_r_list else (2, 3, 4)
+        default_n_rs = (2, 3, 4)
         cfg = ExperimentConfig(scenario="slope", schedule=FeedbackSchedule.scaled(0.0))
     elif scenario == "saturation":
-        n_rs = tuple(n_r_list) if n_r_list else (3,)
+        default_n_rs = (3,)
         cfg = ExperimentConfig(scenario="saturation", schedule=FeedbackSchedule.fixed(30))
     elif scenario == "gap_vs_bits":
-        n_rs = tuple(n_r_list) if n_r_list else (3,)
+        default_n_rs = (3,)
         cfg = ExperimentConfig(
             scenario="gap_vs_bits",
             snr_min=10.0,
@@ -146,10 +145,12 @@ def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConf
             schedule=FeedbackSchedule.fixed(30),
         )
     elif scenario == "custom":
-        n_rs = tuple(n_r_list) if n_r_list else (2,)
+        default_n_rs = (2,)
         cfg = ExperimentConfig(scenario="custom")
     else:
         raise ConfigError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+    # an empty list is kept, so that validate rejects it
+    n_rs = default_n_rs if n_r_list is None else tuple(n_r_list)
     configs = tuple(AntennaConfig(2 * n, n, 1, n) for n in n_rs)
     cfg = replace(cfg, antenna_configs=configs, **overrides)
     return cfg
@@ -249,8 +250,7 @@ def _run_trials(
     for start in range(0, len(rngs), block):
         rows = slice(start, start + block)
         z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
-        q = perturb_basis(f_true[rows], z, targets)
-        prec_q = Precoders(W1=q[..., : acfg.n_r], W2=q[..., acfg.n_r :], mode="quantized")
+        prec_q = tx_precoders_quantized(f_true[rows], z, targets)
         r_q = secrecy_rate_G(_slice(channels, rows), prec_q, _slice(filters, rows), policy, acfg)
         out[rows, :, 1], out[rows, :, 3], out[rows, :, 4] = r_q.clipped, r_q.raw, r_q.leakage
     return out

@@ -31,7 +31,7 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .grassmann import GrassmannPoint, quant_error_bound
+from .grassmann import perturb_basis, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
     adjoint,
@@ -44,7 +44,6 @@ from .linalg import (
     orthonormality_error,
     qr_tall,
     random_gaussian_matrix,
-    random_truncated_unitary,
     svd,
 )
 
@@ -239,18 +238,18 @@ def tx_precoders_perfect(Hd) -> Precoders:
     return Precoders(W1=dec.V[..., :, :n_r], W2=dec.V[..., :, n_r:], mode="perfect")
 
 
-def tx_precoders_quantized(fhat) -> Precoders:
-    """Precoders from a quantized subspace representative.
+def tx_precoders_quantized(F, z, distance) -> Precoders:
+    """Precoders from the quantized feedback of the receiver's subspace F.
 
-    W1 is the representative itself; W2, the trailing columns of its
-    complete QR, spans the nullspace of its conjugate transpose, which only
-    approximately nulls the true channel.
+    The quantized subspace sits at the chordal `distance` from F along the
+    Gaussian direction `z`; W1 spans it and W2, its orthogonal complement,
+    only approximately nulls the true channel. Both come from one complete
+    QR (:func:`~secmimo.grassmann.perturb_basis`, whose broadcasting over
+    stacks and checks this shares).
     """
-    if not isinstance(fhat, GrassmannPoint):
-        fhat = GrassmannPoint(np.asarray(fhat, dtype=np.complex128))
-    f = fhat.matrix
-    q = np.linalg.qr(f, mode="complete").Q
-    return Precoders(W1=f, W2=q[..., :, f.shape[-1]:], mode="quantized")
+    q = perturb_basis(F, z, distance)
+    n_r = F.shape[-1]
+    return Precoders(W1=q[..., :n_r], W2=q[..., n_r:], mode="quantized")
 
 
 def rx_nuller(Hj) -> np.ndarray:
@@ -270,13 +269,12 @@ def rx_nuller(Hj) -> np.ndarray:
     return left_nullspace_basis(hj)
 
 
-def rx_postfilter(Hd, Hj, B=None, rng: np.random.Generator | None = None) -> ReceiverFilters:
+def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     """Two-stage receive filter: jammer nulling then channel-matched mixing.
 
     Factors the conjugated direct channel as Hd* = F C, nulls the jammer
     with V, and builds G* = B* F C V (V* C* C V)^{-1} for a tall
-    truncated-unitary B (Haar-sampled when not supplied; a stack of
-    channels needs B supplied).
+    truncated-unitary B (the design matrix :func:`sample_trials` draws).
     """
     hd = as_stack(Hd, "Hd")
     n_r, n_t = hd.shape[-2:]
@@ -284,16 +282,11 @@ def rx_postfilter(Hd, Hj, B=None, rng: np.random.Generator | None = None) -> Rec
     f, c = dec.F, dec.C
     v = rx_nuller(Hj)
     d_s = v.shape[-1]
-    if B is None:
-        if rng is None:
-            raise InvalidInputError("rx_postfilter needs either B or an rng to sample it")
-        b = random_truncated_unitary(n_t, d_s, rng)
-    else:
-        b = as_stack(B, "B")
-        if b.shape[-2:] != (n_t, d_s):
-            raise ShapeError(f"B must be {n_t}x{d_s}, got {b.shape}")
-        if np.any(orthonormality_error(b) > ORTHO_TOL):
-            raise InvalidInputError("B columns are not orthonormal")
+    b = as_stack(B, "B")
+    if b.shape[-2:] != (n_t, d_s):
+        raise ShapeError(f"B must be {n_t}x{d_s}, got {b.shape}")
+    if np.any(orthonormality_error(b) > ORTHO_TOL):
+        raise InvalidInputError("B columns are not orthonormal")
     cv = c @ v
     gram = adjoint(cv) @ cv  # V* C* C V, Hermitian PD almost surely
     eigs = np.linalg.eigvalsh(hermitian_part(gram))

@@ -17,12 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grassmann import (
+    ZERO_DISTANCE,
     FeedbackSchedule,
-    GrassmannPoint,
     chordal_distance,
     feedback_bits,
-    perturb_quantize,
-    perturb_to_distance,
     quantization_target,
 )
 from .linalg import (
@@ -42,11 +40,14 @@ from .rates import (
 )
 from .transceiver import (
     AntennaConfig,
+    ChannelSet,
     PowerPolicy,
+    Precoders,
     leakage_bound,
     leakage_power,
     rx_postfilter,
-    sample_channels,
+    sample_directions,
+    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
@@ -82,36 +83,48 @@ class SuiteResult:
         return self.failures == 0
 
 
+def _trial(acfg: AntennaConfig, rng: np.random.Generator):
+    """One trial's channels and receive filters, from the engine's first draw."""
+    stacked, b = sample_trials(acfg, [rng])
+    channels = ChannelSet(**{name: m[0, 0] for name, m in vars(stacked).items()})
+    return channels, rx_postfilter(channels.Hd, channels.Hj, B=b[0, 0])
+
+
+def _quantized(acfg: AntennaConfig, f, targets, rng: np.random.Generator) -> Precoders:
+    """Quantized precoders at each target distance, from the engine's second draw.
+
+    One direction per target at or above ZERO_DISTANCE, as the engine
+    draws one per operating point; a scalar target gives 2-D precoders.
+    """
+    targets = np.asarray(targets)
+    z = sample_directions(acfg, [rng], np.atleast_1d(targets >= ZERO_DISTANCE))
+    return tx_precoders_quantized(f, z.reshape(targets.shape + z.shape[-2:]), targets)
+
+
 def _trial_matrices(acfg: AntennaConfig, nf: int, rng: np.random.Generator):
-    channels = sample_channels(acfg, rng)
-    filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
-    prec_p = tx_precoders_perfect(channels.Hd)
-    # quantize at the worst-case distance for nf bits; going through
-    # perturb_to_distance keeps narrow ambients (n_t < 2 n_r) usable here
-    target = quantization_target(nf, acfg.n_t, acfg.n_r)
-    fhat = perturb_to_distance(GrassmannPoint(filters.F), target, rng)
-    prec_q = tx_precoders_quantized(fhat)
-    return channels, filters, prec_p, fhat, prec_q
+    """One trial's channels, filters and precoders, quantized at the worst case for nf bits."""
+    channels, filters = _trial(acfg, rng)
+    prec_q = _quantized(acfg, filters.F, quantization_target(nf, acfg.n_t, acfg.n_r), rng)
+    return channels, filters, tx_precoders_perfect(channels.Hd), prec_q
 
 
 def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
     """Nulling and orthogonality invariants of every sampled trial.
 
     Checks, each below 1e-10: jammer annihilation ||V* Hj||, perfect-CSI
-    artificial-noise nulling ||Hd W2||, quantized nulling against the fed
-    back subspace ||Fhat* W2Q||, and precoder orthogonality ||W1* W2|| in
-    both modes.
+    artificial-noise nulling ||Hd W2||, and precoder orthogonality
+    ||W1* W2|| in both modes; with quantized feedback W1 is the fed-back
+    subspace, so that last norm is the nulling against it.
     """
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
     for t in range(trials):
         acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels, filters, prec_p, fhat, prec_q = _trial_matrices(acfg, nf=20, rng=rng)
+        channels, filters, prec_p, prec_q = _trial_matrices(acfg, nf=20, rng=rng)
         norms = (
             np.linalg.norm(filters.V.conj().T @ channels.Hj),
             np.linalg.norm(channels.Hd @ prec_p.W2),
-            np.linalg.norm(fhat.matrix.conj().T @ prec_q.W2),
             np.linalg.norm(prec_p.W1.conj().T @ prec_p.W2),
             np.linalg.norm(prec_q.W1.conj().T @ prec_q.W2),
         )
@@ -134,7 +147,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
     for t in range(trials):
         acfg = SMALL_CONFIGS[t % len(SMALL_CONFIGS)]
         nf = int(rng.integers(4, 30))
-        channels, filters, prec_p, _, prec_q = _trial_matrices(acfg, nf=nf, rng=rng)
+        channels, filters, prec_p, prec_q = _trial_matrices(acfg, nf=nf, rng=rng)
         policy = PowerPolicy(
             P=float(10.0 ** rng.uniform(0.0, 4.0)), rho=float(rng.uniform(0.2, 0.8))
         )
@@ -216,6 +229,12 @@ def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
     return SuiteResult("lemma-sandwich", trials, failures)
 
 
+def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
+    """Quantizer target at each power under the power-matched bit schedule."""
+    bits = (feedback_bits(p, FeedbackSchedule.scaled(0.0), acfg.n_t, acfg.n_r) for p in powers)
+    return np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for nf in bits])
+
+
 def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     """Gap remainder term: nonnegative everywhere, decaying under scaling.
 
@@ -225,22 +244,17 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     """
     rng = np.random.default_rng(seed)
     acfg = AntennaConfig(4, 2, 1, 2)
-    schedule = FeedbackSchedule.scaled(0.0)
+    policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5)
+    targets = _matched_targets(acfg, policy.P)
     neg = 0
     not_decayed = 0
     for _ in range(trials):
-        channels = sample_channels(acfg, rng)
-        filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
-        f_true = GrassmannPoint(filters.F)
-        betas = {}
-        for power in (1e3, 1e6):
-            nf = feedback_bits(power, schedule, acfg.n_t, acfg.n_r)
-            prec_q = tx_precoders_quantized(perturb_quantize(f_true, nf, rng))
-            policy = PowerPolicy(P=power, rho=0.5)
-            betas[power] = beta_P(channels, filters, prec_q, policy, acfg)
-        if min(betas.values()) < -1e-12:
+        channels, filters = _trial(acfg, rng)
+        prec_q = _quantized(acfg, filters.F, targets, rng)
+        low, high = beta_P(channels, filters, prec_q, policy, acfg)
+        if min(low, high) < -1e-12:
             neg += 1
-        if not betas[1e6] < betas[1e3]:
+        if not high < low:
             not_decayed += 1
     failures = neg + max(0, not_decayed - int(0.1 * trials))
     return SuiteResult(
@@ -255,8 +269,7 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     worst = 0.0
     for t in range(trials):
         acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels = sample_channels(acfg, rng)
-        filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
+        channels, filters = _trial(acfg, rng)
         prec_p = tx_precoders_perfect(channels.Hd)
         policy = PowerPolicy(P=1e9, rho=0.5)
         term = secrecy_rate_G(channels, prec_p, filters, policy, acfg).t_minus
@@ -279,12 +292,10 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
     violations = 0
     for t in range(trials):
         acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels = sample_channels(acfg, rng)
-        filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
+        channels, filters = _trial(acfg, rng)
         nf = int(rng.integers(10, 60))
         delta = quantization_target(nf, acfg.n_t, acfg.n_r)
-        fhat = perturb_to_distance(GrassmannPoint(filters.F), delta, rng)
-        prec_q = tx_precoders_quantized(fhat)
+        prec_q = _quantized(acfg, filters.F, delta, rng)
         policy = PowerPolicy(P=float(10.0 ** rng.uniform(0.0, 5.0)), rho=0.5)
         leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
         bound = leakage_bound(policy, nf, acfg)
@@ -302,18 +313,13 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
     """
     rng = np.random.default_rng(seed)
     acfg = AntennaConfig(4, 2, 1, 2)
-    schedule = FeedbackSchedule.scaled(0.0)
-    powers = (1e3, 1e4, 1e5, 1e6)
-    sums = np.zeros(len(powers))
+    policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5)
+    targets = _matched_targets(acfg, policy.P)
+    sums = np.zeros(len(targets))
     for _ in range(trials):
-        channels = sample_channels(acfg, rng)
-        filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
-        f_true = GrassmannPoint(filters.F)
-        for i, power in enumerate(powers):
-            nf = feedback_bits(power, schedule, acfg.n_t, acfg.n_r)
-            prec_q = tx_precoders_quantized(perturb_quantize(f_true, nf, rng))
-            policy = PowerPolicy(P=power, rho=0.5)
-            sums[i] += leakage_power(filters, channels.Hd, prec_q.W2, policy)
+        channels, filters = _trial(acfg, rng)
+        prec_q = _quantized(acfg, filters.F, targets, rng)
+        sums += leakage_power(filters, channels.Hd, prec_q.W2, policy)
     means = sums / trials
     ok = means.max() <= 1.05 * means[:2].max()
     detail = "means " + ", ".join(f"{m:.4f}" for m in means)
@@ -321,18 +327,15 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
 
 
 def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
-    """Perturbation quantizer hits its target distance to 1e-6 every call."""
+    """Quantized precoders' W1 sits at its target distance to 1e-6 every call."""
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
     for t in range(trials):
-        n_r = 2 + t % 3
-        n_t = 2 * n_r
-        f = GrassmannPoint(random_truncated_unitary(n_t, n_r, rng))
-        nf = int(rng.integers(1, 80))
-        target = quantization_target(nf, n_t, n_r)
-        fhat = perturb_quantize(f, nf, rng)
-        err = abs(chordal_distance(f, fhat) - target)
+        acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
+        f = random_truncated_unitary(acfg.n_t, acfg.n_r, rng)
+        target = quantization_target(int(rng.integers(1, 80)), acfg.n_t, acfg.n_r)
+        err = abs(chordal_distance(f, _quantized(acfg, f, target, rng).W1) - target)
         worst = max(worst, err)
         if err > 1e-6:
             failures += 1

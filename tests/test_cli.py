@@ -204,6 +204,28 @@ class TestRun:
         assert cli_main(args) == 1
         assert "epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"scenario": "gap_vs_bits", "nf": 20},
+            {"scenario": "gap_vs_bits", "epsilon": 4},
+            {"scenario": "custom", "nf": 12, "epsilon": 5},
+        ],
+    )
+    def test_unused_bit_schedule_is_config_error(self, tmp_path, capsys, settings):
+        """A bit-schedule setting the scenario would ignore fails, as a flag and from the file."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({**settings, "trials": 1}))
+        flags = ["run", "--trials", "1"]
+        for key, value in settings.items():
+            flags += [f"--{key}", str(value)]
+        for args in (flags, ["run", "--config", str(cfg_file)]):
+            assert cli_main(args) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error")
+            assert len(captured.err.splitlines()) == 1
+
     def test_bad_out_path(self, tmp_path, capsys):
         args, _ = _run_args(tmp_path)
         args[args.index("--out") + 1] = str(tmp_path / "no_dir" / "x.csv")

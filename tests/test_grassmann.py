@@ -23,11 +23,9 @@ from secmimo.grassmann import (
     codebook_generate,
     feedback_bits,
     haar_point,
-    perturb_along,
     perturb_basis,
-    perturb_quantize,
-    perturb_to_distance,
     quant_error_bound,
+    quantization_target,
     quantize,
 )
 from secmimo.linalg import (
@@ -38,6 +36,7 @@ from secmimo.linalg import (
     random_gaussian_matrix,
     random_truncated_unitary,
 )
+from secmimo.transceiver import AntennaConfig, sample_directions, tx_precoders_quantized
 
 # delta(40; 4, 2) = 2 * 2^(-39/8), frozen from the closed form
 DELTA_40_4_2 = 0.0681567332915786
@@ -129,20 +128,18 @@ class TestCodebook:
     def test_one_bit(self):
         book = codebook_generate(4, 2, 1, np.random.default_rng(3))
         assert len(book) == 2
+        assert book.points.shape == (2, 4, 2) and book.ambient == (4, 2)
         for p in book.points:
-            gram = p.matrix.conj().T @ p.matrix
-            assert np.linalg.norm(gram - np.eye(2)) < 1e-10
+            assert np.linalg.norm(p.conj().T @ p - np.eye(2)) < 1e-10
 
     def test_seeded_reproducible(self):
         b1 = codebook_generate(4, 2, 8, np.random.default_rng(4))
         b2 = codebook_generate(4, 2, 8, np.random.default_rng(4))
-        for p1, p2 in zip(b1.points, b2.points):
-            np.testing.assert_array_equal(p1.matrix, p2.matrix)
+        np.testing.assert_array_equal(b1.points, b2.points)
 
     def test_min_pairwise_distance_positive(self):
         book = codebook_generate(4, 2, 10, np.random.default_rng(5))
-        stack = np.stack([p.matrix for p in book.points])
-        gram = np.einsum("aij,bik->abjk", stack.conj(), stack)
+        gram = np.einsum("aij,bik->abjk", book.points.conj(), book.points)
         d_sq = 2.0 - np.sum(np.abs(gram) ** 2, axis=(2, 3))
         np.fill_diagonal(d_sq, np.inf)
         assert d_sq.min() > 0
@@ -152,9 +149,13 @@ class TestCodebook:
             codebook_generate(4, 2, 21, np.random.default_rng(6))
 
     def test_codebook_validation(self):
-        p = haar_point(4, 2, np.random.default_rng(7))
+        p = haar_point(4, 2, np.random.default_rng(7)).matrix
         with pytest.raises(InvalidInputError):
-            Codebook(points=(p,) * 3, bits=1, ambient=(4, 2))
+            Codebook(points=np.stack([p] * 3), bits=1)
+        with pytest.raises(InvalidInputError):
+            Codebook(points=p, bits=1)  # one point, not a stack of them
+        with pytest.raises(InvalidInputError):
+            Codebook(points=np.stack([p, 2 * p]), bits=1)
 
 
 class TestQuantize:
@@ -169,10 +170,9 @@ class TestQuantize:
     def test_coordinate_book(self):
         e1 = np.array([[1.0], [0.0]], dtype=complex)
         e2 = np.array([[0.0], [1.0]], dtype=complex)
-        book = Codebook(
-            points=(GrassmannPoint(e1), GrassmannPoint(e2)), bits=1, ambient=(2, 1)
-        )
-        _, idx, dist = quantize(GrassmannPoint(e1), book)
+        book = Codebook(points=np.stack([e1, e2]), bits=1)
+        best, idx, dist = quantize(GrassmannPoint(e1), book)
+        assert isinstance(best, GrassmannPoint)
         assert idx == 0 and dist == pytest.approx(0.0, abs=1e-12)
         _, idx, _ = quantize(GrassmannPoint(e2), book)
         assert idx == 1
@@ -205,26 +205,33 @@ class TestQuantize:
         assert means[0] > means[1] > means[2]
 
 
+def _quantized_w1(f, nf, rng):
+    """W1 of the quantized precoders for n_f bits, on one direction drawn from rng."""
+    n_t, n_r = f.shape
+    z = random_gaussian_matrix(n_t, n_r, rng)
+    return tx_precoders_quantized(f, z, quantization_target(nf, n_t, n_r)).W1
+
+
 class TestPerturbQuantize:
+    """Quantization with n_f bits: precoders at quantization_target(n_f)."""
+
     def test_matches_error_bound(self):
         rng = np.random.default_rng(13)
         f = haar_point(4, 2, rng)
-        fhat = perturb_quantize(f, 40, rng)
-        assert chordal_distance(f, fhat) == pytest.approx(DELTA_40_4_2, abs=1e-6)
+        assert chordal_distance(f, _quantized_w1(f, 40, rng)) == pytest.approx(
+            DELTA_40_4_2, abs=1e-6
+        )
 
     def test_huge_budget_returns_same_subspace(self):
         rng = np.random.default_rng(14)
         f = haar_point(4, 2, rng)
-        fhat = perturb_quantize(f, 10**6, rng)
-        assert chordal_distance(f, fhat) < 1e-4
+        assert chordal_distance(f, _quantized_w1(f, 10**6, rng)) < 1e-4
 
     def test_output_orthonormal(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
-            f = haar_point(6, 3, rng)
-            fhat = perturb_quantize(f, int(rng.integers(1, 60)), rng)
-            gram = fhat.matrix.conj().T @ fhat.matrix
-            assert np.linalg.norm(gram - np.eye(3)) < 1e-10
+            w1 = _quantized_w1(haar_point(6, 3, rng), int(rng.integers(1, 60)), rng)
+            assert np.linalg.norm(w1.conj().T @ w1 - np.eye(3)) < 1e-10
 
     def test_accuracy_sweep(self):
         """Achieved distance equals the target within 1e-6 on every call."""
@@ -238,40 +245,44 @@ class TestPerturbQuantize:
                 quant_error_bound(nf, n_t, n_r),
                 0.999 * math.sqrt(min(n_r, n_t - n_r)),
             )
-            fhat = perturb_quantize(f, nf, rng)
-            assert abs(chordal_distance(f, fhat) - target) <= 1e-6
-
-    def test_narrow_ambient_rejected(self):
-        rng = np.random.default_rng(17)
-        with pytest.raises(ShapeError):
-            perturb_quantize(haar_point(5, 3, rng), 10, rng)
+            assert abs(chordal_distance(f, _quantized_w1(f, nf, rng)) - target) <= 1e-6
 
     def test_seeded_deterministic(self):
+        """The engine's direction draw and builder repeat on the same seed."""
+        cfg = AntennaConfig(4, 2, 1, 2)
         f = haar_point(4, 2, np.random.default_rng(18))
-        a = perturb_quantize(f, 25, np.random.default_rng(19))
-        b = perturb_quantize(f, 25, np.random.default_rng(19))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        target = quantization_target(25, 4, 2)
+        a, b = (
+            tx_precoders_quantized(
+                f, sample_directions(cfg, [np.random.default_rng(19)], [True]), target
+            )
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(a.W1, b.W1)
+        np.testing.assert_array_equal(a.W2, b.W2)
 
 
 class TestPerturbToDistance:
+    """perturb_basis placing W1 at a prescribed chordal distance."""
+
     def test_zero_distance(self):
         rng = np.random.default_rng(20)
-        f = haar_point(4, 2, rng)
-        fhat = perturb_to_distance(f, 0.0, rng)
-        assert chordal_distance(f, fhat) == 0.0
+        f = haar_point(4, 2, rng).matrix
+        q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), 0.0)
+        assert chordal_distance(f, q[:, :2]) == 0.0
 
     def test_beyond_diameter_rejected(self):
         rng = np.random.default_rng(21)
         f = haar_point(4, 2, rng)
         with pytest.raises(InvalidInputError):
-            perturb_to_distance(f, math.sqrt(2), rng)
+            perturb_basis(f, random_gaussian_matrix(4, 2, rng), math.sqrt(2))
 
     def test_near_diameter_reachable(self):
         rng = np.random.default_rng(22)
         f = haar_point(4, 2, rng)
         target = 0.999 * math.sqrt(2)
-        fhat = perturb_to_distance(f, target, rng)
-        assert abs(chordal_distance(f, fhat) - target) <= 1e-6
+        q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), target)
+        assert abs(chordal_distance(f, q[:, :2]) - target) <= 1e-6
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -282,13 +293,13 @@ class TestPerturbToDistance:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_hits_target_to_round_off(self, dims, fraction, seed):
-        """Exact hit across ambients, narrow ones (n_t < 2 n_r) included."""
+        """The quantized precoders hit it across ambients, narrow ones (n_t < 2 n_r) included."""
         n_r, n_t = dims
         rng = np.random.default_rng(seed)
         f = haar_point(n_t, n_r, rng)
         target = fraction * math.sqrt(min(n_r, n_t - n_r))
-        fhat = perturb_to_distance(f, target, rng)
-        assert abs(chordal_distance(f, fhat) - target) <= 1e-12
+        w1 = tx_precoders_quantized(f, random_gaussian_matrix(n_t, n_r, rng), target).W1
+        assert abs(chordal_distance(f, w1) - target) <= 1e-12
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -308,17 +319,17 @@ class TestPerturbToDistance:
         n_r, n_t = dims
         parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
         f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
-        z = z - f @ (adjoint(f) @ z)  # as perturb_along projects it
+        z = z - f @ (adjoint(f) @ z)  # as perturb_basis projects it
         s2 = grassmann._top_squared_singular_values(z, n_r)
         oracle = np.linalg.svd(z, compute_uv=False) ** 2
         assert s2.shape == oracle.shape
         assert np.all(np.abs(s2 - oracle) <= 1e-12 * oracle[..., :1])
 
     def test_one_gaussian_draw_per_call(self):
-        f = haar_point(6, 2, np.random.default_rng(23))
+        """A flagged point's direction is one random_gaussian_matrix draw, and nothing more."""
         rng, twin = np.random.default_rng(24), np.random.default_rng(24)
-        perturb_to_distance(f, 0.7, rng)
-        random_gaussian_matrix(6, 2, twin)
+        z = sample_directions(AntennaConfig(6, 2, 1, 2), [rng], [True])
+        np.testing.assert_array_equal(z[0, 0], random_gaussian_matrix(6, 2, twin))
         np.testing.assert_array_equal(rng.standard_normal(4), twin.standard_normal(4))
 
     def test_stack_matches_each_element(self):
@@ -327,24 +338,22 @@ class TestPerturbToDistance:
         f = haar_point(6, 3, rng).matrix
         z = np.stack([random_gaussian_matrix(6, 3, rng) for _ in range(4)])
         targets = np.array([0.0, 1e-9, 0.5, 1.7])
-        stacked = perturb_along(f, z, targets).matrix
+        stacked = perturb_basis(f, z, targets)
         for i in range(4):
-            np.testing.assert_array_equal(stacked[i], perturb_along(f, z[i], targets[i]).matrix)
-        np.testing.assert_array_equal(stacked[0], f)
-        np.testing.assert_allclose(chordal_distance(f, stacked), targets, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(stacked[i], perturb_basis(f, z[i], targets[i]))
+        np.testing.assert_array_equal(stacked[0, :, :3], f)
+        np.testing.assert_allclose(
+            chordal_distance(f, stacked[..., :3]), targets, rtol=0, atol=1e-12
+        )
 
-    def test_rank_deficient_direction_fails_final_check(self, monkeypatch):
+    def test_rank_deficient_direction_fails_final_check(self):
         """A rank-one direction cannot pass distance 1 on G(6, 3)."""
-
-        def rank_one(m, n, rng):
-            return np.outer(rng.standard_normal(m), rng.standard_normal(n)).astype(complex)
-
-        monkeypatch.setattr(grassmann, "random_gaussian_matrix", rank_one)
         rng = np.random.default_rng(25)
         f = haar_point(6, 3, rng)
-        assert chordal_distance(f, perturb_to_distance(f, 0.9, rng)) == pytest.approx(0.9)
+        z = np.outer(rng.standard_normal(6), rng.standard_normal(3)).astype(complex)
+        assert chordal_distance(f, perturb_basis(f, z, 0.9)[:, :3]) == pytest.approx(0.9)
         with pytest.raises(PerturbationError):
-            perturb_to_distance(f, 1.5, rng)
+            perturb_basis(f, z, 1.5)
 
 
 class TestPerturbBasis:
@@ -378,7 +387,9 @@ class TestPerturbBasis:
         q = perturb_basis(f, z, np.array([0.0, 0.4]))
         np.testing.assert_array_equal(q[0, :, :2], f)
         assert np.linalg.norm(adjoint(q[0, :, 2:]) @ f) <= 1e-15
-        np.testing.assert_array_equal(perturb_along(f, z, np.array([0.0, 0.4])).matrix, q[..., :2])
+        prec = tx_precoders_quantized(f, z, np.array([0.0, 0.4]))
+        np.testing.assert_array_equal(prec.W1, q[..., :2])
+        np.testing.assert_array_equal(prec.W2, q[..., 2:])
 
 
 class TestFeedbackBits:

@@ -8,13 +8,7 @@ import pytest
 
 from secmimo import harness
 from secmimo.errors import ConfigError, DegenerateChannelError
-from secmimo.grassmann import (
-    ZERO_DISTANCE,
-    FeedbackSchedule,
-    GrassmannPoint,
-    perturb_basis,
-    quantization_target,
-)
+from secmimo.grassmann import ZERO_DISTANCE, FeedbackSchedule, quantization_target
 from secmimo.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -29,15 +23,15 @@ from secmimo.harness import (
     scenario_config,
     write_csv,
 )
-from secmimo.linalg import random_gaussian_matrix
+from secmimo.linalg import random_gaussian_matrix, random_truncated_unitary
 from secmimo.rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
 from secmimo.transceiver import (
     AntennaConfig,
     PowerPolicy,
-    Precoders,
     rx_postfilter,
     sample_channels,
     tx_precoders_perfect,
+    tx_precoders_quantized,
 )
 
 
@@ -107,6 +101,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_t >= 2 n_r"):
             cfg.validate()
 
+    @pytest.mark.parametrize("scenario", ["slope", "saturation", "gap_vs_bits", "custom"])
+    @pytest.mark.parametrize("n_r_list", [[], ()])
+    def test_empty_curve_list_is_rejected(self, scenario, n_r_list):
+        """An empty list is no curves at all, not a request for the default curves."""
+        cfg = scenario_config(scenario, n_r_list)
+        assert cfg.antenna_configs == ()
+        with pytest.raises(ConfigError, match="at least one antenna configuration"):
+            cfg.validate()
+
     def test_validation_rejects_repeated_curve(self):
         cfg = scenario_config("slope", [2, 3, 2], trials=1)
         with pytest.raises(ConfigError, match="distinct"):
@@ -149,7 +152,8 @@ def _reference_trial(cfg, curve, trial):
     acfg = cfg.antenna_configs[curve]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(curve, trial)))
     channels = sample_channels(acfg, rng)
-    filters = rx_postfilter(channels.Hd, channels.Hj, rng=rng)
+    b = random_truncated_unitary(acfg.n_t, acfg.d_s, rng)
+    filters = rx_postfilter(channels.Hd, channels.Hj, b)
     points = _curve_points(cfg, acfg)
     powers = np.array([PowerPolicy.from_snr_db(snr_db).P for snr_db, _ in points])
     r_p = secrecy_rate_sweep(
@@ -166,8 +170,7 @@ def _reference_trial(cfg, curve, trial):
         z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
         if target >= ZERO_DISTANCE:
             z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
-        q = perturb_basis(GrassmannPoint(filters.F), z, target)
-        prec_q = Precoders(W1=q[:, : acfg.n_r], W2=q[:, acfg.n_r :], mode="quantized")
+        prec_q = tx_precoders_quantized(filters.F, z, target)
         r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
         out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
     return out
@@ -277,16 +280,17 @@ class TestBlockLinearAlgebra:
             monkeypatch.setattr(harness, name, spy)
 
         per_trial = ("rx_postfilter", "tx_precoders_perfect", "secrecy_rate_sweep")
-        for name in per_trial + ("secrecy_rate_G",):
+        per_block = ("tx_precoders_quantized", "secrecy_rate_G")
+        for name in per_trial + per_block:
             counted(name)
         cfg = scenario_config("gap_vs_bits", trials=20, seed=2)
         points = _curve_points(cfg, cfg.antenna_configs[0])
         _curve_trials(cfg, 0, points)
-        assert calls == dict.fromkeys(per_trial, 1) | {"secrecy_rate_G": 3}
+        assert calls == dict.fromkeys(per_trial, 1) | dict.fromkeys(per_block, 3)
         calls.clear()
         monkeypatch.setattr(harness, "BLOCK_POINTS", 8)
         _curve_trials(cfg, 0, points)
-        assert calls == dict.fromkeys(per_trial, 3) | {"secrecy_rate_G": 20}
+        assert calls == dict.fromkeys(per_trial, 3) | dict.fromkeys(per_block, 20)
 
 
 class TestReplayableFailure:

@@ -8,19 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
-from secmimo.grassmann import (
-    FeedbackSchedule,
-    GrassmannPoint,
-    feedback_bits,
-    perturb_basis,
-    perturb_quantize,
-)
+from secmimo.grassmann import FeedbackSchedule, feedback_bits, quantization_target
 from secmimo.linalg import (
     LOG2_E,
     gaussian_mi,
     hermitian_part,
     logdet_pd,
     random_gaussian_matrix,
+    random_truncated_unitary,
 )
 from secmimo.rates import (
     beta_P,
@@ -48,15 +43,24 @@ from secmimo.transceiver import (
 )
 
 
+def _channels_and_filters(cfg, rng):
+    """The channels, then B, then the receive filters built on them."""
+    ch = sample_channels(cfg, rng)
+    return ch, rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(cfg.n_t, cfg.d_s, rng))
+
+
+def _quantized(cfg, filters, nf, rng):
+    """Quantized precoders for nf bits, on one direction drawn from rng."""
+    z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
+    return tx_precoders_quantized(filters.F, z, quantization_target(nf, cfg.n_t, cfg.n_r))
+
+
 def _random_trial(seed, cfg=None, nf=30):
     rng = np.random.default_rng(seed)
     cfg = cfg or AntennaConfig(4, 2, 1, 2)
-    ch = sample_channels(cfg, rng)
-    filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+    ch, filters = _channels_and_filters(cfg, rng)
     prec_p = tx_precoders_perfect(ch.Hd)
-    fhat = perturb_quantize(GrassmannPoint(filters.F), nf, rng)
-    prec_q = tx_precoders_quantized(fhat)
-    return cfg, ch, filters, prec_p, prec_q
+    return cfg, ch, filters, prec_p, _quantized(cfg, filters, nf, rng)
 
 
 class TestPerfectBasic:
@@ -109,8 +113,7 @@ class TestPerfectG:
         """With d_s = n_r = 1 the G filter is a scalar and cancels."""
         rng = np.random.default_rng(3)
         cfg = AntennaConfig(2, 1, 0, 1)
-        ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+        ch, filters = _channels_and_filters(cfg, rng)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=25.0, rho=0.5)
         with_g = secrecy_rate_G(ch, prec, filters, policy, cfg)
@@ -155,9 +158,8 @@ class TestQuantizedG:
         """Feeding back the exact subspace reproduces the perfect-CSI rate."""
         rng = np.random.default_rng(9)
         cfg = AntennaConfig(4, 2, 1, 2)
-        ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
-        prec_q = tx_precoders_quantized(GrassmannPoint(filters.F))
+        ch, filters = _channels_and_filters(cfg, rng)
+        prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
         policy = PowerPolicy(P=200.0, rho=0.5)
         quantized = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
         perfect = secrecy_rate_G(ch, tx_precoders_perfect(ch.Hd), filters, policy, cfg)
@@ -171,15 +173,12 @@ class TestQuantizedG:
         for seed in range(trials):
             rng = np.random.default_rng(1000 + seed)
             cfg = AntennaConfig(4, 2, 1, 2)
-            ch = sample_channels(cfg, rng)
-            filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+            ch, filters = _channels_and_filters(cfg, rng)
             prec_p = tx_precoders_perfect(ch.Hd)
             good = True
             for snr in (40.0, 50.0, 60.0):
                 policy = PowerPolicy.from_snr_db(snr)
-                nf = feedback_bits(policy.P, schedule, 4, 2)
-                fhat = perturb_quantize(GrassmannPoint(filters.F), nf, rng)
-                prec_q = tx_precoders_quantized(fhat)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, schedule, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
@@ -192,13 +191,11 @@ class TestQuantizedG:
         deltas = []
         for seed in range(60):
             rng = np.random.default_rng(2000 + seed)
-            ch = sample_channels(cfg, rng)
-            filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+            ch, filters = _channels_and_filters(cfg, rng)
             values = {}
             for snr in (50.0, 60.0):
                 policy = PowerPolicy.from_snr_db(snr)
-                fhat = perturb_quantize(GrassmannPoint(filters.F), 30, rng)
-                prec_q = tx_precoders_quantized(fhat)
+                prec_q = _quantized(cfg, filters, 30, rng)
                 values[snr] = secrecy_rate_G(ch, prec_q, filters, policy, cfg).clipped
             deltas.append(values[60.0] - values[50.0])
         assert float(np.mean(deltas)) < 0.5
@@ -212,14 +209,11 @@ class TestQuantizedG:
         trials = 200
         for seed in range(trials):
             rng = np.random.default_rng(3000 + seed)
-            ch = sample_channels(cfg, rng)
-            filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+            ch, filters = _channels_and_filters(cfg, rng)
             prec_p = tx_precoders_perfect(ch.Hd)
             for i, snr in enumerate(snrs):
                 policy = PowerPolicy.from_snr_db(snr)
-                nf = feedback_bits(policy.P, schedule, 4, 2)
-                fhat = perturb_quantize(GrassmannPoint(filters.F), nf, rng)
-                prec_q = tx_precoders_quantized(fhat)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, schedule, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 gaps[i] += r_p.raw - r_q.raw
@@ -231,13 +225,12 @@ def _sweep_case(shape, seed, mode, fraction=0.5):
     """One trial's channels, filters and perfect or quantized precoders."""
     cfg = AntennaConfig(*shape)
     rng = np.random.default_rng(seed)
-    ch = sample_channels(cfg, rng)
-    filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+    ch, filters = _channels_and_filters(cfg, rng)
     if mode == "perfect":
         return cfg, ch, filters, tx_precoders_perfect(ch.Hd)
     target = fraction * math.sqrt(min(cfg.n_r, cfg.n_t - cfg.n_r))
-    q = perturb_basis(filters.F, random_gaussian_matrix(cfg.n_t, cfg.n_r, rng), target)
-    return cfg, ch, filters, Precoders(W1=q[:, : cfg.n_r], W2=q[:, cfg.n_r :], mode="quantized")
+    z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
+    return cfg, ch, filters, tx_precoders_quantized(filters.F, z, target)
 
 
 _SWEEP_SHAPES = st.sampled_from([(4, 2, 1, 2), (6, 3, 1, 3), (8, 4, 1, 4), (7, 3, 0, 2)])
@@ -331,8 +324,7 @@ class TestLeakageField:
         targets = np.linspace(0.0, 0.9, 7)
         ch, b = sample_trials(cfg, rngs)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
-        q = perturb_basis(filters.F, sample_directions(cfg, rngs, targets > 0), targets)
-        prec = Precoders(W1=q[..., :n_r], W2=q[..., n_r:], mode="quantized")
+        prec = tx_precoders_quantized(filters.F, sample_directions(cfg, rngs, targets > 0), targets)
         policy = PowerPolicy(P=10.0 ** np.arange(7.0), rho=0.5)
         leak = leakage_power(filters, ch.Hd, prec.W2, policy)
         np.testing.assert_array_equal(secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, leak)
@@ -379,9 +371,8 @@ class TestBetaP:
     def test_zero_quantization_error(self):
         rng = np.random.default_rng(13)
         cfg = AntennaConfig(4, 2, 1, 2)
-        ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
-        prec_q = tx_precoders_quantized(GrassmannPoint(filters.F))
+        ch, filters = _channels_and_filters(cfg, rng)
+        prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
         assert beta_P(ch, filters, prec_q, PowerPolicy(P=1e3, rho=0.5), cfg) == pytest.approx(
             0.0, abs=1e-9
         )

@@ -11,13 +11,7 @@ from secmimo.errors import (
     InvalidInputError,
     ShapeError,
 )
-from secmimo.grassmann import (
-    GrassmannPoint,
-    chordal_distance,
-    perturb_along,
-    perturb_to_distance,
-    quant_error_bound,
-)
+from secmimo.grassmann import chordal_distance, quant_error_bound
 from secmimo.linalg import (
     adjoint,
     complex_gaussian,
@@ -139,22 +133,26 @@ class TestTxPrecoders:
         rng = np.random.default_rng(9)
         hd = random_gaussian_matrix(2, 4, rng)
         f = qr_tall(hd.conj().T).F
-        prec = tx_precoders_quantized(GrassmannPoint(f))
+        prec = tx_precoders_quantized(f, random_gaussian_matrix(4, 2, rng), 0.0)
+        assert prec.mode == "quantized"
+        np.testing.assert_array_equal(prec.W1, f)
         assert np.linalg.norm(hd @ prec.W2) < 1e-9
 
     def test_quantized_coordinate_case(self):
-        fhat = np.vstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
-        prec = tx_precoders_quantized(fhat)
+        f = np.vstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
+        prec = tx_precoders_quantized(f, np.ones((4, 2)), 0.0)
         proj2 = prec.W2 @ prec.W2.conj().T
         np.testing.assert_allclose(proj2, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-10)
 
     def test_quantized_invariants_random(self):
+        """W1 at the target distance from F, W2 its complement, narrow ambients included."""
         rng = np.random.default_rng(10)
-        fhat = random_truncated_unitary(6, 3, rng)
-        prec = tx_precoders_quantized(fhat)
-        assert np.linalg.norm(fhat.conj().T @ prec.W2) < 1e-10
-        assert np.linalg.norm(prec.W1.conj().T @ prec.W2) < 1e-10
-        assert np.linalg.norm(prec.W1.conj().T @ prec.W1 - np.eye(3)) < 1e-10
+        for n_t, n_r in ((6, 3), (3, 2), (4, 3)):
+            f = random_truncated_unitary(n_t, n_r, rng)
+            prec = tx_precoders_quantized(f, random_gaussian_matrix(n_t, n_r, rng), 0.3)
+            assert chordal_distance(f, prec.W1) == pytest.approx(0.3, abs=1e-12)
+            assert np.linalg.norm(prec.W1.conj().T @ prec.W2) < 1e-10
+            assert np.linalg.norm(prec.W1.conj().T @ prec.W1 - np.eye(n_r)) < 1e-10
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -165,13 +163,14 @@ class TestTxPrecoders:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_quantized_w2_spans_nullspace_oracle(self, dims, stack, seed):
-        """The QR-completed W2 spans the nullspace basis's subspace, per matrix of a stack."""
+        """The QR-completed W2 spans the nullspace of W1*, per matrix of a stack."""
         n_r, n_t = dims
-        parts = np.random.default_rng(seed).standard_normal(stack + (2, n_t, n_r))
-        f = haar_columns(complex_gaussian(parts))
-        w2 = tx_precoders_quantized(f).W2
-        assert w2.shape == stack + (n_t, n_t - n_r)
-        assert np.all(chordal_distance(w2, nullspace_basis(adjoint(f))) <= 1e-12)
+        parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
+        f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
+        prec = tx_precoders_quantized(f, z, 0.5)
+        assert prec.W1.shape == stack + (n_t, n_r)
+        assert prec.W2.shape == stack + (n_t, n_t - n_r)
+        assert np.all(chordal_distance(prec.W2, nullspace_basis(adjoint(prec.W1))) <= 1e-12)
 
     def test_precoders_validation(self):
         with pytest.raises(InvalidInputError):
@@ -240,7 +239,7 @@ class TestRxPostfilter:
         for _ in range(20):
             cfg = AntennaConfig(6, 3, 1, 3)
             ch = sample_channels(cfg, rng)
-            filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+            filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(6, 2, rng))
             v, g, f, c, b = filters.V, filters.G, filters.F, filters.C, filters.B
             lhs = g.conj().T @ v.conj().T @ c.conj().T @ c @ v @ g
             cv = c @ v
@@ -254,7 +253,7 @@ class TestRxPostfilter:
         rng = np.random.default_rng(13)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+        filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
         assert filters.G.shape == (1, 1)
         assert abs(filters.G[0, 0]) > 0
 
@@ -266,14 +265,12 @@ class TestRxPostfilter:
             rx_postfilter(ch.Hd, ch.Hj, B=np.eye(4))
         with pytest.raises(InvalidInputError):
             rx_postfilter(ch.Hd, ch.Hj, B=np.ones((4, 1)))
-        with pytest.raises(InvalidInputError):
-            rx_postfilter(ch.Hd, ch.Hj)  # no B and no rng
 
     def test_jammer_annihilated(self):
         rng = np.random.default_rng(15)
         cfg = AntennaConfig(6, 3, 2, 3)
         ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+        filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(6, 1, rng))
         assert np.linalg.norm(filters.V.conj().T @ ch.Hj) < 1e-10
 
 
@@ -282,17 +279,16 @@ class TestLeakage:
         rng = np.random.default_rng(seed)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
-        delta = quant_error_bound(nf, 4, 2)
-        fhat = perturb_to_distance(GrassmannPoint(filters.F), delta, rng)
-        prec_q = tx_precoders_quantized(fhat)
+        filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
+        z = random_gaussian_matrix(4, 2, rng)
+        prec_q = tx_precoders_quantized(filters.F, z, quant_error_bound(nf, 4, 2))
         return cfg, ch, filters, prec_q
 
     def test_perfect_csi_leaks_nothing(self):
         rng = np.random.default_rng(16)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+        filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=100.0, rho=0.5)
         assert leakage_power(filters, ch.Hd, prec.W2, policy) < 1e-18
@@ -306,7 +302,7 @@ class TestLeakage:
         ch, b = sample_trials(cfg, rngs)
         z = sample_directions(cfg, rngs, targets > 0)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
-        w2q = tx_precoders_quantized(perturb_along(GrassmannPoint(filters.F), z, targets)).W2
+        w2q = tx_precoders_quantized(filters.F, z, targets).W2
         powers = 10.0 ** np.arange(13)
         stacked = leakage_power(filters, ch.Hd, w2q, PowerPolicy(P=powers, rho=0.5))
         for t in range(8):
@@ -340,12 +336,12 @@ class TestLeakage:
         rng = np.random.default_rng(19)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
-        filters = rx_postfilter(ch.Hd, ch.Hj, rng=rng)
+        filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
         policy = PowerPolicy(P=100.0, rho=0.5)
         prev = np.inf
         for dist in (0.5, 0.1, 0.01, 1e-3, 1e-4):
-            fhat = perturb_to_distance(GrassmannPoint(filters.F), dist, rng)
-            leak = leakage_power(filters, ch.Hd, tx_precoders_quantized(fhat).W2, policy)
+            prec_q = tx_precoders_quantized(filters.F, random_gaussian_matrix(4, 2, rng), dist)
+            leak = leakage_power(filters, ch.Hd, prec_q.W2, policy)
             assert leak < prev
             prev = leak
         assert prev < 1e-6
