@@ -28,15 +28,13 @@ from .harness import (
     scenario_config,
     write_csv,
 )
-from .verification import run_verification
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with status 1 on usage errors."""
+    """ArgumentParser that exits with status 1 and one line on usage errors."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}; see `{self.prog} --help` for usage\n")
         raise SystemExit(1)
 
 
@@ -114,7 +112,7 @@ def _load_config_file(path: str, types: dict) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -209,6 +207,9 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if args.trials < 1:
         raise ConfigError(f"trials must be >= 1, got {args.trials}")
+    # imported here: `run` and `slopes` never need the suites
+    from .verification import run_verification
+
     outcomes = run_verification(trials=args.trials, seed=args.seed)
     all_passed = True
     for suite in outcomes:

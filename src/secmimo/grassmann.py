@@ -241,51 +241,39 @@ def _check_target(distance, r: int) -> None:
         )
 
 
-def _top_squared_singular_values(z: np.ndarray, r: int) -> np.ndarray:
-    """The r largest sigma_i(Z)^2 of each n_t x n_r matrix of `z`, descending.
+def _top_squared_singular_values(gram: np.ndarray, r: int) -> np.ndarray:
+    """The r largest sigma_i(Z)^2, descending, as eigenvalues of each Gram Z* Z."""
+    return np.linalg.eigvalsh(gram)[..., ::-1][..., :r]
 
-    They are the eigenvalues of the n_r x n_r Gram matrix Z* Z, which is
-    cheaper to factor than Z itself.
+
+def _perturb_step(f: np.ndarray, z, distance):
+    """The quantizer's step (Z, M, t, target): Z projected off span(F), M = Z* Z.
+
+    span(F + eps Z) has principal angles tan(theta_i) = eps sigma_i(Z), so
+    for t = eps^2, d(t)^2 = sum_i t sigma_i^2 / (1 + t sigma_i^2) over the
+    r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the concave
+    1 / (r - d(t)^2) climbs from t = 0 to the target, for each element to
+    its own stopping rule; t = 0 below ZERO_DISTANCE. The stacks of `f`, `z`
+    and `distance` broadcast together (else ShapeError) to the shape of t.
     """
-    return np.linalg.eigvalsh(adjoint(z) @ z)[..., ::-1][..., :r]
-
-
-def perturb_basis(point, z, distance) -> np.ndarray:
-    """Unitary [W1 W2] whose leading columns W1 sit at a chordal distance from `point`.
-
-    With Z projected off span(F), span(F + eps Z) has principal angles
-    tan(theta_i) = eps sigma_i(Z), so for t = eps^2
-
-        d(t)^2 = sum_i t sigma_i^2 / (1 + t sigma_i^2)
-
-    over the r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the
-    concave 1 / (r - d(t)^2) climbs from t = 0 to the target, and one
-    complete QR of F + eps Z gives W1 (its first n_r columns) and the
-    orthogonal complement W2 (the rest). The achieved distance is
-    ||W2* F||_F, since both equal sqrt(sum_i sin^2 theta_i); it must match
-    to PERTURB_TOL, and a miss (a rank-deficient Z, a measure-zero event)
-    raises PerturbationError.
-
-    Broadcasts over stacks: `point` is ``(..., n_t, n_r)``, `z` holds one
-    n_t x n_r direction per element and `distance` one target per element;
-    the result is ``(..., n_t, n_t)``. An element whose target is below
-    ZERO_DISTANCE keeps the point itself as W1 and ignores its direction.
-    Each element runs Newton's method to its own stopping rule, so an
-    element's result does not depend on the stack.
-    """
-    f = _rep(point)
     n_t, n_r = f.shape[-2:]
     r = min(n_r, n_t - n_r)
     _check_target(distance, r)
+    try:
+        shape = np.broadcast_shapes(f.shape[:-2], np.shape(z)[:-2], np.shape(distance))
+    except ValueError:
+        stacks = f.shape[:-2], np.shape(z)[:-2], np.shape(distance)
+        raise ShapeError(f"point, direction and target stacks {stacks} do not broadcast") from None
     z = z - f @ (adjoint(f) @ z)
-    s2 = _top_squared_singular_values(z, r)
-    target = np.broadcast_to(distance, s2.shape[:-1])
+    m = adjoint(z) @ z
+    target = np.broadcast_to(distance, shape)
     d2 = (target * target).reshape(-1)
-    s2 = s2.reshape(-1, r)
+    s2 = np.broadcast_to(_top_squared_singular_values(m, r), shape + (r,)).reshape(-1, r)
     t = np.zeros(d2.shape)
-    live = np.flatnonzero(target.reshape(-1) >= ZERO_DISTANCE)
-    # Converges in at most 8 steps on a full-rank Z; the cap only ends the
-    # loop when a rank-deficient Z cannot reach the target.
+    live = np.flatnonzero((target.reshape(-1) >= ZERO_DISTANCE) & (s2[:, 0] > 0.0))
+    # At most 8 steps on a full-rank Z. On a rank-deficient Z that cannot
+    # reach the target the steps diverge, or turn negative on the round-off
+    # of a zero sigma_i: an element stops before t < 0 or t sigma_1^2 > 1e16.
     for _ in range(64):
         if live.size == 0:
             break
@@ -295,20 +283,57 @@ def perturb_basis(point, z, distance) -> np.ndarray:
         # Newton step on 1 / (r - g), written so that r - d2 never cancels
         # against r - g at tiny targets.
         step = (dl - g) * (r - g) / ((r - dl) * np.sum(sl / (a * a), axis=-1))
-        t[live] += step
-        live = live[~(step <= 1e-15 * t[live])]
-    eps = np.sqrt(t).reshape(target.shape)[..., np.newaxis, np.newaxis]
-    # a zero target has eps = 0, so its W2 completes F itself
-    q = np.linalg.qr(f + eps * z, mode="complete").Q
-    zero = (target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis]
-    if np.any(zero):
-        q[..., :n_r] = np.where(zero, f, q[..., :n_r])
-    achieved = np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1))
+        new = t[live] + step
+        ok = (new >= 0.0) & (new * sl[:, 0] < 1e16)
+        t[live[ok]] = new[ok]
+        live = live[ok & ~(step <= 1e-15 * new)]
+    return z, m, t.reshape(shape), target
+
+
+def _check_reached(achieved, target) -> None:
     miss = ~(np.abs(achieved - target) <= PERTURB_TOL)
     if np.any(miss):
         got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
         raise PerturbationError(f"reached chordal distance {got:.6g}, not {want:.6g}")
+
+
+def perturb_basis(point, z, distance) -> np.ndarray:
+    """Unitary [W1 W2] whose leading columns W1 sit at a chordal distance from `point`.
+
+    One complete QR of F + eps Z gives W1 (its first n_r columns) and the
+    orthogonal complement W2. The achieved distance ||W2* F||_F must match
+    to PERTURB_TOL; a miss (a rank-deficient Z) raises PerturbationError.
+    The stacks of `point` ``(..., n_t, n_r)``, directions `z` and targets
+    `distance` broadcast together (else ShapeError) to the result's, and an
+    element whose target is below ZERO_DISTANCE keeps the point as W1.
+    """
+    f = _rep(point)
+    n_r = f.shape[-1]
+    z, _, t, target = _perturb_step(f, z, distance)
+    # a zero target has eps = 0, so its W2 completes F itself
+    q = np.linalg.qr(f + np.sqrt(t)[..., np.newaxis, np.newaxis] * z, mode="complete").Q
+    zero = (target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis]
+    if np.any(zero):
+        q[..., :n_r] = np.where(zero, f, q[..., :n_r])
+    _check_reached(np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1)), target)
     return q
+
+
+def perturb_gram(point, z, distance):
+    """:func:`perturb_basis`'s step as (Z, eps, K, J), n_r x n_r Grams and no QR.
+
+    F* Z = 0, so the reduced QR of F + eps Z has R* R = I + t M. Then W1 W1* =
+    (F + eps Z) K (F + eps Z)* with K = (I + t M)^{-1}, and F* W2 W2* F =
+    J = t M K, formed so that tiny targets do not cancel in I - K. The
+    achieved distance sqrt(tr J) is checked as in :func:`perturb_basis`.
+    """
+    f = _rep(point)
+    z, m, t, target = _perturb_step(f, z, distance)
+    tm = t[..., np.newaxis, np.newaxis] * m
+    k = np.linalg.inv(np.eye(f.shape[-1]) + tm)
+    j = tm @ k
+    _check_reached(np.sqrt(np.einsum("...ii->...", j).real), target)
+    return z, np.sqrt(t), k, j
 
 
 def feedback_bits(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:

@@ -35,19 +35,17 @@ from .errors import ConfigError, SecMimoError
 from .grassmann import (
     ZERO_DISTANCE,
     FeedbackSchedule,
-    GrassmannPoint,
     feedback_bits,
+    perturb_gram,
     quantization_target,
 )
-from .rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
+from .rates import fit_slope, grams_rate, grams_rate_sweep, step_grams, trial_couplings
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
     rx_postfilter,
     sample_directions,
     sample_trials,
-    tx_precoders_perfect,
-    tx_precoders_quantized,
 )
 
 SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
@@ -217,11 +215,6 @@ def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(curve, trial)))
 
 
-def _slice(stack, rows: slice):
-    """The same dataclass of stacked matrices, restricted to some trials."""
-    return type(stack)(**{name: m[rows] for name, m in vars(stack).items()})
-
-
 def _run_trials(
     acfg: AntennaConfig,
     policy: PowerPolicy,
@@ -232,26 +225,28 @@ def _run_trials(
     """Evaluate all operating points for a chunk of channel draws, one per rng.
 
     `policy` and `targets` hold one power and one quantizer distance per
-    point. The per-trial stage takes each trial's channels, B and receive
-    filters and sweeps the perfect-CSI rate over every power at once; the
-    per-point stage then quantizes and rates `block` trials at a time.
+    point. The per-trial stage takes each trial's channels, B, receive
+    filters and the couplings its Gram sets share, and sweeps the
+    perfect-CSI rate, the Gram set of the step to distance 0, over every
+    power at once; the per-point stage then takes each quantizer step as
+    n_r x n_r Grams and rates its Gram set, `block` trials at a time.
     Returns an array of shape (len(rngs), n_points, 5) holding clipped
     perfect rate, clipped quantized rate, raw perfect rate, raw quantized
     rate, leakage.
     """
     channels, b = sample_trials(acfg, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
-    f_true = GrassmannPoint(filters.F).matrix
-    r_p = secrecy_rate_sweep(
-        channels, tx_precoders_perfect(channels.Hd), filters, policy, acfg
-    )
+    couplings = trial_couplings(channels, filters, policy)
+    perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
+    r_p = grams_rate_sweep(step_grams(couplings, perfect), policy, acfg)
     out = np.empty((len(rngs), targets.size, 5))
     out[..., 0], out[..., 2] = r_p.clipped, r_p.raw
     for start in range(0, len(rngs), block):
         rows = slice(start, start + block)
         z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
-        prec_q = tx_precoders_quantized(f_true[rows], z, targets)
-        r_q = secrecy_rate_G(_slice(channels, rows), prec_q, _slice(filters, rows), policy, acfg)
+        step = perturb_gram(filters.F[rows], z, targets)
+        grams = step_grams(couplings._make(m[rows] for m in couplings), step)
+        r_q = grams_rate(grams, policy, acfg)
         out[rows, :, 1], out[rows, :, 3], out[rows, :, 4] = r_q.clipped, r_q.raw, r_q.leakage
     return out
 

@@ -83,6 +83,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + adjoint(a))
 
 
+def frobenius_sq(a: np.ndarray):
+    """||A||_F^2 of each matrix, summed by rows so a stack rounds each like its matrix alone."""
+    return np.sum(np.sum(a.real**2 + a.imag**2, axis=-1), axis=-1)
+
+
 def orthonormality_error(a: np.ndarray):
     """||A* A - I||_F of a matrix, or of each matrix of a stack."""
     return np.linalg.norm(adjoint(a) @ a - np.eye(a.shape[-1]), axis=(-2, -1))
@@ -238,17 +243,10 @@ def as_hermitian(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def cholesky_pd(a) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive-definite matrix or stack.
-
-    Checks the input with :func:`as_hermitian` first.
-
-    Raises
-    ------
-    NotPositiveDefiniteError
-        If the factorization fails; carries the smallest eigenvalue.
-    """
-    arr = as_hermitian(a, "Cholesky input")
+def _cholesky(arr: np.ndarray) -> np.ndarray:
+    """:func:`cholesky_pd` of a stack known to be Hermitian; checks finiteness and definiteness."""
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("Cholesky input contains non-finite entries")
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
@@ -259,6 +257,22 @@ def cholesky_pd(a) -> np.ndarray:
         ) from None
 
 
+def cholesky_pd(a) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive-definite matrix or stack.
+
+    Checks the input with :func:`as_hermitian` first. A failed factorization
+    raises NotPositiveDefiniteError, carrying the smallest eigenvalue.
+    """
+    return _cholesky(as_hermitian(a, "Cholesky input"))
+
+
+def _logdet_hermitian(arr: np.ndarray):
+    """:func:`logdet_pd` of a stack known to be Hermitian, such as
+    :func:`hermitian_part`'s output (Hermitian bit for bit)."""
+    diag = np.diagonal(_cholesky(arr), axis1=-2, axis2=-1).real
+    return (2.0 * np.sum(np.log2(diag), axis=-1))[()]
+
+
 def logdet_pd(a):
     """log2-determinant of a Hermitian positive-definite matrix.
 
@@ -266,8 +280,7 @@ def logdet_pd(a):
     through a raw determinant. A float for one matrix, an array over the
     leading axes for a stack.
     """
-    diag = np.diagonal(cholesky_pd(a), axis1=-2, axis2=-1).real
-    return (2.0 * np.sum(np.log2(diag), axis=-1))[()]
+    return _logdet_hermitian(as_hermitian(a, "Cholesky input"))
 
 
 def random_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,6 +20,7 @@ matrices and a policy whose P is an array over the stack (see
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +28,13 @@ import numpy as np
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import (
     LOG2_E,
+    _logdet_hermitian,
     adjoint,
     as_hermitian,
     as_matrix,
     as_stack,
     cholesky_pd,
+    frobenius_sq,
     hermitian_part,
     logdet_pd,
     svd,
@@ -42,7 +45,6 @@ from .transceiver import (
     PowerPolicy,
     Precoders,
     ReceiverFilters,
-    an_leakage,
     rx_nuller,
 )
 
@@ -72,9 +74,19 @@ class SdofEstimate:
     fit_window: tuple[float, float]
 
 
+# What a two-stage secrecy rate depends on: s1 = S1 S1* and s2 = S2 S2* for
+# S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, the noise
+# floor sigma^2 G* G and frob2 = ||S2||_F^2.
+RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 noise frob2")
+
+# What a trial's Gram sets share: A = G* V* C* (G* V* Hd = A F*, as Hd* = F C),
+# He, He F, He He* and the noise floor sigma^2 G* G.
+TrialCouplings = namedtuple("TrialCouplings", "A He HeF HeHe noise")
+
+
 def _logdet_ratio(numer: np.ndarray, denom: np.ndarray) -> float:
     # One call factors both; each matrix of a stack factors as it would alone.
-    logdets = logdet_pd(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))))
+    logdets = _logdet_hermitian(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))))
     return logdets[0] - logdets[1]
 
 
@@ -87,25 +99,16 @@ def _clip(raw):
     return np.where(raw > 0.0, raw, 0.0)[()]
 
 
-def _eve_term(
-    he: np.ndarray,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> float:
-    """Eavesdropper information rate for precoders (w1, w2).
+def _eve_term(e1: np.ndarray, e2: np.ndarray, policy: PowerPolicy, config: AntennaConfig):
+    """Eavesdropper information rate from the Grams E1 E1* and E2 E2*.
 
     log-det ratio of the Eve covariance with and without the information
     signal; the artificial noise term sits in both determinants.
     """
     kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
     an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    e1 = he @ w1
-    e2 = he @ w2
-    eye = np.eye(config.n_e)
-    base = an * (e2 @ adjoint(e2)) + policy.sigma2_eve * eye
-    return _logdet_ratio(policy.rho * kxs * (e1 @ adjoint(e1)) + base, base)
+    base = an * e2 + policy.sigma2_eve * np.eye(config.n_e)
+    return _logdet_ratio(policy.rho * kxs * e1 + base, base)
 
 
 def secrecy_rate_perfect_basic(
@@ -129,29 +132,67 @@ def secrecy_rate_perfect_basic(
         np.eye(v.shape[1]) + (policy.rho * kxs / policy.sigma2) * (h_eff @ h_eff.conj().T),
         np.eye(v.shape[1]),
     )
-    t_minus = _eve_term(as_matrix(channels.He, "He"), v1, v0, policy, config)
+    he = as_matrix(channels.He, "He")
+    t_minus = _eve_term(_gram(he @ v1), _gram(he @ v0), policy, config)
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 
 
-def _post_filtered(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-):
-    """Post-filtered couplings S_i = G* V* Hd W_i and the noise floor sigma^2 G* G.
-
-    S1 carries the information signal and S2 the artificial noise, which
-    is zero to round-off when W2 spans the nullspace of Hd.
-    """
-    g = filters.G
-    gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
-    return gvh @ precoders.W1, gvh @ precoders.W2, policy.sigma2 * (adjoint(g) @ g)
-
-
 def _gram(s: np.ndarray) -> np.ndarray:
     return s @ adjoint(s)
+
+
+def _precoder_grams(channels, precoders, filters, policy) -> RateGrams:
+    # S2 is zero to round-off when W2 spans the nullspace of Hd
+    g = filters.G
+    gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
+    s2 = gvh @ precoders.W2
+    he = as_stack(channels.He, "He")
+    e1, e2 = _gram(he @ precoders.W1), _gram(he @ precoders.W2)
+    noise = policy.sigma2 * (adjoint(g) @ g)
+    return RateGrams(_gram(gvh @ precoders.W1), _gram(s2), e1, e2, noise, frobenius_sq(s2))
+
+
+def trial_couplings(
+    channels: ChannelSet, filters: ReceiverFilters, policy: PowerPolicy
+) -> TrialCouplings:
+    """A trial's TrialCouplings, from its channels and receive filters."""
+    g_star, he = adjoint(filters.G), as_stack(channels.He, "He")
+    a = g_star @ adjoint(filters.V) @ adjoint(filters.C)
+    return TrialCouplings(a, he, he @ filters.F, _gram(he), policy.sigma2 * (g_star @ filters.G))
+
+
+def step_grams(couplings: TrialCouplings, step) -> RateGrams:
+    """The Gram set of the precoders at a :func:`~secmimo.grassmann.perturb_gram` step.
+
+    For the step (Z, eps, K, J) and Y = He F + eps He Z: S1 S1* = A K A*,
+    S2 S2* = A J A*, ||S2||_F^2 = tr(A J A*), E1 E1* = Y K Y* and E2 E2* =
+    He He* - E1 E1*, since W1 W1* = (F + eps Z) K (F + eps Z)* and W2 W2* =
+    I - W1 W1*. The step to distance 0 (K = I, J = 0, Y = He F) gives the
+    Gram set of perfect precoders.
+    """
+    c = couplings
+    z, eps, k, j = step
+    y = c.HeF + eps[..., np.newaxis, np.newaxis] * (c.He @ z)
+    a_star = adjoint(c.A)
+    s2, e1 = c.A @ j @ a_star, y @ k @ adjoint(y)
+    frob2 = np.einsum("...ii->...", s2).real
+    return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.noise, frob2)
+
+
+def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
+    """Two-stage secrecy rate of a Gram set: one log-det ratio per term and element.
+
+    Positive term: the receive covariance rho P/n_r S1 S1* + L + sigma^2 G* G
+    against L + sigma^2 G* G, with the leakage Gram L = (1-rho) P/(n_t - n_r)
+    S2 S2*. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
+    white noise sigma_e^2. The result's `leakage` is tr L.
+    """
+    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
+    t_plus = _logdet_ratio(policy.rho * kxs * grams.s1 + leak + grams.noise, leak + grams.noise)
+    t_minus = _eve_term(grams.e1, grams.e2, policy, config)
+    return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
 
 
 def secrecy_rate_G(
@@ -161,34 +202,23 @@ def secrecy_rate_G(
     policy: PowerPolicy,
     config: AntennaConfig,
 ) -> SecrecyRate:
-    """Secrecy rate under the two-stage receiver, for perfect or quantized CSI.
+    """Secrecy rate under the two-stage receiver, for explicit perfect or quantized precoders.
 
-    Positive term: log-det ratio of the post-filtered receive covariance
-    rho G* V* Hd W1 Kxs W1* Hd* V G + L + sigma^2 G* G against L + sigma^2 G* G,
-    where L = (1-rho) P/(n_t - n_r) S2 S2* is the artificial-noise leakage
-    Gram matrix. L is zero to round-off for perfect precoders, whose W2
-    spans the nullspace of Hd; for quantized precoders the artificial noise
-    leaks into both determinants. Negative term: the eavesdropper rate.
-    The result's `leakage` is the trace of L (:func:`leakage_power`).
+    :func:`grams_rate` of their Gram set, and the oracle for the engine's
+    Gram route. L is zero to round-off for perfect precoders, whose W2 spans
+    the nullspace of Hd. The result's `leakage` is :func:`leakage_power`.
     """
-    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
-    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
-    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * _gram(s2)
-    t_plus = _logdet_ratio(policy.rho * kxs * _gram(s1) + leak + noise, leak + noise)
-    t_minus = _eve_term(
-        as_stack(channels.He, "He"), precoders.W1, precoders.W2, policy, config
-    )
-    return _two_stage_rate(t_plus, t_minus, s2, policy)
+    return grams_rate(_precoder_grams(channels, precoders, filters, policy), policy, config)
 
 
-def _two_stage_rate(t_plus, t_minus, s2, policy: PowerPolicy) -> SecrecyRate:
+def _two_stage_rate(t_plus, t_minus, frob2, policy: PowerPolicy, config) -> SecrecyRate:
     raw = t_plus - t_minus
     return SecrecyRate(
         clipped=_clip(raw),
         raw=raw,
         t_plus=t_plus,
         t_minus=t_minus,
-        leakage=an_leakage(s2, policy),
+        leakage=(policy.an_cov_scale(config.n_t, config.n_r) * frob2)[()],
     )
 
 
@@ -217,14 +247,8 @@ def _sweep_ratio(power, numer, denom, floor=None):
     return (np.sum(np.log1p(x), axis=-1) - np.sum(np.log1p(y), axis=-1)) * LOG2_E
 
 
-def secrecy_rate_sweep(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> SecrecyRate:
-    """:func:`secrecy_rate_G` for precoders held fixed over a vector of powers.
+def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
+    """:func:`grams_rate` for a Gram set held fixed over a vector of powers.
 
     With N = sigma^2 G* G = C C*, c1 = rho / n_r and c2 = (1-rho)/(n_t - n_r),
     the positive term at power P is
@@ -234,23 +258,31 @@ def secrecy_rate_sweep(
     lambda and nu the eigenvalues of C^{-1} (c1 S + c2 L) C^{-*} and of
     C^{-1} (c2 L) C^{-*}, where S = S1 S1* and L = S2 S2*. The eavesdropper
     term is the same with (c1 E1 + c2 E2) / sigma_e^2 and c2 E2 / sigma_e^2,
-    E_i = He W_i W_i* He*. One eigen-solve per element serves every power.
+    from E1 E1* and E2 E2*. One eigen-solve per element serves every power.
     `policy.P` broadcasts against the stack's leading shape as in
-    :func:`secrecy_rate_G`, so a stack of shape (T, 1) and P powers give
+    :func:`grams_rate`, so a stack of shape (T, 1) and P powers give
     (T, P) arrays.
     """
-    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
     c1 = policy.rho * policy.kxs(config.n_r)
     c2 = (1.0 - policy.rho) / (config.n_t - config.n_r)
-    leak = c2 * _gram(s2)
-    t_plus = _sweep_ratio(policy.P, c1 * _gram(s1) + leak, leak, floor=noise)
-    he = as_stack(channels.He, "He")
-    e1, e2 = he @ precoders.W1, he @ precoders.W2
-    eve_leak = c2 * _gram(e2)
+    leak = c2 * grams.s2
+    t_plus = _sweep_ratio(policy.P, c1 * grams.s1 + leak, leak, floor=grams.noise)
+    eve_leak = c2 * grams.e2
     t_minus = _sweep_ratio(
-        policy.P, (c1 * _gram(e1) + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
+        policy.P, (c1 * grams.e1 + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
     )
-    return _two_stage_rate(t_plus, t_minus, s2, policy)
+    return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
+
+
+def secrecy_rate_sweep(
+    channels: ChannelSet,
+    precoders: Precoders,
+    filters: ReceiverFilters,
+    policy: PowerPolicy,
+    config: AntennaConfig,
+) -> SecrecyRate:
+    """:func:`secrecy_rate_G` over a vector of powers: :func:`grams_rate_sweep` of its Gram set."""
+    return grams_rate_sweep(_precoder_grams(channels, precoders, filters, policy), policy, config)
 
 
 def eve_rate_limit(
@@ -290,10 +322,10 @@ def beta_P(
     because the leakage matrix is positive semidefinite; converges to zero
     under the power-matched bit schedule.
     """
-    s1, s2, noise = _post_filtered(channels, precoders, filters, policy)
-    m1 = _per_matrix(policy.rho * policy.P) * _gram(s1)
-    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * _gram(s2)
-    return _logdet_ratio(m1 + leak + noise, m1 + noise)
+    grams = _precoder_grams(channels, precoders, filters, policy)
+    m1 = _per_matrix(policy.rho * policy.P) * grams.s1
+    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
+    return _logdet_ratio(m1 + leak + grams.noise, m1 + grams.noise)
 
 
 def logdet_perturbation_check(A, Delta) -> tuple[float, float, float]:

@@ -38,6 +38,7 @@ from .linalg import (
     as_stack,
     complex_gaussian,
     first_flagged,
+    frobenius_sq,
     haar_columns,
     hermitian_part,
     left_nullspace_basis,
@@ -216,8 +217,11 @@ def sample_directions(config: AntennaConfig, rngs, directions) -> np.ndarray:
     flagged = np.asarray(directions, dtype=bool)
     n_z = int(flagged.sum())
     normals = np.stack([rng.standard_normal(2 * n_z * n_t * n_r) for rng in rngs])
+    drawn = complex_gaussian(normals.reshape(len(rngs), n_z, 2, n_t, n_r))
+    if n_z == flagged.size:
+        return drawn
     z = np.zeros((len(rngs), flagged.size, n_t, n_r), dtype=np.complex128)
-    z[:, flagged] = complex_gaussian(normals.reshape(len(rngs), n_z, 2, n_t, n_r))
+    z[:, flagged] = drawn
     return z
 
 
@@ -305,28 +309,18 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     return ReceiverFilters(V=v, B=b, G=g, F=f, C=c)
 
 
-def an_leakage(coupling, policy: PowerPolicy):
-    """(1-rho) P / (n_t - n_r) ||S2||_F^2 for the coupling S2 = G* V* Hd W2.
-
-    The sum runs over the last axis and then the next, so a stack rounds
-    each value like its matrix alone.
-    """
-    frob2 = np.sum(np.sum(coupling.real**2 + coupling.imag**2, axis=-1), axis=-1)
-    return ((1.0 - policy.rho) * policy.P / coupling.shape[-1] * frob2)[()]
-
-
 def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> float:
     """Mean artificial-noise power reaching the post-processed receiver.
 
     The leakage term is sqrt(1-rho) G* V* Hd W2Q x_an with x_an white of
     covariance P/(n_t - n_r) I; its expected squared norm evaluates in
-    closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2
-    (:func:`an_leakage`). Exactly zero when W2Q spans the true channel
-    nullspace.
+    closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2. Exactly
+    zero when W2Q spans the true channel nullspace.
     """
     hd = as_stack(Hd, "Hd")
     w2q = as_stack(W2Q, "W2Q")
-    return an_leakage(adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q, policy)
+    frob2 = frobenius_sq(adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q)
+    return ((1.0 - policy.rho) * policy.P / w2q.shape[-1] * frob2)[()]
 
 
 def leakage_bound(policy: PowerPolicy, n_f: int, config: AntennaConfig) -> float:

@@ -1,7 +1,11 @@
 """Tests for the command-line interface: subcommands, exit codes, config file."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,25 @@ class TestUsageErrors:
 
 
 class TestVerify:
+    def test_suites_imported_only_by_verify(self):
+        """A fresh `import secmimo.cli` leaves the suites unloaded; `verify` loads and runs."""
+        code = (
+            "import sys, secmimo.cli as cli; "
+            "print('secmimo.verification' in sys.modules); "
+            "status = cli.cli_main(['verify', '--trials', '1', '--seed', '2']); "
+            "print('secmimo.verification' in sys.modules, status in (0, 2))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        lines = done.stdout.splitlines()
+        assert lines[0] == "False"
+        assert any(line.startswith("[") for line in lines[1:-1])
+        assert lines[-1] == "True True"
+
     def test_small_verify_passes(self, capsys):
         assert cli_main(["verify", "--trials", "12", "--seed", "1"]) == 0
         out = capsys.readouterr().out

@@ -24,6 +24,7 @@ from secmimo.grassmann import (
     feedback_bits,
     haar_point,
     perturb_basis,
+    perturb_gram,
     quant_error_bound,
     quantization_target,
     quantize,
@@ -320,7 +321,7 @@ class TestPerturbToDistance:
         parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
         f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
         z = z - f @ (adjoint(f) @ z)  # as perturb_basis projects it
-        s2 = grassmann._top_squared_singular_values(z, n_r)
+        s2 = grassmann._top_squared_singular_values(adjoint(z) @ z, n_r)
         oracle = np.linalg.svd(z, compute_uv=False) ** 2
         assert s2.shape == oracle.shape
         assert np.all(np.abs(s2 - oracle) <= 1e-12 * oracle[..., :1])
@@ -346,14 +347,32 @@ class TestPerturbToDistance:
             chordal_distance(f, stacked[..., :3]), targets, rtol=0, atol=1e-12
         )
 
+    @pytest.mark.filterwarnings("error")
     def test_rank_deficient_direction_fails_final_check(self):
-        """A rank-one direction cannot pass distance 1 on G(6, 3)."""
+        """A rank-one direction cannot pass distance 1 on G(6, 3), and fails without a warning."""
         rng = np.random.default_rng(25)
         f = haar_point(6, 3, rng)
         z = np.outer(rng.standard_normal(6), rng.standard_normal(3)).astype(complex)
         assert chordal_distance(f, perturb_basis(f, z, 0.9)[:, :3]) == pytest.approx(0.9)
-        with pytest.raises(PerturbationError):
-            perturb_basis(f, z, 1.5)
+        _, _, _, j = perturb_gram(f, z, 0.9)
+        assert math.sqrt(np.trace(j).real) == pytest.approx(0.9)
+        for build in (perturb_basis, perturb_gram):
+            with pytest.raises(PerturbationError):
+                build(f, z, 1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_unreachable_targets_fail_without_warning(self, rank):
+        """Directions of rank below n_r miss a target beyond sqrt(rank), on both routes."""
+        rng = np.random.default_rng(28)
+        f = haar_point(8, 3, rng).matrix
+        z = np.zeros((8, 3), dtype=complex)
+        if rank:
+            z = random_gaussian_matrix(8, rank, rng) @ random_gaussian_matrix(rank, 3, rng)
+        for target in (math.sqrt(rank) + 0.1, 1.7):
+            for build in (perturb_basis, perturb_gram):
+                with pytest.raises(PerturbationError):
+                    build(f, z, target)
 
 
 class TestPerturbBasis:
@@ -380,6 +399,32 @@ class TestPerturbBasis:
         assert np.all(np.abs(by_complement - by_projectors) <= 1e-12)
         assert np.all(np.abs(by_projectors - target) <= 1e-12)
 
+    @settings(deadline=None, derandomize=True)
+    @given(
+        dims=st.integers(1, 4).flatmap(
+            lambda n_r: st.tuples(st.just(n_r), st.integers(2 * n_r, 2 * n_r + 3))
+        ),
+        log_fraction=st.floats(-12.0, math.log10(0.999)),
+        stack=st.sampled_from([(), (3,)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_step_matches_basis(self, dims, log_fraction, stack, seed):
+        """perturb_gram's K and J against perturb_basis's [W1 W2]; J keeps tiny targets exact."""
+        n_r, n_t = dims
+        parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
+        f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
+        target = 10.0**log_fraction * math.sqrt(min(n_r, n_t - n_r))
+        q = perturb_basis(f, z, target)
+        z_perp, eps, k, j = perturb_gram(f, z, target)
+        w2f = adjoint(q[..., n_r:]) @ f
+        np.testing.assert_allclose(j, adjoint(w2f) @ w2f, rtol=0, atol=1e-12)
+        y = f + eps[..., np.newaxis, np.newaxis] * z_perp
+        w1 = q[..., :n_r]
+        np.testing.assert_allclose(y @ k @ adjoint(y), w1 @ adjoint(w1), rtol=0, atol=1e-12)
+        # tr J = d^2 to relative round-off, even where I - K would cancel
+        achieved = np.sqrt(np.trace(j, axis1=-2, axis2=-1).real)
+        assert np.all(np.abs(achieved - target) <= 1e-12 * target)
+
     def test_zero_target_keeps_the_point_and_completes_it(self):
         rng = np.random.default_rng(27)
         f = haar_point(6, 2, rng).matrix
@@ -390,6 +435,33 @@ class TestPerturbBasis:
         prec = tx_precoders_quantized(f, z, np.array([0.0, 0.4]))
         np.testing.assert_array_equal(prec.W1, q[..., :2])
         np.testing.assert_array_equal(prec.W2, q[..., 2:])
+
+
+    @pytest.mark.parametrize("z_shape", [(6, 2), (1, 6, 2)])
+    def test_one_direction_broadcasts_over_targets(self, z_shape):
+        """One direction and two targets give two precoder pairs, each as if built alone."""
+        rng = np.random.default_rng(29)
+        f = haar_point(6, 2, rng).matrix
+        z = random_gaussian_matrix(6, 2, rng)
+        targets = np.array([0.1, 0.2])
+        prec = tx_precoders_quantized(f, z.reshape(z_shape), targets)
+        assert prec.W1.shape == (2, 6, 2) and prec.W2.shape == (2, 6, 4)
+        np.testing.assert_allclose(chordal_distance(f, prec.W1), targets, rtol=0, atol=1e-12)
+        _, eps, k, j = perturb_gram(f, z.reshape(z_shape), targets)
+        assert eps.shape == (2,) and k.shape == j.shape == (2, 2, 2)
+        for i, target in enumerate(targets):
+            np.testing.assert_array_equal(prec.W1[i], tx_precoders_quantized(f, z, target).W1)
+            np.testing.assert_array_equal(j[i], perturb_gram(f, z, target)[3])
+
+    def test_stacks_that_do_not_broadcast_raise_shape_error(self):
+        rng = np.random.default_rng(30)
+        f = haar_point(6, 2, rng).matrix
+        z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(3)])
+        for build in (tx_precoders_quantized, perturb_basis, perturb_gram):
+            with pytest.raises(ShapeError, match="do not broadcast"):
+                build(f, z, np.array([0.1, 0.2]))
+            with pytest.raises(ShapeError, match="do not broadcast"):
+                build(np.stack([f, f]), z, 0.1)
 
 
 class TestFeedbackBits:

@@ -8,7 +8,7 @@ import pytest
 
 from secmimo import harness
 from secmimo.errors import ConfigError, DegenerateChannelError
-from secmimo.grassmann import ZERO_DISTANCE, FeedbackSchedule, quantization_target
+from secmimo.grassmann import ZERO_DISTANCE, FeedbackSchedule, perturb_gram, quantization_target
 from secmimo.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -24,7 +24,15 @@ from secmimo.harness import (
     write_csv,
 )
 from secmimo.linalg import random_gaussian_matrix, random_truncated_unitary
-from secmimo.rates import fit_slope, secrecy_rate_G, secrecy_rate_sweep
+from secmimo.rates import (
+    fit_slope,
+    grams_rate,
+    grams_rate_sweep,
+    secrecy_rate_G,
+    secrecy_rate_sweep,
+    step_grams,
+    trial_couplings,
+)
 from secmimo.transceiver import (
     AntennaConfig,
     PowerPolicy,
@@ -142,34 +150,55 @@ class TestPoints:
         assert pts == [(10.0, 10), (10.0, 20), (20.0, 10), (20.0, 20), (30.0, 10), (30.0, 20)]
 
 
-def _reference_trial(cfg, curve, trial):
-    """One trial through the 2-D public kernels, one operating point at a time.
+def _trial_points(cfg, curve, trial):
+    """One trial's scalar draws: channels, B and filters, then (policy, target, z) per point.
 
     The scalar samplers draw what the engine's stacked samplers draw: the
     channels, then B, then one direction per point with a positive target.
-    The perfect-CSI rate is one sweep over the curve's powers.
     """
     acfg = cfg.antenna_configs[curve]
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(curve, trial)))
     channels = sample_channels(acfg, rng)
     b = random_truncated_unitary(acfg.n_t, acfg.d_s, rng)
     filters = rx_postfilter(channels.Hd, channels.Hj, b)
-    points = _curve_points(cfg, acfg)
-    powers = np.array([PowerPolicy.from_snr_db(snr_db).P for snr_db, _ in points])
-    r_p = secrecy_rate_sweep(
-        channels,
-        tx_precoders_perfect(channels.Hd),
-        filters,
-        PowerPolicy(P=powers, rho=cfg.rho),
-        acfg,
-    )
-    out = np.empty((len(points), 5))
-    for i, (snr_db, nf) in enumerate(points):
-        policy = PowerPolicy.from_snr_db(snr_db, rho=cfg.rho)
+    points = []
+    for snr_db, nf in _curve_points(cfg, acfg):
         target = quantization_target(nf, acfg.n_t, acfg.n_r)
         z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
         if target >= ZERO_DISTANCE:
             z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
+        points.append((PowerPolicy.from_snr_db(snr_db, rho=cfg.rho), target, z))
+    return acfg, channels, filters, points
+
+
+def _reference_trial(cfg, curve, trial):
+    """One trial through the engine's kernels called on 2-D matrices, one point at a time.
+
+    The perfect-CSI rate is one sweep, over the curve's powers, of the Gram
+    set of the step to distance 0; each quantized point rates the Gram set
+    of its perturb_gram step.
+    """
+    acfg, channels, filters, points = _trial_points(cfg, curve, trial)
+    powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
+    couplings = trial_couplings(channels, filters, powers)
+    perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
+    r_p = grams_rate_sweep(step_grams(couplings, perfect), powers, acfg)
+    out = np.empty((len(points), 5))
+    for i, (policy, target, z) in enumerate(points):
+        step = perturb_gram(filters.F, z, target)
+        r_q = grams_rate(step_grams(couplings, step), policy, acfg)
+        out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
+    return out
+
+
+def _explicit_trial(cfg, curve, trial):
+    """One trial through explicit precoders: tx_precoders_perfect with
+    secrecy_rate_sweep, and tx_precoders_quantized with secrecy_rate_G."""
+    acfg, channels, filters, points = _trial_points(cfg, curve, trial)
+    powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
+    r_p = secrecy_rate_sweep(channels, tx_precoders_perfect(channels.Hd), filters, powers, acfg)
+    out = np.empty((len(points), 5))
+    for i, (policy, target, z) in enumerate(points):
         prec_q = tx_precoders_quantized(filters.F, z, target)
         r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
         out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
@@ -216,58 +245,75 @@ class TestDeterminism:
         np.testing.assert_array_equal(got1, _reference_trial(cfg1, 0, 0)[:, 0])
 
 
-class TestEngineOracle:
-    """The stacked engine against the scalar kernels, trial by trial, bit for bit."""
+_ORACLE_CONFIGS = [
+    scenario_config("slope", [2, 3, 4], trials=10, seed=3),
+    scenario_config("gap_vs_bits", trials=10, seed=4),
+    # the second budget drives the target to 0: that point draws nothing
+    scenario_config("gap_vs_bits", trials=3, seed=5, nf_grid=(10, 40000)),
+    ExperimentConfig(
+        scenario="custom",
+        antenna_configs=(AntennaConfig(7, 3, 0, 2),),
+        schedule=FeedbackSchedule.scaled(0.25),
+        snr_min=0.0,
+        snr_max=40.0,
+        snr_step=10.0,
+        trials=10,
+        seed=6,
+    ),
+]
+_ORACLE_IDS = ["slope", "gap_vs_bits", "zero_target", "custom_no_jammer"]
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            scenario_config("slope", [2, 3, 4], trials=10, seed=3),
-            scenario_config("gap_vs_bits", trials=10, seed=4),
-            # the second budget drives the target to 0: that point draws nothing
-            scenario_config("gap_vs_bits", trials=3, seed=5, nf_grid=(10, 40000)),
-            ExperimentConfig(
-                scenario="custom",
-                antenna_configs=(AntennaConfig(7, 3, 0, 2),),
-                schedule=FeedbackSchedule.scaled(0.25),
-                snr_min=0.0,
-                snr_max=40.0,
-                snr_step=10.0,
-                trials=10,
-                seed=6,
-            ),
-        ],
-        ids=["slope", "gap_vs_bits", "zero_target", "custom_no_jammer"],
-    )
+
+class TestEngineOracle:
+    """The stacked engine against its kernels on 2-D matrices, trial by trial, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", _ORACLE_CONFIGS, ids=_ORACLE_IDS)
     def test_matches_scalar_kernels(self, cfg):
         for curve in range(len(cfg.antenna_configs)):
             engine = _engine_trials(cfg, curve)
             reference = np.stack([_reference_trial(cfg, curve, t) for t in range(cfg.trials)])
             np.testing.assert_array_equal(engine, reference)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        _ORACLE_CONFIGS + [scenario_config("slope", [2, 3, 4], trials=10, seed=8, rho=0.3)],
+        ids=_ORACLE_IDS + ["slope_rho_0.3"],
+    )
+    def test_matches_explicit_precoders(self, cfg):
+        """The Gram route against explicit precoders, within 1e-10 max(1, |ref|)."""
+        for curve in range(len(cfg.antenna_configs)):
+            engine = _engine_trials(cfg, curve)
+            explicit = np.stack([_explicit_trial(cfg, curve, t) for t in range(cfg.trials)])
+            assert np.all(np.abs(engine - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit)))
+
 
 class TestBlockLinearAlgebra:
     def test_no_per_point_svd(self, monkeypatch):
-        """Every SVD of a slope block is per trial, shape (T, 1, ...), never per point."""
-        shapes = []
-        svd = np.linalg.svd
+        """Every SVD and QR of a slope block is per trial, shape (T, 1, ...), never per point."""
+        shapes = {"svd": [], "qr": []}
 
-        def spy(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return svd(a, *args, **kwargs)
+        def spy(name):
+            factor = getattr(np.linalg, name)
 
-        monkeypatch.setattr(np.linalg, "svd", spy)
+            def spied(a, *args, **kwargs):
+                shapes[name].append(np.shape(a))
+                return factor(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spied)
+
+        spy("svd")
+        spy("qr")
         cfg = scenario_config("slope", [2, 3, 4], trials=4, seed=3)
         for curve, acfg in enumerate(cfg.antenna_configs):
             points = _curve_points(cfg, acfg)
             assert len(points) > 1
             _curve_trials(cfg, curve, points)
-        assert shapes
-        assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in shapes), shapes
-
+        for name, seen in shapes.items():
+            assert seen, name
+            assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in seen), (name, seen)
 
     def test_per_trial_work_once_per_chunk(self, monkeypatch):
-        """Filters, perfect precoders and the perfect-CSI rate run once per chunk."""
+        """Filters, trial couplings and the perfect-CSI rate run once per chunk."""
         calls = {}
 
         def counted(name):
@@ -279,18 +325,21 @@ class TestBlockLinearAlgebra:
 
             monkeypatch.setattr(harness, name, spy)
 
-        per_trial = ("rx_postfilter", "tx_precoders_perfect", "secrecy_rate_sweep")
-        per_block = ("tx_precoders_quantized", "secrecy_rate_G")
-        for name in per_trial + per_block:
+        per_trial = ("rx_postfilter", "trial_couplings", "grams_rate_sweep")
+        per_block = ("grams_rate",)
+        # one zero-distance step per chunk for the perfect-CSI rate, one step per block
+        for name in per_trial + per_block + ("perturb_gram", "step_grams"):
             counted(name)
         cfg = scenario_config("gap_vs_bits", trials=20, seed=2)
         points = _curve_points(cfg, cfg.antenna_configs[0])
         _curve_trials(cfg, 0, points)
-        assert calls == dict.fromkeys(per_trial, 1) | dict.fromkeys(per_block, 3)
+        steps = dict.fromkeys(("perturb_gram", "step_grams"), 1 + 3)
+        assert calls == dict.fromkeys(per_trial, 1) | dict.fromkeys(per_block, 3) | steps
         calls.clear()
         monkeypatch.setattr(harness, "BLOCK_POINTS", 8)
         _curve_trials(cfg, 0, points)
-        assert calls == dict.fromkeys(per_trial, 3) | dict.fromkeys(per_block, 20)
+        steps = dict.fromkeys(("perturb_gram", "step_grams"), 3 + 20)
+        assert calls == dict.fromkeys(per_trial, 3) | dict.fromkeys(per_block, 20) | steps
 
 
 class TestReplayableFailure:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
-from secmimo.grassmann import FeedbackSchedule, feedback_bits, quantization_target
+from secmimo.grassmann import FeedbackSchedule, feedback_bits, perturb_gram, quantization_target
 from secmimo.linalg import (
     LOG2_E,
     gaussian_mi,
@@ -21,11 +21,14 @@ from secmimo.rates import (
     beta_P,
     eve_rate_limit,
     fit_slope,
+    grams_rate,
     logdet_perturbation_check,
     logdet_variational_objective,
     secrecy_rate_G,
     secrecy_rate_perfect_basic,
     secrecy_rate_sweep,
+    step_grams,
+    trial_couplings,
 )
 from secmimo.transceiver import (
     AntennaConfig,
@@ -332,6 +335,28 @@ class TestLeakageField:
         np.testing.assert_array_equal(
             secrecy_rate_sweep(ch, perfect, filters, policy, cfg).leakage,
             leakage_power(filters, ch.Hd, perfect.W2, policy),
+        )
+
+
+class TestStepGrams:
+    def test_leakage_keeps_tiny_targets(self):
+        """tr(A J A*) against leakage_power of the explicit W2, at targets down to 1e-7.
+
+        The explicit route loses about 1e-16 / target of relative accuracy, and
+        A (I - K) A* would lose 1e-16 / target^2.
+        """
+        cfg = AntennaConfig(6, 3, 1, 3)
+        rng = np.random.default_rng(42)
+        ch, filters = _channels_and_filters(cfg, rng)
+        z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
+        targets = np.array([1e-7, 1e-4, 0.5, 1.5])
+        policy = PowerPolicy(P=np.full(targets.shape, 1e6), rho=0.5)
+        step = perturb_gram(filters.F, z, targets)
+        grams = step_grams(trial_couplings(ch, filters, policy), step)
+        rate = grams_rate(grams, policy, cfg)
+        w2 = tx_precoders_quantized(filters.F, z, targets).W2
+        np.testing.assert_allclose(
+            rate.leakage, leakage_power(filters, ch.Hd, w2, policy), rtol=1e-6, atol=0
         )
 
 
