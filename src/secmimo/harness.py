@@ -76,7 +76,8 @@ class ExperimentConfig:
     out_path: str | None = None
     nf_grid: tuple | None = None  # gap_vs_bits only
 
-    def validate(self) -> None:
+    def validate(self) -> list:
+        """Check the configuration; return each curve's (snr_db, nf_bits) points."""
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.trials < 1:
@@ -118,6 +119,13 @@ class ExperimentConfig:
             grid = self.nf_grid if self.nf_grid is not None else DEFAULT_NF_GRID
             if not grid or any(int(b) < 1 for b in grid):
                 raise ConfigError("gap_vs_bits needs a grid of positive bit budgets")
+        # an SNR point count, bit budget or top power past the float range
+        try:
+            curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
+            PowerPolicy.from_snr_db(curves[0][-1][0], rho=self.rho)
+        except OverflowError as exc:
+            raise ConfigError(f"SNR grid, powers and bit budgets must be finite: {exc}") from None
+        return curves
 
 
 def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConfig:
@@ -186,11 +194,6 @@ class ExperimentResult:
     slopes: dict
 
 
-def _snr_grid(cfg: ExperimentConfig) -> list[float]:
-    n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
-    return [cfg.snr_min + i * cfg.snr_step for i in range(n)]
-
-
 def _nf_for_power(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:
     # The scaled law yields no bits at P <= 1; the quantizer still needs at
     # least one, which at these powers is maximal quantization error anyway.
@@ -201,7 +204,8 @@ def _nf_for_power(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) 
 
 def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int]]:
     """Ordered (snr_db, nf_bits) operating points for one curve."""
-    snrs = _snr_grid(cfg)
+    n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
+    snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
     if cfg.scenario == "gap_vs_bits":
         grid = cfg.nf_grid if cfg.nf_grid is not None else DEFAULT_NF_GRID
         return [(snr, int(nf)) for snr in snrs for nf in grid]
@@ -289,10 +293,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     the same configuration produce identical results. Aggregation averages
     a dense (trials x points) array in fixed order.
     """
-    cfg.validate()
+    curves = cfg.validate()
     rows: list[ResultRow] = []
-    for curve_idx, acfg in enumerate(cfg.antenna_configs):
-        points = _curve_points(cfg, acfg)
+    for curve_idx, (acfg, points) in enumerate(zip(cfg.antenna_configs, curves)):
         means = _curve_trials(cfg, curve_idx, points).mean(axis=0)
         for i, (snr_db, nf) in enumerate(points):
             rows.append(
@@ -313,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             )
     # a sweep of fewer than three points has no slope to fit
     slopes = {}
-    if cfg.scenario != "gap_vs_bits" and len(_snr_grid(cfg)) >= 3:
+    if cfg.scenario != "gap_vs_bits" and len(curves[0]) >= 3:
         slopes = fitted_slopes_from_rows(rows)
     return ExperimentResult(rows=rows, slopes=slopes)
 

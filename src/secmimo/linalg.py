@@ -32,10 +32,9 @@ from .errors import (
 # almost surely; this guards sampled degenerate inputs.
 RANK_RTOL = 1e-12
 
-# Orthonormality / annihilation and reconstruction tolerances used by the
-# invariant checks (double precision, matrices at most ~8x8).
+# Orthonormality / annihilation tolerance used by the invariant checks
+# (double precision, matrices at most ~8x8).
 ORTHO_TOL = 1e-10
-RECON_RTOL = 1e-9
 
 LOG2_E = math.log2(math.e)
 

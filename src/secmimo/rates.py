@@ -297,14 +297,12 @@ def eve_rate_limit(
     log2 det(I + rho/(1-rho) * (n_t - n_r)/n_r * A B^{-1}) with
     A = He W1 W1* He* and B = He W2 W2* He*, which exists because
     n_e <= n_t - n_r keeps B invertible. The information covariance is
-    P/n_r I, as in every rate here.
+    P/n_r I, as in every rate here. Stacks give one limit per element.
     """
-    he = as_matrix(channels.He, "He")
-    e1 = he @ precoders.W1
-    e2 = he @ precoders.W2
+    he = as_stack(channels.He, "He")
     coef = policy.rho * (config.n_t - config.n_r) / ((1.0 - policy.rho) * config.n_r)
-    gram_an = e2 @ e2.conj().T
-    return _logdet_ratio(gram_an + coef * (e1 @ e1.conj().T), gram_an)
+    gram_an = _gram(he @ precoders.W2)
+    return _logdet_ratio(gram_an + coef * _gram(he @ precoders.W1), gram_an)
 
 
 def beta_P(
@@ -333,15 +331,16 @@ def logdet_perturbation_check(A, Delta) -> tuple[float, float, float]:
 
     For positive definite A and A + Delta returns the triple
     (ln det(A + Delta) - ln det A, tr(A^{-1} Delta), tr(Delta (A+Delta)^{-1}));
-    the first entry always lies between the third and the second.
+    the first entry always lies between the third and the second. Stacks
+    of equal shape give one triple of arrays, element by element.
     """
-    a = as_matrix(A, "A")
-    delta = as_matrix(Delta, "Delta")
+    a = as_stack(A, "A")
+    delta = as_stack(Delta, "Delta")
     if a.shape != delta.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {delta.shape}")
     lhs = (logdet_pd(hermitian_part(a + delta)) - logdet_pd(hermitian_part(a))) / LOG2_E
-    upper = float(np.real(np.trace(np.linalg.solve(a, delta))))
-    lower = float(np.real(np.trace(np.linalg.solve(a + delta, delta))))
+    upper = np.einsum("...ii->...", np.linalg.solve(a, delta)).real[()]
+    lower = np.einsum("...ii->...", np.linalg.solve(a + delta, delta)).real[()]
     return lhs, upper, lower
 
 

@@ -141,7 +141,6 @@ class Precoders:
 
     W1: np.ndarray
     W2: np.ndarray
-    mode: str  # "perfect" or "quantized"
 
     def __post_init__(self):
         w1 = as_stack(self.W1, "W1")
@@ -239,7 +238,7 @@ def tx_precoders_perfect(Hd) -> Precoders:
     s = dec.singular_values
     if np.any(s[..., -1] < 1e-12 * s[..., 0]):
         raise DegenerateChannelError("rank-deficient direct channel")
-    return Precoders(W1=dec.V[..., :, :n_r], W2=dec.V[..., :, n_r:], mode="perfect")
+    return Precoders(W1=dec.V[..., :, :n_r], W2=dec.V[..., :, n_r:])
 
 
 def tx_precoders_quantized(F, z, distance) -> Precoders:
@@ -253,7 +252,7 @@ def tx_precoders_quantized(F, z, distance) -> Precoders:
     """
     q = perturb_basis(F, z, distance)
     n_r = F.shape[-1]
-    return Precoders(W1=q[..., :n_r], W2=q[..., n_r:], mode="quantized")
+    return Precoders(W1=q[..., :n_r], W2=q[..., n_r:])
 
 
 def rx_nuller(Hj) -> np.ndarray:
@@ -323,14 +322,14 @@ def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> flo
     return ((1.0 - policy.rho) * policy.P / w2q.shape[-1] * frob2)[()]
 
 
-def leakage_bound(policy: PowerPolicy, n_f: int, config: AntennaConfig) -> float:
+def leakage_bound(policy: PowerPolicy, n_f, config: AntennaConfig) -> float:
     """Worst-case leakage power for a sphere-packing codebook with n_f bits.
 
     2 (1-rho) P / (n_t - n_r) * delta(n_f)^2 with delta the quantization
-    error bound (higher-order factor dropped). Under the power-matched bit
-    schedule this expression is independent of P.
+    error bound (higher-order factor dropped), independent of P under the
+    power-matched bit schedule. Arrays of n_f and P broadcast together.
     """
-    delta = quant_error_bound(n_f, config.n_t, config.n_r)
+    delta = np.vectorize(quant_error_bound, otypes=[float])(n_f, config.n_t, config.n_r)
     return (
         2.0 * (1.0 - policy.rho) * policy.P / (config.n_t - config.n_r) * delta**2
     )

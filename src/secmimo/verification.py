@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import harness
 from .grassmann import (
-    ZERO_DISTANCE,
     FeedbackSchedule,
     chordal_distance,
     feedback_bits,
@@ -25,6 +25,7 @@ from .grassmann import (
 )
 from .linalg import (
     LOG2_E,
+    adjoint,
     gaussian_mi,
     hermitian_part,
     logdet_pd,
@@ -40,9 +41,7 @@ from .rates import (
 )
 from .transceiver import (
     AntennaConfig,
-    ChannelSet,
     PowerPolicy,
-    Precoders,
     leakage_bound,
     leakage_power,
     rx_postfilter,
@@ -83,29 +82,39 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _trial(acfg: AntennaConfig, rng: np.random.Generator):
-    """One trial's channels and receive filters, from the engine's first draw."""
-    stacked, b = sample_trials(acfg, [rng])
-    channels = ChannelSet(**{name: m[0, 0] for name, m in vars(stacked).items()})
-    return channels, rx_postfilter(channels.Hd, channels.Hj, B=b[0, 0])
+def _draw(acfg: AntennaConfig, rngs, uniforms: int):
+    """A chunk's channels, filters, directions and uniforms, one generator per trial.
 
-
-def _quantized(acfg: AntennaConfig, f, targets, rng: np.random.Generator) -> Precoders:
-    """Quantized precoders at each target distance, from the engine's second draw.
-
-    One direction per target at or above ZERO_DISTANCE, as the engine
-    draws one per operating point; a scalar target gives 2-D precoders.
+    Trial k's generator gives the engine's draws (:func:`sample_trials`, then
+    one :func:`sample_directions` direction), then `uniforms` U(0, 1) numbers.
+    Matrices have leading shape (trials, 1), the uniforms (trials, uniforms).
     """
-    targets = np.asarray(targets)
-    z = sample_directions(acfg, [rng], np.atleast_1d(targets >= ZERO_DISTANCE))
-    return tx_precoders_quantized(f, z.reshape(targets.shape + z.shape[-2:]), targets)
+    channels, b = sample_trials(acfg, rngs)
+    z = sample_directions(acfg, rngs, [True])
+    u = np.array([rng.random(uniforms) for rng in rngs])
+    return channels, rx_postfilter(channels.Hd, channels.Hj, B=b), z, u
 
 
-def _trial_matrices(acfg: AntennaConfig, nf: int, rng: np.random.Generator):
-    """One trial's channels, filters and precoders, quantized at the worst case for nf bits."""
-    channels, filters = _trial(acfg, rng)
-    prec_q = _quantized(acfg, filters.F, quantization_target(nf, acfg.n_t, acfg.n_r), rng)
-    return channels, filters, tx_precoders_perfect(channels.Hd), prec_q
+def _chunks(trials: int, seed: int, configs, uniforms: int = 0):
+    """Drawn chunks (acfg, channels, filters, z, u) of trials 0 .. trials - 1.
+
+    Trial t uses ``configs[t % len(configs)]`` and ``harness._trial_rng(seed,
+    0, t)``. Each config's trials come in order, at most ``BLOCK_POINTS`` to a
+    chunk, so per-trial results concatenate the same for any chunk size.
+    """
+    for c, acfg in enumerate(configs):
+        ts = range(c, trials, len(configs))
+        for start in range(0, len(ts), harness.BLOCK_POINTS):
+            chunk = ts[start : start + harness.BLOCK_POINTS]
+            yield (acfg, *_draw(acfg, [harness._trial_rng(seed, 0, t) for t in chunk], uniforms))
+
+
+def _at(stacked, k: int):
+    """Trial k of a chunk's ChannelSet, ReceiverFilters or Precoders, as 2-D matrices."""
+    return type(stacked)(**{name: m[k, 0] for name, m in vars(stacked).items()})
+
+
+_targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
 
 
 def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
@@ -116,68 +125,54 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
     ||W1* W2|| in both modes; with quantized feedback W1 is the fed-back
     subspace, so that last norm is the nulling against it.
     """
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for t in range(trials):
-        acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels, filters, prec_p, prec_q = _trial_matrices(acfg, nf=20, rng=rng)
-        norms = (
-            np.linalg.norm(filters.V.conj().T @ channels.Hj),
-            np.linalg.norm(channels.Hd @ prec_p.W2),
-            np.linalg.norm(prec_p.W1.conj().T @ prec_p.W2),
-            np.linalg.norm(prec_q.W1.conj().T @ prec_q.W2),
+    worst = []
+    for acfg, channels, filters, z, _ in _chunks(trials, seed, SLOPE_CONFIGS):
+        prec_p = tx_precoders_perfect(channels.Hd)
+        prec_q = tx_precoders_quantized(filters.F, z, quantization_target(20, acfg.n_t, acfg.n_r))
+        products = (
+            adjoint(filters.V) @ channels.Hj,
+            channels.Hd @ prec_p.W2,
+            adjoint(prec_p.W1) @ prec_p.W2,
+            adjoint(prec_q.W1) @ prec_q.W2,
         )
-        worst = max(worst, max(norms))
-        if max(norms) >= NULLING_TOL:
-            failures += 1
-    return SuiteResult("orthogonality", trials, failures, f"worst norm {worst:.3e}")
+        worst.append(np.max([np.linalg.norm(m, axis=(-2, -1)) for m in products], axis=0))
+    worst = np.concatenate(worst)
+    failures = int(np.count_nonzero(~(worst < NULLING_TOL)))
+    return SuiteResult("orthogonality", trials, failures, f"worst norm {worst.max():.3e}")
 
 
 def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
     """Closed-form rate terms against the Gaussian mutual-information oracle.
 
-    The post-filtered terms are compared after whitening by the invertible
-    G, under which mutual information is invariant; the eavesdropper terms
-    compare directly. Failure threshold 1e-8 per term.
+    Each trial draws its bit budget in [4, 30), P in [1, 1e4] and rho in
+    [0.2, 0.8]. The post-filtered terms are compared after whitening by the
+    invertible G, under which mutual information is invariant; the
+    eavesdropper terms compare directly. Failure threshold 1e-8 per term.
     """
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for t in range(trials):
-        acfg = SMALL_CONFIGS[t % len(SMALL_CONFIGS)]
-        nf = int(rng.integers(4, 30))
-        channels, filters, prec_p, prec_q = _trial_matrices(acfg, nf=nf, rng=rng)
-        policy = PowerPolicy(
-            P=float(10.0 ** rng.uniform(0.0, 4.0)), rho=float(rng.uniform(0.2, 0.8))
-        )
-        kxs = policy.kxs(acfg.n_r) * policy.P
-        an = policy.an_cov_scale(acfg.n_t, acfg.n_r)
-        vh = filters.V.conj().T @ channels.Hd
-        r_p = secrecy_rate_G(channels, prec_p, filters, policy, acfg)
-        r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
-        signal_cov = policy.rho * kxs * np.eye(acfg.n_r)
-        mi_plus_p = gaussian_mi(vh @ prec_p.W1, signal_cov, None, policy.sigma2)
-        lq = vh @ prec_q.W2
-        mi_plus_q = gaussian_mi(
-            vh @ prec_q.W1, signal_cov, an * (lq @ lq.conj().T), policy.sigma2
-        )
-        diffs = []
-        for prec, terms in ((prec_p, r_p), (prec_q, r_q)):
-            e2 = channels.He @ prec.W2
-            mi_minus = gaussian_mi(
-                channels.He @ prec.W1,
-                signal_cov,
-                an * (e2 @ e2.conj().T),
-                policy.sigma2_eve,
-            )
-            diffs.append(abs(terms.t_minus - mi_minus))
-        diffs.append(abs(r_p.t_plus - mi_plus_p))
-        diffs.append(abs(r_q.t_plus - mi_plus_q))
-        worst = max(worst, max(diffs))
-        if max(diffs) > 1e-8:
-            failures += 1
-    return SuiteResult("oracle-equivalence", trials, failures, f"max diff {worst:.3e}")
+    worst = []
+    for acfg, channels, filters, z, u in _chunks(trials, seed, SMALL_CONFIGS, uniforms=3):
+        targets = _targets(4 + (26 * u[:, :1]).astype(int), acfg.n_t, acfg.n_r)
+        prec_q = tx_precoders_quantized(filters.F, z, targets)
+        stacks = channels, filters, tx_precoders_perfect(channels.Hd), prec_q
+        # one trial at a time: the oracle is scalar and rho differs per trial
+        for k, (p_exp, rho) in enumerate(u[:, 1:]):
+            ch, filt, *precoders = (_at(s, k) for s in stacks)
+            policy = PowerPolicy(P=10.0 ** (4.0 * p_exp), rho=0.2 + 0.6 * rho)
+            an = policy.an_cov_scale(acfg.n_t, acfg.n_r)
+            vh = adjoint(filt.V) @ ch.Hd
+            signal_cov = policy.rho * policy.kxs(acfg.n_r) * policy.P * np.eye(acfg.n_r)
+            diffs = []
+            for prec in precoders:
+                rate = secrecy_rate_G(ch, prec, filt, policy, acfg)
+                sides = ((vh, rate.t_plus, policy.sigma2), (ch.He, rate.t_minus, policy.sigma2_eve))
+                for h, term, noise in sides:
+                    leak = h @ prec.W2
+                    mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)), noise)
+                    diffs.append(abs(term - mi))
+            worst.append(max(diffs))
+    worst = np.array(worst)
+    failures = int(np.count_nonzero(~(worst <= 1e-8)))
+    return SuiteResult("oracle-equivalence", trials, failures, f"max diff {worst.max():.3e}")
 
 
 def _random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -231,8 +226,8 @@ def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
 
 def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
     """Quantizer target at each power under the power-matched bit schedule."""
-    bits = (feedback_bits(p, FeedbackSchedule.scaled(0.0), acfg.n_t, acfg.n_r) for p in powers)
-    return np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for nf in bits])
+    bits = [feedback_bits(p, FeedbackSchedule.scaled(0.0), acfg.n_t, acfg.n_r) for p in powers]
+    return _targets(bits, acfg.n_t, acfg.n_r)
 
 
 def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
@@ -240,22 +235,18 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
 
     beta(P) must be >= -1e-12 at P in {1e3, 1e6} with the power-matched bit
     schedule, and must shrink from P = 1e3 to P = 1e6 on at least 90% of
-    trials.
+    trials; each trial quantizes one direction at both powers' targets.
     """
-    rng = np.random.default_rng(seed)
     acfg = AntennaConfig(4, 2, 1, 2)
     policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5)
     targets = _matched_targets(acfg, policy.P)
-    neg = 0
-    not_decayed = 0
-    for _ in range(trials):
-        channels, filters = _trial(acfg, rng)
-        prec_q = _quantized(acfg, filters.F, targets, rng)
-        low, high = beta_P(channels, filters, prec_q, policy, acfg)
-        if min(low, high) < -1e-12:
-            neg += 1
-        if not high < low:
-            not_decayed += 1
+    beta = []
+    for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
+        prec_q = tx_precoders_quantized(filters.F, z, targets)
+        beta.append(beta_P(channels, filters, prec_q, policy, acfg))
+    beta = np.concatenate(beta)
+    neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
+    not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
     failures = neg + max(0, not_decayed - int(0.1 * trials))
     return SuiteResult(
         "beta-remainder", trials, failures, f"negative {neg}, not decayed {not_decayed}"
@@ -263,44 +254,52 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
 
 
 def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
-    """Eavesdropper term at P = 1e9 against its closed-form limit (1e-3)."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for t in range(trials):
-        acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels, filters = _trial(acfg, rng)
-        prec_p = tx_precoders_perfect(channels.Hd)
-        policy = PowerPolicy(P=1e9, rho=0.5)
-        term = secrecy_rate_G(channels, prec_p, filters, policy, acfg).t_minus
-        limit = eve_rate_limit(channels, prec_p, policy, acfg)
-        diff = abs(term - limit)
-        worst = max(worst, diff)
-        if diff >= 1e-3:
-            failures += 1
-    return SuiteResult("eve-rate-limit", trials, failures, f"max diff {worst:.3e}")
+    """Eavesdropper term at P = 1e9 against its closed-form limit.
+
+    With B = E2 E2*, X = B + coef E1 E1* and d = sigma_e^2 / an, the
+    :func:`~secmimo.rates.logdet_perturbation_check` bounds of (X, d I) and
+    (B, d I) put term - limit in [lower_X - upper_B, upper_X - lower_B] log2 e;
+    a trial fails when it lies outside by more than 1e-9.
+    """
+    policy = PowerPolicy(P=1e9, rho=0.5)
+    worst = []
+    for acfg, channels, filters, _, _ in _chunks(trials, seed, SLOPE_CONFIGS):
+        prec = tx_precoders_perfect(channels.Hd)
+        term = secrecy_rate_G(channels, prec, filters, policy, acfg).t_minus
+        diff = term - eve_rate_limit(channels, prec, policy, acfg)
+        coef = policy.rho * (acfg.n_t - acfg.n_r) / ((1.0 - policy.rho) * acfg.n_r)
+        e1, e2 = channels.He @ prec.W1, channels.He @ prec.W2
+        b = e2 @ adjoint(e2)
+        d = policy.sigma2_eve / policy.an_cov_scale(acfg.n_t, acfg.n_r)
+        shift = np.broadcast_to(d * np.eye(acfg.n_e), b.shape)
+        (_, upper_x, lower_x), (_, upper_b, lower_b) = (
+            logdet_perturbation_check(m, shift) for m in (b + coef * (e1 @ adjoint(e1)), b)
+        )
+        low, high = (lower_x - upper_b) * LOG2_E, (upper_x - lower_b) * LOG2_E
+        worst.append(np.maximum(low - diff, diff - high))
+    worst = np.concatenate(worst)
+    failures = int(np.count_nonzero(~(worst <= 1e-9)))
+    return SuiteResult(
+        "eve-rate-limit", trials, failures, f"worst excursion {max(worst.max(), 0.0):.3e}"
+    )
 
 
 def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
     """Leakage power against its worst-case bound at the bound's distance.
 
-    Quantizes at exactly the worst-case distance for a random bit budget;
-    the closed-form leakage must not exceed the analytic bound (up to 1%
+    Each trial draws a bit budget in [10, 60) and P in [1, 1e5], and
+    quantizes at exactly that budget's worst-case distance; the
+    closed-form leakage must not exceed the analytic bound (up to 1%
     tolerated violations, reported rather than hidden).
     """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for t in range(trials):
-        acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        channels, filters = _trial(acfg, rng)
-        nf = int(rng.integers(10, 60))
-        delta = quantization_target(nf, acfg.n_t, acfg.n_r)
-        prec_q = _quantized(acfg, filters.F, delta, rng)
-        policy = PowerPolicy(P=float(10.0 ** rng.uniform(0.0, 5.0)), rho=0.5)
+    over = []
+    for acfg, channels, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=2):
+        nf = 10 + (50 * u[:, :1]).astype(int)
+        policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5)
+        prec_q = tx_precoders_quantized(filters.F, z, _targets(nf, acfg.n_t, acfg.n_r))
         leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
-        bound = leakage_bound(policy, nf, acfg)
-        if leak > bound * (1.0 + 1e-9):
-            violations += 1
+        over.append(leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9))
+    violations = int(np.count_nonzero(np.concatenate(over)))
     failures = max(0, violations - int(0.01 * trials))
     return SuiteResult("leakage-bound", trials, failures, f"violations {violations}")
 
@@ -309,37 +308,37 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
     """Power-independence of leakage under the matched bit schedule.
 
     Mean leakage over P in {1e3, 1e4, 1e5, 1e6} must peak within 5% of the
-    peak over the first two grid points.
+    peak over the first two grid points. Each trial quantizes one direction
+    at all four powers' targets (common random numbers), so the means
+    differ by the schedule's effect and not by independent draws.
     """
-    rng = np.random.default_rng(seed)
     acfg = AntennaConfig(4, 2, 1, 2)
     policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5)
     targets = _matched_targets(acfg, policy.P)
-    sums = np.zeros(len(targets))
-    for _ in range(trials):
-        channels, filters = _trial(acfg, rng)
-        prec_q = _quantized(acfg, filters.F, targets, rng)
-        sums += leakage_power(filters, channels.Hd, prec_q.W2, policy)
-    means = sums / trials
+    leak = []
+    for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
+        prec_q = tx_precoders_quantized(filters.F, z, targets)
+        leak.append(leakage_power(filters, channels.Hd, prec_q.W2, policy))
+    means = np.concatenate(leak).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()
     detail = "means " + ", ".join(f"{m:.4f}" for m in means)
     return SuiteResult("leakage-bounded-in-P", trials, 0 if ok else 1, detail)
 
 
 def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
-    """Quantized precoders' W1 sits at its target distance to 1e-6 every call."""
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for t in range(trials):
-        acfg = SLOPE_CONFIGS[t % len(SLOPE_CONFIGS)]
-        f = random_truncated_unitary(acfg.n_t, acfg.n_r, rng)
-        target = quantization_target(int(rng.integers(1, 80)), acfg.n_t, acfg.n_r)
-        err = abs(chordal_distance(f, _quantized(acfg, f, target, rng).W1) - target)
-        worst = max(worst, err)
-        if err > 1e-6:
-            failures += 1
-    return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst:.3e}")
+    """Quantized precoders' W1 sits at its target distance to 1e-6 every call.
+
+    Each trial quantizes its receiver subspace F at the target of a bit
+    budget drawn in [1, 80).
+    """
+    errors = []
+    for acfg, _, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=1):
+        target = _targets(1 + (79 * u).astype(int), acfg.n_t, acfg.n_r)
+        w1 = tx_precoders_quantized(filters.F, z, target).W1
+        errors.append(np.abs(chordal_distance(filters.F, w1) - target))
+    worst = np.concatenate(errors)
+    failures = int(np.count_nonzero(~(worst <= 1e-6)))
+    return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst.max():.3e}")
 
 
 def chordal_metric_suite(trials: int = 1000, seed: int = 10) -> SuiteResult:

@@ -191,6 +191,27 @@ class TestRun:
         assert captured.err.startswith("configuration error") and "trials" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"snr_max": 1e308, "snr_step": 1e-10},
+            {"nr": 2, "epsilon": 1e308},
+            {"snr_max": 4000.0, "snr_step": 1000.0},
+        ],
+        ids=["snr-count", "bit-budget", "power"],
+    )
+    def test_overflowing_grid_is_config_error(self, tmp_path, capsys, settings):
+        """An SNR grid, power or bit budget past the float range exits 1, by flag or file."""
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(settings))
+        for args in (flags, ["--config", str(cfg_file)]):
+            assert cli_main(["run", "--trials", "1", *args]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("configuration error") and "finite" in captured.err
+            assert len(captured.err.splitlines()) == 1
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nr": 2, "trials": 1, "seed": -1}))

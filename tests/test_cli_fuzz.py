@@ -34,7 +34,7 @@ _FLAG_VALUES = {
     "snr_step": st.sampled_from([-5.0, 0.0, 5.0, 10.0, float("nan")]),
     "seed": st.integers(-2, 2**64),
     "rho": st.sampled_from([0.0, 0.3, 0.5, 1.0, -0.5, float("nan")]),
-    "epsilon": st.sampled_from([0.0, 0.25, -1.0, float("inf")]),
+    "epsilon": st.sampled_from([0.0, 0.25, -1.0, 1e308, float("inf")]),
     "nf": st.integers(-1, 200),
 }
 

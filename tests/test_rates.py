@@ -11,6 +11,8 @@ from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
 from secmimo.grassmann import FeedbackSchedule, feedback_bits, perturb_gram, quantization_target
 from secmimo.linalg import (
     LOG2_E,
+    adjoint,
+    complex_gaussian,
     gaussian_mi,
     hermitian_part,
     logdet_pd,
@@ -296,7 +298,7 @@ class TestSecrecyRateSweep:
         for t in range(4):
             alone = secrecy_rate_sweep(
                 ChannelSet(**{k: m[t, 0] for k, m in vars(ch).items()}),
-                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0], mode="perfect"),
+                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0]),
                 ReceiverFilters(**{k: m[t, 0] for k, m in vars(filters).items()}),
                 PowerPolicy(P=powers, rho=0.5),
                 cfg,
@@ -391,6 +393,22 @@ class TestEveRateLimit:
         limit = eve_rate_limit(ch2, prec, PowerPolicy(P=10.0, rho=0.5), cfg)
         assert limit == pytest.approx(0.0, abs=1e-9)
 
+    def test_stack_matches_per_matrix_calls(self):
+        cfg = AntennaConfig(6, 3, 1, 3)
+        ch, _ = sample_trials(cfg, [np.random.default_rng((40, t)) for t in range(5)])
+        prec = tx_precoders_perfect(ch.Hd)
+        policy = PowerPolicy(P=1e9, rho=0.3)
+        limits = eve_rate_limit(ch, prec, policy, cfg)
+        assert limits.shape == (5, 1)
+        for t in range(5):
+            alone = eve_rate_limit(
+                ChannelSet(**{k: m[t, 0] for k, m in vars(ch).items()}),
+                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0]),
+                policy,
+                cfg,
+            )
+            assert limits[t, 0] == alone
+
 
 class TestBetaP:
     def test_zero_quantization_error(self):
@@ -432,6 +450,21 @@ class TestLogdetPerturbation:
                 delta = 0.5 * delta
             lhs, upper, lower = logdet_perturbation_check(a, delta)
             assert lower - 1e-9 <= lhs <= upper + 1e-9
+
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(16)
+        m = complex_gaussian(rng.standard_normal((4, 2, 2, 3, 3)))
+        a = hermitian_part(m[:, 0] @ adjoint(m[:, 0])) + np.eye(3)
+        delta = 0.1 * hermitian_part(m[:, 1])
+        stacked = logdet_perturbation_check(a, delta)
+        assert all(np.shape(x) == (4,) for x in stacked)
+        for k in range(4):
+            alone = logdet_perturbation_check(a[k], delta[k])
+            np.testing.assert_allclose([x[k] for x in stacked], alone, rtol=1e-14, atol=1e-15)
+
+    def test_stack_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidInputError):
+            logdet_perturbation_check(np.stack([np.eye(2)] * 3), np.eye(2))
 
 
 class TestVariationalObjective:

@@ -111,7 +111,6 @@ class TestTxPrecoders:
     def test_perfect_coordinate_channel(self):
         hd = np.hstack([np.eye(2), np.zeros((2, 2))])
         prec = tx_precoders_perfect(hd)
-        assert prec.mode == "perfect"
         proj1 = prec.W1 @ prec.W1.conj().T
         np.testing.assert_allclose(proj1, np.diag([1.0, 1.0, 0.0, 0.0]), atol=1e-10)
         assert np.linalg.norm(hd @ prec.W2) < 1e-12
@@ -134,7 +133,6 @@ class TestTxPrecoders:
         hd = random_gaussian_matrix(2, 4, rng)
         f = qr_tall(hd.conj().T).F
         prec = tx_precoders_quantized(f, random_gaussian_matrix(4, 2, rng), 0.0)
-        assert prec.mode == "quantized"
         np.testing.assert_array_equal(prec.W1, f)
         assert np.linalg.norm(hd @ prec.W2) < 1e-9
 
@@ -174,7 +172,7 @@ class TestTxPrecoders:
 
     def test_precoders_validation(self):
         with pytest.raises(InvalidInputError):
-            Precoders(W1=np.ones((4, 2)), W2=np.ones((4, 2)), mode="perfect")
+            Precoders(W1=np.ones((4, 2)), W2=np.ones((4, 2)))
 
     @pytest.mark.parametrize(
         "fault", ["w1_not_orthonormal", "w2_not_orthonormal", "not_orthogonal", "nan"]
@@ -183,7 +181,7 @@ class TestTxPrecoders:
         """The one Gram test catches each of the three old checks' faults, and NaN."""
         w = random_truncated_unitary(5, 5, np.random.default_rng(28))
         w1, w2 = w[:, :2].copy(), w[:, 2:].copy()
-        Precoders(W1=w1, W2=w2, mode="quantized")
+        Precoders(W1=w1, W2=w2)
         if fault == "w1_not_orthonormal":
             w1[:, 0] *= 1.0 + 1e-9
         elif fault == "w2_not_orthonormal":
@@ -193,12 +191,12 @@ class TestTxPrecoders:
         else:
             w2[3, 1] = np.nan
         with pytest.raises(InvalidInputError):
-            Precoders(W1=w1, W2=w2, mode="quantized")
+            Precoders(W1=w1, W2=w2)
 
     def test_precoders_reject_mismatched_stacks(self):
         w = random_truncated_unitary(4, 4, np.random.default_rng(29))
         with pytest.raises(ShapeError):
-            Precoders(W1=w[:, :2], W2=np.stack([w[:, 2:]] * 3), mode="quantized")
+            Precoders(W1=w[:, :2], W2=np.stack([w[:, 2:]] * 3))
 
 
 class TestRxNuller:
