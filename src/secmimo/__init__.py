@@ -26,7 +26,6 @@ from .grassmann import (
     Codebook,
     FeedbackSchedule,
     GrassmannPoint,
-    ball_volume_coefficient,
     chordal_distance,
     codebook_generate,
     feedback_bits,
@@ -63,7 +62,6 @@ from .rates import (
     logdet_perturbation_check,
     secrecy_rate_G,
     secrecy_rate_perfect_basic,
-    secrecy_rate_sweep,
 )
 from .transceiver import (
     AntennaConfig,

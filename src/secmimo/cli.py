@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInputError, SecMimoError
 from .grassmann import FeedbackSchedule
 from .harness import (
+    SCENARIOS,
     ExperimentConfig,
     fitted_slopes_from_rows,
     read_csv,
@@ -45,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a Monte Carlo scenario")
     run_p.add_argument(
         "--scenario",
-        choices=("slope", "saturation", "gap_vs_bits", "custom"),
+        choices=SCENARIOS,
         default=None,
         help="experiment family (default slope)",
     )
@@ -163,17 +164,11 @@ def _experiment_config(args) -> ExperimentConfig:
     out_path = setting("out")
     if out_path is not None:
         overrides["out_path"] = out_path
-    if scenario == "slope":
-        overrides["schedule"] = FeedbackSchedule.scaled(epsilon if epsilon is not None else 0.0)
-    elif scenario == "saturation":
-        overrides["schedule"] = FeedbackSchedule.fixed(nf if nf is not None else 30)
-    elif scenario == "custom":
-        if nf is not None:
-            overrides["schedule"] = FeedbackSchedule.fixed(nf)
-        else:
-            overrides["schedule"] = FeedbackSchedule.scaled(
-                epsilon if epsilon is not None else 0.0
-            )
+    # with neither, the scenario keeps its default schedule
+    if nf is not None:
+        overrides["schedule"] = FeedbackSchedule.fixed(nf)
+    elif epsilon is not None:
+        overrides["schedule"] = FeedbackSchedule.scaled(epsilon)
 
     return scenario_config(scenario, n_r_list, **overrides)
 

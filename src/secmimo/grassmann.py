@@ -35,7 +35,6 @@ from .linalg import (
     first_flagged,
     haar_columns,
     orthonormality_error,
-    random_truncated_unitary,
 )
 
 # Largest bit budget for which an explicit codebook is still generated and
@@ -157,35 +156,23 @@ def chordal_distance(a, b):
     return (np.linalg.norm(diff, axis=(-2, -1)) / math.sqrt(2.0))[()]
 
 
-def _log_ball_volume_coefficient(n_t: int, n_r: int) -> float:
-    # log of  [1 / (n_r (n_t - n_r))!] * prod_{i=1..n_r} (n_t - i)! / (n_r - i)!
-    log_c = -math.lgamma(n_r * (n_t - n_r) + 1)
-    for i in range(1, n_r + 1):
-        log_c += math.lgamma(n_t - i + 1) - math.lgamma(n_r - i + 1)
-    return log_c
-
-
-def ball_volume_coefficient(n_t: int, n_r: int) -> float:
-    """Coefficient of the metric-ball volume on G(n_t, n_r).
-
-    Evaluated in log space so large antenna counts do not overflow the
-    intermediate factorials.
-    """
-    if n_t <= n_r or n_r < 1:
-        raise InvalidInputError(f"need n_t > n_r >= 1, got ({n_t}, {n_r})")
-    return math.exp(_log_ball_volume_coefficient(n_t, n_r))
-
-
 def quant_error_bound(n_f: int, n_t: int, n_r: int) -> float:
     """Worst-case quantization distance for a sphere-packing codebook.
 
     delta = 2 / (c * 2^n_f)^(1/N) with N = 2 n_r (n_t - n_r); the vanishing
-    higher-order factor is dropped. Monotone decreasing in n_f.
+    higher-order factor is dropped. Monotone decreasing in n_f. The
+    coefficient c of the metric-ball volume on G(n_t, n_r) is evaluated in
+    log space so large antenna counts do not overflow the factorials.
     """
+    if n_t <= n_r or n_r < 1:
+        raise InvalidInputError(f"need n_t > n_r >= 1, got ({n_t}, {n_r})")
     if n_f < 1:
         raise InvalidInputError(f"bit budget must be >= 1, got {n_f}")
     n_dim = 2 * n_r * (n_t - n_r)
-    log_c = _log_ball_volume_coefficient(n_t, n_r)
+    # c = [1 / (n_r (n_t - n_r))!] * prod_{i=1..n_r} (n_t - i)! / (n_r - i)!
+    log_c = -math.lgamma(n_r * (n_t - n_r) + 1)
+    for i in range(1, n_r + 1):
+        log_c += math.lgamma(n_t - i + 1) - math.lgamma(n_r - i + 1)
     exponent = -(log_c + n_f * math.log(2.0)) / n_dim
     # exp() underflows to 0.0 for huge bit budgets, which is the right limit
     return 2.0 * math.exp(exponent) if exponent > -700 else 0.0
@@ -230,8 +217,8 @@ def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
 
 def quantization_target(n_f: int, n_t: int, n_r: int) -> float:
     """Perturbation quantizer's distance: quant_error_bound clamped inside the diameter."""
-    diameter = math.sqrt(min(n_r, n_t - n_r))
-    return min(quant_error_bound(n_f, n_t, n_r), _DIAMETER_CLAMP * diameter)
+    bound = quant_error_bound(n_f, n_t, n_r)  # checks the counts before the sqrt
+    return min(bound, _DIAMETER_CLAMP * math.sqrt(min(n_r, n_t - n_r)))
 
 
 def _check_target(distance, r: int) -> None:
@@ -351,8 +338,3 @@ def feedback_bits(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) 
         )
     half_dim = n_r * (n_t - n_r)
     return math.ceil((1.0 + schedule.epsilon) * half_dim * math.log2(power))
-
-
-def haar_point(n_t: int, n_r: int, rng: np.random.Generator) -> GrassmannPoint:
-    """Haar-random point of G(n_t, n_r)."""
-    return GrassmannPoint(random_truncated_unitary(n_t, n_r, rng))

@@ -335,7 +335,9 @@ def gaussian_mi(
         log2 det(H K H* + S_int + noise_var I) - log2 det(S_int + noise_var I)
 
     This is the generic oracle used to cross-check every closed-form rate
-    term in :mod:`secmimo.rates`.
+    term in :mod:`secmimo.rates`. Stacks of H, K and S_int broadcast
+    together and give one value per element; a stack fails a check when
+    any of its elements does.
 
     Parameters
     ----------
@@ -348,31 +350,32 @@ def gaussian_mi(
     noise_var : float
         Noise variance, strictly positive.
     """
-    h = as_matrix(channel, "channel")
-    k = as_matrix(signal_cov, "signal covariance")
-    p, q = h.shape
-    if k.shape != (q, q):
+    h = as_stack(channel, "channel")
+    k = as_stack(signal_cov, "signal covariance")
+    p, q = h.shape[-2:]
+    if k.shape[-2:] != (q, q):
         raise ShapeError(f"signal covariance must be {q}x{q}, got {k.shape}")
-    if noise_var <= 0:
-        raise InvalidInputError(f"noise variance must be positive, got {noise_var}")
+    if not 0 < noise_var < math.inf:
+        raise InvalidInputError(f"noise variance must be positive and finite, got {noise_var}")
     if interference_cov is None:
         s_int = np.zeros((p, p), dtype=np.complex128)
     else:
-        s_int = as_matrix(interference_cov, "interference covariance")
-        if s_int.shape != (p, p):
+        s_int = as_stack(interference_cov, "interference covariance")
+        if s_int.shape[-2:] != (p, p):
             raise ShapeError(f"interference covariance must be {p}x{p}, got {s_int.shape}")
         w = np.linalg.eigvalsh(hermitian_part(s_int))
-        if w[0] < -1e-10 * max(1.0, float(w[-1])):
+        negative = w[..., 0] < -1e-10 * np.maximum(1.0, w[..., -1])
+        if np.any(negative):
+            low = float(first_flagged(w[..., 0], negative))
             raise NotPositiveDefiniteError(
-                f"interference covariance has negative eigenvalue {w[0]:.3e}",
-                min_eigenvalue=float(w[0]),
+                f"interference covariance has negative eigenvalue {low:.3e}", min_eigenvalue=low
             )
     k_eigs = np.linalg.eigvalsh(hermitian_part(k))
-    if k_eigs[0] <= 0:
+    if np.any(k_eigs[..., 0] <= 0):
+        low = float(np.min(k_eigs[..., 0]))
         raise NotPositiveDefiniteError(
-            f"signal covariance must be PD (min eigenvalue {k_eigs[0]:.3e})",
-            min_eigenvalue=float(k_eigs[0]),
+            f"signal covariance must be PD (min eigenvalue {low:.3e})", min_eigenvalue=low
         )
     denom = hermitian_part(s_int) + noise_var * np.eye(p)
-    numer = hermitian_part(h @ k @ h.conj().T) + denom
+    numer = hermitian_part(h @ k @ adjoint(h)) + denom
     return logdet_pd(numer) - logdet_pd(denom)

@@ -13,7 +13,7 @@ mutual-information oracle in :mod:`secmimo.linalg` provides an independent
 route to the same values.
 
 The post-filtered rates and the eavesdropper term also take stacks of
-matrices and a policy whose P is an array over the stack (see
+matrices and a policy whose P and rho are arrays over the stack (see
 :mod:`secmimo.transceiver`); every field of the result is then an array.
 """
 
@@ -105,10 +105,10 @@ def _eve_term(e1: np.ndarray, e2: np.ndarray, policy: PowerPolicy, config: Anten
     log-det ratio of the Eve covariance with and without the information
     signal; the artificial noise term sits in both determinants.
     """
-    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    signal = _per_matrix(policy.rho) * _per_matrix((1.0 / config.n_r) * policy.P)
     an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
     base = an * e2 + policy.sigma2_eve * np.eye(config.n_e)
-    return _logdet_ratio(policy.rho * kxs * e1 + base, base)
+    return _logdet_ratio(signal * e1 + base, base)
 
 
 def secrecy_rate_perfect_basic(
@@ -127,9 +127,9 @@ def secrecy_rate_perfect_basic(
     v0 = dec.V[:, n_r:]
     v = rx_nuller(channels.Hj)
     h_eff = v.conj().T @ dec.U @ np.diag(dec.singular_values)
-    kxs = policy.kxs(n_r) * policy.P
+    per_stream = (1.0 / n_r) * policy.P
     t_plus = _logdet_ratio(
-        np.eye(v.shape[1]) + (policy.rho * kxs / policy.sigma2) * (h_eff @ h_eff.conj().T),
+        np.eye(v.shape[1]) + (policy.rho * per_stream / policy.sigma2) * (h_eff @ h_eff.conj().T),
         np.eye(v.shape[1]),
     )
     he = as_matrix(channels.He, "He")
@@ -188,9 +188,9 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> 
     S2 S2*. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
     white noise sigma_e^2. The result's `leakage` is tr L.
     """
-    kxs = _per_matrix(policy.kxs(config.n_r) * policy.P)
+    signal = _per_matrix(policy.rho) * _per_matrix((1.0 / config.n_r) * policy.P)
     leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
-    t_plus = _logdet_ratio(policy.rho * kxs * grams.s1 + leak + grams.noise, leak + grams.noise)
+    t_plus = _logdet_ratio(signal * grams.s1 + leak + grams.noise, leak + grams.noise)
     t_minus = _eve_term(grams.e1, grams.e2, policy, config)
     return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
 
@@ -263,8 +263,8 @@ def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfi
     :func:`grams_rate`, so a stack of shape (T, 1) and P powers give
     (T, P) arrays.
     """
-    c1 = policy.rho * policy.kxs(config.n_r)
-    c2 = (1.0 - policy.rho) / (config.n_t - config.n_r)
+    c1 = _per_matrix(policy.rho * (1.0 / config.n_r))
+    c2 = _per_matrix((1.0 - policy.rho) / (config.n_t - config.n_r))
     leak = c2 * grams.s2
     t_plus = _sweep_ratio(policy.P, c1 * grams.s1 + leak, leak, floor=grams.noise)
     eve_leak = c2 * grams.e2
@@ -272,17 +272,6 @@ def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfi
         policy.P, (c1 * grams.e1 + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
     )
     return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
-
-
-def secrecy_rate_sweep(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> SecrecyRate:
-    """:func:`secrecy_rate_G` over a vector of powers: :func:`grams_rate_sweep` of its Gram set."""
-    return grams_rate_sweep(_precoder_grams(channels, precoders, filters, policy), policy, config)
 
 
 def eve_rate_limit(
@@ -302,7 +291,7 @@ def eve_rate_limit(
     he = as_stack(channels.He, "He")
     coef = policy.rho * (config.n_t - config.n_r) / ((1.0 - policy.rho) * config.n_r)
     gram_an = _gram(he @ precoders.W2)
-    return _logdet_ratio(gram_an + coef * _gram(he @ precoders.W1), gram_an)
+    return _logdet_ratio(gram_an + _per_matrix(coef) * _gram(he @ precoders.W1), gram_an)
 
 
 def beta_P(
@@ -349,16 +338,17 @@ def logdet_variational_objective(S, E) -> float:
 
     Over positive semidefinite S this is maximized at S = E^{-1} with value
     ln det(E^{-1}); used to spot-check the variational representation that
-    underlies the perturbation bounds.
+    underlies the perturbation bounds. Stacks of S and E broadcast together
+    and give one objective per element.
     """
-    s = as_matrix(S, "S")
-    e = as_matrix(E, "E")
-    n = s.shape[0]
+    s = as_stack(S, "S")
+    e = as_stack(E, "E")
+    n = s.shape[-1]
     return (
-        -float(np.real(np.trace(s @ e)))
+        -np.einsum("...ii->...", s @ e).real
         + logdet_pd(hermitian_part(s)) / LOG2_E
         + n
-    )
+    )[()]
 
 
 def fit_slope(

@@ -20,6 +20,7 @@ kernels apply to each element and broadcast trial-level stacks of shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,6 @@ class AntennaConfig:
         """Number of securable data streams, n_r - n_j."""
         return self.n_r - self.n_j
 
-    @property
-    def quantization_dim(self) -> int:
-        """Real dimension 2 n_r (n_t - n_r) of the quantized manifold."""
-        return 2 * self.n_r * (self.n_t - self.n_r)
-
 
 @dataclass(frozen=True)
 class PowerPolicy:
@@ -91,8 +87,8 @@ class PowerPolicy:
 
     `rho` is the fraction of the power budget P on the information signal;
     the rest drives artificial noise with covariance P/(n_t - n_r) I. The
-    information covariance is P/n_r I. P may also be an array over a stack's
-    leading axes, one power per element.
+    information covariance is P/n_r I. P and rho may also be arrays over a
+    stack's leading axes, one value per element.
     """
 
     P: float
@@ -101,25 +97,18 @@ class PowerPolicy:
     sigma2_eve: float = 1.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.P) <= 0):
-            raise InvalidInputError(f"transmit power must be positive, got {self.P}")
-        if not 0.0 < self.rho < 1.0:
+        # each check is written so that NaN fails it
+        if not np.all((np.asarray(self.P) > 0) & (np.asarray(self.P) < math.inf)):
+            raise InvalidInputError(f"transmit power must be positive and finite, got {self.P}")
+        if not np.all((np.asarray(self.rho) > 0.0) & (np.asarray(self.rho) < 1.0)):
             raise InvalidInputError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.sigma2 <= 0 or self.sigma2_eve <= 0:
-            raise InvalidInputError("noise variances must be positive")
+        if not (0 < self.sigma2 < math.inf and 0 < self.sigma2_eve < math.inf):
+            raise InvalidInputError("noise variances must be positive and finite")
 
     @classmethod
     def from_snr_db(cls, snr_db: float, rho: float = 0.5, **kwargs) -> "PowerPolicy":
         """Unit-noise policy with P = 10^(snr_db / 10)."""
         return cls(P=10.0 ** (snr_db / 10.0), rho=rho, **kwargs)
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * np.log10(self.P)
-
-    def kxs(self, n_r: int) -> float:
-        """Scalar multiplier 1/n_r of the information covariance P/n_r I."""
-        return 1.0 / n_r
 
     def an_cov_scale(self, n_t: int, n_r: int) -> float:
         """Effective artificial-noise covariance scale (1 - rho) P / (n_t - n_r)."""

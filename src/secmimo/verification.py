@@ -26,6 +26,7 @@ from .grassmann import (
 from .linalg import (
     LOG2_E,
     adjoint,
+    complex_gaussian,
     gaussian_mi,
     hermitian_part,
     logdet_pd,
@@ -33,6 +34,7 @@ from .linalg import (
     random_truncated_unitary,
 )
 from .rates import (
+    _per_matrix,
     beta_P,
     eve_rate_limit,
     logdet_perturbation_check,
@@ -109,11 +111,6 @@ def _chunks(trials: int, seed: int, configs, uniforms: int = 0):
             yield (acfg, *_draw(acfg, [harness._trial_rng(seed, 0, t) for t in chunk], uniforms))
 
 
-def _at(stacked, k: int):
-    """Trial k of a chunk's ChannelSet, ReceiverFilters or Precoders, as 2-D matrices."""
-    return type(stacked)(**{name: m[k, 0] for name, m in vars(stacked).items()})
-
-
 _targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
 
 
@@ -153,31 +150,31 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
     for acfg, channels, filters, z, u in _chunks(trials, seed, SMALL_CONFIGS, uniforms=3):
         targets = _targets(4 + (26 * u[:, :1]).astype(int), acfg.n_t, acfg.n_r)
         prec_q = tx_precoders_quantized(filters.F, z, targets)
-        stacks = channels, filters, tx_precoders_perfect(channels.Hd), prec_q
-        # one trial at a time: the oracle is scalar and rho differs per trial
-        for k, (p_exp, rho) in enumerate(u[:, 1:]):
-            ch, filt, *precoders = (_at(s, k) for s in stacks)
-            policy = PowerPolicy(P=10.0 ** (4.0 * p_exp), rho=0.2 + 0.6 * rho)
-            an = policy.an_cov_scale(acfg.n_t, acfg.n_r)
-            vh = adjoint(filt.V) @ ch.Hd
-            signal_cov = policy.rho * policy.kxs(acfg.n_r) * policy.P * np.eye(acfg.n_r)
-            diffs = []
-            for prec in precoders:
-                rate = secrecy_rate_G(ch, prec, filt, policy, acfg)
-                sides = ((vh, rate.t_plus, policy.sigma2), (ch.He, rate.t_minus, policy.sigma2_eve))
-                for h, term, noise in sides:
-                    leak = h @ prec.W2
-                    mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)), noise)
-                    diffs.append(abs(term - mi))
-            worst.append(max(diffs))
-    worst = np.array(worst)
+        policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:])
+        an = _per_matrix(policy.an_cov_scale(acfg.n_t, acfg.n_r))
+        vh = adjoint(filters.V) @ channels.Hd
+        signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
+        diffs = []
+        for prec in (tx_precoders_perfect(channels.Hd), prec_q):
+            rate = secrecy_rate_G(channels, prec, filters, policy, acfg)
+            sides = (vh, rate.t_plus, policy.sigma2), (channels.He, rate.t_minus, policy.sigma2_eve)
+            for h, term, noise in sides:
+                leak = h @ prec.W2
+                mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)), noise)
+                diffs.append(np.abs(term - mi))
+        worst.append(np.max(diffs, axis=0))
+    worst = np.concatenate(worst)
     failures = int(np.count_nonzero(~(worst <= 1e-8)))
     return SuiteResult("oracle-equivalence", trials, failures, f"max diff {worst.max():.3e}")
 
 
-def _random_pd(n: int, rng: np.random.Generator) -> np.ndarray:
-    m = random_gaussian_matrix(n, n, rng)
-    return hermitian_part(m @ m.conj().T) + np.eye(n)
+def _random_pd(n: int, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """M M* + I for complex Gaussian n x n M, a `shape` stack of them in one draw.
+
+    The stack holds, bit for bit, what one draw per matrix gives in turn.
+    """
+    m = complex_gaussian(rng.standard_normal((*shape, 2, n, n)))
+    return hermitian_part(m @ adjoint(m)) + np.eye(n)
 
 
 def lemma_variational_suite(trials: int = 100, seed: int = 3) -> SuiteResult:
@@ -185,21 +182,15 @@ def lemma_variational_suite(trials: int = 100, seed: int = 3) -> SuiteResult:
 
     For random positive definite E, the objective at S = E^{-1} must equal
     ln det(E^{-1}) to 1e-9, and random positive definite S' must score
-    strictly lower.
+    strictly lower. Each trial draws E, then three S'.
     """
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(trials):
-        e = _random_pd(3, rng)
-        target = -logdet_pd(e) / LOG2_E
-        at_opt = logdet_variational_objective(np.linalg.inv(e), e)
-        ok = abs(at_opt - target) < 1e-9
-        for _ in range(3):
-            other = _random_pd(3, rng)
-            ok = ok and (logdet_variational_objective(other, e) < target)
-        if not ok:
-            failures += 1
-    return SuiteResult("lemma-variational", trials, failures)
+    draws = _random_pd(3, np.random.default_rng(seed), (trials, 4))
+    e, others = draws[:, 0], draws[:, 1:]
+    target = -logdet_pd(e) / LOG2_E
+    at_opt = logdet_variational_objective(np.linalg.inv(e), e)
+    lower = logdet_variational_objective(others, e[:, np.newaxis]) < target[:, np.newaxis]
+    ok = (np.abs(at_opt - target) < 1e-9) & np.all(lower, axis=1)
+    return SuiteResult("lemma-variational", trials, int(np.count_nonzero(~ok)))
 
 
 def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:

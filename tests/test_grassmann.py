@@ -18,11 +18,9 @@ from secmimo.grassmann import (
     Codebook,
     FeedbackSchedule,
     GrassmannPoint,
-    ball_volume_coefficient,
     chordal_distance,
     codebook_generate,
     feedback_bits,
-    haar_point,
     perturb_basis,
     perturb_gram,
     quant_error_bound,
@@ -45,7 +43,7 @@ DELTA_40_4_2 = 0.0681567332915786
 
 class TestChordalDistance:
     def test_zero_for_same_point(self):
-        f = haar_point(4, 2, np.random.default_rng(0))
+        f = random_truncated_unitary(4, 2, np.random.default_rng(0))
         assert chordal_distance(f, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_subspaces(self):
@@ -83,25 +81,36 @@ class TestChordalDistance:
             assert chordal_distance(f @ q, f) < 1e-10
 
 
+def _coefficient(n_t, n_r):
+    """Metric-ball volume coefficient c of G(n_t, n_r), straight from its factorial product."""
+    c = 1.0 / math.factorial(n_r * (n_t - n_r))
+    for i in range(1, n_r + 1):
+        c *= math.factorial(n_t - i) / math.factorial(n_r - i)
+    return c
+
+
+def _coefficient_of_bound(n_t, n_r, nf=1):
+    """c recovered from quant_error_bound through delta = 2 (c 2^n_f)^(-1/N)."""
+    return (2.0 / quant_error_bound(nf, n_t, n_r)) ** (2 * n_r * (n_t - n_r)) / 2.0**nf
+
+
 class TestBallVolumeCoefficient:
     @pytest.mark.parametrize(
         "n_t,n_r,expected",
         [(2, 1, 1.0), (4, 2, 0.5), (6, 3, 1.0 / 42.0)],
     )
     def test_values(self, n_t, n_r, expected):
-        assert ball_volume_coefficient(n_t, n_r) == pytest.approx(expected, rel=1e-12)
+        assert _coefficient_of_bound(n_t, n_r) == pytest.approx(expected, rel=1e-12)
 
     def test_factorial_oracle(self):
-        # independent evaluation straight from the factorial product
         for n_t, n_r in [(3, 1), (5, 2), (8, 4), (10, 3)]:
-            c = 1.0 / math.factorial(n_r * (n_t - n_r))
-            for i in range(1, n_r + 1):
-                c *= math.factorial(n_t - i) / math.factorial(n_r - i)
-            assert ball_volume_coefficient(n_t, n_r) == pytest.approx(c, rel=1e-10)
+            assert _coefficient_of_bound(n_t, n_r) == pytest.approx(
+                _coefficient(n_t, n_r), rel=1e-10
+            )
 
     def test_invalid(self):
         with pytest.raises(InvalidInputError):
-            ball_volume_coefficient(2, 2)
+            quant_error_bound(10, 2, 2)
 
 
 class TestQuantErrorBound:
@@ -115,7 +124,7 @@ class TestQuantErrorBound:
 
     def test_algebraic_identity(self):
         # delta(n_f) * (c 2^n_f)^(1/N) == 2
-        c = ball_volume_coefficient(4, 2)
+        c = _coefficient(4, 2)
         for nf in (5, 13, 40):
             delta = quant_error_bound(nf, 4, 2)
             assert delta * (c * 2.0**nf) ** (1 / 8) == pytest.approx(2.0, rel=1e-12)
@@ -123,6 +132,13 @@ class TestQuantErrorBound:
     def test_invalid_bits(self):
         with pytest.raises(InvalidInputError):
             quant_error_bound(0, 4, 2)
+
+    @pytest.mark.parametrize("n_t,n_r", [(2, 2), (2, 3), (3, 0)])
+    @pytest.mark.parametrize("distance", [quant_error_bound, quantization_target])
+    def test_invalid_antenna_counts(self, distance, n_t, n_r):
+        """n_t > n_r >= 1 is checked before any arithmetic on the counts."""
+        with pytest.raises(InvalidInputError, match="n_t > n_r >= 1"):
+            distance(5, n_t, n_r)
 
 
 class TestCodebook:
@@ -150,7 +166,7 @@ class TestCodebook:
             codebook_generate(4, 2, 21, np.random.default_rng(6))
 
     def test_codebook_validation(self):
-        p = haar_point(4, 2, np.random.default_rng(7)).matrix
+        p = random_truncated_unitary(4, 2, np.random.default_rng(7))
         with pytest.raises(InvalidInputError):
             Codebook(points=np.stack([p] * 3), bits=1)
         with pytest.raises(InvalidInputError):
@@ -183,7 +199,7 @@ class TestQuantize:
         rng = np.random.default_rng(9)
         book = codebook_generate(4, 2, 8, rng)
         for _ in range(20):
-            f = haar_point(4, 2, rng)
+            f = random_truncated_unitary(4, 2, rng)
             _, idx, dist = quantize(f, book)
             oracle = [chordal_distance(p, f) for p in book.points]
             assert idx == int(np.argmin(oracle))
@@ -193,13 +209,13 @@ class TestQuantize:
     def test_shape_mismatch(self):
         book = codebook_generate(4, 2, 2, np.random.default_rng(10))
         with pytest.raises(ShapeError):
-            quantize(haar_point(6, 3, np.random.default_rng(11)), book)
+            quantize(random_truncated_unitary(6, 3, np.random.default_rng(11)), book)
 
     def test_mean_distance_decreases_with_bits(self):
         """Empirical mean distance is monotone in the bit budget (200 draws)."""
         rng = np.random.default_rng(12)
         books = {nf: codebook_generate(4, 2, nf, rng) for nf in (4, 8, 12)}
-        draws = [haar_point(4, 2, rng) for _ in range(200)]
+        draws = [random_truncated_unitary(4, 2, rng) for _ in range(200)]
         means = []
         for nf in (4, 8, 12):
             means.append(np.mean([quantize(f, books[nf])[2] for f in draws]))
@@ -218,20 +234,20 @@ class TestPerturbQuantize:
 
     def test_matches_error_bound(self):
         rng = np.random.default_rng(13)
-        f = haar_point(4, 2, rng)
+        f = random_truncated_unitary(4, 2, rng)
         assert chordal_distance(f, _quantized_w1(f, 40, rng)) == pytest.approx(
             DELTA_40_4_2, abs=1e-6
         )
 
     def test_huge_budget_returns_same_subspace(self):
         rng = np.random.default_rng(14)
-        f = haar_point(4, 2, rng)
+        f = random_truncated_unitary(4, 2, rng)
         assert chordal_distance(f, _quantized_w1(f, 10**6, rng)) < 1e-4
 
     def test_output_orthonormal(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
-            w1 = _quantized_w1(haar_point(6, 3, rng), int(rng.integers(1, 60)), rng)
+            w1 = _quantized_w1(random_truncated_unitary(6, 3, rng), int(rng.integers(1, 60)), rng)
             assert np.linalg.norm(w1.conj().T @ w1 - np.eye(3)) < 1e-10
 
     def test_accuracy_sweep(self):
@@ -240,7 +256,7 @@ class TestPerturbQuantize:
         for _ in range(100):
             n_r = int(rng.integers(1, 4))
             n_t = 2 * n_r + int(rng.integers(0, 3))
-            f = haar_point(n_t, n_r, rng)
+            f = random_truncated_unitary(n_t, n_r, rng)
             nf = int(rng.integers(1, 100))
             target = min(
                 quant_error_bound(nf, n_t, n_r),
@@ -251,7 +267,7 @@ class TestPerturbQuantize:
     def test_seeded_deterministic(self):
         """The engine's direction draw and builder repeat on the same seed."""
         cfg = AntennaConfig(4, 2, 1, 2)
-        f = haar_point(4, 2, np.random.default_rng(18))
+        f = random_truncated_unitary(4, 2, np.random.default_rng(18))
         target = quantization_target(25, 4, 2)
         a, b = (
             tx_precoders_quantized(
@@ -268,19 +284,19 @@ class TestPerturbToDistance:
 
     def test_zero_distance(self):
         rng = np.random.default_rng(20)
-        f = haar_point(4, 2, rng).matrix
+        f = random_truncated_unitary(4, 2, rng)
         q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), 0.0)
         assert chordal_distance(f, q[:, :2]) == 0.0
 
     def test_beyond_diameter_rejected(self):
         rng = np.random.default_rng(21)
-        f = haar_point(4, 2, rng)
+        f = random_truncated_unitary(4, 2, rng)
         with pytest.raises(InvalidInputError):
             perturb_basis(f, random_gaussian_matrix(4, 2, rng), math.sqrt(2))
 
     def test_near_diameter_reachable(self):
         rng = np.random.default_rng(22)
-        f = haar_point(4, 2, rng)
+        f = random_truncated_unitary(4, 2, rng)
         target = 0.999 * math.sqrt(2)
         q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), target)
         assert abs(chordal_distance(f, q[:, :2]) - target) <= 1e-6
@@ -297,7 +313,7 @@ class TestPerturbToDistance:
         """The quantized precoders hit it across ambients, narrow ones (n_t < 2 n_r) included."""
         n_r, n_t = dims
         rng = np.random.default_rng(seed)
-        f = haar_point(n_t, n_r, rng)
+        f = random_truncated_unitary(n_t, n_r, rng)
         target = fraction * math.sqrt(min(n_r, n_t - n_r))
         w1 = tx_precoders_quantized(f, random_gaussian_matrix(n_t, n_r, rng), target).W1
         assert abs(chordal_distance(f, w1) - target) <= 1e-12
@@ -336,7 +352,7 @@ class TestPerturbToDistance:
     def test_stack_matches_each_element(self):
         """Each element of a stack gets its 2-D result; a zero target keeps the point."""
         rng = np.random.default_rng(26)
-        f = haar_point(6, 3, rng).matrix
+        f = random_truncated_unitary(6, 3, rng)
         z = np.stack([random_gaussian_matrix(6, 3, rng) for _ in range(4)])
         targets = np.array([0.0, 1e-9, 0.5, 1.7])
         stacked = perturb_basis(f, z, targets)
@@ -351,7 +367,7 @@ class TestPerturbToDistance:
     def test_rank_deficient_direction_fails_final_check(self):
         """A rank-one direction cannot pass distance 1 on G(6, 3), and fails without a warning."""
         rng = np.random.default_rng(25)
-        f = haar_point(6, 3, rng)
+        f = random_truncated_unitary(6, 3, rng)
         z = np.outer(rng.standard_normal(6), rng.standard_normal(3)).astype(complex)
         assert chordal_distance(f, perturb_basis(f, z, 0.9)[:, :3]) == pytest.approx(0.9)
         _, _, _, j = perturb_gram(f, z, 0.9)
@@ -365,7 +381,7 @@ class TestPerturbToDistance:
     def test_unreachable_targets_fail_without_warning(self, rank):
         """Directions of rank below n_r miss a target beyond sqrt(rank), on both routes."""
         rng = np.random.default_rng(28)
-        f = haar_point(8, 3, rng).matrix
+        f = random_truncated_unitary(8, 3, rng)
         z = np.zeros((8, 3), dtype=complex)
         if rank:
             z = random_gaussian_matrix(8, rank, rng) @ random_gaussian_matrix(rank, 3, rng)
@@ -427,7 +443,7 @@ class TestPerturbBasis:
 
     def test_zero_target_keeps_the_point_and_completes_it(self):
         rng = np.random.default_rng(27)
-        f = haar_point(6, 2, rng).matrix
+        f = random_truncated_unitary(6, 2, rng)
         z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(2)])
         q = perturb_basis(f, z, np.array([0.0, 0.4]))
         np.testing.assert_array_equal(q[0, :, :2], f)
@@ -441,7 +457,7 @@ class TestPerturbBasis:
     def test_one_direction_broadcasts_over_targets(self, z_shape):
         """One direction and two targets give two precoder pairs, each as if built alone."""
         rng = np.random.default_rng(29)
-        f = haar_point(6, 2, rng).matrix
+        f = random_truncated_unitary(6, 2, rng)
         z = random_gaussian_matrix(6, 2, rng)
         targets = np.array([0.1, 0.2])
         prec = tx_precoders_quantized(f, z.reshape(z_shape), targets)
@@ -455,7 +471,7 @@ class TestPerturbBasis:
 
     def test_stacks_that_do_not_broadcast_raise_shape_error(self):
         rng = np.random.default_rng(30)
-        f = haar_point(6, 2, rng).matrix
+        f = random_truncated_unitary(6, 2, rng)
         z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(3)])
         for build in (tx_precoders_quantized, perturb_basis, perturb_gram):
             with pytest.raises(ShapeError, match="do not broadcast"):

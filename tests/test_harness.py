@@ -29,7 +29,6 @@ from secmimo.rates import (
     grams_rate,
     grams_rate_sweep,
     secrecy_rate_G,
-    secrecy_rate_sweep,
     step_grams,
     trial_couplings,
 )
@@ -192,11 +191,11 @@ def _reference_trial(cfg, curve, trial):
 
 
 def _explicit_trial(cfg, curve, trial):
-    """One trial through explicit precoders: tx_precoders_perfect with
-    secrecy_rate_sweep, and tx_precoders_quantized with secrecy_rate_G."""
+    """One trial through explicit precoders and secrecy_rate_G: tx_precoders_perfect
+    at the curve's power vector, and tx_precoders_quantized at each point."""
     acfg, channels, filters, points = _trial_points(cfg, curve, trial)
     powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
-    r_p = secrecy_rate_sweep(channels, tx_precoders_perfect(channels.Hd), filters, powers, acfg)
+    r_p = secrecy_rate_G(channels, tx_precoders_perfect(channels.Hd), filters, powers, acfg)
     out = np.empty((len(points), 5))
     for i, (policy, target, z) in enumerate(points):
         prec_q = tx_precoders_quantized(filters.F, z, target)

@@ -13,6 +13,7 @@ from secmimo.errors import (
 from secmimo.linalg import (
     adjoint,
     as_matrix,
+    complex_gaussian,
     gaussian_mi,
     hermitian_part,
     left_nullspace_basis,
@@ -296,6 +297,53 @@ class TestGaussianMi:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             gaussian_mi(np.eye(2), np.eye(3), None, 1.0)
+
+    @staticmethod
+    def _stack(rng):
+        """Three (channel, signal covariance, interference covariance) triples, stacked."""
+        h = complex_gaussian(rng.standard_normal((3, 2, 2, 3)))
+        mk = complex_gaussian(rng.standard_normal((3, 2, 3, 3)))
+        ms = complex_gaussian(rng.standard_normal((3, 2, 2, 2)))
+        k = hermitian_part(mk @ adjoint(mk)) + 0.5 * np.eye(3)
+        return h, k, hermitian_part(ms @ adjoint(ms))
+
+    def test_stack_matches_each_matrix(self):
+        h, k, s_int = self._stack(np.random.default_rng(18))
+        got = gaussian_mi(h, k, s_int, 0.7)
+        assert got.shape == (3,)
+        for i in range(3):
+            assert got[i] == gaussian_mi(h[i], k[i], s_int[i], 0.7)
+        np.testing.assert_array_equal(
+            gaussian_mi(h, k[0], None, 0.7), [gaussian_mi(x, k[0], None, 0.7) for x in h]
+        )
+
+    @pytest.mark.parametrize(
+        "arg, index, value, error",
+        [
+            (0, (1, 0, 0), np.nan, InvalidInputError),
+            (1, (2, 1, 1), np.inf, InvalidInputError),
+            (2, (0, 0, 1), np.nan, InvalidInputError),
+            (1, 1, -np.eye(3), NotPositiveDefiniteError),
+            (2, 2, np.diag([1.0, -1.0]), NotPositiveDefiniteError),
+        ],
+        ids=["channel-nan", "signal-inf", "interference-nan", "signal-not-pd", "interference-neg"],
+    )
+    def test_one_bad_element_fails_the_stack(self, arg, index, value, error):
+        args = list(self._stack(np.random.default_rng(19)))
+        args[arg][index] = value
+        with pytest.raises(error):
+            gaussian_mi(*args, 0.7)
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_noise_variance_fails_the_stack(self, noise):
+        with pytest.raises(InvalidInputError):
+            gaussian_mi(*self._stack(np.random.default_rng(20)), noise)
+
+    def test_stack_shape_mismatch(self):
+        h, k, s_int = self._stack(np.random.default_rng(21))
+        for args in ((h, k[:, :2, :2], s_int), (h, k, s_int[:, :1, :1])):
+            with pytest.raises(ShapeError):
+                gaussian_mi(*args)
 
 
 def test_as_matrix_guards():

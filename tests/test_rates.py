@@ -20,15 +20,16 @@ from secmimo.linalg import (
     random_truncated_unitary,
 )
 from secmimo.rates import (
+    SecrecyRate,
     beta_P,
     eve_rate_limit,
     fit_slope,
     grams_rate,
+    grams_rate_sweep,
     logdet_perturbation_check,
     logdet_variational_objective,
     secrecy_rate_G,
     secrecy_rate_perfect_basic,
-    secrecy_rate_sweep,
     step_grams,
     trial_couplings,
 )
@@ -99,14 +100,14 @@ class TestPerfectBasic:
         dec = svd(ch.Hd)
         v = rx_nuller(ch.Hj)
         h_eff = v.conj().T @ dec.U @ np.diag(dec.singular_values)
-        kxs = policy.kxs(2) * policy.P
+        per_stream = policy.P / 2
         an = policy.an_cov_scale(4, 2)
         he_s = ch.He @ dec.V[:, :2]
         he_an = ch.He @ dec.V[:, 2:]
-        mi_rx = gaussian_mi(h_eff, policy.rho * kxs * np.eye(2), None, 1.0)
+        mi_rx = gaussian_mi(h_eff, policy.rho * per_stream * np.eye(2), None, 1.0)
         mi_eve = gaussian_mi(
             he_s,
-            policy.rho * kxs * np.eye(2),
+            policy.rho * per_stream * np.eye(2),
             an * (he_an @ he_an.conj().T),
             1.0,
         )
@@ -139,7 +140,7 @@ class TestPerfectG:
             snrs, rates = [], []
             for k in range(20, 31):
                 policy = PowerPolicy(P=2.0**k, rho=0.5)
-                snrs.append(policy.snr_db)
+                snrs.append(10.0 * math.log10(policy.P))
                 rates.append(secrecy_rate_G(ch, prec_p, filters, policy, cfg).raw)
             est = fit_slope(np.array(snrs), np.array(rates), window=(min(snrs), max(snrs)))
             assert est.slope == pytest.approx(cfg.d_s, abs=0.05)
@@ -227,21 +228,43 @@ class TestQuantizedG:
 
 
 def _sweep_case(shape, seed, mode, fraction=0.5):
-    """One trial's channels, filters and perfect or quantized precoders."""
+    """One trial's channels, filters, quantizer direction and target, and its precoders.
+
+    The perfect mode has the zero direction and target 0.
+    """
     cfg = AntennaConfig(*shape)
     rng = np.random.default_rng(seed)
     ch, filters = _channels_and_filters(cfg, rng)
     if mode == "perfect":
-        return cfg, ch, filters, tx_precoders_perfect(ch.Hd)
+        return cfg, ch, filters, np.zeros_like(filters.F), 0.0, tx_precoders_perfect(ch.Hd)
     target = fraction * math.sqrt(min(cfg.n_r, cfg.n_t - cfg.n_r))
     z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
-    return cfg, ch, filters, tx_precoders_quantized(filters.F, z, target)
+    return cfg, ch, filters, z, target, tx_precoders_quantized(filters.F, z, target)
+
+
+def _gram_sweep(ch, filters, z, target, policy, cfg):
+    """grams_rate_sweep of the Gram set of the quantizer step, the engine's route."""
+    step = perturb_gram(filters.F, z, target)
+    return grams_rate_sweep(step_grams(trial_couplings(ch, filters, policy), step), policy, cfg)
+
+
+def _trial(stacked, t):
+    """Trial t of a (T, 1) stack of channels, filters, precoders or Grams, as 2-D matrices."""
+    if isinstance(stacked, tuple):
+        return type(stacked)._make(m[t, 0] for m in stacked)
+    return type(stacked)(**{name: m[t, 0] for name, m in vars(stacked).items()})
+
+
+def _close(value, ref):
+    return np.all(np.abs(value - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 _SWEEP_SHAPES = st.sampled_from([(4, 2, 1, 2), (6, 3, 1, 3), (8, 4, 1, 4), (7, 3, 0, 2)])
 
 
 class TestSecrecyRateSweep:
+    """grams_rate_sweep on the Gram route, against explicit precoders and gaussian_mi."""
+
     @settings(deadline=None, derandomize=True)
     @given(
         shape=_SWEEP_SHAPES,
@@ -252,16 +275,14 @@ class TestSecrecyRateSweep:
     )
     def test_matches_pointwise_kernel(self, shape, seed, mode, fraction, log_powers):
         """Each power of the sweep against secrecy_rate_G at that power, to 1e-10."""
-        cfg, ch, filters, prec = _sweep_case(shape, seed, mode, fraction)
+        cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode, fraction)
         powers = 10.0 ** np.array(log_powers)
-        sweep = secrecy_rate_sweep(ch, prec, filters, PowerPolicy(P=powers, rho=0.5), cfg)
+        sweep = _gram_sweep(ch, filters, z, target, PowerPolicy(P=powers, rho=0.5), cfg)
         for i, power in enumerate(powers):
             point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5), cfg)
-            for name in ("t_plus", "t_minus", "raw"):
-                ref = getattr(point, name)
-                assert abs(getattr(sweep, name)[i] - ref) <= 1e-10 * max(1.0, abs(ref)), name
+            for name in ("t_plus", "t_minus", "raw", "leakage"):
+                assert _close(getattr(sweep, name)[i], getattr(point, name)), name
             assert sweep.clipped[i] == max(sweep.raw[i], 0.0)
-            assert sweep.leakage[i] == point.leakage
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -273,9 +294,9 @@ class TestSecrecyRateSweep:
     )
     def test_matches_gaussian_mi(self, shape, seed, mode, log_power, rho):
         """Both terms against the generic oracle; G drops out of the receiver's MI."""
-        cfg, ch, filters, prec = _sweep_case(shape, seed, mode)
+        cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode)
         policy = PowerPolicy(P=10.0**log_power, rho=rho, sigma2=0.7, sigma2_eve=1.3)
-        rate = secrecy_rate_sweep(ch, prec, filters, policy, cfg)
+        rate = _gram_sweep(ch, filters, z, target, policy, cfg)
         signal_cov = rho * policy.P / cfg.n_r * np.eye(cfg.n_r)
         an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
         vh = filters.V.conj().T @ ch.Hd
@@ -291,33 +312,30 @@ class TestSecrecyRateSweep:
         rngs = [np.random.default_rng((31, t)) for t in range(4)]
         ch, b = sample_trials(cfg, rngs)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
-        prec = tx_precoders_perfect(ch.Hd)
-        powers = 10.0 ** np.arange(0.0, 7.0)
-        sweep = secrecy_rate_sweep(ch, prec, filters, PowerPolicy(P=powers, rho=0.5), cfg)
+        policy = PowerPolicy(P=10.0 ** np.arange(0.0, 7.0), rho=0.5)
+        sweep = _gram_sweep(ch, filters, np.zeros_like(filters.F), 0.0, policy, cfg)
         assert sweep.raw.shape == (4, 7)
         for t in range(4):
-            alone = secrecy_rate_sweep(
-                ChannelSet(**{k: m[t, 0] for k, m in vars(ch).items()}),
-                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0]),
-                ReceiverFilters(**{k: m[t, 0] for k, m in vars(filters).items()}),
-                PowerPolicy(P=powers, rho=0.5),
-                cfg,
-            )
+            ch_t, filters_t = _trial(ch, t), _trial(filters, t)
+            alone = _gram_sweep(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy, cfg)
             np.testing.assert_array_equal(sweep.raw[t], alone.raw)
 
     def test_singular_noise_floor_is_not_positive_definite(self):
-        cfg, ch, filters, prec = _sweep_case((4, 2, 1, 2), 40, "perfect")
+        cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 40, "perfect")
         flat = ReceiverFilters(**dict(vars(filters), G=np.zeros_like(filters.G)))
         with pytest.raises(NotPositiveDefiniteError):
-            secrecy_rate_sweep(ch, prec, flat, PowerPolicy(P=10.0, rho=0.5), cfg)
+            _gram_sweep(ch, flat, z, target, PowerPolicy(P=10.0, rho=0.5), cfg)
 
     def test_non_finite_matrix_rejected(self):
-        cfg, ch, filters, prec = _sweep_case((4, 2, 1, 2), 41, "perfect")
+        cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 41, "perfect")
+        policy = PowerPolicy(P=10.0, rho=0.5)
         he = ch.He.copy()
         he[0, 0] = np.nan
-        bad = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
         with pytest.raises(InvalidInputError):
-            secrecy_rate_sweep(bad, prec, filters, PowerPolicy(P=10.0, rho=0.5), cfg)
+            _gram_sweep(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy, cfg)
+        grams = step_grams(trial_couplings(ch, filters, policy), perturb_gram(filters.F, z, target))
+        with pytest.raises(InvalidInputError):
+            grams_rate_sweep(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
 
 
 class TestLeakageField:
@@ -331,13 +349,56 @@ class TestLeakageField:
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_quantized(filters.F, sample_directions(cfg, rngs, targets > 0), targets)
         policy = PowerPolicy(P=10.0 ** np.arange(7.0), rho=0.5)
-        leak = leakage_power(filters, ch.Hd, prec.W2, policy)
-        np.testing.assert_array_equal(secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, leak)
-        perfect = tx_precoders_perfect(ch.Hd)
-        np.testing.assert_array_equal(
-            secrecy_rate_sweep(ch, perfect, filters, policy, cfg).leakage,
-            leakage_power(filters, ch.Hd, perfect.W2, policy),
-        )
+        for precoders in (prec, tx_precoders_perfect(ch.Hd)):
+            np.testing.assert_array_equal(
+                secrecy_rate_G(ch, precoders, filters, policy, cfg).leakage,
+                leakage_power(filters, ch.Hd, precoders.W2, policy),
+            )
+
+
+def _fields(result):
+    """The arrays of a SecrecyRate, or a kernel's one array, as a tuple."""
+    return tuple(vars(result).values()) if isinstance(result, SecrecyRate) else (result,)
+
+
+# each kernel of a trial's config, channels, filters, precoders and Grams at a policy
+_RHO_KERNELS = {
+    "grams_rate": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
+    "secrecy_rate_G": lambda c, ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol, c),
+    "grams_rate_sweep": lambda c, ch, f, w, g, pol: grams_rate_sweep(g, pol, c),
+    "eve_rate_limit": lambda c, ch, f, w, g, pol: eve_rate_limit(ch, w, pol, c),
+    "beta_P": lambda c, ch, f, w, g, pol: beta_P(ch, f, w, pol, c),
+}
+
+
+class TestRhoStack:
+    @pytest.fixture(scope="class")
+    def case(self):
+        """Five trials' quantized precoders and their Gram set, each at its own target and rho."""
+        cfg = AntennaConfig(6, 3, 1, 3)
+        rngs = [np.random.default_rng((43, t)) for t in range(5)]
+        ch, b = sample_trials(cfg, rngs)
+        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
+        z = sample_directions(cfg, rngs, [True])
+        targets = np.linspace(0.1, 1.2, 5)[:, np.newaxis]
+        prec = tx_precoders_quantized(filters.F, z, targets)
+        couplings = trial_couplings(ch, filters, PowerPolicy(P=1.0, rho=0.5))
+        grams = step_grams(couplings, perturb_gram(filters.F, z, targets))
+        return cfg, (ch, filters, prec, grams), np.linspace(0.2, 0.8, 5)[:, np.newaxis]
+
+    @pytest.mark.parametrize("name", _RHO_KERNELS)
+    def test_stack_matches_per_matrix_calls(self, case, name):
+        """A (T, 1) rho stack gives, bit for bit, each trial's result at its scalar rho."""
+        cfg, stacks, rho = case
+        kernel = _RHO_KERNELS[name]
+        power = np.array([1.0, 1e3, 1e9]) if name == "grams_rate_sweep" else 1e4
+        stacked = _fields(kernel(cfg, *stacks, PowerPolicy(P=power, rho=rho)))
+        for t in range(len(rho)):
+            alone = _fields(
+                kernel(cfg, *(_trial(s, t) for s in stacks), PowerPolicy(P=power, rho=rho[t, 0]))
+            )
+            for got, want in zip(stacked, alone):
+                np.testing.assert_array_equal(got[t], np.reshape(want, got[t].shape))
 
 
 class TestStepGrams:
@@ -481,6 +542,17 @@ class TestVariationalObjective:
                 m2 = random_gaussian_matrix(3, 3, rng)
                 s_other = hermitian_part(m2 @ m2.conj().T) + np.eye(3)
                 assert logdet_variational_objective(s_other, e) < target
+
+    def test_stack_matches_per_matrix_calls(self):
+        """S and E stacks broadcast; each element is the 2-D call's value."""
+        rng = np.random.default_rng(44)
+        m = complex_gaussian(rng.standard_normal((4, 3, 2, 3, 3)))
+        pd = hermitian_part(m @ adjoint(m)) + np.eye(3)
+        s_stack, e = pd[:, 1:], pd[:, :1]
+        stacked = logdet_variational_objective(s_stack, e)
+        assert stacked.shape == (4, 2)
+        for k, j in np.ndindex(4, 2):
+            assert stacked[k, j] == logdet_variational_objective(s_stack[k, j], e[k, 0])
 
 
 class TestSdofFit:

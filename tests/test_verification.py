@@ -7,7 +7,12 @@ import pytest
 
 from secmimo import harness, verification
 from secmimo.grassmann import perturb_basis, quantization_target
-from secmimo.linalg import adjoint, random_gaussian_matrix, random_truncated_unitary
+from secmimo.linalg import (
+    adjoint,
+    hermitian_part,
+    random_gaussian_matrix,
+    random_truncated_unitary,
+)
 from secmimo.transceiver import rx_postfilter, sample_channels, tx_precoders_quantized
 from secmimo.verification import (
     SLOPE_CONFIGS,
@@ -94,6 +99,19 @@ def test_trial_draws_match_scalar_reference(acfg, seed):
         ref_w1 = perturb_basis(rx_postfilter(ref.Hd, ref.Hj, b).F, ref_z, target)[:, :n_r]
         np.testing.assert_array_equal(prec_q.W1[t, 0], ref_w1)
         assert np.linalg.norm(adjoint(ref_w1) @ prec_q.W2[t, 0]) <= 1e-12
+
+
+def test_lemma_variational_draws_match_per_matrix_loop():
+    """The suite's one standard-normal call draws, bit for bit, a loop of one call per matrix.
+
+    Trial t's E and then its three S' come from the suite seed's generator,
+    one random_gaussian_matrix(3, 3) each, as M M* + I.
+    """
+    stacked = verification._random_pd(3, np.random.default_rng(3), (5, 4))
+    rng = np.random.default_rng(3)
+    for t, j in np.ndindex(5, 4):
+        m = random_gaussian_matrix(3, 3, rng)
+        np.testing.assert_array_equal(stacked[t, j], hermitian_part(m @ m.conj().T) + np.eye(3))
 
 
 _TRIAL_SUITES = [
