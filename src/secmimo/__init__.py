@@ -47,7 +47,6 @@ from .linalg import (
     gaussian_mi,
     left_nullspace_basis,
     logdet_pd,
-    nullspace_basis,
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,

@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario",
         choices=SCENARIOS,
         default=None,
-        help="experiment family (default slope)",
+        help=f"experiment family (default {SCENARIOS[0]})",
     )
     run_p.add_argument(
         "--nr",
@@ -132,7 +132,8 @@ def _load_config_file(path: str, types: dict) -> dict:
     return data
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args) -> tuple[ExperimentConfig, str | None]:
+    """The run's experiment configuration and its output path (None for stdout)."""
     file_cfg = _load_config_file(args.config, args.config_types) if args.config else {}
 
     def setting(key, default=None):
@@ -141,48 +142,38 @@ def _experiment_config(args) -> ExperimentConfig:
             return flag
         return file_cfg.get(key, default)
 
-    scenario = setting("scenario", "slope")
     n_r_list = setting("nr")
     if isinstance(n_r_list, int):
         n_r_list = [n_r_list]
     epsilon = setting("epsilon")
     nf = setting("nf")
-    if scenario == "slope" and nf is not None:
-        raise ConfigError("slope scenario scales bits with power; use --epsilon, not --nf")
-    if scenario == "saturation" and epsilon is not None:
-        raise ConfigError("saturation scenario uses a fixed budget; use --nf, not --epsilon")
-    if scenario == "gap_vs_bits" and (nf is not None or epsilon is not None):
-        raise ConfigError("gap_vs_bits scenario sweeps its own bit grid; drop --nf and --epsilon")
-    if scenario == "custom" and nf is not None and epsilon is not None:
-        raise ConfigError("custom scenario takes --nf (fixed) or --epsilon (scaled), not both")
+    if nf is not None and epsilon is not None:
+        raise ConfigError("--nf (fixed bits) and --epsilon (scaled bits) exclude each other")
 
     overrides = {}
     for key in ("snr_min", "snr_max", "snr_step", "trials", "seed", "rho"):
         value = setting(key)
         if value is not None:
             overrides[key] = value
-    out_path = setting("out")
-    if out_path is not None:
-        overrides["out_path"] = out_path
-    # with neither, the scenario keeps its default schedule
+    # with neither, the scenario keeps its default bit source
     if nf is not None:
         overrides["schedule"] = FeedbackSchedule.fixed(nf)
     elif epsilon is not None:
         overrides["schedule"] = FeedbackSchedule.scaled(epsilon)
-
-    return scenario_config(scenario, n_r_list, **overrides)
+    cfg = scenario_config(setting("scenario", SCENARIOS[0]), n_r_list, **overrides)
+    return cfg, setting("out")
 
 
 def _cmd_run(args) -> int:
     try:
-        cfg = _experiment_config(args)
+        cfg, out = _experiment_config(args)
     except InvalidInputError as exc:
         # raised by the antenna-config and schedule constructors
         raise ConfigError(str(exc)) from exc
     result = run_experiment(cfg)
-    if cfg.out_path:
-        write_csv(result, cfg.out_path)
-        print(f"wrote {len(result.rows)} rows to {cfg.out_path}")
+    if out:
+        write_csv(result, out)
+        print(f"wrote {len(result.rows)} rows to {out}")
         _print_slopes(result.slopes)
     else:
         sys.stdout.write(render_csv(result))
@@ -221,13 +212,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_slopes(args) -> int:
-    rows = read_csv(args.csv)
-    if not rows:
-        raise ConfigError(f"{args.csv} holds no result rows")
     try:
-        fits = fitted_slopes_from_rows(rows)
+        fits = fitted_slopes_from_rows(read_csv(args.csv))
     except InvalidInputError as exc:
         raise ConfigError(f"{args.csv}: {exc}") from exc
+    if not fits:
+        raise ConfigError(f"{args.csv} holds no rows of an SNR sweep to fit")
     _print_slopes(fits)
     return 0
 

@@ -9,8 +9,8 @@ Two quantizers live here: the exhaustive minimum-distance search against an
 explicit codebook (tractable for small bit budgets, used as the oracle), and
 a random-perturbation surrogate that constructs a neighbor at exactly the
 worst-case distance the sphere-packing bound (Dai, Liu & Rider, IEEE Trans.
-IT 2008) predicts for a given bit budget, solving a closed form for the step
-size and checking the distance once. Experiments use the surrogate because
+IT 2008) predicts for a given bit budget, finding the step size by Newton's
+method and checking the distance once. Experiments use the surrogate because
 packing-based codebooks are infeasible beyond a few tens of bits.
 """
 
@@ -38,15 +38,15 @@ from .linalg import (
 )
 
 # Largest bit budget for which an explicit codebook is still generated and
-# scanned exhaustively. Beyond this, perturb_basis places the quantized
-# subspace at quantization_target instead.
+# scanned exhaustively. Beyond this, the engine places the quantized
+# subspace at quantization_target with perturb_gram.
 MAX_EXHAUSTIVE_BITS = 20
 
 # Achieved-vs-target distance tolerance of the perturbation quantizer.
 PERTURB_TOL = 1e-6
 
 # Target clamp just inside the manifold diameter: the bound exceeds it at
-# tiny bit budgets, and the closed-form root diverges near it.
+# tiny bit budgets, and the step t that _perturb_step solves for grows without bound near it.
 _DIAMETER_CLAMP = 0.999
 
 # Targets below this leave the point where it is and draw no direction.

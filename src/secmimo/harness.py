@@ -1,23 +1,13 @@
 """Monte Carlo experiment runner with deterministic seeding and CSV output.
 
 Each trial draws one channel realization plus the receiver design matrix,
-then sweeps the operating points (SNR grid, or SNR x bit-budget grid for the
-gap-versus-bits scenario) with those matrices held fixed. Every (curve,
-trial) pair gets its own child RNG stream derived injectively from the
-experiment seed. A curve's trials are evaluated about BLOCK_POINTS operating
-points at a time as stacked arrays; each trial's numbers are computed element
-by element, so results are bit-identical for any block size.
-
-Scenarios
----------
-slope        secrecy rate vs SNR for several receiver sizes, power-scaled
-             feedback bits; the high-SNR slopes estimate the secure
-             degrees of freedom.
-saturation   fixed feedback bits; the quantized-CSI curve flattens while
-             the perfect-CSI curve keeps its slope.
-gap_vs_bits  rate loss due to quantization vs the bit budget at a few
-             fixed SNR points.
-custom       caller-specified antenna configs and schedule.
+then sweeps the operating points (SNR grid, or SNR x bit-budget grid) with
+those matrices held fixed. Every (curve, trial) pair gets its own child RNG
+stream derived injectively from the experiment seed. A curve's trials are
+evaluated about BLOCK_POINTS operating points at a time as stacked arrays;
+each trial's numbers are computed element by element, so results are
+bit-identical for any block size. What differs between scenarios is one row
+of SCENARIO_TABLE.
 """
 
 from __future__ import annotations
@@ -27,7 +17,7 @@ import csv
 import math
 import os
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,38 +38,75 @@ from .transceiver import (
     sample_trials,
 )
 
-SCENARIOS = ("slope", "saturation", "gap_vs_bits", "custom")
-
 # Operating points (trials x points per trial) evaluated together as one
 # stack; a block holds max(1, BLOCK_POINTS // points per trial) trials.
 # Larger blocks spread the fixed cost of each numpy call over more trials
 # but hold more memory at once, and the memory grows with trials x points.
 BLOCK_POINTS = 240
 
-# Default bit grid of the gap_vs_bits scenario.
-DEFAULT_NF_GRID = tuple(range(10, 101, 10))
+
+class Scenario(typing.NamedTuple):
+    """What one scenario fixes: default curves and settings, and its bit sources."""
+
+    n_rs: tuple  # default receiver sizes, each curve (2 n_r, n_r, 1, n_r)
+    defaults: dict  # ExperimentConfig fields: a schedule, or an nf_grid and its SNR grid
+    sources: tuple  # accepted bit sources: "epsilon", "nf" or "nf_grid"
+    free_antennas: bool = False  # whether curves may leave the (2 n_r, n_r, 1, n_r) shape
+
+
+# Every scenario; the first is the default.
+SCENARIO_TABLE = {
+    # secrecy rate vs SNR for several receiver sizes, power-scaled feedback
+    # bits; the high-SNR slopes estimate the secure degrees of freedom
+    "slope": Scenario((2, 3, 4), {"schedule": FeedbackSchedule.scaled(0.0)}, ("epsilon",)),
+    # fixed feedback bits; the quantized-CSI curve flattens while the
+    # perfect-CSI curve keeps its slope
+    "saturation": Scenario((3,), {"schedule": FeedbackSchedule.fixed(30)}, ("nf",)),
+    # rate loss due to quantization vs the bit budget at a few fixed SNR points
+    "gap_vs_bits": Scenario(
+        (3,),
+        dict(snr_min=10.0, snr_max=30.0, snr_step=10.0, nf_grid=tuple(range(10, 101, 10))),
+        ("nf_grid",),
+    ),
+    # caller-specified antenna configs and schedule
+    "custom": Scenario(
+        (2,), {"schedule": FeedbackSchedule.scaled(0.0)}, ("epsilon", "nf"), free_antennas=True
+    ),
+}
+SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment."""
+    """Full description of one Monte Carlo experiment; its bits come from one
+    source its scenario accepts, a `schedule` or a grid `nf_grid` swept at every SNR."""
 
-    scenario: str = "slope"
+    scenario: str = SCENARIOS[0]
     antenna_configs: tuple = ()
     snr_min: float = 0.0
     snr_max: float = 60.0
     snr_step: float = 5.0
     trials: int = 500
     seed: int = 0
-    schedule: FeedbackSchedule = field(default_factory=FeedbackSchedule.scaled)
+    schedule: FeedbackSchedule | None = None
     rho: float = 0.5
-    out_path: str | None = None
-    nf_grid: tuple | None = None  # gap_vs_bits only
+    nf_grid: tuple | None = None
 
     def validate(self) -> list:
         """Check the configuration; return each curve's (snr_db, nf_bits) points."""
-        if self.scenario not in SCENARIOS:
+        if self.scenario not in SCENARIO_TABLE:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
+        row = SCENARIO_TABLE[self.scenario]
+        given = [] if self.nf_grid is None else ["nf_grid"]
+        if self.schedule is not None:  # a scaled schedule is the epsilon source, a fixed one nf
+            given.append("epsilon" if self.schedule.mode == "scaled" else "nf")
+        if len(given) != 1 or given[0] not in row.sources:
+            raise ConfigError(
+                f"scenario {self.scenario!r} takes its bits from {' or '.join(row.sources)}, "
+                f"got {' and '.join(given) or 'none'}"
+            )
+        if self.nf_grid is not None and (not self.nf_grid or any(int(b) < 1 for b in self.nf_grid)):
+            raise ConfigError("nf_grid must hold at least one bit budget, each positive")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -104,21 +131,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"the perturbation quantizer needs n_t >= 2 n_r, got ({cfg.n_t}, {cfg.n_r})"
                 )
-        if self.scenario in ("slope", "saturation", "gap_vs_bits"):
+        if not row.free_antennas:
             for cfg in self.antenna_configs:
                 if cfg.n_t != 2 * cfg.n_r or cfg.n_j != 1 or cfg.n_e != cfg.n_r:
                     raise ConfigError(
                         f"scenario {self.scenario!r} requires n_t = 2 n_r, n_j = 1, "
                         f"n_e = n_r; got ({cfg.n_t}, {cfg.n_r}, {cfg.n_j}, {cfg.n_e})"
                     )
-        if self.scenario == "slope" and self.schedule.mode != "scaled":
-            raise ConfigError("slope scenario uses the power-scaled bit schedule")
-        if self.scenario == "saturation" and self.schedule.mode != "fixed":
-            raise ConfigError("saturation scenario uses a fixed bit budget")
-        if self.scenario == "gap_vs_bits":
-            grid = self.nf_grid if self.nf_grid is not None else DEFAULT_NF_GRID
-            if not grid or any(int(b) < 1 for b in grid):
-                raise ConfigError("gap_vs_bits needs a grid of positive bit budgets")
         # an SNR point count, bit budget or top power past the float range
         try:
             curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
@@ -132,34 +151,19 @@ def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConf
     """Experiment configuration with the standard defaults for a scenario.
 
     Antenna counts follow the n_t = 2 n_r, n_j = 1, n_e = n_r pattern;
-    rho = 1/2 and unit noise everywhere.
+    rho = 1/2 and unit noise everywhere. A `schedule` or `nf_grid` override
+    replaces the scenario's default bit source.
     """
-    if scenario == "slope":
-        default_n_rs = (2, 3, 4)
-        cfg = ExperimentConfig(scenario="slope", schedule=FeedbackSchedule.scaled(0.0))
-    elif scenario == "saturation":
-        default_n_rs = (3,)
-        cfg = ExperimentConfig(scenario="saturation", schedule=FeedbackSchedule.fixed(30))
-    elif scenario == "gap_vs_bits":
-        default_n_rs = (3,)
-        cfg = ExperimentConfig(
-            scenario="gap_vs_bits",
-            snr_min=10.0,
-            snr_max=30.0,
-            snr_step=10.0,
-            nf_grid=DEFAULT_NF_GRID,
-            schedule=FeedbackSchedule.fixed(30),
-        )
-    elif scenario == "custom":
-        default_n_rs = (2,)
-        cfg = ExperimentConfig(scenario="custom")
-    else:
+    if scenario not in SCENARIO_TABLE:
         raise ConfigError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+    row = SCENARIO_TABLE[scenario]
+    settings = row.defaults
+    if {"schedule", "nf_grid"} & overrides.keys():
+        settings = {k: v for k, v in settings.items() if k not in ("schedule", "nf_grid")}
     # an empty list is kept, so that validate rejects it
-    n_rs = default_n_rs if n_r_list is None else tuple(n_r_list)
+    n_rs = row.n_rs if n_r_list is None else tuple(n_r_list)
     configs = tuple(AntennaConfig(2 * n, n, 1, n) for n in n_rs)
-    cfg = replace(cfg, antenna_configs=configs, **overrides)
-    return cfg
+    return ExperimentConfig(scenario, configs, **{**settings, **overrides})
 
 
 @dataclass(frozen=True)
@@ -206,9 +210,8 @@ def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[floa
     """Ordered (snr_db, nf_bits) operating points for one curve."""
     n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
-    if cfg.scenario == "gap_vs_bits":
-        grid = cfg.nf_grid if cfg.nf_grid is not None else DEFAULT_NF_GRID
-        return [(snr, int(nf)) for snr in snrs for nf in grid]
+    if cfg.nf_grid is not None:
+        return [(snr, int(nf)) for snr in snrs for nf in cfg.nf_grid]
     return [
         (snr, _nf_for_power(10.0 ** (snr / 10.0), cfg.schedule, acfg.n_t, acfg.n_r))
         for snr in snrs
@@ -315,9 +318,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 )
             )
     # a sweep of fewer than three points has no slope to fit
-    slopes = {}
-    if cfg.scenario != "gap_vs_bits" and len(curves[0]) >= 3:
-        slopes = fitted_slopes_from_rows(rows)
+    slopes = fitted_slopes_from_rows(rows) if len(curves[0]) >= 3 else {}
     return ExperimentResult(rows=rows, slopes=slopes)
 
 
@@ -367,6 +368,8 @@ def read_csv(path: str) -> list[ResultRow]:
                     row = ResultRow(**{k: kind(rec[k]) for k, kind in _COLUMNS.items()})
                     if not all(math.isfinite(getattr(row, k)) for k in _FLOAT_COLUMNS):
                         raise ValueError("a numeric field is not finite")
+                    if row.scenario not in SCENARIO_TABLE:
+                        raise ValueError(f"unknown scenario {row.scenario!r}")
                     rows.append(row)
             # a short row (None fields), a bad numeric field, or undecodable bytes
             except (csv.Error, TypeError, ValueError) as exc:
@@ -379,9 +382,11 @@ def read_csv(path: str) -> list[ResultRow]:
 def fitted_slopes_from_rows(rows) -> dict:
     """Fit per-curve SDoF slopes from result rows (duplicate SNRs averaged).
 
-    Rows sharing a curve and an SNR are summed in row order and divided by
-    their count. Each curve is fitted over :func:`fit_slope`'s default window.
+    Rows of a scenario that sweeps a bit grid have no slope and are left
+    out. Rows sharing a curve and an SNR are summed in row order and divided
+    by their count. Each curve is fitted over :func:`fit_slope`'s default window.
     """
+    rows = [r for r in rows if "nf_grid" not in SCENARIO_TABLE[r.scenario].sources]
     if not rows:
         return {}
     points = np.array([(r.n_t, r.n_r, r.n_j, r.n_e, r.snr_db) for r in rows], dtype=float)

@@ -173,29 +173,6 @@ def qr_tall(a) -> QrTallResult:
     )
 
 
-def nullspace_basis(a) -> np.ndarray:
-    """Orthonormal basis of the (right) nullspace of a wide full-row-rank matrix.
-
-    Parameters
-    ----------
-    a : array_like
-        Matrix of shape (p, q) with p < q and full row rank.
-
-    Returns
-    -------
-    numpy.ndarray
-        q x (q - p) matrix with orthonormal columns, ``A @ result ~ 0``.
-    """
-    arr = as_stack(a, "nullspace input")
-    p, q = arr.shape[-2:]
-    if p >= q:
-        raise NoNullspaceError(f"no generic nullspace for shape {p}x{q} (need p < q)")
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    if np.any(s[..., -1] < RANK_RTOL * s[..., 0]):
-        raise DegenerateChannelError("rank-deficient input to nullspace_basis")
-    return adjoint(vh)[..., :, p:]
-
-
 def left_nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of the left nullspace of a tall full-column-rank matrix.
 

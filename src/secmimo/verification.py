@@ -28,10 +28,9 @@ from .linalg import (
     adjoint,
     complex_gaussian,
     gaussian_mi,
+    haar_columns,
     hermitian_part,
     logdet_pd,
-    random_gaussian_matrix,
-    random_truncated_unitary,
 )
 from .rates import (
     _per_matrix,
@@ -198,20 +197,21 @@ def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
 
     Random positive definite A with Hermitian Delta (shrunk until A + Delta
     stays positive definite); requires lower - 1e-9 <= lhs <= upper + 1e-9.
+    Each trial draws its size n in [2, 5); the trials of one size are one stack.
     """
     rng = np.random.default_rng(seed)
+    sizes, counts = np.unique(rng.integers(2, 5, trials), return_counts=True)
     failures = 0
-    for _ in range(trials):
-        n = int(rng.integers(2, 5))
-        a = _random_pd(n, rng)
-        delta = hermitian_part(random_gaussian_matrix(n, n, rng))
-        for _ in range(60):
-            if np.linalg.eigvalsh(hermitian_part(a + delta))[0] > 1e-8:
+    for n, count in zip(sizes.tolist(), counts.tolist()):
+        a = _random_pd(n, rng, (count,))
+        delta = hermitian_part(complex_gaussian(rng.standard_normal((count, 2, n, n))))
+        for _ in range(60):  # halve each Delta at most 60 times
+            low = np.linalg.eigvalsh(hermitian_part(a + delta))[:, 0] <= 1e-8
+            if not low.any():
                 break
-            delta = 0.5 * delta
+            delta[low] *= 0.5
         lhs, upper, lower = logdet_perturbation_check(a, delta)
-        if not (lower - 1e-9 <= lhs <= upper + 1e-9):
-            failures += 1
+        failures += int(np.count_nonzero(~((lower - 1e-9 <= lhs) & (lhs <= upper + 1e-9))))
     return SuiteResult("lemma-sandwich", trials, failures)
 
 
@@ -336,26 +336,23 @@ def chordal_metric_suite(trials: int = 1000, seed: int = 10) -> SuiteResult:
     """Metric axioms of the chordal distance on random subspace triples.
 
     Symmetry and triangle inequality to 1e-9 plus invariance under a random
-    right-unitary change of representative to 1e-10.
+    right-unitary change of representative to 1e-10. Each trial draws n_r in
+    [1, 4) and n_t - n_r in [1, 4); the trials of one shape are one stack.
     """
     rng = np.random.default_rng(seed)
+    k, gap = rng.integers(1, 4, (2, trials))
+    shapes, counts = np.unique(np.stack([k + gap, k], axis=1), axis=0, return_counts=True)
     failures = 0
-    for _ in range(trials):
-        n_r = int(rng.integers(1, 4))
-        n_t = n_r + int(rng.integers(1, 4))
-        a, b, c = (random_truncated_unitary(n_t, n_r, rng) for _ in range(3))
+    for (n_t, n_r), count in zip(shapes.tolist(), counts.tolist()):
+        a, b, c = haar_columns(complex_gaussian(rng.standard_normal((3, count, 2, n_t, n_r))))
+        q = haar_columns(complex_gaussian(rng.standard_normal((count, 2, n_r, n_r))))
         d_ab = chordal_distance(a, b)
-        d_ba = chordal_distance(b, a)
-        d_ac = chordal_distance(a, c)
-        d_cb = chordal_distance(c, b)
-        q = random_truncated_unitary(n_r, n_r, rng)
         ok = (
-            abs(d_ab - d_ba) <= 1e-9
-            and d_ab <= d_ac + d_cb + 1e-9
-            and chordal_distance(a @ q, a) <= 1e-10
+            (np.abs(d_ab - chordal_distance(b, a)) <= 1e-9)
+            & (d_ab <= chordal_distance(a, c) + chordal_distance(c, b) + 1e-9)
+            & (chordal_distance(a @ q, a) <= 1e-10)
         )
-        if not ok:
-            failures += 1
+        failures += int(np.count_nonzero(~ok))
     return SuiteResult("chordal-metric", trials, failures)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from secmimo.cli import cli_main
-from secmimo.harness import CSV_HEADER, ExperimentResult, ResultRow, write_csv
+from secmimo.harness import CSV_HEADER, SCENARIOS, ExperimentResult, ResultRow, write_csv
 
 
 def _run_args(tmp_path, *extra):
@@ -251,6 +251,24 @@ class TestRun:
             assert captured.err.startswith("configuration error")
             assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "scenario, bits, code",
+        [
+            ("saturation", ["--epsilon", "0.5"], 1),
+            *((s, ["--nf", "30", "--epsilon", "0.5"], 1) for s in SCENARIOS),
+            ("custom", ["--nf", "12"], 0),
+            ("custom", ["--epsilon", "0.5"], 0),
+        ],
+    )
+    def test_bit_flag_contract(self, capsys, scenario, bits, code):
+        """Exit 1 with one line for a bit flag the scenario does not take, or both flags."""
+        args = ["run", "--scenario", scenario, "--trials", "1", "--snr-max", "10", *bits]
+        assert cli_main(args) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == (0 if code == 0 else 1)
+        if "--epsilon" in bits and "--nf" in bits:
+            assert "exclude each other" in err
+
     def test_bad_out_path(self, tmp_path, capsys):
         args, _ = _run_args(tmp_path)
         args[args.index("--out") + 1] = str(tmp_path / "no_dir" / "x.csv")
@@ -370,3 +388,38 @@ class TestSlopes:
         assert cli_main(["slopes", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}, line 2" in err and len(err.splitlines()) == 1
+
+    def test_bit_grid_rows_have_no_slope(self, tmp_path, capsys):
+        gap = tmp_path / "gap.csv"
+        args = ["run", "--scenario", "gap_vs_bits", "--trials", "1", "--out", str(gap)]
+        assert cli_main(args) == 0
+        capsys.readouterr()
+        assert cli_main(["slopes", str(gap)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("configuration error")
+
+    def test_mixed_file_fits_only_snr_sweeps(self, tmp_path, capsys):
+        """`slopes` on saturation rows plus gap_vs_bits rows of the same curve prints what
+        `run` printed for the saturation rows alone; the grid rows lie in the fit window."""
+        sat, gap = tmp_path / "sat.csv", tmp_path / "gap.csv"
+        common = ["--trials", "1", "--seed", "3", "--out"]
+        assert cli_main(["run", "--scenario", "gap_vs_bits", *common, str(gap)]) == 0
+        capsys.readouterr()
+        sweep = ["--scenario", "saturation", "--snr-max", "30"]
+        assert cli_main(["run", *sweep, *common, str(sat)]) == 0
+        run_fits = capsys.readouterr().out.splitlines()[1:]
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(sat.read_text() + "".join(gap.read_text().splitlines(True)[1:]))
+        assert cli_main(["slopes", str(mixed)]) == 0
+        assert capsys.readouterr().out.splitlines() == run_fits == [
+            line for line in run_fits if line.startswith("n_t=6 n_r=3 ")
+        ]
+
+    def test_unknown_scenario_row(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\njammer,4,2,1,2,10,10,1,1,0,0,5\n")
+        assert cli_main(["slopes", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line 2: unknown scenario" in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err

@@ -11,6 +11,8 @@ from secmimo.errors import ConfigError, DegenerateChannelError
 from secmimo.grassmann import ZERO_DISTANCE, FeedbackSchedule, perturb_gram, quantization_target
 from secmimo.harness import (
     CSV_HEADER,
+    SCENARIO_TABLE,
+    SCENARIOS,
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
@@ -121,6 +123,58 @@ class TestConfig:
         cfg = scenario_config("slope", [2, 3, 2], trials=1)
         with pytest.raises(ConfigError, match="distinct"):
             cfg.validate()
+
+    def test_table_lists_every_scenario(self):
+        assert SCENARIOS == tuple(SCENARIO_TABLE)
+        assert SCENARIOS == ("slope", "saturation", "gap_vs_bits", "custom")
+        for scenario, row in SCENARIO_TABLE.items():
+            cfg = scenario_config(scenario, trials=1)
+            assert [a.n_r for a in cfg.antenna_configs] == list(row.n_rs)
+            cfg.validate()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            scenario_config("gap_vs_bits", schedule=FeedbackSchedule.scaled(4.0), trials=1),
+            scenario_config("gap_vs_bits", schedule=FeedbackSchedule.fixed(20), trials=1),
+            scenario_config("slope", [2], nf_grid=(5,), trials=1),
+            scenario_config("saturation", schedule=FeedbackSchedule.scaled(0.0), trials=1),
+            scenario_config("custom", nf_grid=(5,), trials=1),
+        ],
+        ids=["gap-scaled", "gap-fixed", "slope-grid", "saturation-scaled", "custom-grid"],
+    )
+    def test_unaccepted_bit_source_is_rejected(self, cfg):
+        """A bit source the scenario would not use fails, where the parent ran without it."""
+        with pytest.raises(ConfigError, match="takes its bits from"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            dict(schedule=FeedbackSchedule.fixed(12), nf_grid=(10, 20)),
+            dict(schedule=FeedbackSchedule.scaled(0.0), nf_grid=(10,)),
+            {},
+        ],
+        ids=["fixed-and-grid", "scaled-and-grid", "none"],
+    )
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_exactly_one_bit_source(self, scenario, bits):
+        cfg = ExperimentConfig(
+            scenario=scenario, antenna_configs=(AntennaConfig(4, 2, 1, 2),), trials=1, **bits
+        )
+        with pytest.raises(ConfigError, match="takes its bits from"):
+            cfg.validate()
+
+    def test_bit_override_replaces_default_source(self):
+        cfg = scenario_config("custom", schedule=FeedbackSchedule.fixed(12))
+        assert cfg.schedule == FeedbackSchedule.fixed(12) and cfg.nf_grid is None
+        cfg = scenario_config("gap_vs_bits", nf_grid=(10, 20))
+        assert cfg.schedule is None and (cfg.snr_min, cfg.snr_max) == (10.0, 30.0)
+
+    @pytest.mark.parametrize("grid", [(), (10, 0), (-5,)])
+    def test_validation_rejects_bad_bit_grid(self, grid):
+        with pytest.raises(ConfigError, match="nf_grid"):
+            scenario_config("gap_vs_bits", nf_grid=grid, trials=1).validate()
 
     def test_custom_scenario_free_antennas(self):
         cfg = ExperimentConfig(
@@ -430,6 +484,15 @@ class TestCsv:
         with pytest.raises(ConfigError, match="missing-dir"):
             write_csv(ExperimentResult(rows=[], slopes={}), "/missing-dir/x.csv")
 
+    def test_read_rejects_unknown_scenario(self, tmp_path):
+        path = tmp_path / "unknown.csv"
+        write_csv(self._fake_result(), str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("slope", "jammer", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=r"line 3: unknown scenario 'jammer'"):
+            read_csv(str(path))
+
     def test_read_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("a,b\n1,2\n")
@@ -503,6 +566,22 @@ class TestSlopeParity:
         result = run_experiment(scenario_config(scenario, n_rs, trials=2, seed=5, **sweep))
         assert len(result.slopes) == len({(r.n_r, r.n_t) for r in result.rows})
         assert result.slopes == fitted_slopes_from_rows(result.rows)
+
+    def test_gap_vs_bits(self):
+        """A bit-grid sweep has no slope, from `run` or from its rows."""
+        result = run_experiment(scenario_config("gap_vs_bits", trials=2, seed=5))
+        assert result.slopes == {}
+        assert fitted_slopes_from_rows(result.rows) == {}
+
+    def test_mixed_rows_fit_only_snr_sweeps(self):
+        """Grid rows of the same curve, inside its fit window, leave its slope unchanged."""
+        sweep = scenario_config("saturation", trials=2, seed=5, snr_max=30.0)
+        slope = run_experiment(sweep).rows
+        gap = run_experiment(scenario_config("gap_vs_bits", trials=2, seed=5)).rows
+        assert slope[0].n_r == gap[0].n_r
+        fits = fitted_slopes_from_rows(slope)
+        assert fitted_slopes_from_rows(gap + slope) == fits
+        assert list(fits) == [(6, 3, 1, 3)]
 
 
 class TestExperimentOutputs:

@@ -13,10 +13,9 @@ from secmimo.errors import (
 )
 from secmimo.grassmann import chordal_distance, quant_error_bound
 from secmimo.linalg import (
-    adjoint,
     complex_gaussian,
     haar_columns,
-    nullspace_basis,
+    left_nullspace_basis,
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,
@@ -176,7 +175,7 @@ class TestTxPrecoders:
         prec = tx_precoders_quantized(f, z, 0.5)
         assert prec.W1.shape == stack + (n_t, n_r)
         assert prec.W2.shape == stack + (n_t, n_t - n_r)
-        assert np.all(chordal_distance(prec.W2, nullspace_basis(adjoint(prec.W1))) <= 1e-12)
+        assert np.all(chordal_distance(prec.W2, left_nullspace_basis(prec.W1)) <= 1e-12)
 
     def test_precoders_validation(self):
         with pytest.raises(InvalidInputError):

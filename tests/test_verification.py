@@ -174,3 +174,24 @@ def test_eve_limit_detects_shifted_limit(monkeypatch):
     monkeypatch.setattr(verification, "eve_rate_limit", lambda *args: limit(*args) + 1e-6)
     outcome = eve_limit_suite(trials=30, seed=6)
     assert outcome.failures == outcome.total, outcome.detail
+
+
+def test_lemma_sandwich_counts_every_size_stack(monkeypatch):
+    """A difference just above its upper bound fails every trial, whatever its size."""
+    check = verification.logdet_perturbation_check
+
+    def above_upper(a, delta):
+        _, upper, lower = check(a, delta)
+        return upper + 1e-6, upper, lower
+
+    monkeypatch.setattr(verification, "logdet_perturbation_check", above_upper)
+    outcome = lemma_sandwich_suite(trials=50, seed=4)
+    assert outcome.failures == outcome.total == 50
+
+
+def test_chordal_metric_counts_every_shape_stack(monkeypatch):
+    """A distance offset by 1e-6 breaks representative invariance on every trial."""
+    distance = verification.chordal_distance
+    monkeypatch.setattr(verification, "chordal_distance", lambda a, b: distance(a, b) + 1e-6)
+    outcome = chordal_metric_suite(trials=50, seed=10)
+    assert outcome.failures == outcome.total == 50
