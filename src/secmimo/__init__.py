@@ -24,7 +24,6 @@ from .errors import (
 )
 from .grassmann import (
     Codebook,
-    FeedbackSchedule,
     GrassmannPoint,
     chordal_distance,
     codebook_generate,

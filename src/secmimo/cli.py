@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, SecMimoError
-from .grassmann import FeedbackSchedule
 from .harness import (
     SCENARIOS,
     ExperimentConfig,
@@ -64,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help="experiment seed")
     run_p.add_argument("--rho", type=float, default=None, help="information power fraction")
     run_p.add_argument(
-        "--epsilon", type=float, default=None, help="margin of the scaled bit schedule"
+        "--epsilon", type=float, default=None, help="margin of the scaled bit law"
     )
     run_p.add_argument("--nf", type=int, default=None, help="fixed feedback bit budget")
     run_p.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
@@ -133,42 +132,26 @@ def _load_config_file(path: str, types: dict) -> dict:
 
 
 def _experiment_config(args) -> tuple[ExperimentConfig, str | None]:
-    """The run's experiment configuration and its output path (None for stdout)."""
-    file_cfg = _load_config_file(args.config, args.config_types) if args.config else {}
+    """The run's experiment configuration and its output path (None for stdout).
 
-    def setting(key, default=None):
-        flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, default)
-
-    n_r_list = setting("nr")
+    Flags override the config file; every setting but nr and out is the
+    ExperimentConfig field of the same name.
+    """
+    flags = {key: getattr(args, key) for key in args.config_types}
+    settings = _load_config_file(args.config, args.config_types) if args.config else {}
+    settings.update({key: value for key, value in flags.items() if value is not None})
+    n_r_list = settings.pop("nr", None)
     if isinstance(n_r_list, int):
         n_r_list = [n_r_list]
-    epsilon = setting("epsilon")
-    nf = setting("nf")
-    if nf is not None and epsilon is not None:
-        raise ConfigError("--nf (fixed bits) and --epsilon (scaled bits) exclude each other")
-
-    overrides = {}
-    for key in ("snr_min", "snr_max", "snr_step", "trials", "seed", "rho"):
-        value = setting(key)
-        if value is not None:
-            overrides[key] = value
-    # with neither, the scenario keeps its default bit source
-    if nf is not None:
-        overrides["schedule"] = FeedbackSchedule.fixed(nf)
-    elif epsilon is not None:
-        overrides["schedule"] = FeedbackSchedule.scaled(epsilon)
-    cfg = scenario_config(setting("scenario", SCENARIOS[0]), n_r_list, **overrides)
-    return cfg, setting("out")
+    out = settings.pop("out", None)
+    return scenario_config(settings.pop("scenario", SCENARIOS[0]), n_r_list, **settings), out
 
 
 def _cmd_run(args) -> int:
     try:
         cfg, out = _experiment_config(args)
     except InvalidInputError as exc:
-        # raised by the antenna-config and schedule constructors
+        # raised by the antenna-config constructor
         raise ConfigError(str(exc)) from exc
     result = run_experiment(cfg)
     if out:

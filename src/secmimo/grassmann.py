@@ -111,35 +111,6 @@ class Codebook:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class FeedbackSchedule:
-    """How the feedback bit budget is chosen: a fixed count or power-scaled."""
-
-    mode: str
-    fixed_bits: int | None = None
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.mode == "fixed":
-            if self.fixed_bits is None or self.fixed_bits < 1:
-                raise InvalidInputError("fixed schedule needs fixed_bits >= 1")
-        elif self.mode == "scaled":
-            if self.epsilon is None or not 0 <= self.epsilon < math.inf:
-                raise InvalidInputError(
-                    f"scaled schedule needs a finite epsilon >= 0, got {self.epsilon}"
-                )
-        else:
-            raise InvalidInputError(f"unknown schedule mode {self.mode!r}")
-
-    @classmethod
-    def fixed(cls, bits: int) -> "FeedbackSchedule":
-        return cls(mode="fixed", fixed_bits=int(bits))
-
-    @classmethod
-    def scaled(cls, epsilon: float = 0.0) -> "FeedbackSchedule":
-        return cls(mode="scaled", epsilon=float(epsilon))
-
-
 def chordal_distance(a, b):
     """Chordal distance (1/sqrt(2)) * ||A A* - B B*||_F between two subspaces.
 
@@ -323,18 +294,16 @@ def perturb_gram(point, z, distance):
     return z, np.sqrt(t), k, j
 
 
-def feedback_bits(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:
-    """Bit budget for a transmit power under the given schedule.
+def feedback_bits(power: float, epsilon: float, n_t: int, n_r: int) -> int:
+    """Bit budget n_f = ceil((1 + epsilon) n_r (n_t - n_r) log2 P) of the power-scaled law.
 
-    Scaled mode implements n_f = ceil((1 + eps) * n_r (n_t - n_r) * log2 P);
-    rounding up keeps the sufficiency direction of the scaling law. Fixed
-    mode ignores the power.
+    Rounding up keeps the sufficiency direction of the scaling law. The law
+    yields no bits at P <= 1; the quantizer still needs one, which at these
+    powers is maximal quantization error anyway.
     """
-    if schedule.mode == "fixed":
-        return int(schedule.fixed_bits)
+    if not 0 <= epsilon < math.inf:
+        raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon}")
     if power <= 1.0:
-        raise InvalidInputError(
-            f"scaled schedule needs P > 1 for a positive bit budget, got P={power}"
-        )
+        return 1
     half_dim = n_r * (n_t - n_r)
-    return math.ceil((1.0 + schedule.epsilon) * half_dim * math.log2(power))
+    return math.ceil((1.0 + epsilon) * half_dim * math.log2(power))

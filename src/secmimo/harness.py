@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SecMimoError
-from .grassmann import (
-    ZERO_DISTANCE,
-    FeedbackSchedule,
-    feedback_bits,
-    perturb_gram,
-    quantization_target,
-)
+from .grassmann import ZERO_DISTANCE, feedback_bits, perturb_gram, quantization_target
 from .rates import fit_slope, grams_rate, grams_rate_sweep, step_grams, trial_couplings
 from .transceiver import (
     AntennaConfig,
@@ -44,13 +38,17 @@ from .transceiver import (
 # but hold more memory at once, and the memory grows with trials x points.
 BLOCK_POINTS = 240
 
+# The ExperimentConfig fields a run's bits may come from, one per run: the
+# scaled law's margin, one fixed budget, or a grid of budgets swept at every SNR.
+BIT_SOURCES = ("epsilon", "nf", "nf_grid")
+
 
 class Scenario(typing.NamedTuple):
     """What one scenario fixes: default curves and settings, and its bit sources."""
 
     n_rs: tuple  # default receiver sizes, each curve (2 n_r, n_r, 1, n_r)
-    defaults: dict  # ExperimentConfig fields: a schedule, or an nf_grid and its SNR grid
-    sources: tuple  # accepted bit sources: "epsilon", "nf" or "nf_grid"
+    defaults: dict  # ExperimentConfig fields: a bit source, and for nf_grid its SNR grid
+    sources: tuple  # the BIT_SOURCES it accepts
     free_antennas: bool = False  # whether curves may leave the (2 n_r, n_r, 1, n_r) shape
 
 
@@ -58,28 +56,37 @@ class Scenario(typing.NamedTuple):
 SCENARIO_TABLE = {
     # secrecy rate vs SNR for several receiver sizes, power-scaled feedback
     # bits; the high-SNR slopes estimate the secure degrees of freedom
-    "slope": Scenario((2, 3, 4), {"schedule": FeedbackSchedule.scaled(0.0)}, ("epsilon",)),
+    "slope": Scenario((2, 3, 4), {"epsilon": 0.0}, ("epsilon",)),
     # fixed feedback bits; the quantized-CSI curve flattens while the
     # perfect-CSI curve keeps its slope
-    "saturation": Scenario((3,), {"schedule": FeedbackSchedule.fixed(30)}, ("nf",)),
+    "saturation": Scenario((3,), {"nf": 30}, ("nf",)),
     # rate loss due to quantization vs the bit budget at a few fixed SNR points
     "gap_vs_bits": Scenario(
         (3,),
         dict(snr_min=10.0, snr_max=30.0, snr_step=10.0, nf_grid=tuple(range(10, 101, 10))),
         ("nf_grid",),
     ),
-    # caller-specified antenna configs and schedule
-    "custom": Scenario(
-        (2,), {"schedule": FeedbackSchedule.scaled(0.0)}, ("epsilon", "nf"), free_antennas=True
-    ),
+    # caller-specified antenna configs and bits
+    "custom": Scenario((2,), {"epsilon": 0.0}, ("epsilon", "nf"), free_antennas=True),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)
 
 
+def _scenario(name: str) -> Scenario:
+    if name not in SCENARIO_TABLE:
+        raise ConfigError(f"unknown scenario {name!r}, expected one of {SCENARIOS}")
+    return SCENARIO_TABLE[name]
+
+
+def _is_budget(bits) -> bool:
+    """Whether `bits` is a bit budget: an integer >= 1, numpy's included, not a bool."""
+    return isinstance(bits, (int, np.integer)) and not isinstance(bits, bool) and bits >= 1
+
+
 @dataclass
 class ExperimentConfig:
-    """Full description of one Monte Carlo experiment; its bits come from one
-    source its scenario accepts, a `schedule` or a grid `nf_grid` swept at every SNR."""
+    """Full description of one Monte Carlo experiment; its bits come from exactly
+    one of BIT_SOURCES, one that its scenario accepts."""
 
     scenario: str = SCENARIOS[0]
     antenna_configs: tuple = ()
@@ -88,25 +95,27 @@ class ExperimentConfig:
     snr_step: float = 5.0
     trials: int = 500
     seed: int = 0
-    schedule: FeedbackSchedule | None = None
     rho: float = 0.5
-    nf_grid: tuple | None = None
+    epsilon: float | None = None  # margin of the power-scaled bit law
+    nf: int | None = None  # one fixed bit budget
+    nf_grid: tuple | None = None  # bit budgets swept at every SNR
 
     def validate(self) -> list:
         """Check the configuration; return each curve's (snr_db, nf_bits) points."""
-        if self.scenario not in SCENARIO_TABLE:
-            raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        row = SCENARIO_TABLE[self.scenario]
-        given = [] if self.nf_grid is None else ["nf_grid"]
-        if self.schedule is not None:  # a scaled schedule is the epsilon source, a fixed one nf
-            given.append("epsilon" if self.schedule.mode == "scaled" else "nf")
+        row = _scenario(self.scenario)
+        given = [key for key in BIT_SOURCES if getattr(self, key) is not None]
         if len(given) != 1 or given[0] not in row.sources:
             raise ConfigError(
                 f"scenario {self.scenario!r} takes its bits from {' or '.join(row.sources)}, "
                 f"got {' and '.join(given) or 'none'}"
+                + (", which exclude each other" if len(given) > 1 else "")
             )
-        if self.nf_grid is not None and (not self.nf_grid or any(int(b) < 1 for b in self.nf_grid)):
-            raise ConfigError("nf_grid must hold at least one bit budget, each positive")
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        grid = self.nf_grid if self.nf is None else (self.nf,)
+        if grid is not None and not (grid and all(map(_is_budget, grid))):
+            value = getattr(self, given[0])
+            raise ConfigError(f"{given[0]} needs integer bit budgets >= 1, got {value!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -151,15 +160,13 @@ def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConf
     """Experiment configuration with the standard defaults for a scenario.
 
     Antenna counts follow the n_t = 2 n_r, n_j = 1, n_e = n_r pattern;
-    rho = 1/2 and unit noise everywhere. A `schedule` or `nf_grid` override
+    rho = 1/2 and unit noise everywhere. An override of any of BIT_SOURCES
     replaces the scenario's default bit source.
     """
-    if scenario not in SCENARIO_TABLE:
-        raise ConfigError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    row = SCENARIO_TABLE[scenario]
+    row = _scenario(scenario)
     settings = row.defaults
-    if {"schedule", "nf_grid"} & overrides.keys():
-        settings = {k: v for k, v in settings.items() if k not in ("schedule", "nf_grid")}
+    if overrides.keys() & set(BIT_SOURCES):
+        settings = {k: v for k, v in settings.items() if k not in BIT_SOURCES}
     # an empty list is kept, so that validate rejects it
     n_rs = row.n_rs if n_r_list is None else tuple(n_r_list)
     configs = tuple(AntennaConfig(2 * n, n, 1, n) for n in n_rs)
@@ -198,23 +205,15 @@ class ExperimentResult:
     slopes: dict
 
 
-def _nf_for_power(power: float, schedule: FeedbackSchedule, n_t: int, n_r: int) -> int:
-    # The scaled law yields no bits at P <= 1; the quantizer still needs at
-    # least one, which at these powers is maximal quantization error anyway.
-    if schedule.mode == "scaled" and power <= 1.0:
-        return 1
-    return feedback_bits(power, schedule, n_t, n_r)
-
-
 def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int]]:
     """Ordered (snr_db, nf_bits) operating points for one curve."""
     n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
-    if cfg.nf_grid is not None:
-        return [(snr, int(nf)) for snr in snrs for nf in cfg.nf_grid]
+    grid = cfg.nf_grid if cfg.nf is None else (cfg.nf,)
+    if grid is not None:
+        return [(snr, int(nf)) for snr in snrs for nf in grid]
     return [
-        (snr, _nf_for_power(10.0 ** (snr / 10.0), cfg.schedule, acfg.n_t, acfg.n_r))
-        for snr in snrs
+        (snr, feedback_bits(10.0 ** (snr / 10.0), cfg.epsilon, acfg.n_t, acfg.n_r)) for snr in snrs
     ]
 
 
@@ -386,7 +385,7 @@ def fitted_slopes_from_rows(rows) -> dict:
     out. Rows sharing a curve and an SNR are summed in row order and divided
     by their count. Each curve is fitted over :func:`fit_slope`'s default window.
     """
-    rows = [r for r in rows if "nf_grid" not in SCENARIO_TABLE[r.scenario].sources]
+    rows = [r for r in rows if "nf_grid" not in _scenario(r.scenario).sources]
     if not rows:
         return {}
     points = np.array([(r.n_t, r.n_r, r.n_j, r.n_e, r.snr_db) for r in rows], dtype=float)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import harness
 from .grassmann import (
-    FeedbackSchedule,
     chordal_distance,
     feedback_bits,
     quantization_target,
@@ -118,7 +117,7 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
 
     Checks, each below 1e-10: jammer annihilation ||V* Hj||, perfect-CSI
     artificial-noise nulling ||Hd W2||, and precoder orthogonality
-    ||W1* W2|| in both modes; with quantized feedback W1 is the fed-back
+    ||W1* W2|| of both precoders; with quantized feedback W1 is the fed-back
     subspace, so that last norm is the nulling against it.
     """
     worst = []
@@ -217,7 +216,7 @@ def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
 
 def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
     """Quantizer target at each power under the power-matched bit schedule."""
-    bits = [feedback_bits(p, FeedbackSchedule.scaled(0.0), acfg.n_t, acfg.n_r) for p in powers]
+    bits = [feedback_bits(p, 0.0, acfg.n_t, acfg.n_r) for p in powers]
     return _targets(bits, acfg.n_t, acfg.n_r)
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from secmimo import harness
-from secmimo.grassmann import FeedbackSchedule
 from secmimo.harness import render_csv, run_experiment, scenario_config
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
 from secmimo.verification import (
@@ -58,7 +57,7 @@ def test_criterion_2_vanishing_gap():
         [2],
         trials=200,
         seed=ACCEPT_SEED + 1,
-        schedule=FeedbackSchedule.scaled(0.5),
+        epsilon=0.5,
         snr_min=20.0,
         snr_max=60.0,
         snr_step=10.0,

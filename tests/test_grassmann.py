@@ -1,4 +1,4 @@
-"""Tests for Grassmannian quantization: metric, codebooks, bounds, schedules."""
+"""Tests for Grassmannian quantization: metric, codebooks, bounds, the bit law."""
 
 import math
 
@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from secmimo import grassmann
 from secmimo.errors import (
     CodebookTooLargeError,
+    ConfigError,
     InvalidInputError,
     PerturbationError,
     ShapeError,
 )
 from secmimo.grassmann import (
     Codebook,
-    FeedbackSchedule,
     GrassmannPoint,
     chordal_distance,
     codebook_generate,
@@ -27,6 +27,7 @@ from secmimo.grassmann import (
     quantization_target,
     quantize,
 )
+from secmimo.harness import scenario_config
 from secmimo.linalg import (
     adjoint,
     complex_gaussian,
@@ -482,29 +483,28 @@ class TestPerturbBasis:
 
 class TestFeedbackBits:
     def test_scaled_examples(self):
-        assert feedback_bits(2**10, FeedbackSchedule.scaled(0.0), 4, 2) == 40
-        assert feedback_bits(2**10, FeedbackSchedule.scaled(0.5), 4, 2) == 60
-
-    def test_fixed_ignores_power(self):
-        sched = FeedbackSchedule.fixed(30)
-        for p in (2.0, 1e3, 1e9):
-            assert feedback_bits(p, sched, 4, 2) == 30
+        assert feedback_bits(2**10, 0.0, 4, 2) == 40
+        assert feedback_bits(2**10, 0.5, 4, 2) == 60
 
     def test_rounds_up(self):
         # 4 * log2(1000) = 39.86... -> 40
-        assert feedback_bits(1e3, FeedbackSchedule.scaled(0.0), 4, 2) == 40
+        assert feedback_bits(1e3, 0.0, 4, 2) == 40
 
-    def test_low_power_rejected(self):
-        with pytest.raises(InvalidInputError):
-            feedback_bits(1.0, FeedbackSchedule.scaled(0.0), 4, 2)
+    def test_low_power_gives_one_bit(self):
+        """The law yields no bits at P <= 1; the quantizer still gets one."""
+        for p in (1.0, 0.5, 1e-3):
+            assert feedback_bits(p, 0.0, 4, 2) == 1
+            assert feedback_bits(p, 3.0, 4, 2) == 1
+        assert feedback_bits(1.0 + 1e-9, 0.0, 4, 2) == 1
 
     def test_schedule_validation(self):
-        with pytest.raises(InvalidInputError):
-            FeedbackSchedule(mode="fixed")
-        with pytest.raises(InvalidInputError):
-            FeedbackSchedule(mode="scaled", epsilon=-0.1)
-        with pytest.raises(InvalidInputError):
-            FeedbackSchedule(mode="other")
+        """The scaled law needs a finite epsilon >= 0, in feedback_bits and in validate."""
+        for epsilon in (-0.1, math.inf, math.nan):
+            for p in (0.5, 1e3):
+                with pytest.raises(InvalidInputError, match="epsilon"):
+                    feedback_bits(p, epsilon, 4, 2)
+            with pytest.raises(ConfigError, match="epsilon"):
+                scenario_config("slope", [2], epsilon=epsilon, trials=1).validate()
 
 
 def test_grassmann_point_validation():

@@ -1,15 +1,17 @@
 """Tests for the Monte Carlo harness: configs, determinism, CSV round-trips."""
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from secmimo import harness
 from secmimo.errors import ConfigError, DegenerateChannelError
-from secmimo.grassmann import ZERO_DISTANCE, FeedbackSchedule, perturb_gram, quantization_target
+from secmimo.cli import build_parser
+from secmimo.grassmann import ZERO_DISTANCE, perturb_gram, quantization_target
 from secmimo.harness import (
+    BIT_SOURCES,
     CSV_HEADER,
     SCENARIO_TABLE,
     SCENARIOS,
@@ -55,14 +57,14 @@ class TestConfig:
         cfg = scenario_config("slope")
         assert cfg.rho == 0.5
         assert cfg.trials == 500
-        assert cfg.schedule == FeedbackSchedule.scaled(0.0)
+        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (0.0, None, None)
         assert [a.n_r for a in cfg.antenna_configs] == [2, 3, 4]
         for a in cfg.antenna_configs:
             assert a.n_t == 2 * a.n_r and a.n_j == 1 and a.n_e == a.n_r
 
     def test_saturation_defaults(self):
         cfg = scenario_config("saturation")
-        assert cfg.schedule == FeedbackSchedule.fixed(30)
+        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (None, 30, None)
         assert [a.n_r for a in cfg.antenna_configs] == [3]
 
     def test_gap_defaults(self):
@@ -78,7 +80,7 @@ class TestConfig:
         cfg = ExperimentConfig(
             scenario="slope",
             antenna_configs=(AntennaConfig(5, 2, 1, 2),),
-            schedule=FeedbackSchedule.scaled(0.0),
+            epsilon=0.0,
         )
         with pytest.raises(ConfigError):
             cfg.validate()
@@ -88,7 +90,7 @@ class TestConfig:
         bad = ExperimentConfig(
             scenario="slope",
             antenna_configs=cfg.antenna_configs,
-            schedule=FeedbackSchedule.fixed(30),
+            nf=30,
         )
         with pytest.raises(ConfigError):
             bad.validate()
@@ -105,7 +107,7 @@ class TestConfig:
         cfg = ExperimentConfig(
             scenario="custom",
             antenna_configs=(AntennaConfig(5, 3, 1, 2),),
-            schedule=FeedbackSchedule.fixed(12),
+            nf=12,
         )
         with pytest.raises(ConfigError, match="n_t >= 2 n_r"):
             cfg.validate()
@@ -130,15 +132,17 @@ class TestConfig:
         for scenario, row in SCENARIO_TABLE.items():
             cfg = scenario_config(scenario, trials=1)
             assert [a.n_r for a in cfg.antenna_configs] == list(row.n_rs)
+            assert set(row.sources) <= set(BIT_SOURCES)
+            assert [k for k in BIT_SOURCES if k in row.defaults][0] in row.sources
             cfg.validate()
 
     @pytest.mark.parametrize(
         "cfg",
         [
-            scenario_config("gap_vs_bits", schedule=FeedbackSchedule.scaled(4.0), trials=1),
-            scenario_config("gap_vs_bits", schedule=FeedbackSchedule.fixed(20), trials=1),
+            scenario_config("gap_vs_bits", epsilon=4.0, trials=1),
+            scenario_config("gap_vs_bits", nf=20, trials=1),
             scenario_config("slope", [2], nf_grid=(5,), trials=1),
-            scenario_config("saturation", schedule=FeedbackSchedule.scaled(0.0), trials=1),
+            scenario_config("saturation", epsilon=0.0, trials=1),
             scenario_config("custom", nf_grid=(5,), trials=1),
         ],
         ids=["gap-scaled", "gap-fixed", "slope-grid", "saturation-scaled", "custom-grid"],
@@ -151,36 +155,74 @@ class TestConfig:
     @pytest.mark.parametrize(
         "bits",
         [
-            dict(schedule=FeedbackSchedule.fixed(12), nf_grid=(10, 20)),
-            dict(schedule=FeedbackSchedule.scaled(0.0), nf_grid=(10,)),
+            dict(nf=12, nf_grid=(10, 20)),
+            dict(epsilon=0.0, nf_grid=(10,)),
             {},
+            dict(epsilon=0.0, nf=12),
+            dict(epsilon=0.0, nf=12, nf_grid=(10,)),
         ],
-        ids=["fixed-and-grid", "scaled-and-grid", "none"],
+        ids=["fixed-and-grid", "scaled-and-grid", "none", "scaled-and-fixed", "all"],
     )
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_exactly_one_bit_source(self, scenario, bits):
         cfg = ExperimentConfig(
             scenario=scenario, antenna_configs=(AntennaConfig(4, 2, 1, 2),), trials=1, **bits
         )
-        with pytest.raises(ConfigError, match="takes its bits from"):
+        with pytest.raises(ConfigError, match="takes its bits from") as info:
             cfg.validate()
+        assert ("exclude each other" in str(info.value)) == (len(bits) > 1)
 
     def test_bit_override_replaces_default_source(self):
-        cfg = scenario_config("custom", schedule=FeedbackSchedule.fixed(12))
-        assert cfg.schedule == FeedbackSchedule.fixed(12) and cfg.nf_grid is None
+        cfg = scenario_config("custom", nf=12)
+        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (None, 12, None)
         cfg = scenario_config("gap_vs_bits", nf_grid=(10, 20))
-        assert cfg.schedule is None and (cfg.snr_min, cfg.snr_max) == (10.0, 30.0)
+        assert (cfg.epsilon, cfg.nf) == (None, None) and (cfg.snr_min, cfg.snr_max) == (10.0, 30.0)
+        cfg = scenario_config("saturation", epsilon=0.5)
+        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (0.5, None, None)
 
     @pytest.mark.parametrize("grid", [(), (10, 0), (-5,)])
     def test_validation_rejects_bad_bit_grid(self, grid):
         with pytest.raises(ConfigError, match="nf_grid"):
             scenario_config("gap_vs_bits", nf_grid=grid, trials=1).validate()
 
+    @pytest.mark.parametrize(
+        "scenario, bits",
+        [
+            ("gap_vs_bits", dict(nf_grid=(10.7, 20))),
+            ("gap_vs_bits", dict(nf_grid=(True, 20))),
+            ("gap_vs_bits", dict(nf_grid=(10, 20.0))),
+            ("custom", dict(nf=12.9)),
+            ("custom", dict(nf=True)),
+            ("saturation", dict(nf=30.0)),
+            ("saturation", dict(nf=0)),
+            ("saturation", dict(nf=-3)),
+        ],
+        ids=["grid-float", "grid-bool", "grid-integral-float", "nf-float", "nf-bool",
+             "nf-integral-float", "nf-zero", "nf-negative"],
+    )
+    def test_bit_budgets_must_be_integers(self, scenario, bits):
+        """A float or bool budget fails instead of being truncated, as is a budget below 1."""
+        with pytest.raises(ConfigError, match=f"^{next(iter(bits))} needs integer bit budgets"):
+            scenario_config(scenario, trials=1, **bits).validate()
+
+    def test_numpy_integer_budgets_accepted(self):
+        plain = scenario_config("gap_vs_bits", trials=1, seed=2, nf_grid=(10, 20))
+        numpy = replace(plain, nf_grid=(np.int64(10), np.int32(20)))
+        assert render_csv(run_experiment(numpy)) == render_csv(run_experiment(plain))
+        cfg = scenario_config("saturation", trials=1, nf=np.int64(30))
+        assert cfg.validate() == scenario_config("saturation", trials=1).validate()
+
+    def test_run_flags_are_config_fields(self):
+        """Every `run` flag but --nr, --out and --config sets the config field of its name."""
+        flags = set(build_parser().parse_args(["run"]).config_types) - {"nr", "out"}
+        assert flags == {f.name for f in fields(ExperimentConfig)} - {"antenna_configs", "nf_grid"}
+        assert set(BIT_SOURCES) - flags == {"nf_grid"}
+
     def test_custom_scenario_free_antennas(self):
         cfg = ExperimentConfig(
             scenario="custom",
             antenna_configs=(AntennaConfig(6, 2, 1, 2),),
-            schedule=FeedbackSchedule.fixed(12),
+            nf=12,
             trials=1,
         )
         cfg.validate()
@@ -196,6 +238,13 @@ class TestPoints:
         cfg = scenario_config("slope", [2], snr_min=0.0, snr_max=10.0, snr_step=5.0)
         pts = _curve_points(cfg, cfg.antenna_configs[0])
         assert pts[0] == (0.0, 1)
+
+    def test_fixed_ignores_power(self):
+        """A fixed nf is a one-element grid: 30 bits at every SNR."""
+        cfg = scenario_config("custom", [2], nf=30)
+        pts = _curve_points(cfg, cfg.antenna_configs[0])
+        assert pts == [(5.0 * i, 30) for i in range(13)]
+        assert pts == _curve_points(replace(cfg, nf=None, nf_grid=(30,)), cfg.antenna_configs[0])
 
     def test_gap_grid_is_cartesian(self):
         cfg = scenario_config("gap_vs_bits", trials=1, nf_grid=(10, 20))
@@ -306,7 +355,7 @@ _ORACLE_CONFIGS = [
     ExperimentConfig(
         scenario="custom",
         antenna_configs=(AntennaConfig(7, 3, 0, 2),),
-        schedule=FeedbackSchedule.scaled(0.25),
+        epsilon=0.25,
         snr_min=0.0,
         snr_max=40.0,
         snr_step=10.0,
@@ -511,6 +560,12 @@ class TestSlopesFromRows:
         fits = fitted_slopes_from_rows(rows)
         assert fits[(4, 2, 1, 2)]["perfect"] == pytest.approx(2.0, abs=1e-12)
         assert fits[(4, 2, 1, 2)]["quantized"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_unknown_scenario_is_config_error(self):
+        rows = [ResultRow("slope", 4, 2, 1, 2, 10.0, 14, 1.0, 0.5, 0.5, 0.0, 5)]
+        rows.append(replace(rows[0], scenario="jammer", snr_db=20.0))
+        with pytest.raises(ConfigError, match="^unknown scenario 'jammer'"):
+            fitted_slopes_from_rows(rows)
 
 
     def test_bitwise_equal_to_row_loop(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
-from secmimo.grassmann import FeedbackSchedule, feedback_bits, perturb_gram, quantization_target
+from secmimo.grassmann import feedback_bits, perturb_gram, quantization_target
 from secmimo.linalg import (
     LOG2_E,
     adjoint,
@@ -173,7 +173,7 @@ class TestQuantizedG:
 
     def test_quantized_below_perfect_at_high_snr(self):
         """Raw quantized rate at or below raw perfect rate on >= 95% of trials."""
-        schedule = FeedbackSchedule.scaled(0.0)
+        epsilon = 0.0
         ok = 0
         trials = 60
         for seed in range(trials):
@@ -184,7 +184,7 @@ class TestQuantizedG:
             good = True
             for snr in (40.0, 50.0, 60.0):
                 policy = PowerPolicy.from_snr_db(snr)
-                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, schedule, 4, 2), rng)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
@@ -208,7 +208,7 @@ class TestQuantizedG:
 
     def test_gap_nonincreasing_with_margin_schedule(self):
         """Mean raw gap is nonincreasing over 20..60 dB under the 1.5x bit law."""
-        schedule = FeedbackSchedule.scaled(0.5)
+        epsilon = 0.5
         cfg = AntennaConfig(4, 2, 1, 2)
         snrs = (20.0, 30.0, 40.0, 50.0, 60.0)
         gaps = np.zeros(len(snrs))
@@ -219,7 +219,7 @@ class TestQuantizedG:
             prec_p = tx_precoders_perfect(ch.Hd)
             for i, snr in enumerate(snrs):
                 policy = PowerPolicy.from_snr_db(snr)
-                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, schedule, 4, 2), rng)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
                 gaps[i] += r_p.raw - r_q.raw

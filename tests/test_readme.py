@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import secmimo
-from secmimo.harness import CSV_HEADER, SCENARIOS
+from secmimo.cli import build_parser
+from secmimo.harness import CSV_HEADER, SCENARIO_TABLE, SCENARIOS, scenario_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {
@@ -53,3 +54,27 @@ def test_cited_names_resolve():
     }
     assert cited, "the README cites no names"
     assert not {n for n in cited if not _resolves(n)}
+
+
+def _scenario_rows() -> dict:
+    """README's scenario table: scenario -> (n_r list, SNR grid, bits cell)."""
+    pattern = r"^\| `(\w+)` +\| ([\d, ]+?) +\| (\S+) to (\S+), step (\S+) +\| (.+?) +\|$"
+    return {
+        name: (tuple(int(n) for n in n_rs.split(", ")), tuple(map(float, grid)), bits)
+        for name, n_rs, *grid, bits in re.findall(pattern, README.read_text(), re.MULTILINE)
+    }
+
+
+def test_scenario_table_matches_code():
+    """Each README row gives its scenario's default curves, SNR grid and bit flags."""
+    rows = _scenario_rows()
+    assert list(rows) == list(SCENARIO_TABLE)
+    bit_flags = build_parser().parse_args(["run"]).config_types.keys()
+    for name, (n_rs, grid, bits) in rows.items():
+        row, cfg = SCENARIO_TABLE[name], scenario_config(name)
+        assert n_rs == row.n_rs, name
+        assert grid == (cfg.snr_min, cfg.snr_max, cfg.snr_step), name
+        flags = dict(re.findall(r"`--(\w+)`(?: \((\S+)\))?", bits))
+        assert set(flags) == {s for s in row.sources if s in bit_flags}, name
+        for flag, default in flags.items():
+            assert (float(default) if default else None) == row.defaults.get(flag), (name, flag)
