@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--config", default=None, help="JSON file with the same keys; flags override it"
     )
-    run_p.set_defaults(func=_cmd_run, config_types=_config_types(run_p))
+    run_p.set_defaults(func=_cmd_run, config_keys=_config_keys(run_p))
 
     verify_p = sub.add_parser("verify", help="run the invariant/lemma verification suites")
     verify_p.add_argument("--trials", type=int, default=100)
@@ -83,30 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_types(run_parser: argparse.ArgumentParser) -> dict:
-    """Config-file keys and the JSON type each must hold, one per `run` flag but --config.
-
-    The key is the flag's dest and the type its argparse type, str when it
-    has none; float admits any number, and "nr", the repeatable flag, may
-    also hold a list of integers.
-    """
-    return {
-        action.dest: action.type or str
+def _config_keys(run_parser: argparse.ArgumentParser) -> tuple:
+    """Config-file keys: the dest of each `run` flag but --config."""
+    return tuple(
+        action.dest
         for action in run_parser._actions
         if action.option_strings and action.dest not in ("help", "config")
-    }
+    )
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number"}
-
-
-def _has_type(value, kind) -> bool:
-    if isinstance(value, bool):  # JSON true/false are ints to Python
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _load_config_file(path: str, types: dict) -> dict:
+def _load_config_file(path: str, keys: tuple) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -116,18 +102,15 @@ def _load_config_file(path: str, types: dict) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(types))
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    for key, value in data.items():
-        kind = types[key]
-        items = value if key == "nr" and isinstance(value, list) else [value]
-        if not items:
-            raise ConfigError(f"config key {key!r} in {path} must hold at least one integer")
-        if not all(_has_type(item, kind) for item in items):
-            raise ConfigError(
-                f"config key {key!r} in {path} must hold {_TYPE_NAMES[kind]}, got {value!r}"
-            )
+    # nr and out are no config fields, so they are checked here; type() is int bars true/false
+    nr = data.get("nr", 1)
+    if not (type(nr) is int or nr and type(nr) is list and all(type(n) is int for n in nr)):
+        raise ConfigError(f"config key 'nr' in {path} must hold one or more integers, got {nr!r}")
+    if not isinstance(data.get("out", ""), str):
+        raise ConfigError(f"config key 'out' in {path} must hold a string, got {data['out']!r}")
     return data
 
 
@@ -137,8 +120,8 @@ def _experiment_config(args) -> tuple[ExperimentConfig, str | None]:
     Flags override the config file; every setting but nr and out is the
     ExperimentConfig field of the same name.
     """
-    flags = {key: getattr(args, key) for key in args.config_types}
-    settings = _load_config_file(args.config, args.config_types) if args.config else {}
+    flags = {key: getattr(args, key) for key in args.config_keys}
+    settings = _load_config_file(args.config, args.config_keys) if args.config else {}
     settings.update({key: value for key, value in flags.items() if value is not None})
     n_r_list = settings.pop("nr", None)
     if isinstance(n_r_list, int):

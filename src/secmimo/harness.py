@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -49,7 +50,6 @@ class Scenario(typing.NamedTuple):
     n_rs: tuple  # default receiver sizes, each curve (2 n_r, n_r, 1, n_r)
     defaults: dict  # ExperimentConfig fields: a bit source, and for nf_grid its SNR grid
     sources: tuple  # the BIT_SOURCES it accepts
-    free_antennas: bool = False  # whether curves may leave the (2 n_r, n_r, 1, n_r) shape
 
 
 # Every scenario; the first is the default.
@@ -66,14 +66,14 @@ SCENARIO_TABLE = {
         dict(snr_min=10.0, snr_max=30.0, snr_step=10.0, nf_grid=tuple(range(10, 101, 10))),
         ("nf_grid",),
     ),
-    # caller-specified antenna configs and bits
-    "custom": Scenario((2,), {"epsilon": 0.0}, ("epsilon", "nf"), free_antennas=True),
+    # the caller's choice of scaled or fixed bits
+    "custom": Scenario((2,), {"epsilon": 0.0}, ("epsilon", "nf")),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)
 
 
 def _scenario(name: str) -> Scenario:
-    if name not in SCENARIO_TABLE:
+    if not isinstance(name, str) or name not in SCENARIO_TABLE:
         raise ConfigError(f"unknown scenario {name!r}, expected one of {SCENARIOS}")
     return SCENARIO_TABLE[name]
 
@@ -102,6 +102,10 @@ class ExperimentConfig:
 
     def validate(self) -> list:
         """Check the configuration; return each curve's (snr_db, nf_bits) points."""
+        for name, (kind, *none) in _FIELD_KINDS.items():
+            value, (admits, noun) = getattr(self, name), _KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, (admits, *none)):
+                raise ConfigError(f"{name!r} must be {noun}, got {value!r}")
         row = _scenario(self.scenario)
         given = [key for key in BIT_SOURCES if getattr(self, key) is not None]
         if len(given) != 1 or given[0] not in row.sources:
@@ -130,23 +134,18 @@ class ExperimentConfig:
             raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.antenna_configs:
             raise ConfigError("at least one antenna configuration is required")
+        for cfg in self.antenna_configs:
+            if not isinstance(cfg, AntennaConfig):
+                raise ConfigError(f"'antenna_configs' must hold AntennaConfigs, got {cfg!r}")
+            if cfg.n_t < 2 * cfg.n_r:
+                raise ConfigError(
+                    f"the perturbation quantizer needs n_t >= 2 n_r, got ({cfg.n_t}, {cfg.n_r})"
+                )
         if len(set(self.antenna_configs)) < len(self.antenna_configs):
             raise ConfigError(
                 "antenna configurations must be distinct, got "
                 + ", ".join(f"({c.n_t}, {c.n_r}, {c.n_j}, {c.n_e})" for c in self.antenna_configs)
             )
-        for cfg in self.antenna_configs:
-            if cfg.n_t < 2 * cfg.n_r:
-                raise ConfigError(
-                    f"the perturbation quantizer needs n_t >= 2 n_r, got ({cfg.n_t}, {cfg.n_r})"
-                )
-        if not row.free_antennas:
-            for cfg in self.antenna_configs:
-                if cfg.n_t != 2 * cfg.n_r or cfg.n_j != 1 or cfg.n_e != cfg.n_r:
-                    raise ConfigError(
-                        f"scenario {self.scenario!r} requires n_t = 2 n_r, n_j = 1, "
-                        f"n_e = n_r; got ({cfg.n_t}, {cfg.n_r}, {cfg.n_j}, {cfg.n_e})"
-                    )
         # an SNR point count, bit budget or top power past the float range
         try:
             curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
@@ -154,6 +153,21 @@ class ExperimentConfig:
         except OverflowError as exc:
             raise ConfigError(f"SNR grid, powers and bit budgets must be finite: {exc}") from None
         return curves
+
+
+# Each field's type hint as (X,) or (X, NoneType); nf's budget check covers its type.
+_FIELD_KINDS = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if name != "nf"
+}
+# The values each kind admits, and the kind's name; a bool is never a number.
+_KINDS = {
+    str: (str, "a string"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    tuple: (tuple, "a tuple"),
+}
 
 
 def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConfig:

@@ -54,9 +54,9 @@ from .linalg import (
 class AntennaConfig:
     """Antenna counts of the four terminals plus the derived dimensions.
 
-    Validity requires n_t > n_r > n_j >= 0 (nullspaces for artificial noise
-    and jammer nulling both exist) and n_e <= n_t - n_r (the eavesdropper
-    cannot escape the artificial noise).
+    Validity requires integer counts (no bools) with n_t > n_r > n_j >= 0
+    (nullspaces for artificial noise and jammer nulling both exist) and
+    n_e <= n_t - n_r (the eavesdropper cannot escape the artificial noise).
     """
 
     n_t: int
@@ -65,6 +65,9 @@ class AntennaConfig:
     n_e: int
 
     def __post_init__(self):
+        counts = (self.n_t, self.n_r, self.n_j, self.n_e)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts):
+            raise InvalidInputError(f"antenna counts must be integers, got {counts}")
         if not (self.n_t > self.n_r > self.n_j >= 0):
             raise InvalidInputError(
                 f"need n_t > n_r > n_j >= 0, got ({self.n_t}, {self.n_r}, {self.n_j})"

@@ -3,7 +3,7 @@
 Whatever the input, `cli_main` returns 0, 1 or 2, raises nothing, emits no
 warning, and writes at most one line to stderr: exactly one for exit 1 and
 for a numerical failure of `run` or `slopes`. Runs are kept small: every
-`run` passes --trials at most 2 and an SNR grid of at most 11 points.
+`run` passes --trials at most 2 and an SNR grid of at most 29 points.
 """
 
 import contextlib
@@ -50,6 +50,15 @@ def _mostly(values):
 
 _ODDS = st.sampled_from([False] * 7 + [True])
 
+# Config values of every JSON kind a key may be given by mistake: a list, an
+# object, a float (none of which makes an SNR grid finer than 2.5 dB) and a bool.
+_ANY_KIND = [
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.sampled_from(["nr", "x"]), st.integers(-1, 4), max_size=2),
+    st.sampled_from([-2.5, 2.5, 7.5]),
+    st.booleans(),
+]
+
 
 def _call(argv, cwd):
     """Exit code, stdout and stderr of one CLI call in `cwd`; fails on a warning or exception."""
@@ -87,14 +96,12 @@ def _config_text(draw):
     obj = {}
     for key in keys:
         if key == "trials":
-            obj[key] = draw(st.integers(-1, 2))
+            strategies = [st.integers(-1, 2)]
         elif key in _FLAG_VALUES:
-            strategies = [_FLAG_VALUES[key], _GARBAGE, st.booleans(), st.none()]
-            if key == "nr":
-                strategies.append(st.lists(st.integers(-1, 4), max_size=3))
-            obj[key] = draw(st.one_of(*strategies))
+            strategies = [_FLAG_VALUES[key], _GARBAGE, st.none()]
         else:
-            obj[key] = draw(st.one_of(st.integers(-1, 3), _GARBAGE))
+            strategies = [st.integers(-1, 3), _GARBAGE]
+        obj[key] = draw(st.one_of(*strategies, *_ANY_KIND))
     return json.dumps(obj).encode()
 
 

@@ -1,10 +1,13 @@
 """Tests for the Monte Carlo harness: configs, determinism, CSV round-trips."""
 
 import csv
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secmimo import harness
 from secmimo.errors import ConfigError, DegenerateChannelError
@@ -75,15 +78,18 @@ class TestConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError):
             scenario_config("nope")
+        with pytest.raises(ConfigError, match="unknown scenario"):
+            scenario_config(["slope"])
 
-    def test_validation_rejects_bad_antennas(self):
-        cfg = ExperimentConfig(
-            scenario="slope",
-            antenna_configs=(AntennaConfig(5, 2, 1, 2),),
-            epsilon=0.0,
-        )
-        with pytest.raises(ConfigError):
-            cfg.validate()
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_any_scenario_takes_any_valid_curve(self, scenario):
+        """Curves off the (2 n_r, n_r, 1, n_r) shape validate and run in every scenario."""
+        curves = (AntennaConfig(5, 2, 1, 2), AntennaConfig(6, 2, 1, 2))
+        cfg = replace(scenario_config(scenario, trials=1, snr_max=20.0), antenna_configs=curves)
+        points = cfg.validate()
+        rows = run_experiment(cfg).rows
+        assert len(rows) == sum(map(len, points))
+        assert {(r.n_t, r.n_r, r.n_j, r.n_e) for r in rows} == {(5, 2, 1, 2), (6, 2, 1, 2)}
 
     def test_validation_rejects_wrong_schedule(self):
         cfg = scenario_config("slope", [2])
@@ -214,18 +220,85 @@ class TestConfig:
 
     def test_run_flags_are_config_fields(self):
         """Every `run` flag but --nr, --out and --config sets the config field of its name."""
-        flags = set(build_parser().parse_args(["run"]).config_types) - {"nr", "out"}
+        flags = set(build_parser().parse_args(["run"]).config_keys) - {"nr", "out"}
         assert flags == {f.name for f in fields(ExperimentConfig)} - {"antenna_configs", "nf_grid"}
         assert set(BIT_SOURCES) - flags == {"nf_grid"}
 
-    def test_custom_scenario_free_antennas(self):
-        cfg = ExperimentConfig(
-            scenario="custom",
-            antenna_configs=(AntennaConfig(6, 2, 1, 2),),
-            nf=12,
-            trials=1,
-        )
-        cfg.validate()
+
+# The JSON kinds each ExperimentConfig field admits: a float field also takes
+# an integer, and a field that defaults to None takes null.
+_ADMITTED_KINDS = {
+    "scenario": {"string"},
+    "antenna_configs": {"array"},
+    "snr_min": {"number", "integer"},
+    "snr_max": {"number", "integer"},
+    "snr_step": {"number", "integer"},
+    "trials": {"integer"},
+    "seed": {"integer"},
+    "rho": {"number", "integer"},
+    "epsilon": {"number", "integer", "null"},
+    "nf": {"integer", "null"},
+    "nf_grid": {"array", "null"},
+}
+_JSON_KINDS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(),
+    "number": st.floats(),
+    "string": st.text(max_size=4),
+    "array": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+@st.composite
+def _wrong_kind(draw):
+    """A field and a value of a JSON kind the field does not admit."""
+    field = draw(st.sampled_from(sorted(_ADMITTED_KINDS)))
+    kind = draw(st.sampled_from(sorted(_JSON_KINDS.keys() - _ADMITTED_KINDS[field])))
+    return field, draw(_JSON_KINDS[kind])
+
+
+class TestConfigTypes:
+    """validate checks every field's type, with a ConfigError naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("epsilon", "0.5", "a number"),
+            ("trials", "3", "an integer"),
+            ("rho", "0.5", "a number"),
+            ("snr_step", "5", "a number"),
+            ("seed", 1.5, "an integer"),
+            ("trials", 2.5, "an integer"),
+            ("trials", True, "an integer"),
+            ("scenario", ["slope"], "a string"),
+        ],
+        ids=["epsilon-str", "trials-str", "rho-str", "snr_step-str", "seed-float",
+             "trials-float", "trials-bool", "scenario-list"],
+    )
+    def test_wrong_type_is_config_error(self, field, value, kind):
+        cfg = replace(scenario_config("slope", [2], trials=1), **{field: value})
+        message = f"^'{field}' must be {kind}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
+    def test_numpy_integers_accepted(self):
+        plain = scenario_config("slope", [2], trials=2, seed=3, snr_max=20.0)
+        numpy = replace(plain, trials=np.int64(2), seed=np.int32(3))
+        assert render_csv(run_experiment(numpy)) == render_csv(run_experiment(plain))
+
+    def test_kind_table_covers_every_field(self):
+        assert set(_ADMITTED_KINDS) == {f.name for f in fields(ExperimentConfig)}
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(scenario=st.sampled_from(["slope", "saturation", "gap_vs_bits"]), change=_wrong_kind())
+    def test_wrong_json_kind_is_config_error(self, scenario, change):
+        """Any one field of a valid config given a value of a kind it does not admit."""
+        field, value = change
+        cfg = replace(scenario_config(scenario, [2], trials=1), **{field: value})
+        with pytest.raises(ConfigError):
+            cfg.validate()
 
 
 class TestPoints:

@@ -15,6 +15,7 @@ MODULES = {
     for path in (Path(secmimo.__file__).parent).glob("*.py")
     if path.stem != "__init__"
 }
+_MISSING = object()
 
 
 def test_library_use_example_runs(capsys):
@@ -34,10 +35,18 @@ def _resolves(name: str) -> bool:
         owners = [secmimo, *MODULES.values()]
     for obj in owners:
         for part in parts:
-            obj = getattr(obj, part, None)
-        if obj is not None:
+            obj = getattr(obj, part, _MISSING)
+        if obj is not _MISSING:
             return True
     return False
+
+
+def test_resolves_fields_that_default_to_none():
+    """A field whose default is None exists; a made-up attribute does not."""
+    assert _resolves("ExperimentConfig.nf_grid")
+    assert _resolves("harness.ExperimentConfig.epsilon")
+    assert not _resolves("ExperimentConfig.bogus_field")
+    assert not _resolves("harness.bogus_name")
 
 
 def test_cited_names_resolve():
@@ -69,7 +78,7 @@ def test_scenario_table_matches_code():
     """Each README row gives its scenario's default curves, SNR grid and bit flags."""
     rows = _scenario_rows()
     assert list(rows) == list(SCENARIO_TABLE)
-    bit_flags = build_parser().parse_args(["run"]).config_types.keys()
+    bit_flags = build_parser().parse_args(["run"]).config_keys
     for name, (n_rs, grid, bits) in rows.items():
         row, cfg = SCENARIO_TABLE[name], scenario_config(name)
         assert n_rs == row.n_rs, name

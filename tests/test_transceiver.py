@@ -44,7 +44,9 @@ class TestAntennaConfig:
 
     @pytest.mark.parametrize(
         "bad",
-        [(2, 2, 1, 1), (4, 2, 2, 1), (4, 2, 1, 3), (4, 2, 1, 0), (3, 1, 0, 3)],
+        [(2, 2, 1, 1), (4, 2, 2, 1), (4, 2, 1, 3), (4, 2, 1, 0), (3, 1, 0, 3),
+         # a float, bool, string or None count fails here, not later inside numpy
+         (4.0, 2, 1, 2), (4, 2, True, 2), ("4", 2, 1, 2), (4, 2, 1, 2.0), (4, None, 1, 2)],
     )
     def test_invalid_counts(self, bad):
         with pytest.raises(InvalidInputError):
@@ -53,6 +55,10 @@ class TestAntennaConfig:
     def test_no_jammer_allowed(self):
         cfg = AntennaConfig(2, 1, 0, 1)
         assert cfg.d_s == 1
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = AntennaConfig(np.int64(4), np.int32(2), np.int8(1), np.uint16(2))
+        assert cfg == AntennaConfig(4, 2, 1, 2) and cfg.d_s == 1
 
 
 class TestPowerPolicy:
