@@ -68,7 +68,6 @@ from .transceiver import (
     Precoders,
     ReceiverFilters,
     leakage_bound,
-    leakage_power,
     rx_nuller,
     rx_postfilter,
     sample_channels,

@@ -39,6 +39,9 @@ from .transceiver import (
 # but hold more memory at once, and the memory grows with trials x points.
 BLOCK_POINTS = 240
 
+# Most SNR points a curve may hold, checked before its list is built.
+MAX_SNR_POINTS = 100_000
+
 # The ExperimentConfig fields a run's bits may come from, one per run: the
 # scaled law's margin, one fixed budget, or a grid of budgets swept at every SNR.
 BIT_SOURCES = ("epsilon", "nf", "nf_grid")
@@ -222,6 +225,8 @@ class ExperimentResult:
 def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int]]:
     """Ordered (snr_db, nf_bits) operating points for one curve."""
     n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
+    if n > MAX_SNR_POINTS:
+        raise ConfigError(f"an SNR grid holds at most {MAX_SNR_POINTS} points, got {n:.3g}")
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
     grid = cfg.nf_grid if cfg.nf is None else (cfg.nf,)
     if grid is not None:

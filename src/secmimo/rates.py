@@ -53,8 +53,8 @@ from .transceiver import (
 class SecrecyRate:
     """One secrecy-rate evaluation: floored value, raw value, both terms.
 
-    `leakage` is the artificial-noise power reaching the post-filtered
-    receiver (:func:`secmimo.transceiver.leakage_power`) for the rates that
+    `leakage` is the mean artificial-noise power reaching the post-filtered
+    receiver, (1-rho) P/(n_t - n_r) ||G* V* Hd W2||_F^2, for the rates that
     use the two-stage receiver, and None otherwise.
     """
 
@@ -206,7 +206,7 @@ def secrecy_rate_G(
 
     :func:`grams_rate` of their Gram set, and the oracle for the engine's
     Gram route. L is zero to round-off for perfect precoders, whose W2 spans
-    the nullspace of Hd. The result's `leakage` is :func:`leakage_power`.
+    the nullspace of Hd.
     """
     return grams_rate(_precoder_grams(channels, precoders, filters, policy), policy, config)
 
@@ -274,34 +274,21 @@ def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfi
     return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
 
 
-def eve_rate_limit(
-    channels: ChannelSet,
-    precoders: Precoders,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> float:
-    """High-power limit of the eavesdropper rate term (bits).
+def eve_rate_limit(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:
+    """High-power limit of the eavesdropper rate term (bits), from a Gram set.
 
     As P grows, the Eve term converges to
     log2 det(I + rho/(1-rho) * (n_t - n_r)/n_r * A B^{-1}) with
-    A = He W1 W1* He* and B = He W2 W2* He*, which exists because
-    n_e <= n_t - n_r keeps B invertible. The information covariance is
-    P/n_r I, as in every rate here. Stacks give one limit per element.
+    A = E1 E1* and B = E2 E2*, which exists because n_e <= n_t - n_r keeps
+    B invertible. The information covariance is P/n_r I, as in every rate
+    here. Stacks give one limit per element.
     """
-    he = as_stack(channels.He, "He")
     coef = policy.rho * (config.n_t - config.n_r) / ((1.0 - policy.rho) * config.n_r)
-    gram_an = _gram(he @ precoders.W2)
-    return _logdet_ratio(gram_an + _per_matrix(coef) * _gram(he @ precoders.W1), gram_an)
+    return _logdet_ratio(grams.e2 + _per_matrix(coef) * grams.e1, grams.e2)
 
 
-def beta_P(
-    channels: ChannelSet,
-    filters: ReceiverFilters,
-    precoders: Precoders,
-    policy: PowerPolicy,
-    config: AntennaConfig,
-) -> float:
-    """Remainder term of the quantization gap analysis (bits).
+def beta_P(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:
+    """Remainder term of the quantization gap analysis (bits), from a Gram set.
 
     Difference of the post-filtered log-determinant with and without the
     leakage Gram matrix, evaluated at information covariance P I (the
@@ -309,7 +296,6 @@ def beta_P(
     because the leakage matrix is positive semidefinite; converges to zero
     under the power-matched bit schedule.
     """
-    grams = _precoder_grams(channels, precoders, filters, policy)
     m1 = _per_matrix(policy.rho * policy.P) * grams.s1
     leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
     return _logdet_ratio(m1 + leak + grams.noise, m1 + grams.noise)

@@ -3,9 +3,9 @@
 Samples the three channels (transmitter-to-receiver, transmitter-to-
 eavesdropper, jammer-to-receiver), builds the transmit precoders that split
 power between the information signal and artificial noise, the receive-side
-jammer nuller and post-processing filter, and the artificial-noise leakage
-quantities that appear when the transmitter only has quantized knowledge of
-the direct channel.
+jammer nuller and post-processing filter, and the worst-case bound on the
+artificial-noise leakage that appears when the transmitter only has
+quantized knowledge of the direct channel.
 
 Conventions: the information precoder W1 is n_t x n_r, the artificial-noise
 precoder W2 is n_t x (n_t - n_r), both with orthonormal columns and mutually
@@ -39,7 +39,6 @@ from .linalg import (
     as_stack,
     complex_gaussian,
     first_flagged,
-    frobenius_sq,
     haar_columns,
     hermitian_part,
     left_nullspace_basis,
@@ -298,20 +297,6 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     if np.any(gg_eigs[..., 0] < 1e-12 * np.maximum(1.0, gg_eigs[..., -1])):
         raise DegenerateGeometryError("G* G is not positive definite")
     return ReceiverFilters(V=v, B=b, G=g, F=f, C=c)
-
-
-def leakage_power(filters: ReceiverFilters, Hd, W2Q, policy: PowerPolicy) -> float:
-    """Mean artificial-noise power reaching the post-processed receiver.
-
-    The leakage term is sqrt(1-rho) G* V* Hd W2Q x_an with x_an white of
-    covariance P/(n_t - n_r) I; its expected squared norm evaluates in
-    closed form to (1-rho) P/(n_t - n_r) ||G* V* Hd W2Q||_F^2. Exactly
-    zero when W2Q spans the true channel nullspace.
-    """
-    hd = as_stack(Hd, "Hd")
-    w2q = as_stack(W2Q, "W2Q")
-    frob2 = frobenius_sq(adjoint(filters.G) @ adjoint(filters.V) @ hd @ w2q)
-    return ((1.0 - policy.rho) * policy.P / w2q.shape[-1] * frob2)[()]
 
 
 def leakage_bound(policy: PowerPolicy, n_f, config: AntennaConfig) -> float:

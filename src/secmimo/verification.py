@@ -1,7 +1,7 @@
 """Numerical verification suites behind the `verify` CLI subcommand.
 
 Each suite samples random instances and counts violations of one invariant
-or inequality family: precoder/nuller orthogonality, closed-form rates
+or inequality family: precoder/nuller orthogonality, the engine's rates
 against the generic mutual-information oracle, the log-det variational and
 perturbation inequalities, leakage bounds and their power-independence, the
 perturbation quantizer's distance accuracy, and the chordal metric axioms.
@@ -20,6 +20,7 @@ from . import harness
 from .grassmann import (
     chordal_distance,
     feedback_bits,
+    perturb_gram,
     quantization_target,
 )
 from .linalg import (
@@ -35,15 +36,17 @@ from .rates import (
     _per_matrix,
     beta_P,
     eve_rate_limit,
+    grams_rate,
+    grams_rate_sweep,
     logdet_perturbation_check,
     logdet_variational_objective,
-    secrecy_rate_G,
+    step_grams,
+    trial_couplings,
 )
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
     leakage_bound,
-    leakage_power,
     rx_postfilter,
     sample_directions,
     sample_trials,
@@ -112,6 +115,13 @@ def _chunks(trials: int, seed: int, configs, uniforms: int = 0):
 _targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
 
 
+def _grams(channels, filters, policy: PowerPolicy, z=None, targets=0.0):
+    """A chunk's Gram set as the engine builds it; perfect CSI when `z` is None."""
+    z = np.zeros_like(filters.F) if z is None else z
+    step = perturb_gram(filters.F, z, targets)
+    return step_grams(trial_couplings(channels, filters, policy), step)
+
+
 def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
     """Nulling and orthogonality invariants of every sampled trial.
 
@@ -137,12 +147,13 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
 
 
 def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
-    """Closed-form rate terms against the Gaussian mutual-information oracle.
+    """The engine's rate terms against the Gaussian mutual-information oracle.
 
     Each trial draws its bit budget in [4, 30), P in [1, 1e4] and rho in
-    [0.2, 0.8]. The post-filtered terms are compared after whitening by the
-    invertible G, under which mutual information is invariant; the
-    eavesdropper terms compare directly. Failure threshold 1e-8 per term.
+    [0.2, 0.8]. :func:`grams_rate_sweep` rates perfect CSI and :func:`grams_rate`
+    quantized CSI, as in `run`; the oracle takes explicit precoders. The
+    post-filtered terms compare whitened by the invertible G, which keeps
+    mutual information; Eve's compare directly. Failure threshold 1e-8 per term.
     """
     worst = []
     for acfg, channels, filters, z, u in _chunks(trials, seed, SMALL_CONFIGS, uniforms=3):
@@ -152,9 +163,10 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
         an = _per_matrix(policy.an_cov_scale(acfg.n_t, acfg.n_r))
         vh = adjoint(filters.V) @ channels.Hd
         signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
+        r_p = grams_rate_sweep(_grams(channels, filters, policy), policy, acfg)
+        r_q = grams_rate(_grams(channels, filters, policy, z, targets), policy, acfg)
         diffs = []
-        for prec in (tx_precoders_perfect(channels.Hd), prec_q):
-            rate = secrecy_rate_G(channels, prec, filters, policy, acfg)
+        for rate, prec in (r_p, tx_precoders_perfect(channels.Hd)), (r_q, prec_q):
             sides = (vh, rate.t_plus, policy.sigma2), (channels.He, rate.t_minus, policy.sigma2_eve)
             for h, term, noise in sides:
                 leak = h @ prec.W2
@@ -232,8 +244,7 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     targets = _matched_targets(acfg, policy.P)
     beta = []
     for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        prec_q = tx_precoders_quantized(filters.F, z, targets)
-        beta.append(beta_P(channels, filters, prec_q, policy, acfg))
+        beta.append(beta_P(_grams(channels, filters, policy, z, targets), policy, acfg))
     beta = np.concatenate(beta)
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
     not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
@@ -244,7 +255,7 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
 
 
 def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
-    """Eavesdropper term at P = 1e9 against its closed-form limit.
+    """The engine's perfect-CSI eavesdropper term at P = 1e9 against its limit.
 
     With B = E2 E2*, X = B + coef E1 E1* and d = sigma_e^2 / an, the
     :func:`~secmimo.rates.logdet_perturbation_check` bounds of (X, d I) and
@@ -254,16 +265,14 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     policy = PowerPolicy(P=1e9, rho=0.5)
     worst = []
     for acfg, channels, filters, _, _ in _chunks(trials, seed, SLOPE_CONFIGS):
-        prec = tx_precoders_perfect(channels.Hd)
-        term = secrecy_rate_G(channels, prec, filters, policy, acfg).t_minus
-        diff = term - eve_rate_limit(channels, prec, policy, acfg)
+        grams = _grams(channels, filters, policy)
+        term = grams_rate_sweep(grams, policy, acfg).t_minus
+        diff = term - eve_rate_limit(grams, policy, acfg)
         coef = policy.rho * (acfg.n_t - acfg.n_r) / ((1.0 - policy.rho) * acfg.n_r)
-        e1, e2 = channels.He @ prec.W1, channels.He @ prec.W2
-        b = e2 @ adjoint(e2)
         d = policy.sigma2_eve / policy.an_cov_scale(acfg.n_t, acfg.n_r)
-        shift = np.broadcast_to(d * np.eye(acfg.n_e), b.shape)
+        shift = np.broadcast_to(d * np.eye(acfg.n_e), grams.e2.shape)
         (_, upper_x, lower_x), (_, upper_b, lower_b) = (
-            logdet_perturbation_check(m, shift) for m in (b + coef * (e1 @ adjoint(e1)), b)
+            logdet_perturbation_check(m, shift) for m in (grams.e2 + coef * grams.e1, grams.e2)
         )
         low, high = (lower_x - upper_b) * LOG2_E, (upper_x - lower_b) * LOG2_E
         worst.append(np.maximum(low - diff, diff - high))
@@ -286,8 +295,8 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
     for acfg, channels, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=2):
         nf = 10 + (50 * u[:, :1]).astype(int)
         policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5)
-        prec_q = tx_precoders_quantized(filters.F, z, _targets(nf, acfg.n_t, acfg.n_r))
-        leak = leakage_power(filters, channels.Hd, prec_q.W2, policy)
+        grams = _grams(channels, filters, policy, z, _targets(nf, acfg.n_t, acfg.n_r))
+        leak = grams_rate(grams, policy, acfg).leakage
         over.append(leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9))
     violations = int(np.count_nonzero(np.concatenate(over)))
     failures = max(0, violations - int(0.01 * trials))
@@ -307,8 +316,8 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
     targets = _matched_targets(acfg, policy.P)
     leak = []
     for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        prec_q = tx_precoders_quantized(filters.F, z, targets)
-        leak.append(leakage_power(filters, channels.Hd, prec_q.W2, policy))
+        grams = _grams(channels, filters, policy, z, targets)
+        leak.append(grams_rate(grams, policy, acfg).leakage)
     means = np.concatenate(leak).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()
     detail = "means " + ", ".join(f"{m:.4f}" for m in means)
@@ -316,16 +325,19 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
 
 
 def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
-    """Quantized precoders' W1 sits at its target distance to 1e-6 every call.
+    """The quantized subspace sits at its target distance to 1e-6 every call.
 
     Each trial quantizes its receiver subspace F at the target of a bit
-    budget drawn in [1, 80).
+    budget drawn in [1, 80). The worse error counts: the engine step's
+    sqrt(tr J), or the chordal distance of the explicit W1 (the oracle).
     """
     errors = []
     for acfg, _, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=1):
         target = _targets(1 + (79 * u).astype(int), acfg.n_t, acfg.n_r)
+        j = perturb_gram(filters.F, z, target)[3]
         w1 = tx_precoders_quantized(filters.F, z, target).W1
-        errors.append(np.abs(chordal_distance(filters.F, w1) - target))
+        achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(filters.F, w1)
+        errors.append(np.max(np.abs(np.subtract(achieved, target)), axis=0))
     worst = np.concatenate(errors)
     failures = int(np.count_nonzero(~(worst <= 1e-6)))
     return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst.max():.3e}")

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,24 @@ class TestRun:
             assert captured.out == ""
             assert captured.err.startswith("configuration error") and "finite" in captured.err
             assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("grid", [["--snr-max", "1e300"], ["--snr-step", "1e-300"]])
+    def test_huge_snr_grid_is_config_error(self, grid):
+        """A grid of 1e299 or more points exits 1 before it is built, in 1.5 GB of address space."""
+        limit = 3 << 29  # 1.5 GiB
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-m", "secmimo.cli", "run", "--nr", "2", "--trials", "1", *grid],
+            env=dict(os.environ, PYTHONPATH=path),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("configuration error") and "SNR grid" in done.stderr
+        assert len(done.stderr.splitlines()) == 1
 
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -21,6 +21,7 @@ from secmimo.linalg import (
 )
 from secmimo.rates import (
     SecrecyRate,
+    _precoder_grams,
     beta_P,
     eve_rate_limit,
     fit_slope,
@@ -37,9 +38,7 @@ from secmimo.transceiver import (
     AntennaConfig,
     ChannelSet,
     PowerPolicy,
-    Precoders,
     ReceiverFilters,
-    leakage_power,
     rx_postfilter,
     sample_channels,
     sample_directions,
@@ -338,24 +337,6 @@ class TestSecrecyRateSweep:
             grams_rate_sweep(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
 
 
-class TestLeakageField:
-    @pytest.mark.parametrize("n_r", [2, 3, 4])
-    def test_equals_leakage_power_bitwise(self, n_r):
-        """SecrecyRate.leakage is leakage_power's value, for a (trials, points) stack."""
-        cfg = AntennaConfig(2 * n_r, n_r, 1, n_r)
-        rngs = [np.random.default_rng((32, t)) for t in range(5)]
-        targets = np.linspace(0.0, 0.9, 7)
-        ch, b = sample_trials(cfg, rngs)
-        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
-        prec = tx_precoders_quantized(filters.F, sample_directions(cfg, rngs, targets > 0), targets)
-        policy = PowerPolicy(P=10.0 ** np.arange(7.0), rho=0.5)
-        for precoders in (prec, tx_precoders_perfect(ch.Hd)):
-            np.testing.assert_array_equal(
-                secrecy_rate_G(ch, precoders, filters, policy, cfg).leakage,
-                leakage_power(filters, ch.Hd, precoders.W2, policy),
-            )
-
-
 def _fields(result):
     """The arrays of a SecrecyRate, or a kernel's one array, as a tuple."""
     return tuple(vars(result).values()) if isinstance(result, SecrecyRate) else (result,)
@@ -366,8 +347,8 @@ _RHO_KERNELS = {
     "grams_rate": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
     "secrecy_rate_G": lambda c, ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol, c),
     "grams_rate_sweep": lambda c, ch, f, w, g, pol: grams_rate_sweep(g, pol, c),
-    "eve_rate_limit": lambda c, ch, f, w, g, pol: eve_rate_limit(ch, w, pol, c),
-    "beta_P": lambda c, ch, f, w, g, pol: beta_P(ch, f, w, pol, c),
+    "eve_rate_limit": lambda c, ch, f, w, g, pol: eve_rate_limit(g, pol, c),
+    "beta_P": lambda c, ch, f, w, g, pol: beta_P(g, pol, c),
 }
 
 
@@ -403,7 +384,7 @@ class TestRhoStack:
 
 class TestStepGrams:
     def test_leakage_keeps_tiny_targets(self):
-        """tr(A J A*) against leakage_power of the explicit W2, at targets down to 1e-7.
+        """tr(A J A*) against the explicit precoders' leakage, at targets down to 1e-7.
 
         The explicit route loses about 1e-16 / target of relative accuracy, and
         A (I - K) A* would lose 1e-16 / target^2.
@@ -417,23 +398,24 @@ class TestStepGrams:
         step = perturb_gram(filters.F, z, targets)
         grams = step_grams(trial_couplings(ch, filters, policy), step)
         rate = grams_rate(grams, policy, cfg)
-        w2 = tx_precoders_quantized(filters.F, z, targets).W2
+        prec = tx_precoders_quantized(filters.F, z, targets)
         np.testing.assert_allclose(
-            rate.leakage, leakage_power(filters, ch.Hd, w2, policy), rtol=1e-6, atol=0
+            rate.leakage, secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, rtol=1e-6, atol=0
         )
 
 
 class TestEveRateLimit:
     def test_vanishes_with_rho(self):
-        cfg, ch, _, prec_p, _ = _random_trial(10)
-        limit = eve_rate_limit(ch, prec_p, PowerPolicy(P=10.0, rho=1e-12), cfg)
+        cfg, ch, filters, prec_p, _ = _random_trial(10)
+        policy = PowerPolicy(P=10.0, rho=1e-12)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters, policy), policy, cfg)
         assert limit < 1e-9
 
     def test_t_minus_converges(self):
         """The Eve term converges to the closed-form limit along P = 1e3, 1e6, 1e9."""
         cfg, ch, filters, prec_p, _ = _random_trial(11)
         policy9 = PowerPolicy(P=1e9, rho=0.5)
-        limit = eve_rate_limit(ch, prec_p, policy9, cfg)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters, policy9), policy9, cfg)
         diffs = []
         for p in (1e3, 1e6, 1e9):
             t_minus = secrecy_rate_G(
@@ -447,28 +429,25 @@ class TestEveRateLimit:
         """An eavesdropper confined to the artificial-noise span learns nothing."""
         rng = np.random.default_rng(12)
         cfg = AntennaConfig(4, 2, 1, 2)
-        ch = sample_channels(cfg, rng)
+        ch, filters = _channels_and_filters(cfg, rng)
         prec = tx_precoders_perfect(ch.Hd)
         he = prec.W2[:, :2].conj().T  # rows orthogonal to W1's span
         ch2 = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
-        limit = eve_rate_limit(ch2, prec, PowerPolicy(P=10.0, rho=0.5), cfg)
+        policy = PowerPolicy(P=10.0, rho=0.5)
+        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters, policy), policy, cfg)
         assert limit == pytest.approx(0.0, abs=1e-9)
 
     def test_stack_matches_per_matrix_calls(self):
         cfg = AntennaConfig(6, 3, 1, 3)
-        ch, _ = sample_trials(cfg, [np.random.default_rng((40, t)) for t in range(5)])
+        ch, b = sample_trials(cfg, [np.random.default_rng((40, t)) for t in range(5)])
+        filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=1e9, rho=0.3)
-        limits = eve_rate_limit(ch, prec, policy, cfg)
+        limits = eve_rate_limit(_precoder_grams(ch, prec, filters, policy), policy, cfg)
         assert limits.shape == (5, 1)
         for t in range(5):
-            alone = eve_rate_limit(
-                ChannelSet(**{k: m[t, 0] for k, m in vars(ch).items()}),
-                Precoders(W1=prec.W1[t, 0], W2=prec.W2[t, 0]),
-                policy,
-                cfg,
-            )
-            assert limits[t, 0] == alone
+            grams = _precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)), policy)
+            assert limits[t, 0] == eve_rate_limit(grams, policy, cfg)
 
 
 class TestBetaP:
@@ -477,15 +456,15 @@ class TestBetaP:
         cfg = AntennaConfig(4, 2, 1, 2)
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
-        assert beta_P(ch, filters, prec_q, PowerPolicy(P=1e3, rho=0.5), cfg) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        policy = PowerPolicy(P=1e3, rho=0.5)
+        grams = _precoder_grams(ch, prec_q, filters, policy)
+        assert beta_P(grams, policy, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonnegative_sweep(self):
         for seed in range(50):
             cfg, ch, filters, _, prec_q = _random_trial(4000 + seed, nf=int(10 + seed % 30))
             policy = PowerPolicy(P=float(10 ** (1 + seed % 5)), rho=0.5)
-            assert beta_P(ch, filters, prec_q, policy, cfg) >= -1e-12
+            assert beta_P(_precoder_grams(ch, prec_q, filters, policy), policy, cfg) >= -1e-12
 
 
 class TestLogdetPerturbation:

@@ -195,3 +195,16 @@ def test_chordal_metric_counts_every_shape_stack(monkeypatch):
     monkeypatch.setattr(verification, "chordal_distance", lambda a, b: distance(a, b) + 1e-6)
     outcome = chordal_metric_suite(trials=50, seed=10)
     assert outcome.failures == outcome.total == 50
+
+
+def test_oracle_equivalence_runs_the_engine_route(monkeypatch):
+    """The engine's E2 E2* scaled by 1 + 1e-6 in step_grams fails every trial."""
+    step_grams = verification.step_grams
+
+    def skewed(couplings, step):
+        grams = step_grams(couplings, step)
+        return grams._replace(e2=grams.e2 * (1.0 + 1e-6))
+
+    monkeypatch.setattr(verification, "step_grams", skewed)
+    outcome = oracle_equivalence_suite(trials=100, seed=2)
+    assert outcome.failures == outcome.total == 100, outcome.detail
