@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
-    InsufficientAntennasError,
     InvalidInputError,
     NoNullspaceError,
     NotPositiveDefiniteError,
@@ -49,7 +48,6 @@ from .linalg import (
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,
-    svd,
 )
 from .rates import (
     SdofEstimate,
@@ -68,7 +66,6 @@ from .transceiver import (
     Precoders,
     ReceiverFilters,
     leakage_bound,
-    rx_nuller,
     rx_postfilter,
     sample_channels,
     tx_precoders_perfect,

@@ -41,10 +41,6 @@ class NotPositiveDefiniteError(SecMimoError):
         self.min_eigenvalue = min_eigenvalue
 
 
-class InsufficientAntennasError(SecMimoError):
-    """Antenna counts do not admit the requested nulling projection."""
-
-
 class CodebookTooLargeError(SecMimoError):
     """Exhaustive codebook requested beyond the tractable size."""
 

@@ -404,26 +404,21 @@ def fitted_slopes_from_rows(rows) -> dict:
     out. Rows sharing a curve and an SNR are summed in row order and divided
     by their count. Each curve is fitted over :func:`fit_slope`'s default window.
     """
-    rows = [r for r in rows if "nf_grid" not in _scenario(r.scenario).sources]
-    if not rows:
-        return {}
-    points = np.array([(r.n_t, r.n_r, r.n_j, r.n_e, r.snr_db) for r in rows], dtype=float)
-    rates = np.array([(r.r_perfect_mean, r.r_quantized_mean) for r in rows], dtype=float)
-    # by curve, then SNR; the sort is stable, so equal keys keep their row order
-    order = np.lexsort(points.T[::-1])
-    points, rates = points[order], rates[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(points[1:] != points[:-1], axis=1)
-    group = np.cumsum(first) - 1
-    means = np.zeros((group[-1] + 1, 2))
-    np.add.at(means, group, rates)
-    means /= np.bincount(group)[:, np.newaxis]
-    keys = points[first]
-    curve_starts = np.flatnonzero(np.any(keys[1:, :4] != keys[:-1, :4], axis=1)) + 1
+    curves: dict = {}
+    for r in rows:
+        if "nf_grid" in _scenario(r.scenario).sources:
+            continue
+        by_snr = curves.setdefault((r.n_t, r.n_r, r.n_j, r.n_e), {})
+        sums = by_snr.setdefault(r.snr_db, [0.0, 0.0, 0])
+        sums[0] += r.r_perfect_mean
+        sums[1] += r.r_quantized_mean
+        sums[2] += 1
     out = {}
-    for idx in np.split(np.arange(len(keys)), curve_starts):
-        out[tuple(int(n) for n in keys[idx[0], :4])] = {
-            "perfect": fit_slope(keys[idx, 4], means[idx, 0]).slope,
-            "quantized": fit_slope(keys[idx, 4], means[idx, 1]).slope,
+    for key, by_snr in sorted(curves.items()):
+        snrs = sorted(by_snr)
+        sums = [by_snr[s] for s in snrs]
+        out[key] = {
+            "perfect": fit_slope(snrs, [p / n for p, _, n in sums]).slope,
+            "quantized": fit_slope(snrs, [q / n for _, q, n in sums]).slope,
         }
     return out

@@ -103,39 +103,11 @@ def first_flagged(values, flags):
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """Full SVD ``A = U @ diag(s) @ V*`` with s sorted nonincreasing."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    V: np.ndarray
-
-
-@dataclass(frozen=True)
 class QrTallResult:
     """Thin QR ``A = F @ C`` with orthonormal F (m x k) and invertible upper-triangular C."""
 
     F: np.ndarray
     C: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    """Full singular value decomposition of a complex matrix.
-
-    Parameters
-    ----------
-    a : array_like
-        Finite matrix of shape (m, n).
-
-    Returns
-    -------
-    SvdResult
-        U (m x m), singular values (length min(m, n), nonincreasing) and
-        V (n x n) such that ``A = U @ diag_rect(s) @ V.conj().T``.
-    """
-    arr = as_stack(a, "svd input")
-    u, s, vh = np.linalg.svd(arr, full_matrices=True)
-    return SvdResult(U=u, singular_values=s, V=adjoint(vh))
 
 
 def qr_tall(a) -> QrTallResult:
@@ -200,27 +172,9 @@ def left_nullspace_basis(a) -> np.ndarray:
     return u[..., :, q:]
 
 
-def as_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite square matrix, or stack, Hermitian to relative tolerance 1e-10.
-
-    Raises
-    ------
-    InvalidInputError
-        If an entry is not finite or a matrix is not Hermitian to
-        ``1e-10 * max(1, ||A||_F)``.
-    """
-    arr = as_stack(a, name)
-    n, m = arr.shape[-2:]
-    if n != m:
-        raise ShapeError(f"{name} must be square, got {n}x{m}")
-    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
-    if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
-        raise InvalidInputError(f"{name} is not Hermitian to tolerance 1e-10")
-    return arr
-
-
 def _cholesky(arr: np.ndarray) -> np.ndarray:
-    """:func:`cholesky_pd` of a stack known to be Hermitian; checks finiteness and definiteness."""
+    """Lower Cholesky factor of a stack known to be Hermitian; checks finiteness and
+    definiteness, and a failure's NotPositiveDefiniteError carries the smallest eigenvalue."""
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("Cholesky input contains non-finite entries")
     try:
@@ -233,15 +187,6 @@ def _cholesky(arr: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def cholesky_pd(a) -> np.ndarray:
-    """Lower Cholesky factor of a Hermitian positive-definite matrix or stack.
-
-    Checks the input with :func:`as_hermitian` first. A failed factorization
-    raises NotPositiveDefiniteError, carrying the smallest eigenvalue.
-    """
-    return _cholesky(as_hermitian(a, "Cholesky input"))
-
-
 def _logdet_hermitian(arr: np.ndarray):
     """:func:`logdet_pd` of a stack known to be Hermitian, such as
     :func:`hermitian_part`'s output (Hermitian bit for bit)."""
@@ -252,11 +197,20 @@ def _logdet_hermitian(arr: np.ndarray):
 def logdet_pd(a):
     """log2-determinant of a Hermitian positive-definite matrix.
 
-    Computed via Cholesky factorization (:func:`cholesky_pd`), never
-    through a raw determinant. A float for one matrix, an array over the
-    leading axes for a stack.
+    Computed via Cholesky factorization, never through a raw determinant.
+    A float for one matrix, an array over the leading axes for a stack.
+    Raises InvalidInputError if an entry is not finite or a matrix is not
+    Hermitian to ``1e-10 * max(1, ||A||_F)``, and NotPositiveDefiniteError
+    if the factorization fails.
     """
-    return _logdet_hermitian(as_hermitian(a, "Cholesky input"))
+    arr = as_stack(a, "Cholesky input")
+    n, m = arr.shape[-2:]
+    if n != m:
+        raise ShapeError(f"Cholesky input must be square, got {n}x{m}")
+    scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
+        raise InvalidInputError("Cholesky input is not Hermitian to tolerance 1e-10")
+    return _logdet_hermitian(arr)
 
 
 def random_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

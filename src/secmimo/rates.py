@@ -28,16 +28,15 @@ import numpy as np
 from .errors import InvalidInputError, NotPositiveDefiniteError
 from .linalg import (
     LOG2_E,
+    _cholesky,
     _logdet_hermitian,
     adjoint,
-    as_hermitian,
     as_matrix,
     as_stack,
-    cholesky_pd,
     frobenius_sq,
     hermitian_part,
+    left_nullspace_basis,
     logdet_pd,
-    svd,
 )
 from .transceiver import (
     AntennaConfig,
@@ -45,7 +44,6 @@ from .transceiver import (
     PowerPolicy,
     Precoders,
     ReceiverFilters,
-    rx_nuller,
 )
 
 
@@ -121,12 +119,12 @@ def secrecy_rate_perfect_basic(
     the right singular vectors.
     """
     hd = as_matrix(channels.Hd, "Hd")
-    dec = svd(hd)
+    u, s, vh = np.linalg.svd(hd, full_matrices=True)
     n_r = config.n_r
-    v1 = dec.V[:, :n_r]
-    v0 = dec.V[:, n_r:]
-    v = rx_nuller(channels.Hj)
-    h_eff = v.conj().T @ dec.U @ np.diag(dec.singular_values)
+    v1 = adjoint(vh[:n_r])
+    v0 = adjoint(vh[n_r:])
+    v = left_nullspace_basis(channels.Hj)
+    h_eff = v.conj().T @ u @ np.diag(s)
     per_stream = (1.0 / n_r) * policy.P
     t_plus = _logdet_ratio(
         np.eye(v.shape[1]) + (policy.rho * per_stream / policy.sigma2) * (h_eff @ h_eff.conj().T),
@@ -228,12 +226,12 @@ def _sweep_ratio(power, numer, denom, floor=None):
     With the floor N = C C* (the identity when None), each determinant is
     det N det(I + P K) for the whitened K = C^{-1} M C^{-*}, so the ratio is
     sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i) over the
-    eigenvalues of the two K. The checks are logdet_pd's: every matrix
-    finite and Hermitian, N and each N + P M positive definite.
+    eigenvalues of the two K. Every matrix must be finite, and N and each
+    N + P M positive definite; each matrix is symmetrized with hermitian_part.
     """
-    pair = as_hermitian(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "sweep input")
+    pair = as_stack(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "sweep input")
     if floor is not None:
-        inv_c = np.linalg.inv(cholesky_pd(hermitian_part(floor)))
+        inv_c = np.linalg.inv(_cholesky(hermitian_part(floor)))
         pair = inv_c @ pair @ adjoint(inv_c)
     lam, nu = np.linalg.eigvalsh(pair)
     p = np.asarray(power)[..., np.newaxis]

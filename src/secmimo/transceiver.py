@@ -28,7 +28,6 @@ import numpy as np
 from .errors import (
     DegenerateChannelError,
     DegenerateGeometryError,
-    InsufficientAntennasError,
     InvalidInputError,
     ShapeError,
 )
@@ -45,7 +44,6 @@ from .linalg import (
     orthonormality_error,
     qr_tall,
     random_gaussian_matrix,
-    svd,
 )
 
 
@@ -225,11 +223,11 @@ def tx_precoders_perfect(Hd) -> Precoders:
     n_r, n_t = hd.shape[-2:]
     if n_t <= n_r:
         raise ShapeError(f"need n_t > n_r for an artificial-noise nullspace, got {hd.shape}")
-    dec = svd(hd)
-    s = dec.singular_values
+    _, s, vh = np.linalg.svd(hd, full_matrices=True)
     if np.any(s[..., -1] < 1e-12 * s[..., 0]):
         raise DegenerateChannelError("rank-deficient direct channel")
-    return Precoders(W1=dec.V[..., :, :n_r], W2=dec.V[..., :, n_r:])
+    v = adjoint(vh)
+    return Precoders(W1=v[..., :, :n_r], W2=v[..., :, n_r:])
 
 
 def tx_precoders_quantized(F, z, distance) -> Precoders:
@@ -246,23 +244,6 @@ def tx_precoders_quantized(F, z, distance) -> Precoders:
     return Precoders(W1=q[..., :n_r], W2=q[..., n_r:])
 
 
-def rx_nuller(Hj) -> np.ndarray:
-    """Receive projection V with orthonormal columns annihilating the jammer.
-
-    The left-nullspace basis of the jammer channel; identity when there is
-    no jammer.
-    """
-    hj = np.asarray(Hj, dtype=np.complex128)
-    if hj.ndim < 2:
-        raise ShapeError("Hj must be a matrix or a stack of matrices")
-    n_r, n_j = hj.shape[-2:]
-    if 0 < n_j and n_r <= n_j:
-        raise InsufficientAntennasError(
-            f"receiver needs more antennas than the jammer, got n_r={n_r}, n_j={n_j}"
-        )
-    return left_nullspace_basis(hj)
-
-
 def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     """Two-stage receive filter: jammer nulling then channel-matched mixing.
 
@@ -274,7 +255,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     n_r, n_t = hd.shape[-2:]
     dec = qr_tall(adjoint(hd))
     f, c = dec.F, dec.C
-    v = rx_nuller(Hj)
+    v = left_nullspace_basis(Hj)
     d_s = v.shape[-1]
     b = as_stack(B, "B")
     if b.shape[-2:] != (n_t, d_s):

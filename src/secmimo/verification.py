@@ -64,11 +64,8 @@ SMALL_CONFIGS = (
     AntennaConfig(6, 3, 1, 3),
 )
 
-SLOPE_CONFIGS = (
-    AntennaConfig(4, 2, 1, 2),
-    AntennaConfig(6, 3, 1, 3),
-    AntennaConfig(8, 4, 1, 4),
-)
+# The slope scenario's default curves, (2 n_r, n_r, 1, n_r) for n_r = 2, 3, 4.
+SLOPE_CONFIGS = harness.scenario_config("slope").antenna_configs
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ Each criterion prints one PASS/FAIL line (visible with `pytest -s`); the
 assertions carry the same conditions. Criteria 1-5 run the three headline
 experiments at desk scale; 6-8 are exactness/inequality sweeps; 9 pins the
 determinism contract.
+Criterion 10 holds the n_r = 4 gap slope near 0, tightly enough to catch a bit law 3% short.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from secmimo import harness
 from secmimo.harness import render_csv, run_experiment, scenario_config
+from secmimo.rates import fit_slope
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
 from secmimo.verification import (
     beta_suite,
@@ -195,3 +199,30 @@ def test_criterion_9_determinism(monkeypatch):
         "across blocks of 1/8/16 trials and a rerun",
     )
     assert ok
+
+
+def _gap_slope(result) -> float:
+    """Slope of the n_r = 4 curve's mean raw gap (perfect - quantized) over 40-60 dB."""
+    rows = [row for row in result.rows if row.n_r == 4]
+    return fit_slope([r.snr_db for r in rows], [r.gap_mean for r in rows], (40.0, 60.0)).slope
+
+
+def test_criterion_10_paired_gap_slope(slope_result):
+    """At epsilon = 0 the n_r = 4 gap slope is at most 0.03 in absolute value over 40-60 dB."""
+    slope = _gap_slope(slope_result)
+    ok = abs(slope) <= 0.03
+    _report("criterion-10 paired-gap-slope", ok, f"n_r=4: gap slope {slope:.4f} (|.| <= 0.03)")
+    assert ok
+
+
+def test_criterion_10_catches_a_short_bit_law(monkeypatch):
+    """A bit law 3% short of the paper's, ceil(0.97 n_r (n_t - n_r) log2 P), fails criterion 10."""
+
+    def short_law(power, epsilon, n_t, n_r):
+        if power <= 1.0:
+            return 1
+        return math.ceil(0.97 * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
+
+    monkeypatch.setattr(harness, "feedback_bits", short_law)
+    slope = _gap_slope(run_experiment(scenario_config("slope", [4], trials=500, seed=ACCEPT_SEED)))
+    assert abs(slope) > 0.03, f"a 3%-short bit law kept the gap slope at {slope:.4f}"

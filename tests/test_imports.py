@@ -20,3 +20,46 @@ def test_no_unused_imports(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+# Public names that no source module calls, each kept as a test oracle or test helper.
+TEST_ONLY = {
+    "codebook_generate": "draws the random codebooks that the exhaustive quantize searches",
+    "quantize": "the exhaustive nearest-codeword oracle of the perturbation quantizer",
+    "random_truncated_unitary": "Haar-random orthonormal columns for test inputs",
+    "sample_channels": "one trial's channels drawn call by call, the oracle of sample_trials",
+    "secrecy_rate_perfect_basic": "the perfect-CSI rate without the G filter, a second route",
+    "secrecy_rate_G": "the explicit-precoder oracle of the engine's Gram route",
+}
+
+
+def _public_definitions() -> dict:
+    """Each public top-level function or class of a source module, with its module's name."""
+    return {
+        node.name: path.name
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def _referenced_names() -> set:
+    """Every name a source module other than __init__ reads, bare or as an attribute."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_dead_public_code():
+    """Every public function or class has a source caller or is listed test-only, and
+    every listed name is defined and has no source caller, so the list cannot go stale."""
+    defined, used = _public_definitions(), _referenced_names()
+    dead = sorted(set(defined) - used - set(TEST_ONLY))
+    assert not dead, f"no source module uses {[f'{defined[n]}:{n}' for n in dead]}"
+    assert set(TEST_ONLY) <= set(defined), f"not defined: {sorted(set(TEST_ONLY) - set(defined))}"
+    assert not set(TEST_ONLY) & used, f"have a source caller: {sorted(set(TEST_ONLY) & used)}"

@@ -14,6 +14,7 @@ from secmimo.linalg import (
     adjoint,
     as_matrix,
     complex_gaussian,
+    frobenius_sq,
     gaussian_mi,
     haar_columns,
     hermitian_part,
@@ -22,54 +23,7 @@ from secmimo.linalg import (
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,
-    svd,
 )
-
-
-def _reconstruct_svd(dec):
-    sigma = np.zeros((dec.U.shape[0], dec.V.shape[0]))
-    np.fill_diagonal(sigma, dec.singular_values)
-    return dec.U @ sigma @ dec.V.conj().T
-
-
-class TestSvd:
-    def test_identity(self):
-        dec = svd(np.eye(3))
-        np.testing.assert_allclose(dec.singular_values, [1.0, 1.0, 1.0], atol=1e-12)
-
-    def test_diagonal(self):
-        dec = svd(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(dec.singular_values, [3.0, 0.0], atol=1e-12)
-        # U and V are permutation/identity up to phase
-        assert np.allclose(np.abs(dec.U), np.eye(2), atol=1e-12)
-        assert np.allclose(np.abs(dec.V), np.eye(2), atol=1e-12)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(1)
-        a = random_gaussian_matrix(4, 6, rng)
-        dec = svd(a)
-        err = np.linalg.norm(_reconstruct_svd(dec) - a) / np.linalg.norm(a)
-        assert err < 1e-9
-
-    def test_sorted_nonincreasing_and_unitary(self):
-        rng = np.random.default_rng(2)
-        a = random_gaussian_matrix(5, 3, rng)
-        dec = svd(a)
-        assert np.all(np.diff(dec.singular_values) <= 0)
-        assert np.linalg.norm(dec.U.conj().T @ dec.U - np.eye(5)) < 1e-10
-        assert np.linalg.norm(dec.V.conj().T @ dec.V - np.eye(3)) < 1e-10
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(3)
-        a = random_gaussian_matrix(4, 4, rng)
-        d1, d2 = svd(a), svd(a)
-        np.testing.assert_array_equal(d1.U, d2.U)
-        np.testing.assert_array_equal(d1.singular_values, d2.singular_values)
-
-    def test_nonfinite_rejected(self):
-        bad = np.array([[1.0, np.inf], [0.0, 1.0]])
-        with pytest.raises(InvalidInputError):
-            svd(bad)
 
 
 class TestQrTall:
@@ -138,8 +92,6 @@ def test_decomposition_reconstruction_sweep():
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 7))
         a = random_gaussian_matrix(m, n, rng)
-        dec = svd(a)
-        assert np.linalg.norm(_reconstruct_svd(dec) - a) <= 1e-9 * max(1, np.linalg.norm(a))
         if m >= n:
             q = qr_tall(a)
             assert np.linalg.norm(q.F @ q.C - a) <= 1e-9 * max(1, np.linalg.norm(a))
@@ -334,7 +286,7 @@ class TestStacks:
     @pytest.mark.parametrize(
         "kernel, shape",
         [
-            (lambda a: svd(a).V, (3, 5)),
+            (lambda a: frobenius_sq(a), (3, 5)),
             (lambda a: qr_tall(a).F, (5, 3)),
             (lambda a: qr_tall(a).C, (5, 3)),
             (haar_columns, (5, 2)),

@@ -93,16 +93,15 @@ class TestPerfectBasic:
         ch = sample_channels(cfg, rng)
         policy = PowerPolicy(P=37.0, rho=0.6)
         rate = secrecy_rate_perfect_basic(ch, policy, cfg)
-        from secmimo.linalg import svd
-        from secmimo.transceiver import rx_nuller
+        from secmimo.linalg import left_nullspace_basis
 
-        dec = svd(ch.Hd)
-        v = rx_nuller(ch.Hj)
-        h_eff = v.conj().T @ dec.U @ np.diag(dec.singular_values)
+        u, s, vh = np.linalg.svd(ch.Hd)
+        v = left_nullspace_basis(ch.Hj)
+        h_eff = v.conj().T @ u @ np.diag(s)
         per_stream = policy.P / 2
         an = policy.an_cov_scale(4, 2)
-        he_s = ch.He @ dec.V[:, :2]
-        he_an = ch.He @ dec.V[:, 2:]
+        he_s = ch.He @ vh[:2].conj().T
+        he_an = ch.He @ vh[2:].conj().T
         mi_rx = gaussian_mi(h_eff, policy.rho * per_stream * np.eye(2), None, 1.0)
         mi_eve = gaussian_mi(
             he_s,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from secmimo.errors import (
     DegenerateChannelError,
-    InsufficientAntennasError,
     InvalidInputError,
+    NoNullspaceError,
     ShapeError,
 )
 from secmimo.grassmann import chordal_distance, quant_error_bound
@@ -28,7 +28,6 @@ from secmimo.transceiver import (
     Precoders,
     ReceiverFilters,
     leakage_bound,
-    rx_nuller,
     rx_postfilter,
     sample_channels,
     sample_directions,
@@ -213,30 +212,6 @@ class TestTxPrecoders:
             Precoders(W1=w[:, :2], W2=np.stack([w[:, 2:]] * 3))
 
 
-class TestRxNuller:
-    def test_single_jammer(self):
-        hj = np.array([[1.0], [0.0]], dtype=complex)
-        v = rx_nuller(hj)
-        assert v.shape == (2, 1)
-        assert np.linalg.norm(v.conj().T @ hj) < 1e-12
-        assert abs(abs(v[1, 0]) - 1.0) < 1e-10
-
-    def test_no_jammer_identity(self):
-        np.testing.assert_array_equal(rx_nuller(np.zeros((3, 0))), np.eye(3))
-
-    def test_random(self):
-        rng = np.random.default_rng(11)
-        hj = random_gaussian_matrix(3, 1, rng)
-        v = rx_nuller(hj)
-        assert v.shape == (3, 2)
-        assert np.linalg.norm(v.conj().T @ hj) < 1e-10
-        assert np.linalg.norm(v.conj().T @ v - np.eye(2)) < 1e-10
-
-    def test_too_many_jammer_antennas(self):
-        with pytest.raises(InsufficientAntennasError):
-            rx_nuller(np.eye(2))
-
-
 class TestRxPostfilter:
     def test_hand_case_identity(self):
         hd = np.hstack([np.eye(2), np.zeros((2, 2))]).astype(complex)
@@ -284,6 +259,13 @@ class TestRxPostfilter:
         ch = sample_channels(cfg, rng)
         filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(6, 1, rng))
         assert np.linalg.norm(filters.V.conj().T @ ch.Hj) < 1e-10
+
+    def test_jammer_as_large_as_receiver(self):
+        """A hand-built Hj with n_j >= n_r leaves nothing to null into."""
+        rng = np.random.default_rng(16)
+        hd = random_gaussian_matrix(2, 4, rng)
+        with pytest.raises(NoNullspaceError):
+            rx_postfilter(hd, random_gaussian_matrix(2, 2, rng), random_truncated_unitary(4, 1, rng))
 
 
 class TestLeakage:
