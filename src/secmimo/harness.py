@@ -104,7 +104,7 @@ class ExperimentConfig:
     nf_grid: tuple | None = None  # bit budgets swept at every SNR
 
     def validate(self) -> list:
-        """Check the configuration; return each curve's (snr_db, nf_bits) points."""
+        """Check the configuration; return each curve's (snr_db, nf_bits, power) points."""
         for name, (kind, *none) in _FIELD_KINDS.items():
             value, (admits, noun) = getattr(self, name), _KINDS[kind]
             if isinstance(value, bool) or not isinstance(value, (admits, *none)):
@@ -149,12 +149,16 @@ class ExperimentConfig:
                 "antenna configurations must be distinct, got "
                 + ", ".join(f"({c.n_t}, {c.n_r}, {c.n_j}, {c.n_e})" for c in self.antenna_configs)
             )
-        # an SNR point count, bit budget or top power past the float range
+        # an SNR point count, bit budget or power past the float range
         try:
             curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
-            PowerPolicy.from_snr_db(curves[0][-1][0], rho=self.rho)
         except OverflowError as exc:
             raise ConfigError(f"SNR grid, powers and bit budgets must be finite: {exc}") from None
+        # every curve's lowest power, at snr_min, underflowing to 0
+        if curves[0][0][2] == 0.0:
+            raise ConfigError(
+                f"SNR grid powers must be positive and finite, got 0.0 at {self.snr_min} dB"
+            )
         return curves
 
 
@@ -222,18 +226,17 @@ class ExperimentResult:
     slopes: dict
 
 
-def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int]]:
-    """Ordered (snr_db, nf_bits) operating points for one curve."""
+def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int, float]]:
+    """Ordered (snr_db, nf_bits, power) operating points for one curve, power 10^(snr_db / 10)."""
     n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
     if n > MAX_SNR_POINTS:
         raise ConfigError(f"an SNR grid holds at most {MAX_SNR_POINTS} points, got {n:.3g}")
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
+    powers = [(snr, 10.0 ** (snr / 10.0)) for snr in snrs]
     grid = cfg.nf_grid if cfg.nf is None else (cfg.nf,)
     if grid is not None:
-        return [(snr, int(nf)) for snr in snrs for nf in grid]
-    return [
-        (snr, feedback_bits(10.0 ** (snr / 10.0), cfg.epsilon, acfg.n_t, acfg.n_r)) for snr in snrs
-    ]
+        return [(snr, int(nf), p) for snr, p in powers for nf in grid]
+    return [(snr, feedback_bits(p, cfg.epsilon, acfg.n_t, acfg.n_r), p) for snr, p in powers]
 
 
 def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
@@ -261,7 +264,7 @@ def _run_trials(
     """
     channels, b = sample_trials(acfg, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
-    couplings = trial_couplings(channels, filters, policy)
+    couplings = trial_couplings(channels, filters)
     perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
     r_p = grams_rate_sweep(step_grams(couplings, perfect), policy, acfg)
     out = np.empty((len(rngs), targets.size, 5))
@@ -286,9 +289,8 @@ def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
     can be replayed.
     """
     acfg = cfg.antenna_configs[curve_idx]
-    powers = [PowerPolicy.from_snr_db(snr_db, rho=cfg.rho).P for snr_db, _ in points]
-    policy = PowerPolicy(P=np.array(powers), rho=cfg.rho)
-    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf in points])
+    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho)
+    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points])
     block = max(1, BLOCK_POINTS // len(points))
     chunks = []
     for start in range(0, cfg.trials, BLOCK_POINTS):
@@ -318,7 +320,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     rows: list[ResultRow] = []
     for curve_idx, (acfg, points) in enumerate(zip(cfg.antenna_configs, curves)):
         means = _curve_trials(cfg, curve_idx, points).mean(axis=0)
-        for i, (snr_db, nf) in enumerate(points):
+        for i, (snr_db, nf, _) in enumerate(points):
             rows.append(
                 ResultRow(
                     scenario=cfg.scenario,

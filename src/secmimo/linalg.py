@@ -173,10 +173,8 @@ def left_nullspace_basis(a) -> np.ndarray:
 
 
 def _cholesky(arr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a stack known to be Hermitian; checks finiteness and
-    definiteness, and a failure's NotPositiveDefiniteError carries the smallest eigenvalue."""
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("Cholesky input contains non-finite entries")
+    """Lower Cholesky factor of a finite stack known to be Hermitian (callers check with
+    :func:`as_stack`); a failure's NotPositiveDefiniteError carries the smallest eigenvalue."""
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
@@ -188,7 +186,7 @@ def _cholesky(arr: np.ndarray) -> np.ndarray:
 
 
 def _logdet_hermitian(arr: np.ndarray):
-    """:func:`logdet_pd` of a stack known to be Hermitian, such as
+    """:func:`logdet_pd` of a finite stack known to be Hermitian, such as
     :func:`hermitian_part`'s output (Hermitian bit for bit)."""
     diag = np.diagonal(_cholesky(arr), axis1=-2, axis2=-1).real
     return (2.0 * np.sum(np.log2(diag), axis=-1))[()]

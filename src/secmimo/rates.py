@@ -74,17 +74,18 @@ class SdofEstimate:
 
 # What a two-stage secrecy rate depends on: s1 = S1 S1* and s2 = S2 S2* for
 # S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, the noise
-# floor sigma^2 G* G and frob2 = ||S2||_F^2.
+# floor G* G (unit noise) and frob2 = ||S2||_F^2.
 RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 noise frob2")
 
 # What a trial's Gram sets share: A = G* V* C* (G* V* Hd = A F*, as Hd* = F C),
-# He, He F, He He* and the noise floor sigma^2 G* G.
+# He, He F, He He* and the noise floor G* G.
 TrialCouplings = namedtuple("TrialCouplings", "A He HeF HeHe noise")
 
 
 def _logdet_ratio(numer: np.ndarray, denom: np.ndarray) -> float:
     # One call factors both; each matrix of a stack factors as it would alone.
-    logdets = _logdet_hermitian(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))))
+    pair = as_stack(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "Cholesky input")
+    logdets = _logdet_hermitian(pair)
     return logdets[0] - logdets[1]
 
 
@@ -103,9 +104,9 @@ def _eve_term(e1: np.ndarray, e2: np.ndarray, policy: PowerPolicy, config: Anten
     log-det ratio of the Eve covariance with and without the information
     signal; the artificial noise term sits in both determinants.
     """
-    signal = _per_matrix(policy.rho) * _per_matrix((1.0 / config.n_r) * policy.P)
+    signal = _per_matrix(policy.signal_scale(config.n_r))
     an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    base = an * e2 + policy.sigma2_eve * np.eye(config.n_e)
+    base = an * e2 + np.eye(config.n_e)
     return _logdet_ratio(signal * e1 + base, base)
 
 
@@ -125,9 +126,8 @@ def secrecy_rate_perfect_basic(
     v0 = adjoint(vh[n_r:])
     v = left_nullspace_basis(channels.Hj)
     h_eff = v.conj().T @ u @ np.diag(s)
-    per_stream = (1.0 / n_r) * policy.P
     t_plus = _logdet_ratio(
-        np.eye(v.shape[1]) + (policy.rho * per_stream / policy.sigma2) * (h_eff @ h_eff.conj().T),
+        np.eye(v.shape[1]) + policy.signal_scale(n_r) * (h_eff @ h_eff.conj().T),
         np.eye(v.shape[1]),
     )
     he = as_matrix(channels.He, "He")
@@ -140,24 +140,22 @@ def _gram(s: np.ndarray) -> np.ndarray:
     return s @ adjoint(s)
 
 
-def _precoder_grams(channels, precoders, filters, policy) -> RateGrams:
+def _precoder_grams(channels, precoders, filters) -> RateGrams:
     # S2 is zero to round-off when W2 spans the nullspace of Hd
     g = filters.G
     gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
     s2 = gvh @ precoders.W2
     he = as_stack(channels.He, "He")
     e1, e2 = _gram(he @ precoders.W1), _gram(he @ precoders.W2)
-    noise = policy.sigma2 * (adjoint(g) @ g)
+    noise = adjoint(g) @ g
     return RateGrams(_gram(gvh @ precoders.W1), _gram(s2), e1, e2, noise, frobenius_sq(s2))
 
 
-def trial_couplings(
-    channels: ChannelSet, filters: ReceiverFilters, policy: PowerPolicy
-) -> TrialCouplings:
+def trial_couplings(channels: ChannelSet, filters: ReceiverFilters) -> TrialCouplings:
     """A trial's TrialCouplings, from its channels and receive filters."""
     g_star, he = adjoint(filters.G), as_stack(channels.He, "He")
     a = g_star @ adjoint(filters.V) @ adjoint(filters.C)
-    return TrialCouplings(a, he, he @ filters.F, _gram(he), policy.sigma2 * (g_star @ filters.G))
+    return TrialCouplings(a, he, he @ filters.F, _gram(he), g_star @ filters.G)
 
 
 def step_grams(couplings: TrialCouplings, step) -> RateGrams:
@@ -181,12 +179,12 @@ def step_grams(couplings: TrialCouplings, step) -> RateGrams:
 def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
     """Two-stage secrecy rate of a Gram set: one log-det ratio per term and element.
 
-    Positive term: the receive covariance rho P/n_r S1 S1* + L + sigma^2 G* G
-    against L + sigma^2 G* G, with the leakage Gram L = (1-rho) P/(n_t - n_r)
-    S2 S2*. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
-    white noise sigma_e^2. The result's `leakage` is tr L.
+    Positive term: the receive covariance rho P/n_r S1 S1* + L + G* G against
+    L + G* G, with the leakage Gram L = (1-rho) P/(n_t - n_r) S2 S2* and unit
+    noise. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
+    white unit noise. The result's `leakage` is tr L.
     """
-    signal = _per_matrix(policy.rho) * _per_matrix((1.0 / config.n_r) * policy.P)
+    signal = _per_matrix(policy.signal_scale(config.n_r))
     leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
     t_plus = _logdet_ratio(signal * grams.s1 + leak + grams.noise, leak + grams.noise)
     t_minus = _eve_term(grams.e1, grams.e2, policy, config)
@@ -206,7 +204,7 @@ def secrecy_rate_G(
     Gram route. L is zero to round-off for perfect precoders, whose W2 spans
     the nullspace of Hd.
     """
-    return grams_rate(_precoder_grams(channels, precoders, filters, policy), policy, config)
+    return grams_rate(_precoder_grams(channels, precoders, filters), policy, config)
 
 
 def _two_stage_rate(t_plus, t_minus, frob2, policy: PowerPolicy, config) -> SecrecyRate:
@@ -231,7 +229,7 @@ def _sweep_ratio(power, numer, denom, floor=None):
     """
     pair = as_stack(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "sweep input")
     if floor is not None:
-        inv_c = np.linalg.inv(_cholesky(hermitian_part(floor)))
+        inv_c = np.linalg.inv(_cholesky(as_stack(hermitian_part(floor), "Cholesky input")))
         pair = inv_c @ pair @ adjoint(inv_c)
     lam, nu = np.linalg.eigvalsh(pair)
     p = np.asarray(power)[..., np.newaxis]
@@ -248,15 +246,15 @@ def _sweep_ratio(power, numer, denom, floor=None):
 def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
     """:func:`grams_rate` for a Gram set held fixed over a vector of powers.
 
-    With N = sigma^2 G* G = C C*, c1 = rho / n_r and c2 = (1-rho)/(n_t - n_r),
+    With the unit-noise floor N = G* G = C C*, c1 = rho / n_r and c2 = (1-rho)/(n_t - n_r),
     the positive term at power P is
 
         t+(P) = sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i),
 
     lambda and nu the eigenvalues of C^{-1} (c1 S + c2 L) C^{-*} and of
     C^{-1} (c2 L) C^{-*}, where S = S1 S1* and L = S2 S2*. The eavesdropper
-    term is the same with (c1 E1 + c2 E2) / sigma_e^2 and c2 E2 / sigma_e^2,
-    from E1 E1* and E2 E2*. One eigen-solve per element serves every power.
+    term is the same with c1 E1 + c2 E2 and c2 E2, from E1 E1* and E2 E2*,
+    and N = I. One eigen-solve per element serves every power.
     `policy.P` broadcasts against the stack's leading shape as in
     :func:`grams_rate`, so a stack of shape (T, 1) and P powers give
     (T, P) arrays.
@@ -266,9 +264,7 @@ def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfi
     leak = c2 * grams.s2
     t_plus = _sweep_ratio(policy.P, c1 * grams.s1 + leak, leak, floor=grams.noise)
     eve_leak = c2 * grams.e2
-    t_minus = _sweep_ratio(
-        policy.P, (c1 * grams.e1 + eve_leak) / policy.sigma2_eve, eve_leak / policy.sigma2_eve
-    )
+    t_minus = _sweep_ratio(policy.P, c1 * grams.e1 + eve_leak, eve_leak)
     return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
 
 

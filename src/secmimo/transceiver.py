@@ -83,7 +83,7 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Transmit power split and noise levels for one operating point.
+    """Transmit power split for one operating point, at unit noise at both receivers.
 
     `rho` is the fraction of the power budget P on the information signal;
     the rest drives artificial noise with covariance P/(n_t - n_r) I. The
@@ -93,8 +93,6 @@ class PowerPolicy:
 
     P: float
     rho: float
-    sigma2: float = 1.0
-    sigma2_eve: float = 1.0
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -102,13 +100,10 @@ class PowerPolicy:
             raise InvalidInputError(f"transmit power must be positive and finite, got {self.P}")
         if not np.all((np.asarray(self.rho) > 0.0) & (np.asarray(self.rho) < 1.0)):
             raise InvalidInputError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (0 < self.sigma2 < math.inf and 0 < self.sigma2_eve < math.inf):
-            raise InvalidInputError("noise variances must be positive and finite")
 
-    @classmethod
-    def from_snr_db(cls, snr_db: float, rho: float = 0.5, **kwargs) -> "PowerPolicy":
-        """Unit-noise policy with P = 10^(snr_db / 10)."""
-        return cls(P=10.0 ** (snr_db / 10.0), rho=rho, **kwargs)
+    def signal_scale(self, n_r: int) -> float:
+        """Effective information covariance scale rho P / n_r."""
+        return self.rho * ((1.0 / n_r) * self.P)
 
     def an_cov_scale(self, n_t: int, n_r: int) -> float:
         """Effective artificial-noise covariance scale (1 - rho) P / (n_t - n_r)."""
@@ -149,12 +144,11 @@ class ReceiverFilters:
     """Receive-side matrices: jammer nuller V, post-filter G and its factors.
 
     F and C are the orthonormal/triangular factors of the conjugated direct
-    channel, B is the tall truncated-unitary design matrix, and G satisfies
-    G* = B* F C V (V* C* C V)^{-1}.
+    channel, and G satisfies G* = B* F C V (V* C* C V)^{-1} for the tall
+    truncated-unitary design matrix B.
     """
 
     V: np.ndarray  # n_r x d_s
-    B: np.ndarray  # n_t x d_s
     G: np.ndarray  # d_s x d_s
     F: np.ndarray  # n_t x n_r
     C: np.ndarray  # n_r x n_r
@@ -277,7 +271,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     gg_eigs = np.linalg.eigvalsh(hermitian_part(adjoint(g) @ g))
     if np.any(gg_eigs[..., 0] < 1e-12 * np.maximum(1.0, gg_eigs[..., -1])):
         raise DegenerateGeometryError("G* G is not positive definite")
-    return ReceiverFilters(V=v, B=b, G=g, F=f, C=c)
+    return ReceiverFilters(V=v, G=g, F=f, C=c)
 
 
 def leakage_bound(policy: PowerPolicy, n_f, config: AntennaConfig) -> float:
@@ -288,6 +282,4 @@ def leakage_bound(policy: PowerPolicy, n_f, config: AntennaConfig) -> float:
     power-matched bit schedule. Arrays of n_f and P broadcast together.
     """
     delta = np.vectorize(quant_error_bound, otypes=[float])(n_f, config.n_t, config.n_r)
-    return (
-        2.0 * (1.0 - policy.rho) * policy.P / (config.n_t - config.n_r) * delta**2
-    )
+    return 2.0 * policy.an_cov_scale(config.n_t, config.n_r) * delta**2

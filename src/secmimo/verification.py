@@ -112,11 +112,11 @@ def _chunks(trials: int, seed: int, configs, uniforms: int = 0):
 _targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
 
 
-def _grams(channels, filters, policy: PowerPolicy, z=None, targets=0.0):
+def _grams(channels, filters, z=None, targets=0.0):
     """A chunk's Gram set as the engine builds it; perfect CSI when `z` is None."""
     z = np.zeros_like(filters.F) if z is None else z
     step = perturb_gram(filters.F, z, targets)
-    return step_grams(trial_couplings(channels, filters, policy), step)
+    return step_grams(trial_couplings(channels, filters), step)
 
 
 def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
@@ -160,14 +160,13 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
         an = _per_matrix(policy.an_cov_scale(acfg.n_t, acfg.n_r))
         vh = adjoint(filters.V) @ channels.Hd
         signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
-        r_p = grams_rate_sweep(_grams(channels, filters, policy), policy, acfg)
-        r_q = grams_rate(_grams(channels, filters, policy, z, targets), policy, acfg)
+        r_p = grams_rate_sweep(_grams(channels, filters), policy, acfg)
+        r_q = grams_rate(_grams(channels, filters, z, targets), policy, acfg)
         diffs = []
         for rate, prec in (r_p, tx_precoders_perfect(channels.Hd)), (r_q, prec_q):
-            sides = (vh, rate.t_plus, policy.sigma2), (channels.He, rate.t_minus, policy.sigma2_eve)
-            for h, term, noise in sides:
+            for h, term in (vh, rate.t_plus), (channels.He, rate.t_minus):
                 leak = h @ prec.W2
-                mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)), noise)
+                mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)))
                 diffs.append(np.abs(term - mi))
         worst.append(np.max(diffs, axis=0))
     worst = np.concatenate(worst)
@@ -241,7 +240,7 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     targets = _matched_targets(acfg, policy.P)
     beta = []
     for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        beta.append(beta_P(_grams(channels, filters, policy, z, targets), policy, acfg))
+        beta.append(beta_P(_grams(channels, filters, z, targets), policy, acfg))
     beta = np.concatenate(beta)
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
     not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
@@ -254,7 +253,7 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
 def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     """The engine's perfect-CSI eavesdropper term at P = 1e9 against its limit.
 
-    With B = E2 E2*, X = B + coef E1 E1* and d = sigma_e^2 / an, the
+    With B = E2 E2*, X = B + coef E1 E1* and d = 1 / an (unit noise), the
     :func:`~secmimo.rates.logdet_perturbation_check` bounds of (X, d I) and
     (B, d I) put term - limit in [lower_X - upper_B, upper_X - lower_B] log2 e;
     a trial fails when it lies outside by more than 1e-9.
@@ -262,11 +261,11 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     policy = PowerPolicy(P=1e9, rho=0.5)
     worst = []
     for acfg, channels, filters, _, _ in _chunks(trials, seed, SLOPE_CONFIGS):
-        grams = _grams(channels, filters, policy)
+        grams = _grams(channels, filters)
         term = grams_rate_sweep(grams, policy, acfg).t_minus
         diff = term - eve_rate_limit(grams, policy, acfg)
         coef = policy.rho * (acfg.n_t - acfg.n_r) / ((1.0 - policy.rho) * acfg.n_r)
-        d = policy.sigma2_eve / policy.an_cov_scale(acfg.n_t, acfg.n_r)
+        d = 1.0 / policy.an_cov_scale(acfg.n_t, acfg.n_r)
         shift = np.broadcast_to(d * np.eye(acfg.n_e), grams.e2.shape)
         (_, upper_x, lower_x), (_, upper_b, lower_b) = (
             logdet_perturbation_check(m, shift) for m in (grams.e2 + coef * grams.e1, grams.e2)
@@ -292,7 +291,7 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
     for acfg, channels, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=2):
         nf = 10 + (50 * u[:, :1]).astype(int)
         policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5)
-        grams = _grams(channels, filters, policy, z, _targets(nf, acfg.n_t, acfg.n_r))
+        grams = _grams(channels, filters, z, _targets(nf, acfg.n_t, acfg.n_r))
         leak = grams_rate(grams, policy, acfg).leakage
         over.append(leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9))
     violations = int(np.count_nonzero(np.concatenate(over)))
@@ -313,7 +312,7 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
     targets = _matched_targets(acfg, policy.P)
     leak = []
     for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        grams = _grams(channels, filters, policy, z, targets)
+        grams = _grams(channels, filters, z, targets)
         leak.append(grams_rate(grams, policy, acfg).leakage)
     means = np.concatenate(leak).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()

@@ -198,11 +198,13 @@ class TestRun:
             {"snr_max": 1e308, "snr_step": 1e-10},
             {"nr": 2, "epsilon": 1e308},
             {"snr_max": 4000.0, "snr_step": 1000.0},
+            {"snr_min": -4000.0, "snr_step": 500.0},
         ],
-        ids=["snr-count", "bit-budget", "power"],
+        ids=["snr-count", "bit-budget", "power", "power-underflow"],
     )
     def test_overflowing_grid_is_config_error(self, tmp_path, capsys, settings):
-        """An SNR grid, power or bit budget past the float range exits 1, by flag or file."""
+        """An SNR grid, power or bit budget past the float range, or a power that underflows
+        to 0, exits 1, by flag or file."""
         flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(settings))

@@ -109,6 +109,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _small_cfg(trials=0).validate()
 
+    def test_underflowing_power_is_config_error(self):
+        """A grid whose lowest power underflows to 0 fails validate; a subnormal one passes."""
+        with pytest.raises(ConfigError, match="positive and finite"):
+            scenario_config("slope", [2], snr_min=-4000.0, snr_step=500.0).validate()
+        points = scenario_config("slope", [2], snr_min=-3230.0, snr_step=500.0).validate()[0]
+        assert 0.0 < points[0][2] < 1e-300
+
     def test_validation_rejects_narrow_ambient(self):
         cfg = ExperimentConfig(
             scenario="custom",
@@ -305,24 +312,25 @@ class TestPoints:
     def test_scaled_bits_follow_power(self):
         cfg = _small_cfg()
         pts = _curve_points(cfg, cfg.antenna_configs[0])
-        assert pts == [(10.0, 14), (20.0, 27), (30.0, 40)]
+        assert pts == [(10.0, 14, 10.0), (20.0, 27, 100.0), (30.0, 40, 1000.0)]
 
     def test_zero_db_clamps_to_one_bit(self):
         cfg = scenario_config("slope", [2], snr_min=0.0, snr_max=10.0, snr_step=5.0)
         pts = _curve_points(cfg, cfg.antenna_configs[0])
-        assert pts[0] == (0.0, 1)
+        assert pts[0] == (0.0, 1, 1.0)
 
     def test_fixed_ignores_power(self):
         """A fixed nf is a one-element grid: 30 bits at every SNR."""
         cfg = scenario_config("custom", [2], nf=30)
         pts = _curve_points(cfg, cfg.antenna_configs[0])
-        assert pts == [(5.0 * i, 30) for i in range(13)]
+        assert pts == [(5.0 * i, 30, 10.0 ** (5.0 * i / 10.0)) for i in range(13)]
         assert pts == _curve_points(replace(cfg, nf=None, nf_grid=(30,)), cfg.antenna_configs[0])
 
     def test_gap_grid_is_cartesian(self):
         cfg = scenario_config("gap_vs_bits", trials=1, nf_grid=(10, 20))
         pts = _curve_points(cfg, cfg.antenna_configs[0])
-        assert pts == [(10.0, 10), (10.0, 20), (20.0, 10), (20.0, 20), (30.0, 10), (30.0, 20)]
+        pairs = [(10.0, 10), (10.0, 20), (20.0, 10), (20.0, 20), (30.0, 10), (30.0, 20)]
+        assert pts == [(snr, nf, 10.0 ** (snr / 10.0)) for snr, nf in pairs]
 
 
 def _trial_points(cfg, curve, trial):
@@ -337,12 +345,12 @@ def _trial_points(cfg, curve, trial):
     b = random_truncated_unitary(acfg.n_t, acfg.d_s, rng)
     filters = rx_postfilter(channels.Hd, channels.Hj, b)
     points = []
-    for snr_db, nf in _curve_points(cfg, acfg):
+    for _, nf, power in _curve_points(cfg, acfg):
         target = quantization_target(nf, acfg.n_t, acfg.n_r)
         z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
         if target >= ZERO_DISTANCE:
             z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
-        points.append((PowerPolicy.from_snr_db(snr_db, rho=cfg.rho), target, z))
+        points.append((PowerPolicy(P=power, rho=cfg.rho), target, z))
     return acfg, channels, filters, points
 
 
@@ -355,7 +363,7 @@ def _reference_trial(cfg, curve, trial):
     """
     acfg, channels, filters, points = _trial_points(cfg, curve, trial)
     powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
-    couplings = trial_couplings(channels, filters, powers)
+    couplings = trial_couplings(channels, filters)
     perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
     r_p = grams_rate_sweep(step_grams(couplings, perfect), powers, acfg)
     out = np.empty((len(points), 5))

@@ -34,13 +34,17 @@ TEST_ONLY = {
 
 
 def _public_definitions() -> dict:
-    """Each public top-level function or class of a source module, with its module's name."""
-    return {
-        node.name: path.name
-        for path in MODULES
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+    """Each public top-level function or class of a source module, and each public method
+    or property of a public class, with its qualified name."""
+    defined = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.name}"
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        defined[item.name] = f"{path.name}:{node.name}.{item.name}"
+    return defined
 
 
 def _referenced_names() -> set:
@@ -56,10 +60,11 @@ def _referenced_names() -> set:
 
 
 def test_no_dead_public_code():
-    """Every public function or class has a source caller or is listed test-only, and
-    every listed name is defined and has no source caller, so the list cannot go stale."""
+    """Every public function, class, method or property has a source caller or is listed
+    test-only, and every listed name is defined and has no source caller, so the list
+    cannot go stale."""
     defined, used = _public_definitions(), _referenced_names()
     dead = sorted(set(defined) - used - set(TEST_ONLY))
-    assert not dead, f"no source module uses {[f'{defined[n]}:{n}' for n in dead]}"
+    assert not dead, f"no source module uses {[defined[n] for n in dead]}"
     assert set(TEST_ONLY) <= set(defined), f"not defined: {sorted(set(TEST_ONLY) - set(defined))}"
     assert not set(TEST_ONLY) & used, f"have a source caller: {sorted(set(TEST_ONLY) & used)}"

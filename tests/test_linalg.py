@@ -143,6 +143,20 @@ class TestLogdet:
         with pytest.raises(InvalidInputError):
             logdet_pd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(2)
+        a[1, 0] = bad
+        with pytest.raises(InvalidInputError, match="^Cholesky input contains non-finite entries$"):
+            logdet_pd(a)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3,), (0, 0)], ids=["non-square", "one-dimensional", "empty"]
+    )
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ShapeError, match="^Cholesky input must "):
+            logdet_pd(np.ones(shape))
+
 
 class TestRandomEnsembles:
     def test_gaussian_deterministic(self):

@@ -181,7 +181,7 @@ class TestQuantizedG:
             prec_p = tx_precoders_perfect(ch.Hd)
             good = True
             for snr in (40.0, 50.0, 60.0):
-                policy = PowerPolicy.from_snr_db(snr)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
@@ -198,7 +198,7 @@ class TestQuantizedG:
             ch, filters = _channels_and_filters(cfg, rng)
             values = {}
             for snr in (50.0, 60.0):
-                policy = PowerPolicy.from_snr_db(snr)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
                 prec_q = _quantized(cfg, filters, 30, rng)
                 values[snr] = secrecy_rate_G(ch, prec_q, filters, policy, cfg).clipped
             deltas.append(values[60.0] - values[50.0])
@@ -216,7 +216,7 @@ class TestQuantizedG:
             ch, filters = _channels_and_filters(cfg, rng)
             prec_p = tx_precoders_perfect(ch.Hd)
             for i, snr in enumerate(snrs):
-                policy = PowerPolicy.from_snr_db(snr)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
@@ -243,7 +243,7 @@ def _sweep_case(shape, seed, mode, fraction=0.5):
 def _gram_sweep(ch, filters, z, target, policy, cfg):
     """grams_rate_sweep of the Gram set of the quantizer step, the engine's route."""
     step = perturb_gram(filters.F, z, target)
-    return grams_rate_sweep(step_grams(trial_couplings(ch, filters, policy), step), policy, cfg)
+    return grams_rate_sweep(step_grams(trial_couplings(ch, filters), step), policy, cfg)
 
 
 def _trial(stacked, t):
@@ -291,16 +291,16 @@ class TestSecrecyRateSweep:
         rho=st.floats(0.1, 0.9),
     )
     def test_matches_gaussian_mi(self, shape, seed, mode, log_power, rho):
-        """Both terms against the generic oracle; G drops out of the receiver's MI."""
+        """Both terms against the generic oracle at unit noise; G drops out of the receiver's MI."""
         cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode)
-        policy = PowerPolicy(P=10.0**log_power, rho=rho, sigma2=0.7, sigma2_eve=1.3)
+        policy = PowerPolicy(P=10.0**log_power, rho=rho)
         rate = _gram_sweep(ch, filters, z, target, policy, cfg)
         signal_cov = rho * policy.P / cfg.n_r * np.eye(cfg.n_r)
         an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
         vh = filters.V.conj().T @ ch.Hd
         leak, e2 = vh @ prec.W2, ch.He @ prec.W2
-        mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T), 0.7)
-        mi_minus = gaussian_mi(ch.He @ prec.W1, signal_cov, an * (e2 @ e2.conj().T), 1.3)
+        mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T), 1.0)
+        mi_minus = gaussian_mi(ch.He @ prec.W1, signal_cov, an * (e2 @ e2.conj().T), 1.0)
         assert rate.t_plus == pytest.approx(mi_plus, rel=1e-9, abs=1e-9)
         assert rate.t_minus == pytest.approx(mi_minus, rel=1e-9, abs=1e-9)
 
@@ -331,7 +331,7 @@ class TestSecrecyRateSweep:
         he[0, 0] = np.nan
         with pytest.raises(InvalidInputError):
             _gram_sweep(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy, cfg)
-        grams = step_grams(trial_couplings(ch, filters, policy), perturb_gram(filters.F, z, target))
+        grams = step_grams(trial_couplings(ch, filters), perturb_gram(filters.F, z, target))
         with pytest.raises(InvalidInputError):
             grams_rate_sweep(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
 
@@ -362,7 +362,7 @@ class TestRhoStack:
         z = sample_directions(cfg, rngs, [True])
         targets = np.linspace(0.1, 1.2, 5)[:, np.newaxis]
         prec = tx_precoders_quantized(filters.F, z, targets)
-        couplings = trial_couplings(ch, filters, PowerPolicy(P=1.0, rho=0.5))
+        couplings = trial_couplings(ch, filters)
         grams = step_grams(couplings, perturb_gram(filters.F, z, targets))
         return cfg, (ch, filters, prec, grams), np.linspace(0.2, 0.8, 5)[:, np.newaxis]
 
@@ -395,7 +395,7 @@ class TestStepGrams:
         targets = np.array([1e-7, 1e-4, 0.5, 1.5])
         policy = PowerPolicy(P=np.full(targets.shape, 1e6), rho=0.5)
         step = perturb_gram(filters.F, z, targets)
-        grams = step_grams(trial_couplings(ch, filters, policy), step)
+        grams = step_grams(trial_couplings(ch, filters), step)
         rate = grams_rate(grams, policy, cfg)
         prec = tx_precoders_quantized(filters.F, z, targets)
         np.testing.assert_allclose(
@@ -407,14 +407,14 @@ class TestEveRateLimit:
     def test_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(10)
         policy = PowerPolicy(P=10.0, rho=1e-12)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters, policy), policy, cfg)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy, cfg)
         assert limit < 1e-9
 
     def test_t_minus_converges(self):
         """The Eve term converges to the closed-form limit along P = 1e3, 1e6, 1e9."""
         cfg, ch, filters, prec_p, _ = _random_trial(11)
         policy9 = PowerPolicy(P=1e9, rho=0.5)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters, policy9), policy9, cfg)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy9, cfg)
         diffs = []
         for p in (1e3, 1e6, 1e9):
             t_minus = secrecy_rate_G(
@@ -433,7 +433,7 @@ class TestEveRateLimit:
         he = prec.W2[:, :2].conj().T  # rows orthogonal to W1's span
         ch2 = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
         policy = PowerPolicy(P=10.0, rho=0.5)
-        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters, policy), policy, cfg)
+        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters), policy, cfg)
         assert limit == pytest.approx(0.0, abs=1e-9)
 
     def test_stack_matches_per_matrix_calls(self):
@@ -442,10 +442,10 @@ class TestEveRateLimit:
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=1e9, rho=0.3)
-        limits = eve_rate_limit(_precoder_grams(ch, prec, filters, policy), policy, cfg)
+        limits = eve_rate_limit(_precoder_grams(ch, prec, filters), policy, cfg)
         assert limits.shape == (5, 1)
         for t in range(5):
-            grams = _precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)), policy)
+            grams = _precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)))
             assert limits[t, 0] == eve_rate_limit(grams, policy, cfg)
 
 
@@ -456,14 +456,14 @@ class TestBetaP:
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
         policy = PowerPolicy(P=1e3, rho=0.5)
-        grams = _precoder_grams(ch, prec_q, filters, policy)
+        grams = _precoder_grams(ch, prec_q, filters)
         assert beta_P(grams, policy, cfg) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonnegative_sweep(self):
         for seed in range(50):
             cfg, ch, filters, _, prec_q = _random_trial(4000 + seed, nf=int(10 + seed % 30))
             policy = PowerPolicy(P=float(10 ** (1 + seed % 5)), rho=0.5)
-            assert beta_P(_precoder_grams(ch, prec_q, filters, policy), policy, cfg) >= -1e-12
+            assert beta_P(_precoder_grams(ch, prec_q, filters), policy, cfg) >= -1e-12
 
 
 class TestLogdetPerturbation:

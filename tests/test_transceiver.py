@@ -73,10 +73,6 @@ class TestPowerPolicy:
             {"rho": np.nan},
             {"rho": np.array([[0.5], [np.nan]])},
             {"rho": np.array([0.2, 0.0])},
-            {"sigma2": 0.0},
-            {"sigma2": np.nan},
-            {"sigma2": np.inf},
-            {"sigma2_eve": np.nan},
         ]
         for fields in bad:
             with pytest.raises(InvalidInputError):
@@ -84,10 +80,12 @@ class TestPowerPolicy:
         policy = PowerPolicy(P=np.array([1.0, 1e9]), rho=np.array([[0.2], [0.8]]))
         assert policy.an_cov_scale(4, 2).shape == (2, 2)
 
-    def test_from_snr(self):
-        pol = PowerPolicy.from_snr_db(30.0)
-        assert pol.P == pytest.approx(1000.0)
-        assert pol.rho == 0.5 and pol.sigma2 == 1.0 and pol.sigma2_eve == 1.0
+    def test_scales(self):
+        """rho P / n_r and (1 - rho) P / (n_t - n_r), broadcast over arrays of P and rho."""
+        policy = PowerPolicy(P=np.array([8.0, 800.0]), rho=np.array([[0.25], [0.5]]))
+        np.testing.assert_array_equal(policy.signal_scale(2), [[1.0, 100.0], [2.0, 200.0]])
+        an = [[6.0 / 3, 600.0 / 3], [4.0 / 3, 400.0 / 3]]
+        np.testing.assert_array_equal(policy.an_cov_scale(5, 2), an)
 
 
 class TestSampleChannels:
@@ -226,8 +224,9 @@ class TestRxPostfilter:
         for _ in range(20):
             cfg = AntennaConfig(6, 3, 1, 3)
             ch = sample_channels(cfg, rng)
-            filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(6, 2, rng))
-            v, g, f, c, b = filters.V, filters.G, filters.F, filters.C, filters.B
+            b = random_truncated_unitary(6, 2, rng)
+            filters = rx_postfilter(ch.Hd, ch.Hj, b)
+            v, g, f, c = filters.V, filters.G, filters.F, filters.C
             lhs = g.conj().T @ v.conj().T @ c.conj().T @ c @ v @ g
             cv = c @ v
             proj = cv @ np.linalg.solve(cv.conj().T @ cv, cv.conj().T)

@@ -70,8 +70,9 @@ def test_run_verification_returns_all_suites():
 def test_trial_draws_match_scalar_reference(acfg, seed):
     """Trial t of a suite chunk draws what it draws alone and what the scalar calls give.
 
-    On its own generator: channels and B bitwise as sample_channels then
-    random_truncated_unitary draw them, the direction as
+    On its own generator: channels bitwise as sample_channels draws them, G
+    as rx_postfilter builds it from them and random_truncated_unitary's B,
+    the direction as
     random_gaussian_matrix, then the uniforms; W1 bitwise the leading
     columns of perturb_basis on that direction and W2 its complement.
     """
@@ -92,11 +93,12 @@ def test_trial_draws_match_scalar_reference(acfg, seed):
         b = random_truncated_unitary(n_t, acfg.d_s, rng)
         for name in ("Hd", "He", "Hj"):
             np.testing.assert_array_equal(getattr(channels, name)[t, 0], getattr(ref, name))
-        np.testing.assert_array_equal(filters.B[t, 0], b)
+        ref_filters = rx_postfilter(ref.Hd, ref.Hj, b)
+        np.testing.assert_array_equal(filters.G[t, 0], ref_filters.G)
         ref_z = random_gaussian_matrix(n_t, n_r, rng)
         np.testing.assert_array_equal(z[t, 0], ref_z)
         np.testing.assert_array_equal(u[t], rng.random(2))
-        ref_w1 = perturb_basis(rx_postfilter(ref.Hd, ref.Hj, b).F, ref_z, target)[:, :n_r]
+        ref_w1 = perturb_basis(ref_filters.F, ref_z, target)[:, :n_r]
         np.testing.assert_array_equal(prec_q.W1[t, 0], ref_w1)
         assert np.linalg.norm(adjoint(ref_w1) @ prec_q.W2[t, 0]) <= 1e-12
 
