@@ -9,6 +9,12 @@ The package splits into a dense complex linear-algebra kernel
 (:mod:`~secmimo.harness`, :mod:`~secmimo.cli`).
 """
 
+import os
+
+# The engine's matrices stay below every size at which OpenBLAS splits work: a pool only spins.
+if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     CodebookTooLargeError,
     ConfigError,

@@ -140,10 +140,6 @@ class ExperimentConfig:
         for cfg in self.antenna_configs:
             if not isinstance(cfg, AntennaConfig):
                 raise ConfigError(f"'antenna_configs' must hold AntennaConfigs, got {cfg!r}")
-            if cfg.n_t < 2 * cfg.n_r:
-                raise ConfigError(
-                    f"the perturbation quantizer needs n_t >= 2 n_r, got ({cfg.n_t}, {cfg.n_r})"
-                )
         if len(set(self.antenna_configs)) < len(self.antenna_configs):
             raise ConfigError(
                 "antenna configurations must be distinct, got "
@@ -345,14 +341,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def render_csv(result: ExperimentResult) -> str:
     """CSV text for the aggregated rows, sorted by (n_r, snr_db).
 
-    Columns declared float are written at 9 significant digits, the others
-    with str, whatever the runtime type of the value.
+    Columns declared float are written at 9 significant digits, a negative
+    zero as 0, the others with str, whatever the runtime type of the value.
     """
     lines = [CSV_HEADER]
     for r in sorted(result.rows, key=lambda r: (r.n_r, r.snr_db)):
         cells = ((getattr(r, name), kind) for name, kind in _COLUMNS.items())
         lines.append(
-            ",".join(format(float(v), ".9g") if kind is float else str(v) for v, kind in cells)
+            ",".join(format(float(v) + 0, ".9g") if kind is float else str(v) for v, kind in cells)
         )
     return "\n".join(lines) + "\n"
 

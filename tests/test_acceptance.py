@@ -5,6 +5,7 @@ assertions carry the same conditions. Criteria 1-5 run the three headline
 experiments at desk scale; 6-8 are exactness/inequality sweeps; 9 pins the
 determinism contract.
 Criterion 10 holds the n_r = 4 gap slope near 0, tightly enough to catch a bit law 3% short.
+Criterion 11 holds the decay of the mean gap and leakage at P^(-epsilon), as tightly.
 """
 
 import math
@@ -215,14 +216,63 @@ def test_criterion_10_paired_gap_slope(slope_result):
     assert ok
 
 
+def _short_law(power, epsilon, n_t, n_r):
+    """A bit law 3% short of the paper's: ceil(0.97 (1 + epsilon) n_r (n_t - n_r) log2 P)."""
+    if power <= 1.0:
+        return 1
+    return math.ceil(0.97 * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
+
+
 def test_criterion_10_catches_a_short_bit_law(monkeypatch):
-    """A bit law 3% short of the paper's, ceil(0.97 n_r (n_t - n_r) log2 P), fails criterion 10."""
-
-    def short_law(power, epsilon, n_t, n_r):
-        if power <= 1.0:
-            return 1
-        return math.ceil(0.97 * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
-
-    monkeypatch.setattr(harness, "feedback_bits", short_law)
+    """A bit law 3% short of the paper's fails criterion 10."""
+    monkeypatch.setattr(harness, "feedback_bits", _short_law)
     slope = _gap_slope(run_experiment(scenario_config("slope", [4], trials=500, seed=ACCEPT_SEED)))
     assert abs(slope) > 0.03, f"a 3%-short bit law kept the gap slope at {slope:.4f}"
+
+
+def _decay_slopes() -> dict:
+    """Each curve's slopes of log2(gap_mean) and log2(leakage_mean) against log2 P over
+    40-80 dB at epsilon = 0.5, keyed (n_r, column); NaN where a mean is not positive."""
+    cfg = scenario_config(
+        "slope",
+        [2, 3, 4],
+        trials=200,
+        seed=ACCEPT_SEED + 12,
+        epsilon=0.5,
+        snr_min=40.0,
+        snr_max=80.0,
+        snr_step=5.0,
+    )
+    result = run_experiment(cfg)
+    slopes = {}
+    for n_r in (2, 3, 4):
+        rows = [row for row in result.rows if row.n_r == n_r]
+        for column in ("gap_mean", "leakage_mean"):
+            means = np.array([getattr(row, column) for row in rows])
+            slopes[(n_r, column)] = (
+                fit_slope([row.snr_db for row in rows], np.log2(means), (40.0, 80.0)).slope
+                if means.min() > 0.0
+                else math.nan
+            )
+    return slopes
+
+
+def _decays_at_half(slopes: dict) -> bool:
+    return all(abs(slope + 0.5) <= 0.025 for slope in slopes.values())
+
+
+def test_criterion_11_loss_decays_like_p_to_minus_epsilon():
+    """At epsilon = 0.5, the mean gap and the mean leakage of every curve decay like P^(-1/2):
+    each log2 slope against log2 P over 40-80 dB lies within 0.025 of -0.5."""
+    slopes = _decay_slopes()
+    ok = _decays_at_half(slopes)
+    detail = "; ".join(f"n_r={n_r} {column} {slope:.4f}" for (n_r, column), slope in slopes.items())
+    _report("criterion-11 loss-decay", ok, f"{detail} (within 0.025 of -0.5)")
+    assert ok
+
+
+def test_criterion_11_catches_a_short_bit_law(monkeypatch):
+    """A bit law 3% short of the paper's, an exponent near -0.455, fails criterion 11."""
+    monkeypatch.setattr(harness, "feedback_bits", _short_law)
+    slopes = _decay_slopes()
+    assert not _decays_at_half(slopes), f"a 3%-short bit law kept the decay slopes at {slopes}"

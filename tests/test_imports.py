@@ -1,6 +1,10 @@
-"""Every name a source module imports is referenced in that module."""
+"""Every name a source module imports is referenced in that module, no public name is dead,
+and importing the package starts OpenBLAS with one thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +72,30 @@ def test_no_dead_public_code():
     assert not dead, f"no source module uses {[defined[n] for n in dead]}"
     assert set(TEST_ONLY) <= set(defined), f"not defined: {sorted(set(TEST_ONLY) - set(defined))}"
     assert not set(TEST_ONLY) & used, f"have a source caller: {sorted(set(TEST_ONLY) & used)}"
+
+
+# What OpenBLAS reads for its thread count, in its order.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+PROBE = """
+import os, secmimo, numpy
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
+@pytest.mark.parametrize(
+    "preset, expected",
+    [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2"), ({"OMP_NUM_THREADS": "2"}, "None")],
+    ids=["unset", "openblas-preset", "omp-preset"],
+)
+def test_openblas_starts_with_one_thread(preset, expected):
+    """`import secmimo` sets OPENBLAS_NUM_THREADS=1 before numpy loads, unless the caller set
+    a variable OpenBLAS reads; run in a fresh interpreter, as this one has loaded numpy."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(SRC.parent))
+    argv = [sys.executable, "-c", PROBE]
+    probe = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=60)
+    value, tasks = probe.stdout.split()
+    assert value == expected
+    if not preset and tasks != "None":
+        assert tasks == "1", f"{tasks} threads after numpy loaded"
