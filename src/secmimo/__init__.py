@@ -15,21 +15,9 @@ import os
 if not any(map(os.environ.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import (
-    CodebookTooLargeError,
-    ConfigError,
-    DegenerateChannelError,
-    DegenerateGeometryError,
-    InvalidInputError,
-    NoNullspaceError,
-    NotPositiveDefiniteError,
-    PerturbationError,
-    SecMimoError,
-    ShapeError,
-)
+from .errors import ConfigError, InvalidInputError, NumericalError, SecMimoError
 from .grassmann import (
     Codebook,
-    GrassmannPoint,
     chordal_distance,
     codebook_generate,
     feedback_bits,

@@ -1,8 +1,18 @@
 """Exception hierarchy shared by all secmimo modules.
 
-Everything derives from :class:`SecMimoError` so callers (and the CLI) can
-separate configuration mistakes from numerical failures with two except
-clauses.
+Four classes, one per outcome a caller can act on. Everything derives from
+:class:`SecMimoError`:
+
+- :class:`ConfigError`: an invalid experiment configuration, config file,
+  results file or output path. The CLI exits 1.
+- :class:`InvalidInputError`: a library call's argument breaks a documented
+  precondition (shape, finiteness, value range, codebook size). The CLI
+  exits 1 when one is raised while it builds the configuration or reads a
+  results file, and 2 when one is raised inside a run.
+- :class:`NumericalError`: a degenerate draw, such as a rank-deficient
+  channel, a singular Gram matrix, a matrix that is not positive definite
+  or a quantizer step that misses its distance. The paper's channels are
+  full rank almost surely, so such a draw has measure zero. The CLI exits 2.
 """
 
 
@@ -15,39 +25,8 @@ class ConfigError(SecMimoError):
 
 
 class InvalidInputError(SecMimoError, ValueError):
-    """Input violates a documented precondition (non-finite, bad value)."""
+    """Input violates a documented precondition (shape, non-finite, bad value)."""
 
 
-class ShapeError(InvalidInputError):
-    """Matrix dimensions are inconsistent with the requested operation."""
-
-
-class DegenerateChannelError(SecMimoError):
-    """A sampled matrix is (numerically) rank deficient where full rank is required."""
-
-
-class NoNullspaceError(SecMimoError):
-    """The requested nullspace is empty for these dimensions."""
-
-
-class NotPositiveDefiniteError(SecMimoError):
-    """Matrix expected to be Hermitian positive definite is not.
-
-    Carries the offending smallest eigenvalue when it was computed.
-    """
-
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
-
-class CodebookTooLargeError(SecMimoError):
-    """Exhaustive codebook requested beyond the tractable size."""
-
-
-class DegenerateGeometryError(SecMimoError):
-    """A measure-zero geometric degeneracy (singular Gram matrix) occurred."""
-
-
-class PerturbationError(SecMimoError):
-    """Perturbation quantizer failed to reach its target distance."""
+class NumericalError(SecMimoError):
+    """A measure-zero numerical degeneracy of a draw (rank deficiency, singular Gram)."""

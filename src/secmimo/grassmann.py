@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CodebookTooLargeError,
-    InvalidInputError,
-    PerturbationError,
-    ShapeError,
-)
+from .errors import InvalidInputError, NumericalError
 from .linalg import (
     ORTHO_TOL,
     adjoint,
@@ -54,49 +49,23 @@ ZERO_DISTANCE = 1e-15
 
 
 @dataclass(frozen=True)
-class GrassmannPoint:
-    """Subspace representative: a tall matrix with orthonormal columns.
-
-    The matrix may also be a stack of representatives, ``(..., n_t, n_r)``,
-    one point per leading index.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = as_stack(self.matrix, "subspace representative")
-        n_t, n_r = mat.shape[-2:]
-        if n_t < n_r:
-            raise ShapeError(f"representative must be tall, got {n_t}x{n_r}")
-        if np.any(orthonormality_error(mat) > ORTHO_TOL):
-            raise InvalidInputError("representative columns are not orthonormal to 1e-10")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.matrix.shape
-
-
-def _rep(point) -> np.ndarray:
-    """Accept a GrassmannPoint or a bare orthonormal ndarray."""
-    if isinstance(point, GrassmannPoint):
-        return point.matrix
-    return np.asarray(point, dtype=np.complex128)
-
-
-@dataclass(frozen=True)
 class Codebook:
     """Ordered quantization codebook shared by transmitter and receiver.
 
-    `points` is one ``(size, n_t, n_r)`` stack of representatives, validated
-    once as a stacked :class:`GrassmannPoint`.
+    `points` is one ``(size, n_t, n_r)`` stack of representatives: finite,
+    tall, with orthonormal columns, and between 1 and 2^bits of them.
     """
 
     points: np.ndarray
     bits: int
 
     def __post_init__(self):
-        points = GrassmannPoint(self.points).matrix
+        points = as_stack(self.points, "subspace representative")
+        n_t, n_r = points.shape[-2:]
+        if n_t < n_r:
+            raise InvalidInputError(f"representative must be tall, got {n_t}x{n_r}")
+        if np.any(orthonormality_error(points) > ORTHO_TOL):
+            raise InvalidInputError("representative columns are not orthonormal to 1e-10")
         if points.ndim != 3 or not 1 <= len(points) <= 2**self.bits:
             raise InvalidInputError(
                 f"codebook must stack between 1 and 2^{self.bits} points, got {points.shape}"
@@ -119,10 +88,10 @@ def chordal_distance(a, b):
     sqrt(min(n_r, n_t - n_r)). Stacks of representatives broadcast over
     their leading axes and give an array of distances.
     """
-    s = _rep(a)
-    f = _rep(b)
+    s = np.asarray(a, dtype=np.complex128)
+    f = np.asarray(b, dtype=np.complex128)
     if s.shape[-2:] != f.shape[-2:]:
-        raise ShapeError(f"subspace shapes differ: {s.shape} vs {f.shape}")
+        raise InvalidInputError(f"subspace shapes differ: {s.shape} vs {f.shape}")
     diff = s @ adjoint(s) - f @ adjoint(f)
     return (np.linalg.norm(diff, axis=(-2, -1)) / math.sqrt(2.0))[()]
 
@@ -158,7 +127,7 @@ def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) ->
     if n_f < 1:
         raise InvalidInputError(f"bit budget must be >= 1, got {n_f}")
     if n_f > MAX_EXHAUSTIVE_BITS:
-        raise CodebookTooLargeError(
+        raise InvalidInputError(
             f"2^{n_f} codewords is beyond the exhaustive regime "
             f"(max {MAX_EXHAUSTIVE_BITS} bits); perturb at quantization_target instead"
         )
@@ -168,7 +137,7 @@ def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) ->
     return Codebook(points=haar_columns(complex_gaussian(np.moveaxis(parts, 0, 1))), bits=n_f)
 
 
-def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
+def quantize(point, book: Codebook) -> tuple[np.ndarray, int, float]:
     """Exhaustive minimum-chordal-distance quantization against a codebook.
 
     Returns the winning codeword, its index, and the achieved distance.
@@ -176,13 +145,15 @@ def quantize(point, book: Codebook) -> tuple[GrassmannPoint, int, float]:
     d^2 = n_r - ||S* F||_F^2, which orders codewords identically to the
     projector-difference definition.
     """
-    f = _rep(point)
+    f = np.asarray(point, dtype=np.complex128)
     if f.shape != book.ambient:
-        raise ShapeError(f"point shape {f.shape} does not match codebook ambient {book.ambient}")
+        raise InvalidInputError(
+            f"point shape {f.shape} does not match codebook ambient {book.ambient}"
+        )
     cross = np.einsum("kij,il->kjl", book.points.conj(), f)
     d_sq = f.shape[1] - np.sum(np.abs(cross) ** 2, axis=(1, 2))
     idx = int(np.argmin(d_sq))
-    best = GrassmannPoint(book.points[idx])
+    best = book.points[idx]
     return best, idx, chordal_distance(best, f)
 
 
@@ -212,7 +183,8 @@ def _perturb_step(f: np.ndarray, z, distance):
     r = min(n_r, n_t - n_r) largest sigma_i. Newton's method on the concave
     1 / (r - d(t)^2) climbs from t = 0 to the target, for each element to
     its own stopping rule; t = 0 below ZERO_DISTANCE. The stacks of `f`, `z`
-    and `distance` broadcast together (else ShapeError) to the shape of t.
+    and `distance` broadcast together (else InvalidInputError) to the shape
+    of t.
     """
     n_t, n_r = f.shape[-2:]
     r = min(n_r, n_t - n_r)
@@ -221,7 +193,9 @@ def _perturb_step(f: np.ndarray, z, distance):
         shape = np.broadcast_shapes(f.shape[:-2], np.shape(z)[:-2], np.shape(distance))
     except ValueError:
         stacks = f.shape[:-2], np.shape(z)[:-2], np.shape(distance)
-        raise ShapeError(f"point, direction and target stacks {stacks} do not broadcast") from None
+        raise InvalidInputError(
+            f"point, direction and target stacks {stacks} do not broadcast"
+        ) from None
     z = z - f @ (adjoint(f) @ z)
     m = adjoint(z) @ z
     target = np.broadcast_to(distance, shape)
@@ -252,7 +226,7 @@ def _check_reached(achieved, target) -> None:
     miss = ~(np.abs(achieved - target) <= PERTURB_TOL)
     if np.any(miss):
         got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
-        raise PerturbationError(f"reached chordal distance {got:.6g}, not {want:.6g}")
+        raise NumericalError(f"reached chordal distance {got:.6g}, not {want:.6g}")
 
 
 def perturb_basis(point, z, distance) -> np.ndarray:
@@ -260,12 +234,12 @@ def perturb_basis(point, z, distance) -> np.ndarray:
 
     One complete QR of F + eps Z gives W1 (its first n_r columns) and the
     orthogonal complement W2. The achieved distance ||W2* F||_F must match
-    to PERTURB_TOL; a miss (a rank-deficient Z) raises PerturbationError.
+    to PERTURB_TOL; a miss (a rank-deficient Z) raises NumericalError.
     The stacks of `point` ``(..., n_t, n_r)``, directions `z` and targets
-    `distance` broadcast together (else ShapeError) to the result's, and an
-    element whose target is below ZERO_DISTANCE keeps the point as W1.
+    `distance` broadcast together (else InvalidInputError) to the result's,
+    and an element whose target is below ZERO_DISTANCE keeps the point as W1.
     """
-    f = _rep(point)
+    f = np.asarray(point, dtype=np.complex128)
     n_r = f.shape[-1]
     z, _, t, target = _perturb_step(f, z, distance)
     # a zero target has eps = 0, so its W2 completes F itself
@@ -285,7 +259,7 @@ def perturb_gram(point, z, distance):
     J = t M K, formed so that tiny targets do not cancel in I - K. The
     achieved distance sqrt(tr J) is checked as in :func:`perturb_basis`.
     """
-    f = _rep(point)
+    f = np.asarray(point, dtype=np.complex128)
     z, m, t, target = _perturb_step(f, z, distance)
     tm = t[..., np.newaxis, np.newaxis] * m
     k = np.linalg.inv(np.eye(f.shape[-1]) + tm)

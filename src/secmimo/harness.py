@@ -381,13 +381,15 @@ def read_csv(path: str) -> list[ResultRow]:
                 if reader.fieldnames != CSV_HEADER.split(","):
                     raise ConfigError(f"{path} does not look like a secmimo results file")
                 for rec in reader:
+                    if None in rec:  # DictReader files the cells past the header under None
+                        raise ValueError(f"row has more than the header's {len(_COLUMNS)} fields")
                     row = ResultRow(**{k: kind(rec[k]) for k, kind in _COLUMNS.items()})
                     if not all(math.isfinite(getattr(row, k)) for k in _FLOAT_COLUMNS):
                         raise ValueError("a numeric field is not finite")
                     if row.scenario not in SCENARIO_TABLE:
                         raise ValueError(f"unknown scenario {row.scenario!r}")
                     rows.append(row)
-            # a short row (None fields), a bad numeric field, or undecodable bytes
+            # a short or long row, a bad numeric field, or undecodable bytes
             except (csv.Error, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:

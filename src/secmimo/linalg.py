@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateChannelError,
-    InvalidInputError,
-    NoNullspaceError,
-    NotPositiveDefiniteError,
-    ShapeError,
-)
+from .errors import InvalidInputError, NumericalError
 
 # Relative singular-value cutoff for rank decisions. Channels are full rank
 # almost surely; this guards sampled degenerate inputs.
@@ -56,9 +50,11 @@ def as_stack(a, name: str = "matrix") -> np.ndarray:
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim < 2:
-        raise ShapeError(f"{name} must be a matrix or a stack of matrices, got ndim={arr.ndim}")
+        raise InvalidInputError(
+            f"{name} must be a matrix or a stack of matrices, got ndim={arr.ndim}"
+        )
     if arr.shape[-2] < 1 or arr.shape[-1] < 1:
-        raise ShapeError(f"{name} must have at least one row and column, got {arr.shape}")
+        raise InvalidInputError(f"{name} must have at least one row and column, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
@@ -68,7 +64,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D complex128 array; :func:`as_stack` for one matrix."""
     arr = as_stack(a, name)
     if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
+        raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
 
 
@@ -80,11 +76,6 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A*)/2, killing round-off asymmetry before factorizations."""
     return 0.5 * (a + adjoint(a))
-
-
-def frobenius_sq(a: np.ndarray):
-    """||A||_F^2 of each matrix, summed by rows so a stack rounds each like its matrix alone."""
-    return np.sum(np.sum(a.real**2 + a.imag**2, axis=-1), axis=-1)
 
 
 def orthonormality_error(a: np.ndarray):
@@ -118,20 +109,20 @@ def qr_tall(a) -> QrTallResult:
 
     Raises
     ------
-    ShapeError
+    InvalidInputError
         If the input has fewer rows than columns.
-    DegenerateChannelError
+    NumericalError
         If the smallest singular value is below ``RANK_RTOL`` times the largest.
     """
     arr = as_stack(a, "qr input")
     m, k = arr.shape[-2:]
     if m < k:
-        raise ShapeError(f"qr_tall needs a tall matrix, got {m}x{k}")
+        raise InvalidInputError(f"qr_tall needs a tall matrix, got {m}x{k}")
     s = np.linalg.svd(arr, compute_uv=False)
     deficient = s[..., -1] < RANK_RTOL * s[..., 0]
     if np.any(deficient):
         low, high = first_flagged(s[..., [-1, 0]], deficient)
-        raise DegenerateChannelError(
+        raise NumericalError(
             f"rank-deficient input to qr_tall (sigma_min/sigma_max = {low / high:.3e})"
         )
     f, c = np.linalg.qr(arr)
@@ -154,34 +145,33 @@ def left_nullspace_basis(a) -> np.ndarray:
     """
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim < 2:
-        raise ShapeError(
+        raise InvalidInputError(
             f"left_nullspace input must be a matrix or a stack of matrices, got ndim={arr.ndim}"
         )
     p, q = arr.shape[-2:]
     if p < 1:
-        raise ShapeError("left_nullspace input must have at least one row")
+        raise InvalidInputError("left_nullspace input must have at least one row")
     if q == 0:
         return np.broadcast_to(np.eye(p, dtype=np.complex128), arr.shape[:-1] + (p,))
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("left_nullspace input contains non-finite entries")
     if p <= q:
-        raise NoNullspaceError(f"no left nullspace for shape {p}x{q} (need p > q)")
+        raise InvalidInputError(f"no left nullspace for shape {p}x{q} (need p > q)")
     u, s, _ = np.linalg.svd(arr, full_matrices=True)
     if np.any(s[..., -1] < RANK_RTOL * s[..., 0]):
-        raise DegenerateChannelError("rank-deficient input to left_nullspace_basis")
+        raise NumericalError("rank-deficient input to left_nullspace_basis")
     return u[..., :, q:]
 
 
 def _cholesky(arr: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a finite stack known to be Hermitian (callers check with
-    :func:`as_stack`); a failure's NotPositiveDefiniteError carries the smallest eigenvalue."""
+    :func:`as_stack`); a failure's NumericalError names the smallest eigenvalue."""
     try:
         return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
         low = float(np.min(np.linalg.eigvalsh(hermitian_part(arr))[..., 0]))
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min eigenvalue {low:.6e})",
-            min_eigenvalue=low,
+        raise NumericalError(
+            f"matrix is not positive definite (min eigenvalue {low:.6e})"
         ) from None
 
 
@@ -198,13 +188,13 @@ def logdet_pd(a):
     Computed via Cholesky factorization, never through a raw determinant.
     A float for one matrix, an array over the leading axes for a stack.
     Raises InvalidInputError if an entry is not finite or a matrix is not
-    Hermitian to ``1e-10 * max(1, ||A||_F)``, and NotPositiveDefiniteError
+    Hermitian to ``1e-10 * max(1, ||A||_F)``, and NumericalError
     if the factorization fails.
     """
     arr = as_stack(a, "Cholesky input")
     n, m = arr.shape[-2:]
     if n != m:
-        raise ShapeError(f"Cholesky input must be square, got {n}x{m}")
+        raise InvalidInputError(f"Cholesky input must be square, got {n}x{m}")
     scale = np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
     if np.any(np.linalg.norm(arr - adjoint(arr), axis=(-2, -1)) > 1e-10 * scale):
         raise InvalidInputError("Cholesky input is not Hermitian to tolerance 1e-10")
@@ -218,7 +208,7 @@ def random_gaussian_matrix(m: int, n: int, rng: np.random.Generator) -> np.ndarr
     unit mean square magnitude.
     """
     if m < 1 or n < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got ({m}, {n})")
+        raise InvalidInputError(f"matrix dimensions must be positive, got ({m}, {n})")
     return complex_gaussian(rng.standard_normal(size=(2, m, n)))
 
 
@@ -246,7 +236,7 @@ def haar_columns(z: np.ndarray) -> np.ndarray:
 def random_truncated_unitary(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random m x k matrix with orthonormal columns (see :func:`haar_columns`)."""
     if m < k:
-        raise ShapeError(f"need m >= k for a truncated unitary, got ({m}, {k})")
+        raise InvalidInputError(f"need m >= k for a truncated unitary, got ({m}, {k})")
     return haar_columns(random_gaussian_matrix(m, k, rng))
 
 
@@ -283,7 +273,7 @@ def gaussian_mi(
     k = as_stack(signal_cov, "signal covariance")
     p, q = h.shape[-2:]
     if k.shape[-2:] != (q, q):
-        raise ShapeError(f"signal covariance must be {q}x{q}, got {k.shape}")
+        raise InvalidInputError(f"signal covariance must be {q}x{q}, got {k.shape}")
     if not 0 < noise_var < math.inf:
         raise InvalidInputError(f"noise variance must be positive and finite, got {noise_var}")
     if interference_cov is None:
@@ -291,20 +281,16 @@ def gaussian_mi(
     else:
         s_int = as_stack(interference_cov, "interference covariance")
         if s_int.shape[-2:] != (p, p):
-            raise ShapeError(f"interference covariance must be {p}x{p}, got {s_int.shape}")
+            raise InvalidInputError(f"interference covariance must be {p}x{p}, got {s_int.shape}")
         w = np.linalg.eigvalsh(hermitian_part(s_int))
         negative = w[..., 0] < -1e-10 * np.maximum(1.0, w[..., -1])
         if np.any(negative):
             low = float(first_flagged(w[..., 0], negative))
-            raise NotPositiveDefiniteError(
-                f"interference covariance has negative eigenvalue {low:.3e}", min_eigenvalue=low
-            )
+            raise NumericalError(f"interference covariance has negative eigenvalue {low:.3e}")
     k_eigs = np.linalg.eigvalsh(hermitian_part(k))
     if np.any(k_eigs[..., 0] <= 0):
         low = float(np.min(k_eigs[..., 0]))
-        raise NotPositiveDefiniteError(
-            f"signal covariance must be PD (min eigenvalue {low:.3e})", min_eigenvalue=low
-        )
+        raise NumericalError(f"signal covariance must be PD (min eigenvalue {low:.3e})")
     denom = hermitian_part(s_int) + noise_var * np.eye(p)
     numer = hermitian_part(h @ k @ adjoint(h)) + denom
     return logdet_pd(numer) - logdet_pd(denom)

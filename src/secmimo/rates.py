@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotPositiveDefiniteError
+from .errors import InvalidInputError, NumericalError
 from .linalg import (
     LOG2_E,
     _cholesky,
@@ -33,7 +33,6 @@ from .linalg import (
     adjoint,
     as_matrix,
     as_stack,
-    frobenius_sq,
     hermitian_part,
     left_nullspace_basis,
     logdet_pd,
@@ -73,9 +72,9 @@ class SdofEstimate:
 
 
 # What a two-stage secrecy rate depends on: s1 = S1 S1* and s2 = S2 S2* for
-# S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, the noise
-# floor G* G (unit noise) and frob2 = ||S2||_F^2.
-RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 noise frob2")
+# S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, and the
+# noise floor G* G (unit noise).
+RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 noise")
 
 # What a trial's Gram sets share: A = G* V* C* (G* V* Hd = A F*, as Hd* = F C),
 # He, He F, He He* and the noise floor G* G.
@@ -144,11 +143,10 @@ def _precoder_grams(channels, precoders, filters) -> RateGrams:
     # S2 is zero to round-off when W2 spans the nullspace of Hd
     g = filters.G
     gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
-    s2 = gvh @ precoders.W2
     he = as_stack(channels.He, "He")
     e1, e2 = _gram(he @ precoders.W1), _gram(he @ precoders.W2)
     noise = adjoint(g) @ g
-    return RateGrams(_gram(gvh @ precoders.W1), _gram(s2), e1, e2, noise, frobenius_sq(s2))
+    return RateGrams(_gram(gvh @ precoders.W1), _gram(gvh @ precoders.W2), e1, e2, noise)
 
 
 def trial_couplings(channels: ChannelSet, filters: ReceiverFilters) -> TrialCouplings:
@@ -162,18 +160,17 @@ def step_grams(couplings: TrialCouplings, step) -> RateGrams:
     """The Gram set of the precoders at a :func:`~secmimo.grassmann.perturb_gram` step.
 
     For the step (Z, eps, K, J) and Y = He F + eps He Z: S1 S1* = A K A*,
-    S2 S2* = A J A*, ||S2||_F^2 = tr(A J A*), E1 E1* = Y K Y* and E2 E2* =
-    He He* - E1 E1*, since W1 W1* = (F + eps Z) K (F + eps Z)* and W2 W2* =
-    I - W1 W1*. The step to distance 0 (K = I, J = 0, Y = He F) gives the
-    Gram set of perfect precoders.
+    S2 S2* = A J A*, E1 E1* = Y K Y* and E2 E2* = He He* - E1 E1*, since
+    W1 W1* = (F + eps Z) K (F + eps Z)* and W2 W2* = I - W1 W1*. The step
+    to distance 0 (K = I, J = 0, Y = He F) gives the Gram set of perfect
+    precoders.
     """
     c = couplings
     z, eps, k, j = step
     y = c.HeF + eps[..., np.newaxis, np.newaxis] * (c.He @ z)
     a_star = adjoint(c.A)
     s2, e1 = c.A @ j @ a_star, y @ k @ adjoint(y)
-    frob2 = np.einsum("...ii->...", s2).real
-    return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.noise, frob2)
+    return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.noise)
 
 
 def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
@@ -188,7 +185,7 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> 
     leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
     t_plus = _logdet_ratio(signal * grams.s1 + leak + grams.noise, leak + grams.noise)
     t_minus = _eve_term(grams.e1, grams.e2, policy, config)
-    return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
+    return _two_stage_rate(t_plus, t_minus, grams.s2, policy, config)
 
 
 def secrecy_rate_G(
@@ -207,14 +204,15 @@ def secrecy_rate_G(
     return grams_rate(_precoder_grams(channels, precoders, filters), policy, config)
 
 
-def _two_stage_rate(t_plus, t_minus, frob2, policy: PowerPolicy, config) -> SecrecyRate:
+def _two_stage_rate(t_plus, t_minus, s2, policy: PowerPolicy, config) -> SecrecyRate:
     raw = t_plus - t_minus
+    leakage = policy.an_cov_scale(config.n_t, config.n_r) * np.einsum("...ii->...", s2).real
     return SecrecyRate(
         clipped=_clip(raw),
         raw=raw,
         t_plus=t_plus,
         t_minus=t_minus,
-        leakage=(policy.an_cov_scale(config.n_t, config.n_r) * frob2)[()],
+        leakage=leakage[()],
     )
 
 
@@ -236,10 +234,7 @@ def _sweep_ratio(power, numer, denom, floor=None):
     x, y = p * lam, p * nu
     if not (np.all(x > -1.0) and np.all(y > -1.0)):
         low = float(np.min(1.0 + np.minimum(x, y)))
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (min whitened eigenvalue {low:.6e})",
-            min_eigenvalue=low,
-        )
+        raise NumericalError(f"matrix is not positive definite (min whitened eigenvalue {low:.6e})")
     return (np.sum(np.log1p(x), axis=-1) - np.sum(np.log1p(y), axis=-1)) * LOG2_E
 
 
@@ -265,7 +260,7 @@ def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfi
     t_plus = _sweep_ratio(policy.P, c1 * grams.s1 + leak, leak, floor=grams.noise)
     eve_leak = c2 * grams.e2
     t_minus = _sweep_ratio(policy.P, c1 * grams.e1 + eve_leak, eve_leak)
-    return _two_stage_rate(t_plus, t_minus, grams.frob2, policy, config)
+    return _two_stage_rate(t_plus, t_minus, grams.s2, policy, config)
 
 
 def eve_rate_limit(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:

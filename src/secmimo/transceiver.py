@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateChannelError,
-    DegenerateGeometryError,
-    InvalidInputError,
-    ShapeError,
-)
+from .errors import InvalidInputError, NumericalError
 from .grassmann import perturb_basis, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
@@ -130,7 +125,9 @@ class Precoders:
         w1 = as_stack(self.W1, "W1")
         w2 = as_stack(self.W2, "W2")
         if w1.shape[:-1] != w2.shape[:-1]:
-            raise ShapeError(f"W1 and W2 need the same rows and stack, got {w1.shape}, {w2.shape}")
+            raise InvalidInputError(
+                f"W1 and W2 need the same rows and stack, got {w1.shape}, {w2.shape}"
+            )
         # ||[W1 W2]* [W1 W2] - I||_F bounds ||W1* W1 - I||_F, ||W2* W2 - I||_F
         # and ||W1* W2||_F at once; written so that NaN fails it
         if not np.all(orthonormality_error(np.concatenate((w1, w2), axis=-1)) <= ORTHO_TOL):
@@ -216,10 +213,10 @@ def tx_precoders_perfect(Hd) -> Precoders:
     hd = as_stack(Hd, "Hd")
     n_r, n_t = hd.shape[-2:]
     if n_t <= n_r:
-        raise ShapeError(f"need n_t > n_r for an artificial-noise nullspace, got {hd.shape}")
+        raise InvalidInputError(f"need n_t > n_r for an artificial-noise nullspace, got {hd.shape}")
     _, s, vh = np.linalg.svd(hd, full_matrices=True)
     if np.any(s[..., -1] < 1e-12 * s[..., 0]):
-        raise DegenerateChannelError("rank-deficient direct channel")
+        raise NumericalError("rank-deficient direct channel")
     v = adjoint(vh)
     return Precoders(W1=v[..., :, :n_r], W2=v[..., :, n_r:])
 
@@ -253,7 +250,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     d_s = v.shape[-1]
     b = as_stack(B, "B")
     if b.shape[-2:] != (n_t, d_s):
-        raise ShapeError(f"B must be {n_t}x{d_s}, got {b.shape}")
+        raise InvalidInputError(f"B must be {n_t}x{d_s}, got {b.shape}")
     if np.any(orthonormality_error(b) > ORTHO_TOL):
         raise InvalidInputError("B columns are not orthonormal")
     cv = c @ v
@@ -261,7 +258,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     eigs = np.linalg.eigvalsh(hermitian_part(gram))
     singular = eigs[..., 0] < 1e-12 * np.maximum(1.0, eigs[..., -1])
     if np.any(singular):
-        raise DegenerateGeometryError(
+        raise NumericalError(
             "V* C* C V is numerically singular "
             f"(min eigenvalue {first_flagged(eigs[..., 0], singular):.3e})"
         )
@@ -270,7 +267,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     g = adjoint(g_star)
     gg_eigs = np.linalg.eigvalsh(hermitian_part(adjoint(g) @ g))
     if np.any(gg_eigs[..., 0] < 1e-12 * np.maximum(1.0, gg_eigs[..., -1])):
-        raise DegenerateGeometryError("G* G is not positive definite")
+        raise NumericalError("G* G is not positive definite")
     return ReceiverFilters(V=v, G=g, F=f, C=c)
 
 

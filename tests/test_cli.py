@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from secmimo.cli import cli_main
+from secmimo.errors import ConfigError, InvalidInputError, NumericalError
 from secmimo.harness import CSV_HEADER, SCENARIOS, ExperimentResult, ResultRow, write_csv
 
 
@@ -301,16 +302,27 @@ class TestRun:
 
 
 class TestExitCodes:
-    def test_numeric_failure_maps_to_2(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "stage, error, code",
+        [
+            ("run_experiment", NumericalError, 2),
+            ("run_experiment", InvalidInputError, 2),
+            ("run_experiment", np.linalg.LinAlgError, 2),
+            ("run_experiment", ConfigError, 1),
+            ("scenario_config", InvalidInputError, 1),
+        ],
+    )
+    def test_error_class_maps_to_exit_code(self, monkeypatch, capsys, stage, error, code):
+        """Each error class maps to its exit code with one line, from the run or the config."""
         from secmimo import cli
-        from secmimo.errors import NotPositiveDefiniteError
 
-        def boom(cfg):
-            raise NotPositiveDefiniteError("synthetic numeric failure")
+        def boom(*args, **kwargs):
+            raise error("synthetic failure")
 
-        monkeypatch.setattr(cli, "run_experiment", boom)
-        assert cli_main(["run", "--scenario", "slope", "--nr", "2", "--trials", "1"]) == 2
-        assert "numeric failure" in capsys.readouterr().err
+        monkeypatch.setattr(cli, stage, boom)
+        assert cli_main(["run", "--scenario", "slope", "--nr", "2", "--trials", "1"]) == code
+        label = "numeric failure" if code == 2 else "configuration error"
+        assert capsys.readouterr().err == f"{label}: synthetic failure\n"
 
     def test_degenerate_draw_names_its_trial(self, tmp_path, capsys, degenerate_trials):
         degenerate_trials(3, 6, {4})
@@ -406,6 +418,17 @@ class TestSlopes:
     def test_non_numeric_field(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\ncustom,4,2,1,x,10,10,1,1,0,0,5\n")
+        assert cli_main(["slopes", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}, line 2" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("tail", [",99", ","], ids=["extra-field", "trailing-comma"])
+    def test_long_row(self, tmp_path, capsys, tail):
+        """A row with more fields than the header is a one-line error naming its line."""
+        rows = [f"custom,4,2,1,2,{snr},10,{snr},1,0,0,3" for snr in (10, 20, 30, 40)]
+        rows[0] += tail
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
         assert cli_main(["slopes", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"{path}, line 2" in err and len(err.splitlines()) == 1

@@ -127,7 +127,7 @@ def _csv_row(draw):
     n_r = draw(st.sampled_from([2, 3]))
     snr = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0]))
     rates = draw(st.lists(st.floats(-5.0, 50.0), min_size=4, max_size=4))
-    cells = ["slope", 2 * n_r, n_r, 1, n_r, snr, 30, *rates, 0, 5]
+    cells = ["slope", 2 * n_r, n_r, 1, n_r, snr, 30, *rates, 5]
     return ",".join(map(str, cells))
 
 

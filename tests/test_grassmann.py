@@ -8,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secmimo import grassmann
-from secmimo.errors import (
-    CodebookTooLargeError,
-    ConfigError,
-    InvalidInputError,
-    PerturbationError,
-    ShapeError,
-)
+from secmimo.errors import ConfigError, InvalidInputError, NumericalError
 from secmimo.grassmann import (
     Codebook,
-    GrassmannPoint,
     chordal_distance,
     codebook_generate,
     feedback_bits,
@@ -58,7 +51,7 @@ class TestChordalDistance:
         assert chordal_distance(s, f) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             chordal_distance(np.eye(3)[:, :1], np.eye(4)[:, :1])
 
     def test_metric_properties_sweep(self):
@@ -163,7 +156,7 @@ class TestCodebook:
         assert d_sq.min() > 0
 
     def test_too_large_rejected(self):
-        with pytest.raises(CodebookTooLargeError):
+        with pytest.raises(InvalidInputError):
             codebook_generate(4, 2, 21, np.random.default_rng(6))
 
     def test_codebook_validation(self):
@@ -189,10 +182,10 @@ class TestQuantize:
         e1 = np.array([[1.0], [0.0]], dtype=complex)
         e2 = np.array([[0.0], [1.0]], dtype=complex)
         book = Codebook(points=np.stack([e1, e2]), bits=1)
-        best, idx, dist = quantize(GrassmannPoint(e1), book)
-        assert isinstance(best, GrassmannPoint)
+        best, idx, dist = quantize(e1, book)
+        np.testing.assert_array_equal(best, e1)
         assert idx == 0 and dist == pytest.approx(0.0, abs=1e-12)
-        _, idx, _ = quantize(GrassmannPoint(e2), book)
+        _, idx, _ = quantize(e2, book)
         assert idx == 1
 
     def test_brute_force_oracle(self):
@@ -209,7 +202,7 @@ class TestQuantize:
 
     def test_shape_mismatch(self):
         book = codebook_generate(4, 2, 2, np.random.default_rng(10))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             quantize(random_truncated_unitary(6, 3, np.random.default_rng(11)), book)
 
     def test_mean_distance_decreases_with_bits(self):
@@ -376,7 +369,7 @@ class TestPerturbToDistance:
         _, _, _, j = perturb_gram(f, z, 0.9)
         assert math.sqrt(np.trace(j).real) == pytest.approx(0.9)
         for build in (perturb_basis, perturb_gram):
-            with pytest.raises(PerturbationError):
+            with pytest.raises(NumericalError):
                 build(f, z, 1.5)
 
     @pytest.mark.filterwarnings("error")
@@ -390,7 +383,7 @@ class TestPerturbToDistance:
             z = random_gaussian_matrix(8, rank, rng) @ random_gaussian_matrix(rank, 3, rng)
         for target in (math.sqrt(rank) + 0.1, 1.7):
             for build in (perturb_basis, perturb_gram):
-                with pytest.raises(PerturbationError):
+                with pytest.raises(NumericalError):
                     build(f, z, target)
 
 
@@ -477,9 +470,9 @@ class TestPerturbBasis:
         f = random_truncated_unitary(6, 2, rng)
         z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(3)])
         for build in (tx_precoders_quantized, perturb_basis, perturb_gram):
-            with pytest.raises(ShapeError, match="do not broadcast"):
+            with pytest.raises(InvalidInputError, match="do not broadcast"):
                 build(f, z, np.array([0.1, 0.2]))
-            with pytest.raises(ShapeError, match="do not broadcast"):
+            with pytest.raises(InvalidInputError, match="do not broadcast"):
                 build(np.stack([f, f]), z, 0.1)
 
 
@@ -510,7 +503,8 @@ class TestFeedbackBits:
 
 
 def test_grassmann_point_validation():
-    with pytest.raises(InvalidInputError):
-        GrassmannPoint(np.ones((4, 2)))
-    with pytest.raises(ShapeError):
-        GrassmannPoint(np.eye(3)[:2, :])
+    # Each codebook point must be a tall matrix with orthonormal columns.
+    with pytest.raises(InvalidInputError, match="not orthonormal"):
+        Codebook(points=np.ones((1, 4, 2)), bits=1)
+    with pytest.raises(InvalidInputError, match="must be tall"):
+        Codebook(points=np.eye(3)[np.newaxis, :2, :], bits=1)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secmimo import harness
-from secmimo.errors import ConfigError, DegenerateChannelError
+from secmimo.errors import ConfigError, NumericalError
 from secmimo.cli import build_parser
 from secmimo.grassmann import ZERO_DISTANCE, perturb_gram, quantization_target
 from secmimo.harness import (
@@ -531,7 +531,7 @@ class TestReplayableFailure:
     def test_names_first_failing_trial(self, degenerate_trials):
         cfg = _small_cfg(trials=11)
         degenerate_trials(2, 4, {9, 10})
-        with pytest.raises(DegenerateChannelError, match="^curve 0, trial 9, seed 7: rank"):
+        with pytest.raises(NumericalError, match="^curve 0, trial 9, seed 7: rank"):
             run_experiment(cfg)
 
 

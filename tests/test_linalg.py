@@ -3,23 +3,17 @@
 import numpy as np
 import pytest
 
-from secmimo.errors import (
-    DegenerateChannelError,
-    InvalidInputError,
-    NoNullspaceError,
-    NotPositiveDefiniteError,
-    ShapeError,
-)
+from secmimo.errors import InvalidInputError, NumericalError
 from secmimo.linalg import (
     adjoint,
     as_matrix,
     complex_gaussian,
-    frobenius_sq,
     gaussian_mi,
     haar_columns,
     hermitian_part,
     left_nullspace_basis,
     logdet_pd,
+    orthonormality_error,
     qr_tall,
     random_gaussian_matrix,
     random_truncated_unitary,
@@ -53,17 +47,17 @@ class TestQrTall:
 
     def test_rank_deficient_rejected(self):
         col = np.arange(1.0, 5.0).reshape(4, 1)
-        with pytest.raises(DegenerateChannelError):
+        with pytest.raises(NumericalError):
             qr_tall(np.hstack([col, 2 * col]))
 
     def test_wide_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             qr_tall(np.ones((2, 3)))
 
 
 class TestNullspaces:
     def test_no_nullspace(self):
-        with pytest.raises(NoNullspaceError):
+        with pytest.raises(InvalidInputError):
             left_nullspace_basis(np.eye(3))
 
     def test_left_hand_cases(self):
@@ -135,9 +129,8 @@ class TestLogdet:
             )
 
     def test_not_pd_carries_eigenvalue(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(NumericalError, match=r"\(min eigenvalue -2\.000000e\+00\)$"):
             logdet_pd(np.diag([1.0, -2.0]))
-        assert err.value.min_eigenvalue == pytest.approx(-2.0, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -154,7 +147,7 @@ class TestLogdet:
         "shape", [(2, 3), (3,), (0, 0)], ids=["non-square", "one-dimensional", "empty"]
     )
     def test_bad_shape_rejected(self, shape):
-        with pytest.raises(ShapeError, match="^Cholesky input must "):
+        with pytest.raises(InvalidInputError, match="^Cholesky input must "):
             logdet_pd(np.ones(shape))
 
 
@@ -190,9 +183,9 @@ class TestRandomEnsembles:
         assert np.linalg.norm(diff) / np.sqrt(2) > 1e-6
 
     def test_bad_shape(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             random_truncated_unitary(2, 3, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             random_gaussian_matrix(0, 2, np.random.default_rng(0))
 
 
@@ -226,11 +219,11 @@ class TestGaussianMi:
             prev = mi
 
     def test_non_psd_interference_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NumericalError):
             gaussian_mi(np.eye(2), np.eye(2), np.diag([1.0, -1.0]), 1.0)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError):
             gaussian_mi(np.eye(2), np.eye(3), None, 1.0)
 
     @staticmethod
@@ -258,8 +251,8 @@ class TestGaussianMi:
             (0, (1, 0, 0), np.nan, InvalidInputError),
             (1, (2, 1, 1), np.inf, InvalidInputError),
             (2, (0, 0, 1), np.nan, InvalidInputError),
-            (1, 1, -np.eye(3), NotPositiveDefiniteError),
-            (2, 2, np.diag([1.0, -1.0]), NotPositiveDefiniteError),
+            (1, 1, -np.eye(3), NumericalError),
+            (2, 2, np.diag([1.0, -1.0]), NumericalError),
         ],
         ids=["channel-nan", "signal-inf", "interference-nan", "signal-not-pd", "interference-neg"],
     )
@@ -277,12 +270,12 @@ class TestGaussianMi:
     def test_stack_shape_mismatch(self):
         h, k, s_int = self._stack(np.random.default_rng(21))
         for args in ((h, k[:, :2, :2], s_int), (h, k, s_int[:, :1, :1])):
-            with pytest.raises(ShapeError):
+            with pytest.raises(InvalidInputError):
                 gaussian_mi(*args)
 
 
 def test_as_matrix_guards():
-    with pytest.raises(ShapeError):
+    with pytest.raises(InvalidInputError):
         as_matrix(np.ones(3))
     with pytest.raises(InvalidInputError):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -300,7 +293,7 @@ class TestStacks:
     @pytest.mark.parametrize(
         "kernel, shape",
         [
-            (lambda a: frobenius_sq(a), (3, 5)),
+            (lambda a: orthonormality_error(a), (5, 3)),
             (lambda a: qr_tall(a).F, (5, 3)),
             (lambda a: qr_tall(a).C, (5, 3)),
             (haar_columns, (5, 2)),
@@ -317,9 +310,8 @@ class TestStacks:
     def test_one_bad_matrix_fails_the_stack(self):
         stack = self._stack(np.random.default_rng(22), (5, 3))
         stack[1, 2, :, 2] = stack[1, 2, :, 0]
-        with pytest.raises(DegenerateChannelError, match="sigma_min/sigma_max"):
+        with pytest.raises(NumericalError, match="sigma_min/sigma_max"):
             qr_tall(stack)
         grams = np.stack([np.eye(2), np.diag([1.0, -2.0])])
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(NumericalError, match=r"\(min eigenvalue -2\.000000e\+00\)$"):
             logdet_pd(grams)
-        assert err.value.min_eigenvalue == pytest.approx(-2.0, abs=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secmimo.errors import InvalidInputError, NotPositiveDefiniteError
+from secmimo.errors import InvalidInputError, NumericalError
 from secmimo.grassmann import feedback_bits, perturb_gram, quantization_target
 from secmimo.linalg import (
     LOG2_E,
@@ -321,7 +321,7 @@ class TestSecrecyRateSweep:
     def test_singular_noise_floor_is_not_positive_definite(self):
         cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 40, "perfect")
         flat = ReceiverFilters(**dict(vars(filters), G=np.zeros_like(filters.G)))
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NumericalError):
             _gram_sweep(ch, flat, z, target, PowerPolicy(P=10.0, rho=0.5), cfg)
 
     def test_non_finite_matrix_rejected(self):
