@@ -65,7 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--epsilon", type=float, default=None, help="margin of the scaled bit law"
     )
-    run_p.add_argument("--nf", type=int, default=None, help="fixed feedback bit budget")
+    run_p.add_argument(
+        "--nf", action="append", type=int, default=None, help="fixed bit budget; repeat for several"
+    )
     run_p.add_argument("--out", default=None, help="output CSV path (stdout if omitted)")
     run_p.add_argument(
         "--config", default=None, help="JSON file with the same keys; flags override it"
@@ -105,10 +107,13 @@ def _load_config_file(path: str, keys: tuple) -> dict:
     unknown = sorted(set(data) - set(keys))
     if unknown:
         raise ConfigError(f"unknown config keys in {path}: {', '.join(unknown)}")
-    # nr and out are no config fields, so they are checked here; type() is int bars true/false
-    nr = data.get("nr", 1)
-    if not (type(nr) is int or nr and type(nr) is list and all(type(n) is int for n in nr)):
-        raise ConfigError(f"config key 'nr' in {path} must hold one or more integers, got {nr!r}")
+    # nr, nf and out name no config field, so they are checked here; type() bars true/false
+    for key in ("nr", "nf"):
+        ns = data.get(key, 1)
+        if not (type(ns) is int or ns and type(ns) is list and all(type(n) is int for n in ns)):
+            raise ConfigError(
+                f"config key {key!r} in {path} must hold one or more integers, got {ns!r}"
+            )
     if not isinstance(data.get("out", ""), str):
         raise ConfigError(f"config key 'out' in {path} must hold a string, got {data['out']!r}")
     return data
@@ -117,15 +122,17 @@ def _load_config_file(path: str, keys: tuple) -> dict:
 def _experiment_config(args) -> tuple[ExperimentConfig, str | None]:
     """The run's experiment configuration and its output path (None for stdout).
 
-    Flags override the config file; every setting but nr and out is the
-    ExperimentConfig field of the same name.
+    Flags override the config file; nf fills nf_grid, and every setting but
+    nr and out is the ExperimentConfig field of the same name.
     """
     flags = {key: getattr(args, key) for key in args.config_keys}
     settings = _load_config_file(args.config, args.config_keys) if args.config else {}
     settings.update({key: value for key, value in flags.items() if value is not None})
-    n_r_list = settings.pop("nr", None)
+    n_r_list, nf = settings.pop("nr", None), settings.pop("nf", None)
     if isinstance(n_r_list, int):
         n_r_list = [n_r_list]
+    if nf is not None:
+        settings["nf_grid"] = tuple(nf) if isinstance(nf, list) else (nf,)
     out = settings.pop("out", None)
     return scenario_config(settings.pop("scenario", SCENARIOS[0]), n_r_list, **settings), out
 

@@ -43,15 +43,15 @@ BLOCK_POINTS = 240
 MAX_SNR_POINTS = 100_000
 
 # The ExperimentConfig fields a run's bits may come from, one per run: the
-# scaled law's margin, one fixed budget, or a grid of budgets swept at every SNR.
-BIT_SOURCES = ("epsilon", "nf", "nf_grid")
+# scaled law's margin, or fixed budgets swept at every SNR (one or more).
+BIT_SOURCES = ("epsilon", "nf_grid")
 
 
 class Scenario(typing.NamedTuple):
     """What one scenario fixes: default curves and settings, and its bit sources."""
 
     n_rs: tuple  # default receiver sizes, each curve (2 n_r, n_r, 1, n_r)
-    defaults: dict  # ExperimentConfig fields: a bit source, and for nf_grid its SNR grid
+    defaults: dict  # ExperimentConfig fields: a bit source, and maybe an SNR grid
     sources: tuple  # the BIT_SOURCES it accepts
 
 
@@ -62,7 +62,7 @@ SCENARIO_TABLE = {
     "slope": Scenario((2, 3, 4), {"epsilon": 0.0}, ("epsilon",)),
     # fixed feedback bits; the quantized-CSI curve flattens while the
     # perfect-CSI curve keeps its slope
-    "saturation": Scenario((3,), {"nf": 30}, ("nf",)),
+    "saturation": Scenario((3,), {"nf_grid": (30,)}, ("nf_grid",)),
     # rate loss due to quantization vs the bit budget at a few fixed SNR points
     "gap_vs_bits": Scenario(
         (3,),
@@ -70,7 +70,7 @@ SCENARIO_TABLE = {
         ("nf_grid",),
     ),
     # the caller's choice of scaled or fixed bits
-    "custom": Scenario((2,), {"epsilon": 0.0}, ("epsilon", "nf")),
+    "custom": Scenario((2,), {"epsilon": 0.0}, ("epsilon", "nf_grid")),
 }
 SCENARIOS = tuple(SCENARIO_TABLE)
 
@@ -100,8 +100,7 @@ class ExperimentConfig:
     seed: int = 0
     rho: float = 0.5
     epsilon: float | None = None  # margin of the power-scaled bit law
-    nf: int | None = None  # one fixed bit budget
-    nf_grid: tuple | None = None  # bit budgets swept at every SNR
+    nf_grid: tuple | None = None  # fixed bit budgets swept at every SNR
 
     def validate(self) -> list:
         """Check the configuration; return each curve's (snr_db, nf_bits, power) points."""
@@ -119,10 +118,9 @@ class ExperimentConfig:
             )
         if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        grid = self.nf_grid if self.nf is None else (self.nf,)
+        grid = self.nf_grid
         if grid is not None and not (grid and all(map(_is_budget, grid))):
-            value = getattr(self, given[0])
-            raise ConfigError(f"{given[0]} needs integer bit budgets >= 1, got {value!r}")
+            raise ConfigError(f"nf_grid needs integer bit budgets >= 1, got {grid!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -158,11 +156,10 @@ class ExperimentConfig:
         return curves
 
 
-# Each field's type hint as (X,) or (X, NoneType); nf's budget check covers its type.
+# Each field's type hint as (X,) or (X, NoneType).
 _FIELD_KINDS = {
     name: typing.get_args(hint) or (hint,)
     for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    if name != "nf"
 }
 # The values each kind admits, and the kind's name; a bool is never a number.
 _KINDS = {
@@ -229,9 +226,8 @@ def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[floa
         raise ConfigError(f"an SNR grid holds at most {MAX_SNR_POINTS} points, got {n:.3g}")
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
     powers = [(snr, 10.0 ** (snr / 10.0)) for snr in snrs]
-    grid = cfg.nf_grid if cfg.nf is None else (cfg.nf,)
-    if grid is not None:
-        return [(snr, int(nf), p) for snr, p in powers for nf in grid]
+    if cfg.nf_grid is not None:
+        return [(snr, int(nf), p) for snr, p in powers for nf in cfg.nf_grid]
     return [(snr, feedback_bits(p, cfg.epsilon, acfg.n_t, acfg.n_r), p) for snr, p in powers]
 
 
@@ -398,27 +394,26 @@ def read_csv(path: str) -> list[ResultRow]:
 
 
 def fitted_slopes_from_rows(rows) -> dict:
-    """Fit per-curve SDoF slopes from result rows (duplicate SNRs averaged).
+    """Fit per-curve SDoF slopes from result rows (duplicate points averaged).
 
-    Rows of a scenario that sweeps a bit grid have no slope and are left
-    out. Rows sharing a curve and an SNR are summed in row order and divided
-    by their count. Each curve is fitted over :func:`fit_slope`'s default window.
+    A curve with two bit budgets at one SNR has no slope. Rows sharing a curve,
+    an SNR and a budget are summed in row order and divided by their count.
+    Each curve is fitted over :func:`fit_slope`'s default window.
     """
     curves: dict = {}
     for r in rows:
-        if "nf_grid" in _scenario(r.scenario).sources:
-            continue
-        by_snr = curves.setdefault((r.n_t, r.n_r, r.n_j, r.n_e), {})
-        sums = by_snr.setdefault(r.snr_db, [0.0, 0.0, 0])
+        by_point = curves.setdefault((r.n_t, r.n_r, r.n_j, r.n_e), {})
+        sums = by_point.setdefault((r.snr_db, r.nf_bits), [0.0, 0.0, 0])
         sums[0] += r.r_perfect_mean
         sums[1] += r.r_quantized_mean
         sums[2] += 1
     out = {}
-    for key, by_snr in sorted(curves.items()):
-        snrs = sorted(by_snr)
-        sums = [by_snr[s] for s in snrs]
-        out[key] = {
-            "perfect": fit_slope(snrs, [p / n for p, _, n in sums]).slope,
-            "quantized": fit_slope(snrs, [q / n for _, q, n in sums]).slope,
-        }
+    for key, by_point in sorted(curves.items()):
+        snrs = [snr for snr, _ in sorted(by_point)]
+        sums = [by_point[point] for point in sorted(by_point)]
+        if len(set(snrs)) == len(snrs):  # one budget per SNR
+            out[key] = {
+                "perfect": fit_slope(snrs, [p / n for p, _, n in sums]).slope,
+                "quantized": fit_slope(snrs, [q / n for _, q, n in sums]).slope,
+            }
     return out

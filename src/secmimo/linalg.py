@@ -240,18 +240,13 @@ def random_truncated_unitary(m: int, k: int, rng: np.random.Generator) -> np.nda
     return haar_columns(random_gaussian_matrix(m, k, rng))
 
 
-def gaussian_mi(
-    channel,
-    signal_cov,
-    interference_cov=None,
-    noise_var: float = 1.0,
-) -> float:
+def gaussian_mi(channel, signal_cov, interference_cov=None) -> float:
     """Mutual information (bits) of ``y = H x + z + n`` with Gaussian inputs.
 
     ``x ~ CN(0, K)``, interference ``z ~ CN(0, S_int)`` independent of x, and
-    white noise ``n ~ CN(0, noise_var I)``. Returns::
+    unit white noise ``n ~ CN(0, I)``. Returns::
 
-        log2 det(H K H* + S_int + noise_var I) - log2 det(S_int + noise_var I)
+        log2 det(H K H* + S_int + I) - log2 det(S_int + I)
 
     This is the generic oracle used to cross-check every closed-form rate
     term in :mod:`secmimo.rates`. Stacks of H, K and S_int broadcast
@@ -266,16 +261,12 @@ def gaussian_mi(
         Positive-definite K of shape (q, q).
     interference_cov : array_like or None
         Positive-semidefinite S_int of shape (p, p); None means zero.
-    noise_var : float
-        Noise variance, strictly positive.
     """
     h = as_stack(channel, "channel")
     k = as_stack(signal_cov, "signal covariance")
     p, q = h.shape[-2:]
     if k.shape[-2:] != (q, q):
         raise InvalidInputError(f"signal covariance must be {q}x{q}, got {k.shape}")
-    if not 0 < noise_var < math.inf:
-        raise InvalidInputError(f"noise variance must be positive and finite, got {noise_var}")
     if interference_cov is None:
         s_int = np.zeros((p, p), dtype=np.complex128)
     else:
@@ -291,6 +282,6 @@ def gaussian_mi(
     if np.any(k_eigs[..., 0] <= 0):
         low = float(np.min(k_eigs[..., 0]))
         raise NumericalError(f"signal covariance must be PD (min eigenvalue {low:.3e})")
-    denom = hermitian_part(s_int) + noise_var * np.eye(p)
+    denom = hermitian_part(s_int) + np.eye(p)
     numer = hermitian_part(h @ k @ adjoint(h)) + denom
     return logdet_pd(numer) - logdet_pd(denom)

@@ -13,7 +13,14 @@ import pytest
 
 from secmimo.cli import cli_main
 from secmimo.errors import ConfigError, InvalidInputError, NumericalError
-from secmimo.harness import CSV_HEADER, SCENARIOS, ExperimentResult, ResultRow, write_csv
+from secmimo.harness import (
+    CSV_HEADER,
+    SCENARIOS,
+    ExperimentResult,
+    ResultRow,
+    read_csv,
+    write_csv,
+)
 
 
 def _run_args(tmp_path, *extra):
@@ -124,6 +131,8 @@ class TestRun:
             {"nr": []},
             {"rho": "half"},
             {"out": 5},
+            {"nf": [30, 1.5]},
+            {"nf": True},
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, bad):
@@ -254,7 +263,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "settings",
         [
-            {"scenario": "gap_vs_bits", "nf": 20},
+            {"scenario": "slope", "nf": 20},
             {"scenario": "gap_vs_bits", "epsilon": 4},
             {"scenario": "custom", "nf": 12, "epsilon": 5},
         ],
@@ -280,16 +289,41 @@ class TestRun:
             *((s, ["--nf", "30", "--epsilon", "0.5"], 1) for s in SCENARIOS),
             ("custom", ["--nf", "12"], 0),
             ("custom", ["--epsilon", "0.5"], 0),
+            ("saturation", ["--nf", "0"], 1),
+            ("custom", ["--nf", "30", "--nf", "0"], 1),
+            ("custom", ["--nf", "10", "--nf", "40"], 0),
         ],
     )
     def test_bit_flag_contract(self, capsys, scenario, bits, code):
-        """Exit 1 with one line for a bit flag the scenario does not take, or both flags."""
+        """Exit 1 with one line for a bit flag the scenario does not take, both flags, or a
+        budget below 1."""
         args = ["run", "--scenario", scenario, "--trials", "1", "--snr-max", "10", *bits]
         assert cli_main(args) == code
         err = capsys.readouterr().err
         assert len(err.splitlines()) == (0 if code == 0 else 1)
         if "--epsilon" in bits and "--nf" in bits:
             assert "exclude each other" in err
+
+    def test_budget_grid_by_flag_and_file(self, tmp_path, capsys):
+        """Repeated --nf flags, or a list under the nf key, set gap_vs_bits's budget grid."""
+        by_flags, by_file = tmp_path / "flags.csv", tmp_path / "file.csv"
+        args = ["run", "--scenario", "gap_vs_bits", "--trials", "2", "--out"]
+        assert cli_main([*args, str(by_flags), "--nf", "10", "--nf", "40"]) == 0
+        assert capsys.readouterr() == (f"wrote 6 rows to {by_flags}\n", "")
+        assert [r.nf_bits for r in read_csv(str(by_flags))] == [10, 40] * 3
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"nf": [10, 40]}))
+        assert cli_main([*args, str(by_file), "--config", str(cfg_file)]) == 0
+        assert by_file.read_bytes() == by_flags.read_bytes()
+
+    def test_one_budget_is_the_saturation_default(self, capsys):
+        """`saturation --nf 30` writes what `saturation` alone writes."""
+        args = ["run", "--scenario", "saturation", "--trials", "2", "--snr-max", "20"]
+        outputs = []
+        for extra in ([], ["--nf", "30"]):
+            assert cli_main([*args, *extra]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
 
     def test_bad_out_path(self, tmp_path, capsys):
         args, _ = _run_args(tmp_path)
@@ -444,21 +478,25 @@ class TestSlopes:
         assert captured.err.startswith("configuration error")
 
     def test_mixed_file_fits_only_snr_sweeps(self, tmp_path, capsys):
-        """`slopes` on saturation rows plus gap_vs_bits rows of the same curve prints what
-        `run` printed for the saturation rows alone; the grid rows lie in the fit window."""
-        sat, gap = tmp_path / "sat.csv", tmp_path / "gap.csv"
+        """`slopes` on saturation rows plus gap_vs_bits rows of another curve prints what
+        `run` printed for the saturation rows alone. Grid rows of the saturation curve
+        itself put several budgets at its SNRs, so that file has no slope and exits 1."""
+        sat = tmp_path / "sat.csv"
         common = ["--trials", "1", "--seed", "3", "--out"]
-        assert cli_main(["run", "--scenario", "gap_vs_bits", *common, str(gap)]) == 0
-        capsys.readouterr()
         sweep = ["--scenario", "saturation", "--snr-max", "30"]
         assert cli_main(["run", *sweep, *common, str(sat)]) == 0
         run_fits = capsys.readouterr().out.splitlines()[1:]
-        mixed = tmp_path / "mixed.csv"
-        mixed.write_text(sat.read_text() + "".join(gap.read_text().splitlines(True)[1:]))
-        assert cli_main(["slopes", str(mixed)]) == 0
-        assert capsys.readouterr().out.splitlines() == run_fits == [
-            line for line in run_fits if line.startswith("n_t=6 n_r=3 ")
-        ]
+        assert [line[:12] for line in run_fits] == ["n_t=6 n_r=3 "]
+        for n_r, code in (("2", 0), ("3", 1)):
+            gap, mixed = tmp_path / f"gap{n_r}.csv", tmp_path / f"mixed{n_r}.csv"
+            args = ["run", "--scenario", "gap_vs_bits", "--nr", n_r, *common, str(gap)]
+            assert cli_main(args) == 0
+            capsys.readouterr()
+            mixed.write_text(sat.read_text() + "".join(gap.read_text().splitlines(True)[1:]))
+            assert cli_main(["slopes", str(mixed)]) == code
+            captured = capsys.readouterr()
+            assert captured.out.splitlines() == (run_fits if code == 0 else [])
+            assert len(captured.err.splitlines()) == code
 
     def test_unknown_scenario_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

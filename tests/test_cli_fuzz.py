@@ -121,18 +121,44 @@ def _mostly_nothing(*extras):
     return _ODDS.flatmap(lambda garbage: extra if garbage else st.just([]))
 
 
+_RATES = st.lists(st.floats(-5.0, 50.0), min_size=4, max_size=4)
+
+
+def _row(n_r, snr, nf, rates) -> str:
+    """A results row of curve (2n, n, 1, n) with the given SNR, budget and four rate cells."""
+    return ",".join(map(str, ["slope", 2 * n_r, n_r, 1, n_r, snr, nf, *rates, 5]))
+
+
 @st.composite
 def _csv_row(draw):
     """A results row of curve (2n, n, 1, n), n 2 or 3, with random SNR and rates."""
     n_r = draw(st.sampled_from([2, 3]))
-    snr = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0]))
-    rates = draw(st.lists(st.floats(-5.0, 50.0), min_size=4, max_size=4))
-    cells = ["slope", 2 * n_r, n_r, 1, n_r, snr, 30, *rates, 5]
-    return ",".join(map(str, cells))
+    return _row(n_r, draw(st.sampled_from([0.0, 10.0, 20.0, 30.0])), 30, draw(_RATES))
+
+
+@st.composite
+def _sweep_rows(draw, clash=False):
+    """Rows of one curve at three to five distinct SNRs with one bit budget per SNR, some
+    points repeated, in any order; with `clash`, one more row puts a second budget at one
+    of the SNRs."""
+    n_r = draw(st.sampled_from([2, 3]))
+    snr_grid = st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0])
+    snrs = draw(st.lists(snr_grid, min_size=3, max_size=5, unique=True))
+    budgets = {snr: draw(st.integers(1, 200)) for snr in snrs}
+    points = snrs + draw(st.lists(st.sampled_from(snrs), max_size=3))
+    rows = [_row(n_r, snr, budgets[snr], draw(_RATES)) for snr in points]
+    if clash:
+        snr = draw(st.sampled_from(snrs))
+        rows.append(_row(n_r, snr, budgets[snr] + draw(st.integers(1, 50)), draw(_RATES)))
+    return draw(st.permutations(rows))
 
 
 def _garbage_row():
     return st.lists(_GARBAGE, min_size=10, max_size=13).map(",".join)
+
+
+def _results_file(rows) -> bytes:
+    return "\n".join([CSV_HEADER, *rows]).encode()
 
 
 class TestFuzz:
@@ -175,19 +201,31 @@ class TestFuzz:
 
     @_SETTINGS
     @given(
+        # (file content, the exit code it must give, or None for any)
         content=st.one_of(
-            st.binary(max_size=60),
-            st.lists(_ODDS.flatmap(lambda bad: _garbage_row() if bad else _csv_row()), max_size=10)
-            .map(lambda rows: "\n".join([CSV_HEADER] + rows).encode()),
+            st.tuples(st.binary(max_size=60), st.none()),
+            st.tuples(
+                st.lists(
+                    _ODDS.flatmap(lambda bad: _garbage_row() if bad else _csv_row()), max_size=10
+                ).map(_results_file),
+                st.none(),
+            ),
+            st.tuples(_sweep_rows().map(_results_file), st.just(0)),
+            st.tuples(_sweep_rows(clash=True).map(_results_file), st.just(1)),
         ),
-        where=st.sampled_from(["file", "missing", "directory"]),
+        where=st.sampled_from(["file", "file", "missing", "directory"]),
     )
     def test_slopes_files(self, tmp_path_factory, content, where):
-        work = tmp_path_factory.mktemp("slopes")
+        """Any file exits 0, 1 or 2 with at most one stderr line. A clean sweep of one curve
+        prints its one fit with nothing on stderr; two budgets at one SNR exit 1."""
+        (content, expected), work = content, tmp_path_factory.mktemp("slopes")
         path = work / "rows.csv"
         if where == "file":
             path.write_bytes(content)
         elif where == "directory":
             path.mkdir()
-        code, _, err = _call(["slopes", str(path)], work)
+        code, out, err = _call(["slopes", str(path)], work)
         _check(code, err)
+        if where == "file" and expected is not None:
+            assert code == expected, err
+            assert len(out.splitlines()) == 1 - code

@@ -30,7 +30,12 @@ from secmimo.harness import (
     scenario_config,
     write_csv,
 )
-from secmimo.linalg import random_gaussian_matrix, random_truncated_unitary
+from secmimo.linalg import (
+    complex_gaussian,
+    haar_columns,
+    random_gaussian_matrix,
+    random_truncated_unitary,
+)
 from secmimo.rates import (
     fit_slope,
     grams_rate,
@@ -44,6 +49,7 @@ from secmimo.transceiver import (
     PowerPolicy,
     rx_postfilter,
     sample_channels,
+    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
@@ -60,14 +66,14 @@ class TestConfig:
         cfg = scenario_config("slope")
         assert cfg.rho == 0.5
         assert cfg.trials == 500
-        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (0.0, None, None)
+        assert (cfg.epsilon, cfg.nf_grid) == (0.0, None)
         assert [a.n_r for a in cfg.antenna_configs] == [2, 3, 4]
         for a in cfg.antenna_configs:
             assert a.n_t == 2 * a.n_r and a.n_j == 1 and a.n_e == a.n_r
 
     def test_saturation_defaults(self):
         cfg = scenario_config("saturation")
-        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (None, 30, None)
+        assert (cfg.epsilon, cfg.nf_grid) == (None, (30,))
         assert [a.n_r for a in cfg.antenna_configs] == [3]
 
     def test_gap_defaults(self):
@@ -96,7 +102,7 @@ class TestConfig:
         bad = ExperimentConfig(
             scenario="slope",
             antenna_configs=cfg.antenna_configs,
-            nf=30,
+            nf_grid=(30,),
         )
         with pytest.raises(ConfigError):
             bad.validate()
@@ -144,12 +150,10 @@ class TestConfig:
         "cfg",
         [
             scenario_config("gap_vs_bits", epsilon=4.0, trials=1),
-            scenario_config("gap_vs_bits", nf=20, trials=1),
             scenario_config("slope", [2], nf_grid=(5,), trials=1),
             scenario_config("saturation", epsilon=0.0, trials=1),
-            scenario_config("custom", nf_grid=(5,), trials=1),
         ],
-        ids=["gap-scaled", "gap-fixed", "slope-grid", "saturation-scaled", "custom-grid"],
+        ids=["gap-scaled", "slope-grid", "saturation-scaled"],
     )
     def test_unaccepted_bit_source_is_rejected(self, cfg):
         """A bit source the scenario would not use fails, where the parent ran without it."""
@@ -157,15 +161,29 @@ class TestConfig:
             run_experiment(cfg)
 
     @pytest.mark.parametrize(
+        "cfg",
+        [
+            scenario_config("gap_vs_bits", nf_grid=(20,), trials=1),
+            scenario_config("custom", nf_grid=(5,), trials=1),
+            scenario_config("custom", nf_grid=(40, 5), trials=1),
+            scenario_config("saturation", nf_grid=(10, 30), trials=1),
+        ],
+        ids=["gap-fixed", "custom-grid", "custom-two", "saturation-two"],
+    )
+    def test_fixed_budgets_are_one_grid(self, cfg):
+        """Every scenario with fixed bits takes any budget grid, one budget included,
+        and sweeps it in order at every SNR."""
+        points = cfg.validate()[0]
+        assert [nf for _, nf, _ in points] == list(cfg.nf_grid) * (len(points) // len(cfg.nf_grid))
+
+    @pytest.mark.parametrize(
         "bits",
         [
-            dict(nf=12, nf_grid=(10, 20)),
-            dict(epsilon=0.0, nf_grid=(10,)),
+            dict(epsilon=0.0, nf_grid=(10, 20)),
             {},
-            dict(epsilon=0.0, nf=12),
-            dict(epsilon=0.0, nf=12, nf_grid=(10,)),
+            dict(epsilon=0.0, nf_grid=(12,)),
         ],
-        ids=["fixed-and-grid", "scaled-and-grid", "none", "scaled-and-fixed", "all"],
+        ids=["scaled-and-grid", "none", "scaled-and-fixed"],
     )
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_exactly_one_bit_source(self, scenario, bits):
@@ -177,12 +195,12 @@ class TestConfig:
         assert ("exclude each other" in str(info.value)) == (len(bits) > 1)
 
     def test_bit_override_replaces_default_source(self):
-        cfg = scenario_config("custom", nf=12)
-        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (None, 12, None)
+        cfg = scenario_config("custom", nf_grid=(12,))
+        assert (cfg.epsilon, cfg.nf_grid) == (None, (12,))
         cfg = scenario_config("gap_vs_bits", nf_grid=(10, 20))
-        assert (cfg.epsilon, cfg.nf) == (None, None) and (cfg.snr_min, cfg.snr_max) == (10.0, 30.0)
+        assert cfg.nf_grid == (10, 20) and (cfg.snr_min, cfg.snr_max) == (10.0, 30.0)
         cfg = scenario_config("saturation", epsilon=0.5)
-        assert (cfg.epsilon, cfg.nf, cfg.nf_grid) == (0.5, None, None)
+        assert (cfg.epsilon, cfg.nf_grid) == (0.5, None)
 
     @pytest.mark.parametrize("grid", [(), (10, 0), (-5,)])
     def test_validation_rejects_bad_bit_grid(self, grid):
@@ -195,32 +213,37 @@ class TestConfig:
             ("gap_vs_bits", dict(nf_grid=(10.7, 20))),
             ("gap_vs_bits", dict(nf_grid=(True, 20))),
             ("gap_vs_bits", dict(nf_grid=(10, 20.0))),
-            ("custom", dict(nf=12.9)),
-            ("custom", dict(nf=True)),
-            ("saturation", dict(nf=30.0)),
-            ("saturation", dict(nf=0)),
-            ("saturation", dict(nf=-3)),
+            ("custom", dict(nf_grid=(12.9,))),
+            ("custom", dict(nf_grid=(True,))),
+            ("saturation", dict(nf_grid=(30.0,))),
+            ("saturation", dict(nf_grid=(0,))),
+            ("saturation", dict(nf_grid=(-3,))),
         ],
         ids=["grid-float", "grid-bool", "grid-integral-float", "nf-float", "nf-bool",
              "nf-integral-float", "nf-zero", "nf-negative"],
     )
     def test_bit_budgets_must_be_integers(self, scenario, bits):
-        """A float or bool budget fails instead of being truncated, as is a budget below 1."""
-        with pytest.raises(ConfigError, match=f"^{next(iter(bits))} needs integer bit budgets"):
+        """A float or bool budget fails instead of being truncated, as is a budget below 1,
+        in a grid of several budgets or of one (nf-*, what one `--nf` gives)."""
+        with pytest.raises(ConfigError, match="^nf_grid needs integer bit budgets"):
             scenario_config(scenario, trials=1, **bits).validate()
 
     def test_numpy_integer_budgets_accepted(self):
         plain = scenario_config("gap_vs_bits", trials=1, seed=2, nf_grid=(10, 20))
         numpy = replace(plain, nf_grid=(np.int64(10), np.int32(20)))
         assert render_csv(run_experiment(numpy)) == render_csv(run_experiment(plain))
-        cfg = scenario_config("saturation", trials=1, nf=np.int64(30))
+        cfg = scenario_config("saturation", trials=1, nf_grid=(np.int64(30),))
         assert cfg.validate() == scenario_config("saturation", trials=1).validate()
 
     def test_run_flags_are_config_fields(self):
-        """Every `run` flag but --nr, --out and --config sets the config field of its name."""
+        """Every `run` flag but --nr, --nf, --out and --config sets the config field of its
+        name; --nf fills nf_grid."""
         flags = set(build_parser().parse_args(["run"]).config_keys) - {"nr", "out"}
-        assert flags == {f.name for f in fields(ExperimentConfig)} - {"antenna_configs", "nf_grid"}
-        assert set(BIT_SOURCES) - flags == {"nf_grid"}
+        assert flags - {"nf"} == {f.name for f in fields(ExperimentConfig)} - {
+            "antenna_configs",
+            "nf_grid",
+        }
+        assert set(BIT_SOURCES) - flags == {"nf_grid"} and "nf" in flags
 
 
 # The JSON kinds each ExperimentConfig field admits: a float field also takes
@@ -235,7 +258,6 @@ _ADMITTED_KINDS = {
     "seed": {"integer"},
     "rho": {"number", "integer"},
     "epsilon": {"number", "integer", "null"},
-    "nf": {"integer", "null"},
     "nf_grid": {"array", "null"},
 }
 _JSON_KINDS = {
@@ -311,11 +333,10 @@ class TestPoints:
         assert pts[0] == (0.0, 1, 1.0)
 
     def test_fixed_ignores_power(self):
-        """A fixed nf is a one-element grid: 30 bits at every SNR."""
-        cfg = scenario_config("custom", [2], nf=30)
+        """A one-budget grid gives 30 bits at every SNR."""
+        cfg = scenario_config("custom", [2], nf_grid=(30,))
         pts = _curve_points(cfg, cfg.antenna_configs[0])
         assert pts == [(5.0 * i, 30, 10.0 ** (5.0 * i / 10.0)) for i in range(13)]
-        assert pts == _curve_points(replace(cfg, nf=None, nf_grid=(30,)), cfg.antenna_configs[0])
 
     def test_gap_grid_is_cartesian(self):
         cfg = scenario_config("gap_vs_bits", trials=1, nf_grid=(10, 20))
@@ -527,6 +548,41 @@ class TestBlockLinearAlgebra:
         assert calls == dict.fromkeys(per_trial, 3) | dict.fromkeys(per_block, 20) | steps
 
 
+class TestReceiverDesignInvariance:
+    """The rates do not depend on the receiver design matrix B; the leakage does.
+
+    G is an invertible d_s x d_s filter, so it cancels in both log-det ratios,
+    while the leakage is the AN power after the trial's post-filter.
+    """
+
+    @pytest.mark.parametrize(
+        "acfg", [AntennaConfig(8, 4, 1, 4), AntennaConfig(5, 3, 1, 2)], ids=["8414", "5312"]
+    )
+    def test_redrawn_b_keeps_every_rate(self, monkeypatch, acfg):
+        # targets 0.9, 0.3 and 0.01, each at three powers
+        targets = np.repeat([0.9, 0.3, 0.01], 3)
+        policy = PowerPolicy(P=np.tile([1e1, 1e3, 1e6], 3), rho=0.5)
+
+        def chunk():
+            rngs = [harness._trial_rng(31, 0, t) for t in range(40)]
+            return harness._run_trials(acfg, policy, targets, rngs, 8)
+
+        base = chunk()
+        other = np.random.default_rng(32)
+
+        def other_b(config, rngs):
+            channels, b = sample_trials(config, rngs)
+            parts = other.standard_normal((*b.shape[:-2], 2, *b.shape[-2:]))
+            return channels, haar_columns(complex_gaussian(parts))
+
+        monkeypatch.setattr(harness, "sample_trials", other_b)
+        redrawn = chunk()
+        rates, again = base[..., :4], redrawn[..., :4]
+        assert np.all(np.abs(again - rates) <= 1e-9 * np.maximum(1.0, np.abs(rates)))
+        leak, leak_again = base[..., 4], redrawn[..., 4]
+        assert np.any(np.abs(leak_again - leak) > 0.01 * leak)
+
+
 class TestReplayableFailure:
     def test_names_first_failing_trial(self, degenerate_trials):
         cfg = _small_cfg(trials=11)
@@ -651,11 +707,22 @@ class TestSlopesFromRows:
         assert fits[(4, 2, 1, 2)]["perfect"] == pytest.approx(2.0, abs=1e-12)
         assert fits[(4, 2, 1, 2)]["quantized"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_unknown_scenario_is_config_error(self):
-        rows = [ResultRow("slope", 4, 2, 1, 2, 10.0, 14, 1.0, 0.5, 0.5, 0.0, 5)]
-        rows.append(replace(rows[0], scenario="jammer", snr_db=20.0))
-        with pytest.raises(ConfigError, match="^unknown scenario 'jammer'"):
-            fitted_slopes_from_rows(rows)
+    def test_two_budgets_at_one_snr_have_no_slope(self):
+        """A curve is left out when it holds two budgets at one SNR, whatever its scenario;
+        rows of one budget at one SNR average (here exactly, as the values are exact)."""
+        line = [
+            ResultRow("gap_vs_bits", 4, 2, 1, 2, snr, 10, snr / 4, snr / 8, 0, 0, 5)
+            for snr in (10.0, 20.0, 30.0)
+        ]
+        fits = fitted_slopes_from_rows(line)
+        assert list(fits) == [(4, 2, 1, 2)]
+        assert fits[(4, 2, 1, 2)]["perfect"] == pytest.approx(10 / (4 * np.log2(10)), rel=1e-12)
+        low, high = (replace(line[1], r_perfect_mean=line[1].r_perfect_mean + d) for d in (-1, 1))
+        assert fitted_slopes_from_rows([line[0], low, line[2], high]) == fits
+        other = [replace(r, n_t=6, n_r=3, n_e=3) for r in line]
+        two = line + [replace(line[1], nf_bits=20)]
+        assert fitted_slopes_from_rows(two) == {}
+        assert list(fitted_slopes_from_rows(two + other)) == [(6, 3, 1, 3)]
 
 
     def test_bitwise_equal_to_row_loop(self):
@@ -704,8 +771,10 @@ class TestSlopeParity:
             ("saturation", None, {}),
             # the top 20 dB holds two points, so the fit widens to the sweep
             ("slope", [2], dict(snr_min=0.0, snr_max=60.0, snr_step=15.0)),
+            # one fixed budget at each of 10, 20 and 30 dB
+            ("gap_vs_bits", None, dict(nf_grid=(40,))),
         ],
-        ids=["slope", "saturation", "widened"],
+        ids=["slope", "saturation", "widened", "one-budget-grid"],
     )
     def test_run_matches_rows(self, scenario, n_rs, sweep):
         result = run_experiment(scenario_config(scenario, n_rs, trials=2, seed=5, **sweep))
@@ -719,14 +788,15 @@ class TestSlopeParity:
         assert fitted_slopes_from_rows(result.rows) == {}
 
     def test_mixed_rows_fit_only_snr_sweeps(self):
-        """Grid rows of the same curve, inside its fit window, leave its slope unchanged."""
+        """Grid rows of another curve leave a sweep's slope unchanged; grid rows of the same
+        curve put several budgets at its SNRs, so that curve has no slope."""
         sweep = scenario_config("saturation", trials=2, seed=5, snr_max=30.0)
         slope = run_experiment(sweep).rows
-        gap = run_experiment(scenario_config("gap_vs_bits", trials=2, seed=5)).rows
-        assert slope[0].n_r == gap[0].n_r
         fits = fitted_slopes_from_rows(slope)
-        assert fitted_slopes_from_rows(gap + slope) == fits
         assert list(fits) == [(6, 3, 1, 3)]
+        for n_r, expected in ((2, fits), (3, {})):
+            gap = run_experiment(scenario_config("gap_vs_bits", [n_r], trials=2, seed=5)).rows
+            assert fitted_slopes_from_rows(gap + slope) == expected
 
 
 class TestExperimentOutputs:

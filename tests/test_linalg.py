@@ -191,10 +191,10 @@ class TestRandomEnsembles:
 
 class TestGaussianMi:
     def test_scalar_awgn(self):
-        assert gaussian_mi(np.eye(1), np.eye(1), None, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert gaussian_mi(np.eye(1), np.eye(1), None) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_channel(self):
-        assert gaussian_mi(np.zeros((2, 3)), np.eye(3), None, 1.0) == pytest.approx(
+        assert gaussian_mi(np.zeros((2, 3)), np.eye(3), None) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -205,26 +205,26 @@ class TestGaussianMi:
         m = random_gaussian_matrix(2, 2, rng)
         s_int = hermitian_part(m @ m.conj().T)
         direct = logdet_pd(
-            hermitian_part(h @ k @ h.conj().T) + s_int + 0.5 * np.eye(2)
-        ) - logdet_pd(s_int + 0.5 * np.eye(2))
-        assert gaussian_mi(h, k, s_int, 0.5) == pytest.approx(direct, abs=1e-9)
+            hermitian_part(h @ k @ h.conj().T) + s_int + np.eye(2)
+        ) - logdet_pd(s_int + np.eye(2))
+        assert gaussian_mi(h, k, s_int) == pytest.approx(direct, abs=1e-9)
 
     def test_nonnegative_and_monotone(self):
         rng = np.random.default_rng(17)
         h = random_gaussian_matrix(3, 2, rng)
         prev = 0.0
         for scale in (0.1, 1.0, 10.0, 100.0):
-            mi = gaussian_mi(h, scale * np.eye(2), None, 1.0)
+            mi = gaussian_mi(h, scale * np.eye(2), None)
             assert mi >= prev - 1e-12
             prev = mi
 
     def test_non_psd_interference_rejected(self):
         with pytest.raises(NumericalError):
-            gaussian_mi(np.eye(2), np.eye(2), np.diag([1.0, -1.0]), 1.0)
+            gaussian_mi(np.eye(2), np.eye(2), np.diag([1.0, -1.0]))
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):
-            gaussian_mi(np.eye(2), np.eye(3), None, 1.0)
+            gaussian_mi(np.eye(2), np.eye(3), None)
 
     @staticmethod
     def _stack(rng):
@@ -237,12 +237,12 @@ class TestGaussianMi:
 
     def test_stack_matches_each_matrix(self):
         h, k, s_int = self._stack(np.random.default_rng(18))
-        got = gaussian_mi(h, k, s_int, 0.7)
+        got = gaussian_mi(h, k, s_int)
         assert got.shape == (3,)
         for i in range(3):
-            assert got[i] == gaussian_mi(h[i], k[i], s_int[i], 0.7)
+            assert got[i] == gaussian_mi(h[i], k[i], s_int[i])
         np.testing.assert_array_equal(
-            gaussian_mi(h, k[0], None, 0.7), [gaussian_mi(x, k[0], None, 0.7) for x in h]
+            gaussian_mi(h, k[0]), [gaussian_mi(x, k[0]) for x in h]
         )
 
     @pytest.mark.parametrize(
@@ -260,12 +260,7 @@ class TestGaussianMi:
         args = list(self._stack(np.random.default_rng(19)))
         args[arg][index] = value
         with pytest.raises(error):
-            gaussian_mi(*args, 0.7)
-
-    @pytest.mark.parametrize("noise", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_noise_variance_fails_the_stack(self, noise):
-        with pytest.raises(InvalidInputError):
-            gaussian_mi(*self._stack(np.random.default_rng(20)), noise)
+            gaussian_mi(*args)
 
     def test_stack_shape_mismatch(self):
         h, k, s_int = self._stack(np.random.default_rng(21))

@@ -102,12 +102,11 @@ class TestPerfectBasic:
         an = policy.an_cov_scale(4, 2)
         he_s = ch.He @ vh[:2].conj().T
         he_an = ch.He @ vh[2:].conj().T
-        mi_rx = gaussian_mi(h_eff, policy.rho * per_stream * np.eye(2), None, 1.0)
+        mi_rx = gaussian_mi(h_eff, policy.rho * per_stream * np.eye(2), None)
         mi_eve = gaussian_mi(
             he_s,
             policy.rho * per_stream * np.eye(2),
             an * (he_an @ he_an.conj().T),
-            1.0,
         )
         assert rate.raw == pytest.approx(mi_rx - mi_eve, abs=1e-9)
 
@@ -299,8 +298,8 @@ class TestSecrecyRateSweep:
         an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
         vh = filters.V.conj().T @ ch.Hd
         leak, e2 = vh @ prec.W2, ch.He @ prec.W2
-        mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T), 1.0)
-        mi_minus = gaussian_mi(ch.He @ prec.W1, signal_cov, an * (e2 @ e2.conj().T), 1.0)
+        mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T))
+        mi_minus = gaussian_mi(ch.He @ prec.W1, signal_cov, an * (e2 @ e2.conj().T))
         assert rate.t_plus == pytest.approx(mi_plus, rel=1e-9, abs=1e-9)
         assert rate.t_minus == pytest.approx(mi_minus, rel=1e-9, abs=1e-9)
 

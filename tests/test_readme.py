@@ -7,7 +7,7 @@ from pathlib import Path
 
 import secmimo
 from secmimo.cli import build_parser
-from secmimo.harness import CSV_HEADER, SCENARIO_TABLE, SCENARIOS, scenario_config
+from secmimo.harness import BIT_SOURCES, CSV_HEADER, SCENARIO_TABLE, SCENARIOS, scenario_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {
@@ -74,16 +74,30 @@ def _scenario_rows() -> dict:
     }
 
 
+# The ExperimentConfig field each bit flag sets.
+_BIT_FIELDS = {"epsilon": "epsilon", "nf": "nf_grid"}
+
+
+def _budgets(text: str) -> tuple:
+    """Bit budgets written as one number, "30", or as a range, "10 to 100 by 10"."""
+    lo, hi, step = re.fullmatch(r"(\d+)(?: to (\d+) by (\d+))?", text).groups()
+    return tuple(range(int(lo), int(hi or lo) + 1, int(step or 1)))
+
+
 def test_scenario_table_matches_code():
-    """Each README row gives its scenario's default curves, SNR grid and bit flags."""
+    """Each README row gives its scenario's default curves, SNR grid and bit flags, each
+    flag with the default of the field it sets."""
     rows = _scenario_rows()
     assert list(rows) == list(SCENARIO_TABLE)
-    bit_flags = build_parser().parse_args(["run"]).config_keys
+    assert set(_BIT_FIELDS) <= set(build_parser().parse_args(["run"]).config_keys)
+    assert sorted(_BIT_FIELDS.values()) == sorted(BIT_SOURCES)
     for name, (n_rs, grid, bits) in rows.items():
         row, cfg = SCENARIO_TABLE[name], scenario_config(name)
         assert n_rs == row.n_rs, name
         assert grid == (cfg.snr_min, cfg.snr_max, cfg.snr_step), name
-        flags = dict(re.findall(r"`--(\w+)`(?: \((\S+)\))?", bits))
-        assert set(flags) == {s for s in row.sources if s in bit_flags}, name
-        for flag, default in flags.items():
-            assert (float(default) if default else None) == row.defaults.get(flag), (name, flag)
+        flags = re.findall(r"`--(\w+)`(?: \(([^)]+)\))?", bits)
+        defaults = {_BIT_FIELDS[flag]: default for flag, default in flags}
+        assert set(defaults) == set(row.sources), name
+        for field, default in defaults.items():
+            parse = float if field == "epsilon" else _budgets
+            assert (parse(default) if default else None) == row.defaults.get(field), (name, field)
