@@ -28,7 +28,6 @@ from .grassmann import (
 )
 from .harness import (
     ExperimentConfig,
-    ExperimentResult,
     ResultRow,
     read_csv,
     run_experiment,

@@ -87,11 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_keys(run_parser: argparse.ArgumentParser) -> tuple:
     """Config-file keys: the dest of each `run` flag but --config."""
-    return tuple(
-        action.dest
-        for action in run_parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    )
+    return tuple(key for key in vars(run_parser.parse_args([])) if key != "config")
 
 
 def _load_config_file(path: str, keys: tuple) -> dict:
@@ -143,13 +139,13 @@ def _cmd_run(args) -> int:
     except InvalidInputError as exc:
         # raised by the antenna-config constructor
         raise ConfigError(str(exc)) from exc
-    result = run_experiment(cfg)
+    rows = run_experiment(cfg)
     if out:
-        write_csv(result, out)
-        print(f"wrote {len(result.rows)} rows to {out}")
-        _print_slopes(result.slopes)
+        write_csv(rows, out)
+        print(f"wrote {len(rows)} rows to {out}")
+        _print_slopes(fitted_slopes_from_rows(rows))
     else:
-        sys.stdout.write(render_csv(result))
+        sys.stdout.write(render_csv(rows))
     return 0
 
 
@@ -185,12 +181,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_slopes(args) -> int:
-    try:
-        fits = fitted_slopes_from_rows(read_csv(args.csv))
-    except InvalidInputError as exc:
-        raise ConfigError(f"{args.csv}: {exc}") from exc
+    fits = fitted_slopes_from_rows(read_csv(args.csv))
     if not fits:
-        raise ConfigError(f"{args.csv} holds no rows of an SNR sweep to fit")
+        raise ConfigError(f"{args.csv} holds no curve of three or more SNRs, one bit budget each")
     _print_slopes(fits)
     return 0
 

@@ -211,14 +211,6 @@ _FLOAT_COLUMNS = [name for name, kind in _COLUMNS.items() if kind is float]
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-@dataclass
-class ExperimentResult:
-    """Aggregated rows plus fitted high-SNR slopes per antenna curve."""
-
-    rows: list
-    slopes: dict
-
-
 def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[float, int, float]]:
     """Ordered (snr_db, nf_bits, power) operating points for one curve, power 10^(snr_db / 10)."""
     n = int(math.floor((cfg.snr_max - cfg.snr_min) / cfg.snr_step + 1e-9)) + 1
@@ -301,8 +293,8 @@ def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the configured Monte Carlo experiment.
+def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
+    """Run the configured Monte Carlo experiment; return one row per operating point.
 
     Per-trial RNG streams derive from (seed, curve, trial), so reruns with
     the same configuration produce identical results. Aggregation averages
@@ -329,19 +321,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                     trials=cfg.trials,
                 )
             )
-    # a sweep of fewer than three points has no slope to fit
-    slopes = fitted_slopes_from_rows(rows) if len(curves[0]) >= 3 else {}
-    return ExperimentResult(rows=rows, slopes=slopes)
+    return rows
 
 
-def render_csv(result: ExperimentResult) -> str:
+def render_csv(rows: list[ResultRow]) -> str:
     """CSV text for the aggregated rows, sorted by (n_r, snr_db).
 
     Columns declared float are written at 9 significant digits, a negative
     zero as 0, the others with str, whatever the runtime type of the value.
     """
     lines = [CSV_HEADER]
-    for r in sorted(result.rows, key=lambda r: (r.n_r, r.snr_db)):
+    for r in sorted(rows, key=lambda r: (r.n_r, r.snr_db)):
         cells = ((getattr(r, name), kind) for name, kind in _COLUMNS.items())
         lines.append(
             ",".join(format(float(v) + 0, ".9g") if kind is float else str(v) for v, kind in cells)
@@ -349,13 +339,13 @@ def render_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(result: ExperimentResult, path: str) -> None:
+def write_csv(rows: list[ResultRow], path: str) -> None:
     """Write aggregated rows, sorted by (n_r, snr_db), floats at 9 digits.
 
     The text goes to a temporary file beside `path` that then replaces it,
     so a failed write keeps any earlier file whole and leaves no partial one.
     """
-    text = render_csv(result)
+    text = render_csv(rows)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
@@ -396,9 +386,10 @@ def read_csv(path: str) -> list[ResultRow]:
 def fitted_slopes_from_rows(rows) -> dict:
     """Fit per-curve SDoF slopes from result rows (duplicate points averaged).
 
-    A curve with two bit budgets at one SNR has no slope. Rows sharing a curve,
-    an SNR and a budget are summed in row order and divided by their count.
-    Each curve is fitted over :func:`fit_slope`'s default window.
+    This alone decides which curves have a slope: those with three SNRs or
+    more and one bit budget at each. Rows sharing a curve, an SNR and a
+    budget are summed in row order and divided by their count. Each curve is
+    fitted over :func:`fit_slope`'s default window.
     """
     curves: dict = {}
     for r in rows:
@@ -411,7 +402,7 @@ def fitted_slopes_from_rows(rows) -> dict:
     for key, by_point in sorted(curves.items()):
         snrs = [snr for snr, _ in sorted(by_point)]
         sums = [by_point[point] for point in sorted(by_point)]
-        if len(set(snrs)) == len(snrs):  # one budget per SNR
+        if len(set(snrs)) == len(snrs) >= 3:
             out[key] = {
                 "perfect": fit_slope(snrs, [p / n for p, _, n in sums]).slope,
                 "quantized": fit_slope(snrs, [q / n for _, q, n in sums]).slope,

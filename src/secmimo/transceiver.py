@@ -29,6 +29,7 @@ from .errors import InvalidInputError, NumericalError
 from .grassmann import perturb_basis, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
+    RANK_RTOL,
     adjoint,
     as_stack,
     complex_gaussian,
@@ -215,7 +216,7 @@ def tx_precoders_perfect(Hd) -> Precoders:
     if n_t <= n_r:
         raise InvalidInputError(f"need n_t > n_r for an artificial-noise nullspace, got {hd.shape}")
     _, s, vh = np.linalg.svd(hd, full_matrices=True)
-    if np.any(s[..., -1] < 1e-12 * s[..., 0]):
+    if np.any(s[..., -1] < RANK_RTOL * s[..., 0]):
         raise NumericalError("rank-deficient direct channel")
     v = adjoint(vh)
     return Precoders(W1=v[..., :, :n_r], W2=v[..., :, n_r:])

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import harness
 from .grassmann import (
+    PERTURB_TOL,
     chordal_distance,
     feedback_bits,
     perturb_gram,
@@ -25,6 +26,7 @@ from .grassmann import (
 )
 from .linalg import (
     LOG2_E,
+    ORTHO_TOL,
     adjoint,
     complex_gaussian,
     gaussian_mi,
@@ -53,8 +55,6 @@ from .transceiver import (
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
-
-NULLING_TOL = 1e-10
 
 # Small systems used for randomized instance checks.
 SMALL_CONFIGS = (
@@ -139,7 +139,7 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
         )
         worst.append(np.max([np.linalg.norm(m, axis=(-2, -1)) for m in products], axis=0))
     worst = np.concatenate(worst)
-    failures = int(np.count_nonzero(~(worst < NULLING_TOL)))
+    failures = int(np.count_nonzero(~(worst < ORTHO_TOL)))
     return SuiteResult("orthogonality", trials, failures, f"worst norm {worst.max():.3e}")
 
 
@@ -335,7 +335,7 @@ def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
         achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(filters.F, w1)
         errors.append(np.max(np.abs(np.subtract(achieved, target)), axis=0))
     worst = np.concatenate(errors)
-    failures = int(np.count_nonzero(~(worst <= 1e-6)))
+    failures = int(np.count_nonzero(~(worst <= PERTURB_TOL)))
     return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst.max():.3e}")
 
 

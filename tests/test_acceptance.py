@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from secmimo import harness
-from secmimo.harness import render_csv, run_experiment, scenario_config
+from secmimo.harness import fitted_slopes_from_rows, render_csv, run_experiment, scenario_config
 from secmimo.rates import fit_slope
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
 from secmimo.verification import (
@@ -45,7 +45,7 @@ def test_criterion_1_sdof_slopes(slope_result):
     ok = True
     details = []
     for n_r, d_s in ((2, 1), (3, 2), (4, 3)):
-        fit = slope_result.slopes[(2 * n_r, n_r, 1, n_r)]
+        fit = fitted_slopes_from_rows(slope_result)[(2 * n_r, n_r, 1, n_r)]
         details.append(
             f"n_r={n_r}: perfect {fit['perfect']:.3f}, quantized {fit['quantized']:.3f} "
             f"(target {d_s})"
@@ -67,8 +67,8 @@ def test_criterion_2_vanishing_gap():
         snr_max=60.0,
         snr_step=10.0,
     )
-    res = run_experiment(cfg)
-    gaps = {row.snr_db: row.gap_mean for row in res.rows}
+    rows = run_experiment(cfg)
+    gaps = {row.snr_db: row.gap_mean for row in rows}
     ok = gaps[60.0] < gaps[20.0] and gaps[60.0] < 0.25
     _report(
         "criterion-2 vanishing-gap",
@@ -81,8 +81,7 @@ def test_criterion_2_vanishing_gap():
 def test_criterion_3_saturation():
     """Fixed 30 bits: quantized slope < 0.3 while perfect stays near 2."""
     cfg = scenario_config("saturation", trials=200, seed=ACCEPT_SEED + 2)
-    res = run_experiment(cfg)
-    fit = res.slopes[(6, 3, 1, 3)]
+    fit = fitted_slopes_from_rows(run_experiment(cfg))[(6, 3, 1, 3)]
     ok = fit["quantized"] < 0.3 and abs(fit["perfect"] - 2.0) <= 0.15
     _report(
         "criterion-3 saturation",
@@ -100,9 +99,8 @@ def test_criterion_4_gap_vs_bits():
         seed=ACCEPT_SEED + 3,
         nf_grid=(10, 30, 50, 70, 90),
     )
-    res = run_experiment(cfg)
     by_snr: dict = {}
-    for row in res.rows:
+    for row in run_experiment(cfg):
         by_snr.setdefault(row.snr_db, {})[row.nf_bits] = row.gap_mean
     ok = True
     for snr, gaps in sorted(by_snr.items()):
@@ -202,9 +200,9 @@ def test_criterion_9_determinism(monkeypatch):
     assert ok
 
 
-def _gap_slope(result) -> float:
+def _gap_slope(rows) -> float:
     """Slope of the n_r = 4 curve's mean raw gap (perfect - quantized) over 40-60 dB."""
-    rows = [row for row in result.rows if row.n_r == 4]
+    rows = [row for row in rows if row.n_r == 4]
     return fit_slope([r.snr_db for r in rows], [r.gap_mean for r in rows], (40.0, 60.0)).slope
 
 
@@ -246,7 +244,7 @@ def _decay_slopes() -> dict:
     result = run_experiment(cfg)
     slopes = {}
     for n_r in (2, 3, 4):
-        rows = [row for row in result.rows if row.n_r == n_r]
+        rows = [row for row in result if row.n_r == n_r]
         for column in ("gap_mean", "leakage_mean"):
             means = np.array([getattr(row, column) for row in rows])
             slopes[(n_r, column)] = (

@@ -16,7 +16,6 @@ from secmimo.errors import ConfigError, InvalidInputError, NumericalError
 from secmimo.harness import (
     CSV_HEADER,
     SCENARIOS,
-    ExperimentResult,
     ResultRow,
     read_csv,
     write_csv,
@@ -414,22 +413,61 @@ class TestVerify:
         assert "[FAIL]" not in out
 
 
+def _line_rows(n_r, snrs):
+    """Rows of curve (2 n_r, n_r, 1, n_r) at `snrs`, both rates 2 log2 P + 3."""
+    rows = []
+    for snr in snrs:
+        log2p = snr * np.log2(10.0) / 10.0
+        rows.append(
+            ResultRow(
+                "custom", 2 * n_r, n_r, 1, n_r, snr, 10, 2 * log2p + 3, 2 * log2p + 3, 0, 0, 5
+            )
+        )
+    return rows
+
+
 class TestSlopes:
     def test_synthetic_line(self, tmp_path, capsys):
-        rows = []
-        for snr in (10.0, 20.0, 30.0, 40.0):
-            log2p = snr * np.log2(10.0) / 10.0
-            rows.append(
-                ResultRow(
-                    "custom", 4, 2, 1, 2, snr, 10, 2 * log2p + 3, 2 * log2p + 3, 0, 0, 5
-                )
-            )
         path = tmp_path / "line.csv"
-        write_csv(ExperimentResult(rows=rows, slopes={}), str(path))
+        write_csv(_line_rows(2, (10.0, 20.0, 30.0, 40.0)), str(path))
         assert cli_main(["slopes", str(path)]) == 0
         out = capsys.readouterr().out
         assert "2.000" in out
         assert "n_r=2" in out
+
+    def test_short_curve_beside_a_sweep(self, tmp_path, capsys):
+        """A curve of two SNRs has no slope, and the 4-SNR curve beside it keeps its fit."""
+        path = tmp_path / "mixed.csv"
+        write_csv(_line_rows(2, (10.0, 20.0, 30.0, 40.0)) + _line_rows(3, (10.0, 20.0)), str(path))
+        assert cli_main(["slopes", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "n_t=4 n_r=2 n_j=1 n_e=2 perfect_slope=2.000 quantized_slope=2.000"
+        ]
+        assert captured.err == ""
+
+    def test_no_curve_of_three_snrs(self, tmp_path, capsys):
+        """Curves of one SNR and of two (one of them repeated) leave nothing to fit."""
+        path = tmp_path / "short.csv"
+        write_csv(_line_rows(2, (10.0,)) + _line_rows(3, (10.0, 20.0, 20.0)), str(path))
+        assert cli_main(["slopes", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("configuration error")
+
+    @pytest.mark.parametrize(
+        "flags, curves",
+        [(["--scenario", "slope"], 3), (["--scenario", "gap_vs_bits", "--nf", "10"], 1)],
+        ids=["slope", "gap_vs_bits-nf10"],
+    )
+    def test_run_prints_what_slopes_fits(self, tmp_path, capsys, flags, curves):
+        """`run --out` prints the slope lines that `slopes` fits from the file it wrote."""
+        path = tmp_path / "rows.csv"
+        assert cli_main(["run", *flags, "--trials", "2", "--seed", "3", "--out", str(path)]) == 0
+        run_fits = capsys.readouterr().out.splitlines()[1:]
+        assert len(run_fits) == curves
+        assert cli_main(["slopes", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == run_fits
 
     def test_missing_file(self, capsys):
         assert cli_main(["slopes", "/nonexistent/file.csv"]) == 1

@@ -9,6 +9,7 @@ for a numerical failure of `run` or `slopes`. Runs are kept small: every
 import contextlib
 import io
 import json
+import os
 import warnings
 
 from hypothesis import HealthCheck, example, given, settings
@@ -62,12 +63,15 @@ _ANY_KIND = [
 
 def _call(argv, cwd):
     """Exit code, stdout and stderr of one CLI call in `cwd`; fails on a warning or exception."""
-    out, err = io.StringIO(), io.StringIO()
+    out, err, home = io.StringIO(), io.StringIO(), os.getcwd()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with contextlib.chdir(cwd), contextlib.redirect_stdout(out):
-            with contextlib.redirect_stderr(err):
+        os.chdir(cwd)  # contextlib.chdir needs Python 3.11
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(argv)
+        finally:
+            os.chdir(home)
     assert not caught, [str(w.message) for w in caught]
     return code, out.getvalue(), err.getvalue()
 
@@ -137,10 +141,11 @@ def _csv_row(draw):
 
 
 @st.composite
-def _sweep_rows(draw, clash=False):
+def _sweep_rows(draw, clash=False, short=False):
     """Rows of one curve at three to five distinct SNRs with one bit budget per SNR, some
     points repeated, in any order; with `clash`, one more row puts a second budget at one
-    of the SNRs."""
+    of the SNRs; with `short`, rows of a second curve at one or two SNRs, too few for a
+    slope, are mixed in."""
     n_r = draw(st.sampled_from([2, 3]))
     snr_grid = st.sampled_from([0.0, 10.0, 20.0, 30.0, 40.0])
     snrs = draw(st.lists(snr_grid, min_size=3, max_size=5, unique=True))
@@ -150,6 +155,11 @@ def _sweep_rows(draw, clash=False):
     if clash:
         snr = draw(st.sampled_from(snrs))
         rows.append(_row(n_r, snr, budgets[snr] + draw(st.integers(1, 50)), draw(_RATES)))
+    if short:
+        few = draw(st.lists(snr_grid, min_size=1, max_size=2, unique=True))
+        nf = draw(st.integers(1, 200))
+        points = few + draw(st.lists(st.sampled_from(few), max_size=2))
+        rows += [_row(5 - n_r, snr, nf, draw(_RATES)) for snr in points]
     return draw(st.permutations(rows))
 
 
@@ -211,13 +221,15 @@ class TestFuzz:
                 st.none(),
             ),
             st.tuples(_sweep_rows().map(_results_file), st.just(0)),
+            st.tuples(_sweep_rows(short=True).map(_results_file), st.just(0)),
             st.tuples(_sweep_rows(clash=True).map(_results_file), st.just(1)),
         ),
         where=st.sampled_from(["file", "file", "missing", "directory"]),
     )
     def test_slopes_files(self, tmp_path_factory, content, where):
-        """Any file exits 0, 1 or 2 with at most one stderr line. A clean sweep of one curve
-        prints its one fit with nothing on stderr; two budgets at one SNR exit 1."""
+        """Any file exits 0, 1 or 2 with at most one stderr line. A clean sweep of one curve,
+        alone or beside a curve of one or two SNRs, prints its one fit with nothing on
+        stderr; two budgets at one SNR exit 1."""
         (content, expected), work = content, tmp_path_factory.mktemp("slopes")
         path = work / "rows.csv"
         if where == "file":

@@ -19,7 +19,6 @@ from secmimo.harness import (
     SCENARIO_TABLE,
     SCENARIOS,
     ExperimentConfig,
-    ExperimentResult,
     ResultRow,
     _curve_points,
     _curve_trials,
@@ -93,7 +92,7 @@ class TestConfig:
         curves = (AntennaConfig(5, 2, 1, 2), AntennaConfig(6, 2, 1, 2))
         cfg = replace(scenario_config(scenario, trials=1, snr_max=20.0), antenna_configs=curves)
         points = cfg.validate()
-        rows = run_experiment(cfg).rows
+        rows = run_experiment(cfg)
         assert len(rows) == sum(map(len, points))
         assert {(r.n_t, r.n_r, r.n_j, r.n_e) for r in rows} == {(5, 2, 1, 2), (6, 2, 1, 2)}
 
@@ -410,7 +409,7 @@ class TestDeterminism:
         r1 = run_experiment(cfg)
         r2 = run_experiment(cfg)
         assert render_csv(r1) == render_csv(r2)
-        assert r1.rows == r2.rows
+        assert r1 == r2
 
     def test_block_size_invariance(self, monkeypatch):
         """Blocks of 1, 8 and a whole curve give the same bits, per trial and in the CSV."""
@@ -431,12 +430,12 @@ class TestDeterminism:
         cfg3 = _small_cfg(trials=3)
         direct = np.stack([_reference_trial(cfg3, 0, t) for t in range(3)]).mean(axis=0)
         r3 = run_experiment(cfg3)
-        got = np.array([[row.r_perfect_mean, row.r_quantized_mean] for row in r3.rows])
+        got = np.array([[row.r_perfect_mean, row.r_quantized_mean] for row in r3])
         np.testing.assert_allclose(got[:, 0], direct[:, 0], rtol=0, atol=0)
         np.testing.assert_allclose(got[:, 1], direct[:, 1], rtol=0, atol=0)
 
         r1 = run_experiment(cfg1)
-        got1 = np.array([row.r_perfect_mean for row in r1.rows])
+        got1 = np.array([row.r_perfect_mean for row in r1])
         np.testing.assert_array_equal(got1, _reference_trial(cfg1, 0, 0)[:, 0])
 
 
@@ -592,17 +591,16 @@ class TestReplayableFailure:
 
 
 class TestCsv:
-    def _fake_result(self):
-        rows = [
+    def _fake_rows(self):
+        return [
             ResultRow("slope", 6, 3, 1, 3, 20.0, 30, 2.5, 2.0, 0.5, 0.1, 10),
             ResultRow("slope", 4, 2, 1, 2, 30.0, 40, 1.23456789, 1.0, 0.2, 0.05, 10),
             ResultRow("slope", 4, 2, 1, 2, 10.0, 14, 0.5, 0.25, 0.25, 0.01, 10),
         ]
-        return ExperimentResult(rows=rows, slopes={})
 
     def test_header_exact(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(ExperimentResult(rows=[], slopes={}), str(path))
+        write_csv([], str(path))
         assert path.read_text() == CSV_HEADER + "\n"
 
     def test_text_exact(self):
@@ -610,10 +608,10 @@ class TestCsv:
             "scenario,n_t,n_r,n_j,n_e,snr_db,nf_bits,"
             "r_perfect_mean,r_quantized_mean,gap_mean,leakage_mean,trials"
         )
-        result = self._fake_result()
+        rows = self._fake_rows()
         # a JSON config gives an int snr_db; it renders like the float
-        result.rows.append(ResultRow("slope", 4, 2, 1, 2, 20, 20, 2 / 3, 1e-12, -0.125, 0.0, 10))
-        assert render_csv(result) == (
+        rows.append(ResultRow("slope", 4, 2, 1, 2, 20, 20, 2 / 3, 1e-12, -0.125, 0.0, 10))
+        assert render_csv(rows) == (
             CSV_HEADER + "\n"
             "slope,4,2,1,2,10,14,0.5,0.25,0.25,0.01,10\n"
             "slope,4,2,1,2,20,20,0.666666667,1e-12,-0.125,0,10\n"
@@ -624,20 +622,20 @@ class TestCsv:
     def test_negative_zero_written_as_zero(self):
         """At a subnormal power both mean rates are 0, and their difference -0.0 reads 0."""
         cfg = scenario_config("slope", [2], trials=2, snr_min=-3230.0, snr_max=0.0, snr_step=500.0)
-        result = run_experiment(cfg)
-        assert np.signbit(result.rows[0].gap_mean)
-        assert render_csv(result).splitlines()[1] == "slope,4,2,1,2,-3230,1,0,0,0,0,2"
+        rows = run_experiment(cfg)
+        assert np.signbit(rows[0].gap_mean)
+        assert render_csv(rows).splitlines()[1] == "slope,4,2,1,2,-3230,1,0,0,0,0,2"
 
     def test_sorted_by_nr_then_snr(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(self._fake_result(), str(path))
+        write_csv(self._fake_rows(), str(path))
         lines = path.read_text().strip().splitlines()
         keys = [(int(l.split(",")[2]), float(l.split(",")[5])) for l in lines[1:]]
         assert keys == sorted(keys)
 
     def test_round_trip_9_digits(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(self._fake_result(), str(path))
+        write_csv(self._fake_rows(), str(path))
         with open(path) as fh:
             rec = list(csv.DictReader(fh))[1]
         # parsing and re-formatting at 9 significant digits is lossless
@@ -646,24 +644,24 @@ class TestCsv:
 
     def test_read_csv_round_trip(self, tmp_path):
         path = tmp_path / "out.csv"
-        result = self._fake_result()
-        write_csv(result, str(path))
+        rows = self._fake_rows()
+        write_csv(rows, str(path))
         back = read_csv(str(path))
         assert sorted(back, key=lambda r: (r.n_r, r.snr_db)) == sorted(
-            result.rows, key=lambda r: (r.n_r, r.snr_db)
+            rows, key=lambda r: (r.n_r, r.snr_db)
         )
 
     def test_failed_render_keeps_earlier_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.csv"
-        write_csv(self._fake_result(), str(path))
+        write_csv(self._fake_rows(), str(path))
         before = path.read_bytes()
 
-        def broken(result):
+        def broken(rows):
             raise RuntimeError("render failed")
 
         monkeypatch.setattr(harness, "render_csv", broken)
         with pytest.raises(RuntimeError):
-            write_csv(ExperimentResult(rows=[], slopes={}), str(path))
+            write_csv([], str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -671,17 +669,17 @@ class TestCsv:
         target = tmp_path / "taken"
         target.mkdir()
         with pytest.raises(ConfigError, match="taken"):
-            write_csv(self._fake_result(), str(target))
+            write_csv(self._fake_rows(), str(target))
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert list(target.iterdir()) == []
 
     def test_write_failure_reports_path(self):
         with pytest.raises(ConfigError, match="missing-dir"):
-            write_csv(ExperimentResult(rows=[], slopes={}), "/missing-dir/x.csv")
+            write_csv([], "/missing-dir/x.csv")
 
     def test_read_rejects_unknown_scenario(self, tmp_path):
         path = tmp_path / "unknown.csv"
-        write_csv(self._fake_result(), str(path))
+        write_csv(self._fake_rows(), str(path))
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("slope", "jammer", 1)
         path.write_text("\n".join(lines) + "\n")
@@ -746,7 +744,7 @@ class TestSlopesFromRows:
                 }
             return out
 
-        rows = run_experiment(scenario_config("slope", [2, 3, 4], trials=2, seed=9)).rows
+        rows = run_experiment(scenario_config("slope", [2, 3, 4], trials=2, seed=9))
         assert fitted_slopes_from_rows(rows) == row_loop(rows)
         # one to eight distinct values per (curve, SNR), rows in shuffled order;
         # np.mean sums up to eight values in order, so the averages must agree bitwise
@@ -762,7 +760,7 @@ class TestSlopesFromRows:
 
 
 class TestSlopeParity:
-    """`run` reports the slopes that `slopes` fits from the rows it wrote."""
+    """Every curve of an SNR sweep, one budget per SNR, has a slope fitted from its rows."""
 
     @pytest.mark.parametrize(
         "scenario, n_rs, sweep",
@@ -777,34 +775,32 @@ class TestSlopeParity:
         ids=["slope", "saturation", "widened", "one-budget-grid"],
     )
     def test_run_matches_rows(self, scenario, n_rs, sweep):
-        result = run_experiment(scenario_config(scenario, n_rs, trials=2, seed=5, **sweep))
-        assert len(result.slopes) == len({(r.n_r, r.n_t) for r in result.rows})
-        assert result.slopes == fitted_slopes_from_rows(result.rows)
+        rows = run_experiment(scenario_config(scenario, n_rs, trials=2, seed=5, **sweep))
+        assert len(fitted_slopes_from_rows(rows)) == len({(r.n_r, r.n_t) for r in rows})
 
     def test_gap_vs_bits(self):
-        """A bit-grid sweep has no slope, from `run` or from its rows."""
-        result = run_experiment(scenario_config("gap_vs_bits", trials=2, seed=5))
-        assert result.slopes == {}
-        assert fitted_slopes_from_rows(result.rows) == {}
+        """A bit-grid sweep has no slope."""
+        rows = run_experiment(scenario_config("gap_vs_bits", trials=2, seed=5))
+        assert fitted_slopes_from_rows(rows) == {}
 
     def test_mixed_rows_fit_only_snr_sweeps(self):
         """Grid rows of another curve leave a sweep's slope unchanged; grid rows of the same
         curve put several budgets at its SNRs, so that curve has no slope."""
         sweep = scenario_config("saturation", trials=2, seed=5, snr_max=30.0)
-        slope = run_experiment(sweep).rows
+        slope = run_experiment(sweep)
         fits = fitted_slopes_from_rows(slope)
         assert list(fits) == [(6, 3, 1, 3)]
         for n_r, expected in ((2, fits), (3, {})):
-            gap = run_experiment(scenario_config("gap_vs_bits", [n_r], trials=2, seed=5)).rows
+            gap = run_experiment(scenario_config("gap_vs_bits", [n_r], trials=2, seed=5))
             assert fitted_slopes_from_rows(gap + slope) == expected
 
 
 class TestExperimentOutputs:
     def test_row_metadata(self):
         cfg = _small_cfg(trials=2)
-        res = run_experiment(cfg)
-        assert len(res.rows) == 3
-        for row in res.rows:
+        rows = run_experiment(cfg)
+        assert len(rows) == 3
+        for row in rows:
             assert row.scenario == "slope"
             assert row.trials == 2
             assert (row.n_t, row.n_r, row.n_j, row.n_e) == (4, 2, 1, 2)
@@ -815,17 +811,16 @@ class TestExperimentOutputs:
         cfg = scenario_config(
             "slope", [2], trials=1, snr_min=20.0, snr_max=60.0, snr_step=40.0
         )
-        res = run_experiment(cfg)
-        assert res.slopes == {}
+        assert fitted_slopes_from_rows(run_experiment(cfg)) == {}
 
     def test_gap_scenario_rows(self):
         cfg = scenario_config("gap_vs_bits", trials=2, seed=1, nf_grid=(10, 30))
-        res = run_experiment(cfg)
-        assert len(res.rows) == 6
-        assert res.slopes == {}
+        rows = run_experiment(cfg)
+        assert len(rows) == 6
+        assert fitted_slopes_from_rows(rows) == {}
         # within one SNR, more bits means smaller mean gap
         by_snr = {}
-        for r in res.rows:
+        for r in rows:
             by_snr.setdefault(r.snr_db, {})[r.nf_bits] = r.gap_mean
         for gaps in by_snr.values():
             assert gaps[30] < gaps[10]
