@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, SecMimoError
 from .grassmann import ZERO_DISTANCE, feedback_bits, perturb_gram, quantization_target
-from .rates import fit_slope, grams_rate, grams_rate_sweep, step_grams, trial_couplings
+from .rates import fit_slope, grams_rate, step_grams, trial_couplings
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
@@ -238,28 +238,28 @@ def _run_trials(
 
     `policy` and `targets` hold one power and one quantizer distance per
     point. The per-trial stage takes each trial's channels, B, receive
-    filters and the couplings its Gram sets share, and sweeps the
-    perfect-CSI rate, the Gram set of the step to distance 0, over every
-    power at once; the per-point stage then takes each quantizer step as
-    n_r x n_r Grams and rates its Gram set, `block` trials at a time.
-    Returns an array of shape (len(rngs), n_points, 5) holding clipped
-    perfect rate, clipped quantized rate, raw perfect rate, raw quantized
-    rate, leakage.
+    filters, the couplings its Gram sets share and the perfect-CSI Gram
+    set, that of the step to distance 0. The per-point stage then takes
+    each quantizer step as n_r x n_r Grams, `block` trials at a time, and
+    rates the block's perfect and quantized Gram sets at every power with
+    :func:`grams_rate`. A point whose target is below ZERO_DISTANCE steps
+    to distance 0, so its two rates agree bit for bit. Returns an array of
+    shape (len(rngs), n_points, 5) holding clipped perfect rate, clipped
+    quantized rate, raw perfect rate, raw quantized rate, leakage.
     """
     channels, b = sample_trials(acfg, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     couplings = trial_couplings(channels, filters)
-    perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
-    r_p = grams_rate_sweep(step_grams(couplings, perfect), policy, acfg)
+    perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
     out = np.empty((len(rngs), targets.size, 5))
-    out[..., 0], out[..., 2] = r_p.clipped, r_p.raw
     for start in range(0, len(rngs), block):
         rows = slice(start, start + block)
         z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
         step = perturb_gram(filters.F[rows], z, targets)
         grams = step_grams(couplings._make(m[rows] for m in couplings), step)
+        r_p = grams_rate(perfect._make(m[rows] for m in perfect), policy, acfg)
         r_q = grams_rate(grams, policy, acfg)
-        out[rows, :, 1], out[rows, :, 3], out[rows, :, 4] = r_q.clipped, r_q.raw, r_q.leakage
+        out[rows] = np.stack([r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, r_q.leakage], -1)
     return out
 
 

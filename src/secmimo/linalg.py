@@ -163,22 +163,18 @@ def left_nullspace_basis(a) -> np.ndarray:
     return u[..., :, q:]
 
 
-def _cholesky(arr: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a finite stack known to be Hermitian (callers check with
-    :func:`as_stack`); a failure's NumericalError names the smallest eigenvalue."""
+def _logdet_hermitian(arr: np.ndarray):
+    """:func:`logdet_pd` of a finite stack known to be Hermitian, such as
+    :func:`hermitian_part`'s output (Hermitian bit for bit); a failed
+    factorization's NumericalError names the smallest eigenvalue."""
     try:
-        return np.linalg.cholesky(arr)
+        chol = np.linalg.cholesky(arr)
     except np.linalg.LinAlgError:
         low = float(np.min(np.linalg.eigvalsh(hermitian_part(arr))[..., 0]))
         raise NumericalError(
             f"matrix is not positive definite (min eigenvalue {low:.6e})"
         ) from None
-
-
-def _logdet_hermitian(arr: np.ndarray):
-    """:func:`logdet_pd` of a finite stack known to be Hermitian, such as
-    :func:`hermitian_part`'s output (Hermitian bit for bit)."""
-    diag = np.diagonal(_cholesky(arr), axis1=-2, axis2=-1).real
+    diag = np.diagonal(chol, axis1=-2, axis2=-1).real
     return (2.0 * np.sum(np.log2(diag), axis=-1))[()]
 
 

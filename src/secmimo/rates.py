@@ -12,7 +12,9 @@ factorization to kill round-off asymmetry. The generic Gaussian
 mutual-information oracle in :mod:`secmimo.linalg` provides an independent
 route to the same values.
 
-The post-filtered rates and the eavesdropper term also take stacks of
+One kernel, :func:`grams_rate`, rates every two-stage Gram set, perfect
+CSI or quantized, from two Cholesky log-det ratios per element. The
+post-filtered rates and the eavesdropper term also take stacks of
 matrices and a policy whose P and rho are arrays over the stack (see
 :mod:`secmimo.transceiver`); every field of the result is then an array.
 """
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .linalg import (
     LOG2_E,
-    _cholesky,
     _logdet_hermitian,
     adjoint,
     as_matrix,
@@ -179,13 +180,18 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> 
     Positive term: the receive covariance rho P/n_r S1 S1* + L + G* G against
     L + G* G, with the leakage Gram L = (1-rho) P/(n_t - n_r) S2 S2* and unit
     noise. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
-    white unit noise. The result's `leakage` is tr L.
+    white unit noise. The result's `leakage` is tr L. `policy.P` and
+    `policy.rho` broadcast against the stack's leading shape, so a stack of
+    shape (T, 1) and P powers give (T, P) arrays.
     """
     signal = _per_matrix(policy.signal_scale(config.n_r))
-    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
+    an = policy.an_cov_scale(config.n_t, config.n_r)
+    leak = _per_matrix(an) * grams.s2
     t_plus = _logdet_ratio(signal * grams.s1 + leak + grams.noise, leak + grams.noise)
     t_minus = _eve_term(grams.e1, grams.e2, policy, config)
-    return _two_stage_rate(t_plus, t_minus, grams.s2, policy, config)
+    raw = t_plus - t_minus
+    leakage = (an * np.einsum("...ii->...", grams.s2).real)[()]
+    return SecrecyRate(_clip(raw), raw, t_plus, t_minus, leakage)
 
 
 def secrecy_rate_G(
@@ -202,65 +208,6 @@ def secrecy_rate_G(
     the nullspace of Hd.
     """
     return grams_rate(_precoder_grams(channels, precoders, filters), policy, config)
-
-
-def _two_stage_rate(t_plus, t_minus, s2, policy: PowerPolicy, config) -> SecrecyRate:
-    raw = t_plus - t_minus
-    leakage = policy.an_cov_scale(config.n_t, config.n_r) * np.einsum("...ii->...", s2).real
-    return SecrecyRate(
-        clipped=_clip(raw),
-        raw=raw,
-        t_plus=t_plus,
-        t_minus=t_minus,
-        leakage=leakage[()],
-    )
-
-
-def _sweep_ratio(power, numer, denom, floor=None):
-    """log2 det(N + P numer) - log2 det(N + P denom) at every power P at once.
-
-    With the floor N = C C* (the identity when None), each determinant is
-    det N det(I + P K) for the whitened K = C^{-1} M C^{-*}, so the ratio is
-    sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i) over the
-    eigenvalues of the two K. Every matrix must be finite, and N and each
-    N + P M positive definite; each matrix is symmetrized with hermitian_part.
-    """
-    pair = as_stack(hermitian_part(np.stack(np.broadcast_arrays(numer, denom))), "sweep input")
-    if floor is not None:
-        inv_c = np.linalg.inv(_cholesky(as_stack(hermitian_part(floor), "Cholesky input")))
-        pair = inv_c @ pair @ adjoint(inv_c)
-    lam, nu = np.linalg.eigvalsh(pair)
-    p = np.asarray(power)[..., np.newaxis]
-    x, y = p * lam, p * nu
-    if not (np.all(x > -1.0) and np.all(y > -1.0)):
-        low = float(np.min(1.0 + np.minimum(x, y)))
-        raise NumericalError(f"matrix is not positive definite (min whitened eigenvalue {low:.6e})")
-    return (np.sum(np.log1p(x), axis=-1) - np.sum(np.log1p(y), axis=-1)) * LOG2_E
-
-
-def grams_rate_sweep(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
-    """:func:`grams_rate` for a Gram set held fixed over a vector of powers.
-
-    With the unit-noise floor N = G* G = C C*, c1 = rho / n_r and c2 = (1-rho)/(n_t - n_r),
-    the positive term at power P is
-
-        t+(P) = sum_i log2(1 + P lambda_i) - sum_i log2(1 + P nu_i),
-
-    lambda and nu the eigenvalues of C^{-1} (c1 S + c2 L) C^{-*} and of
-    C^{-1} (c2 L) C^{-*}, where S = S1 S1* and L = S2 S2*. The eavesdropper
-    term is the same with c1 E1 + c2 E2 and c2 E2, from E1 E1* and E2 E2*,
-    and N = I. One eigen-solve per element serves every power.
-    `policy.P` broadcasts against the stack's leading shape as in
-    :func:`grams_rate`, so a stack of shape (T, 1) and P powers give
-    (T, P) arrays.
-    """
-    c1 = _per_matrix(policy.rho * (1.0 / config.n_r))
-    c2 = _per_matrix((1.0 - policy.rho) / (config.n_t - config.n_r))
-    leak = c2 * grams.s2
-    t_plus = _sweep_ratio(policy.P, c1 * grams.s1 + leak, leak, floor=grams.noise)
-    eve_leak = c2 * grams.e2
-    t_minus = _sweep_ratio(policy.P, c1 * grams.e1 + eve_leak, eve_leak)
-    return _two_stage_rate(t_plus, t_minus, grams.s2, policy, config)
 
 
 def eve_rate_limit(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:

@@ -39,7 +39,6 @@ from .rates import (
     beta_P,
     eve_rate_limit,
     grams_rate,
-    grams_rate_sweep,
     logdet_perturbation_check,
     logdet_variational_objective,
     step_grams,
@@ -147,8 +146,8 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
     """The engine's rate terms against the Gaussian mutual-information oracle.
 
     Each trial draws its bit budget in [4, 30), P in [1, 1e4] and rho in
-    [0.2, 0.8]. :func:`grams_rate_sweep` rates perfect CSI and :func:`grams_rate`
-    quantized CSI, as in `run`; the oracle takes explicit precoders. The
+    [0.2, 0.8]. :func:`grams_rate` rates the perfect and the quantized Gram
+    sets, as in `run`; the oracle takes explicit precoders. The
     post-filtered terms compare whitened by the invertible G, which keeps
     mutual information; Eve's compare directly. Failure threshold 1e-8 per term.
     """
@@ -160,7 +159,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
         an = _per_matrix(policy.an_cov_scale(acfg.n_t, acfg.n_r))
         vh = adjoint(filters.V) @ channels.Hd
         signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
-        r_p = grams_rate_sweep(_grams(channels, filters), policy, acfg)
+        r_p = grams_rate(_grams(channels, filters), policy, acfg)
         r_q = grams_rate(_grams(channels, filters, z, targets), policy, acfg)
         diffs = []
         for rate, prec in (r_p, tx_precoders_perfect(channels.Hd)), (r_q, prec_q):
@@ -262,7 +261,7 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     worst = []
     for acfg, channels, filters, _, _ in _chunks(trials, seed, SLOPE_CONFIGS):
         grams = _grams(channels, filters)
-        term = grams_rate_sweep(grams, policy, acfg).t_minus
+        term = grams_rate(grams, policy, acfg).t_minus
         diff = term - eve_rate_limit(grams, policy, acfg)
         coef = policy.rho * (acfg.n_t - acfg.n_r) / ((1.0 - policy.rho) * acfg.n_r)
         d = 1.0 / policy.an_cov_scale(acfg.n_t, acfg.n_r)

@@ -38,7 +38,6 @@ from secmimo.linalg import (
 from secmimo.rates import (
     fit_slope,
     grams_rate,
-    grams_rate_sweep,
     secrecy_rate_G,
     step_grams,
     trial_couplings,
@@ -368,20 +367,18 @@ def _trial_points(cfg, curve, trial):
 def _reference_trial(cfg, curve, trial):
     """One trial through the engine's kernels called on 2-D matrices, one point at a time.
 
-    The perfect-CSI rate is one sweep, over the curve's powers, of the Gram
-    set of the step to distance 0; each quantized point rates the Gram set
-    of its perturb_gram step.
+    Each point rates, with grams_rate at its power, the perfect-CSI Gram set
+    (that of the step to distance 0) and the Gram set of its perturb_gram step.
     """
     acfg, channels, filters, points = _trial_points(cfg, curve, trial)
-    powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
     couplings = trial_couplings(channels, filters)
-    perfect = perturb_gram(filters.F, np.zeros_like(filters.F), 0.0)
-    r_p = grams_rate_sweep(step_grams(couplings, perfect), powers, acfg)
+    perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
     out = np.empty((len(points), 5))
     for i, (policy, target, z) in enumerate(points):
         step = perturb_gram(filters.F, z, target)
+        r_p = grams_rate(perfect, policy, acfg)
         r_q = grams_rate(step_grams(couplings, step), policy, acfg)
-        out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
+        out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, r_q.leakage)
     return out
 
 
@@ -491,6 +488,32 @@ class TestEngineOracle:
             explicit = np.stack([_explicit_trial(cfg, curve, t) for t in range(cfg.trials)])
             assert np.all(np.abs(engine - explicit) <= 1e-10 * np.maximum(1.0, np.abs(explicit)))
 
+    @pytest.mark.parametrize(
+        "cfg, n_zero",
+        [
+            (_ORACLE_CONFIGS[2], 3),
+            (scenario_config("saturation", nf_grid=(2000,), trials=3), 13),
+            (scenario_config("slope", epsilon=5.0, trials=3), 2),  # 55 and 60 dB
+        ],
+        ids=["zero_target", "saturation_nf2000", "slope_epsilon5"],
+    )
+    def test_zero_target_has_no_gap(self, cfg, n_zero):
+        """At each point whose target is below ZERO_DISTANCE, every trial's quantized
+        rates equal its perfect ones bit for bit, and the row's gap_mean is +0.0."""
+        for curve, (acfg, points) in enumerate(zip(cfg.antenna_configs, cfg.validate())):
+            targets = [quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points]
+            zero = np.array(targets) < ZERO_DISTANCE
+            assert np.count_nonzero(zero) == n_zero
+            engine = _engine_trials(cfg, curve)[:, zero]
+            np.testing.assert_array_equal(engine[..., [1, 3]], engine[..., [0, 2]])
+        gaps = [
+            r.gap_mean
+            for r in run_experiment(cfg)
+            if quantization_target(r.nf_bits, r.n_t, r.n_r) < ZERO_DISTANCE
+        ]
+        assert len(gaps) == n_zero * len(cfg.antenna_configs)
+        assert all(g == 0.0 and not np.signbit(g) for g in gaps)
+
 
 class TestBlockLinearAlgebra:
     def test_no_per_point_svd(self, monkeypatch):
@@ -518,7 +541,7 @@ class TestBlockLinearAlgebra:
             assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in seen), (name, seen)
 
     def test_per_trial_work_once_per_chunk(self, monkeypatch):
-        """Filters, trial couplings and the perfect-CSI rate run once per chunk."""
+        """Filters and trial couplings run once per chunk, the two rates once per block."""
         calls = {}
 
         def counted(name):
@@ -530,21 +553,20 @@ class TestBlockLinearAlgebra:
 
             monkeypatch.setattr(harness, name, spy)
 
-        per_trial = ("rx_postfilter", "trial_couplings", "grams_rate_sweep")
-        per_block = ("grams_rate",)
-        # one zero-distance step per chunk for the perfect-CSI rate, one step per block
-        for name in per_trial + per_block + ("perturb_gram", "step_grams"):
+        per_trial = ("rx_postfilter", "trial_couplings")
+        # one zero-distance step per chunk for the perfect-CSI Grams, one step per block
+        for name in per_trial + ("grams_rate", "perturb_gram", "step_grams"):
             counted(name)
         cfg = scenario_config("gap_vs_bits", trials=20, seed=2)
         points = _curve_points(cfg, cfg.antenna_configs[0])
         _curve_trials(cfg, 0, points)
         steps = dict.fromkeys(("perturb_gram", "step_grams"), 1 + 3)
-        assert calls == dict.fromkeys(per_trial, 1) | dict.fromkeys(per_block, 3) | steps
+        assert calls == dict.fromkeys(per_trial, 1) | {"grams_rate": 2 * 3} | steps
         calls.clear()
         monkeypatch.setattr(harness, "BLOCK_POINTS", 8)
         _curve_trials(cfg, 0, points)
         steps = dict.fromkeys(("perturb_gram", "step_grams"), 3 + 20)
-        assert calls == dict.fromkeys(per_trial, 3) | dict.fromkeys(per_block, 20) | steps
+        assert calls == dict.fromkeys(per_trial, 3) | {"grams_rate": 2 * 20} | steps
 
 
 class TestReceiverDesignInvariance:
@@ -620,9 +642,8 @@ class TestCsv:
         )
 
     def test_negative_zero_written_as_zero(self):
-        """At a subnormal power both mean rates are 0, and their difference -0.0 reads 0."""
-        cfg = scenario_config("slope", [2], trials=2, snr_min=-3230.0, snr_max=0.0, snr_step=500.0)
-        rows = run_experiment(cfg)
+        """A float cell holding -0.0 reads 0."""
+        rows = [ResultRow("slope", 4, 2, 1, 2, -3230.0, 1, 0.0, 0.0, -0.0, 0.0, 2)]
         assert np.signbit(rows[0].gap_mean)
         assert render_csv(rows).splitlines()[1] == "slope,4,2,1,2,-3230,1,0,0,0,0,2"
 

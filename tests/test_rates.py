@@ -26,7 +26,6 @@ from secmimo.rates import (
     eve_rate_limit,
     fit_slope,
     grams_rate,
-    grams_rate_sweep,
     logdet_perturbation_check,
     logdet_variational_objective,
     secrecy_rate_G,
@@ -239,10 +238,14 @@ def _sweep_case(shape, seed, mode, fraction=0.5):
     return cfg, ch, filters, z, target, tx_precoders_quantized(filters.F, z, target)
 
 
-def _gram_sweep(ch, filters, z, target, policy, cfg):
-    """grams_rate_sweep of the Gram set of the quantizer step, the engine's route."""
-    step = perturb_gram(filters.F, z, target)
-    return grams_rate_sweep(step_grams(trial_couplings(ch, filters), step), policy, cfg)
+def _step_grams(ch, filters, z, target):
+    """The Gram set of the quantizer step, the engine's route."""
+    return step_grams(trial_couplings(ch, filters), perturb_gram(filters.F, z, target))
+
+
+def _gram_rate(ch, filters, z, target, policy, cfg):
+    """grams_rate of the Gram set of the quantizer step."""
+    return grams_rate(_step_grams(ch, filters, z, target), policy, cfg)
 
 
 def _trial(stacked, t):
@@ -260,7 +263,8 @@ _SWEEP_SHAPES = st.sampled_from([(4, 2, 1, 2), (6, 3, 1, 3), (8, 4, 1, 4), (7, 3
 
 
 class TestSecrecyRateSweep:
-    """grams_rate_sweep on the Gram route, against explicit precoders and gaussian_mi."""
+    """grams_rate over a vector of powers, as the engine rates perfect and quantized CSI,
+    against explicit precoders and gaussian_mi."""
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -271,15 +275,19 @@ class TestSecrecyRateSweep:
         log_powers=st.lists(st.floats(0.0, 9.0), min_size=1, max_size=6),
     )
     def test_matches_pointwise_kernel(self, shape, seed, mode, fraction, log_powers):
-        """Each power of the sweep against secrecy_rate_G at that power, to 1e-10."""
+        """A (1, 1) Gram stack over P powers gives (1, P) arrays; each power against
+        secrecy_rate_G at that power, to 1e-10."""
         cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode, fraction)
         powers = 10.0 ** np.array(log_powers)
-        sweep = _gram_sweep(ch, filters, z, target, PowerPolicy(P=powers, rho=0.5), cfg)
+        grams = _step_grams(ch, filters, z, target)
+        stack = grams._make(m[np.newaxis, np.newaxis] for m in grams)
+        sweep = grams_rate(stack, PowerPolicy(P=powers, rho=0.5), cfg)
+        assert sweep.raw.shape == (1, len(powers))
         for i, power in enumerate(powers):
             point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5), cfg)
             for name in ("t_plus", "t_minus", "raw", "leakage"):
-                assert _close(getattr(sweep, name)[i], getattr(point, name)), name
-            assert sweep.clipped[i] == max(sweep.raw[i], 0.0)
+                assert _close(getattr(sweep, name)[0, i], getattr(point, name)), name
+            assert sweep.clipped[0, i] == max(sweep.raw[0, i], 0.0)
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -293,7 +301,7 @@ class TestSecrecyRateSweep:
         """Both terms against the generic oracle at unit noise; G drops out of the receiver's MI."""
         cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode)
         policy = PowerPolicy(P=10.0**log_power, rho=rho)
-        rate = _gram_sweep(ch, filters, z, target, policy, cfg)
+        rate = _gram_rate(ch, filters, z, target, policy, cfg)
         signal_cov = rho * policy.P / cfg.n_r * np.eye(cfg.n_r)
         an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
         vh = filters.V.conj().T @ ch.Hd
@@ -310,18 +318,18 @@ class TestSecrecyRateSweep:
         ch, b = sample_trials(cfg, rngs)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         policy = PowerPolicy(P=10.0 ** np.arange(0.0, 7.0), rho=0.5)
-        sweep = _gram_sweep(ch, filters, np.zeros_like(filters.F), 0.0, policy, cfg)
+        sweep = _gram_rate(ch, filters, np.zeros_like(filters.F), 0.0, policy, cfg)
         assert sweep.raw.shape == (4, 7)
         for t in range(4):
             ch_t, filters_t = _trial(ch, t), _trial(filters, t)
-            alone = _gram_sweep(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy, cfg)
+            alone = _gram_rate(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy, cfg)
             np.testing.assert_array_equal(sweep.raw[t], alone.raw)
 
     def test_singular_noise_floor_is_not_positive_definite(self):
         cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 40, "perfect")
         flat = ReceiverFilters(**dict(vars(filters), G=np.zeros_like(filters.G)))
         with pytest.raises(NumericalError):
-            _gram_sweep(ch, flat, z, target, PowerPolicy(P=10.0, rho=0.5), cfg)
+            _gram_rate(ch, flat, z, target, PowerPolicy(P=10.0, rho=0.5), cfg)
 
     def test_non_finite_matrix_rejected(self):
         cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 41, "perfect")
@@ -329,10 +337,10 @@ class TestSecrecyRateSweep:
         he = ch.He.copy()
         he[0, 0] = np.nan
         with pytest.raises(InvalidInputError):
-            _gram_sweep(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy, cfg)
-        grams = step_grams(trial_couplings(ch, filters), perturb_gram(filters.F, z, target))
+            _gram_rate(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy, cfg)
+        grams = _step_grams(ch, filters, z, target)
         with pytest.raises(InvalidInputError):
-            grams_rate_sweep(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
+            grams_rate(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
 
 
 def _fields(result):
@@ -344,7 +352,8 @@ def _fields(result):
 _RHO_KERNELS = {
     "grams_rate": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
     "secrecy_rate_G": lambda c, ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol, c),
-    "grams_rate_sweep": lambda c, ch, f, w, g, pol: grams_rate_sweep(g, pol, c),
+    # grams_rate over a vector of powers, the engine's power sweep
+    "grams_rate_sweep": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
     "eve_rate_limit": lambda c, ch, f, w, g, pol: eve_rate_limit(g, pol, c),
     "beta_P": lambda c, ch, f, w, g, pol: beta_P(g, pol, c),
 }
