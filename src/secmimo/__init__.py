@@ -21,7 +21,6 @@ from .grassmann import (
     chordal_distance,
     codebook_generate,
     feedback_bits,
-    perturb_basis,
     quant_error_bound,
     quantization_target,
     quantize,
@@ -43,7 +42,6 @@ from .linalg import (
     random_truncated_unitary,
 )
 from .rates import (
-    SdofEstimate,
     SecrecyRate,
     beta_P,
     eve_rate_limit,

@@ -200,7 +200,7 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (SecMimoError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (SecMimoError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

@@ -229,35 +229,14 @@ def _check_reached(achieved, target) -> None:
         raise NumericalError(f"reached chordal distance {got:.6g}, not {want:.6g}")
 
 
-def perturb_basis(point, z, distance) -> np.ndarray:
-    """Unitary [W1 W2] whose leading columns W1 sit at a chordal distance from `point`.
-
-    One complete QR of F + eps Z gives W1 (its first n_r columns) and the
-    orthogonal complement W2. The achieved distance ||W2* F||_F must match
-    to PERTURB_TOL; a miss (a rank-deficient Z) raises NumericalError.
-    The stacks of `point` ``(..., n_t, n_r)``, directions `z` and targets
-    `distance` broadcast together (else InvalidInputError) to the result's,
-    and an element whose target is below ZERO_DISTANCE keeps the point as W1.
-    """
-    f = np.asarray(point, dtype=np.complex128)
-    n_r = f.shape[-1]
-    z, _, t, target = _perturb_step(f, z, distance)
-    # a zero target has eps = 0, so its W2 completes F itself
-    q = np.linalg.qr(f + np.sqrt(t)[..., np.newaxis, np.newaxis] * z, mode="complete").Q
-    zero = (target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis]
-    if np.any(zero):
-        q[..., :n_r] = np.where(zero, f, q[..., :n_r])
-    _check_reached(np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1)), target)
-    return q
-
-
 def perturb_gram(point, z, distance):
-    """:func:`perturb_basis`'s step as (Z, eps, K, J), n_r x n_r Grams and no QR.
+    """The quantizer's step as (Z, eps, K, J), n_r x n_r Grams and no QR.
 
     F* Z = 0, so the reduced QR of F + eps Z has R* R = I + t M. Then W1 W1* =
     (F + eps Z) K (F + eps Z)* with K = (I + t M)^{-1}, and F* W2 W2* F =
     J = t M K, formed so that tiny targets do not cancel in I - K. The
-    achieved distance sqrt(tr J) is checked as in :func:`perturb_basis`.
+    achieved distance sqrt(tr J) must match to PERTURB_TOL, as in
+    :func:`~secmimo.transceiver.tx_precoders_quantized`'s complete QR.
     """
     f = np.asarray(point, dtype=np.complex128)
     z, m, t, target = _perturb_step(f, z, distance)

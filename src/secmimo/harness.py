@@ -404,7 +404,7 @@ def fitted_slopes_from_rows(rows) -> dict:
         sums = [by_point[point] for point in sorted(by_point)]
         if len(set(snrs)) == len(snrs) >= 3:
             out[key] = {
-                "perfect": fit_slope(snrs, [p / n for p, _, n in sums]).slope,
-                "quantized": fit_slope(snrs, [q / n for _, q, n in sums]).slope,
+                "perfect": fit_slope(snrs, [p / n for p, _, n in sums]),
+                "quantized": fit_slope(snrs, [q / n for _, q, n in sums]),
             }
     return out

@@ -16,7 +16,6 @@ matrix of the stack; a stack fails a check when any of its matrices does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,19 +92,25 @@ def first_flagged(values, flags):
     return np.asarray(values)[np.asarray(flags)][0]
 
 
-@dataclass(frozen=True)
-class QrTallResult:
-    """Thin QR ``A = F @ C`` with orthonormal F (m x k) and invertible upper-triangular C."""
+def _qr_positive(a: np.ndarray):
+    """Thin QR ``A = Q R`` of a matrix or stack, with diag(R) made positive real.
 
-    F: np.ndarray
-    C: np.ndarray
+    The phases of R's diagonal move into Q's columns, which makes the
+    factorization a deterministic function of the input.
+    """
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0  # measure-zero guard
+    phases = d / np.abs(d)
+    return q * phases[..., np.newaxis, :], phases.conj()[..., :, np.newaxis] * r
 
 
-def qr_tall(a) -> QrTallResult:
+def qr_tall(a) -> tuple[np.ndarray, np.ndarray]:
     """QR factorization of a tall full-column-rank matrix.
 
-    Returns F with orthonormal columns spanning Col(A) and invertible
-    upper-triangular C with ``A = F @ C``.
+    Returns the pair (F, C): F with orthonormal columns spanning Col(A) and
+    invertible upper-triangular C with positive real diagonal and
+    ``A = F @ C``.
 
     Raises
     ------
@@ -125,15 +130,7 @@ def qr_tall(a) -> QrTallResult:
         raise NumericalError(
             f"rank-deficient input to qr_tall (sigma_min/sigma_max = {low / high:.3e})"
         )
-    f, c = np.linalg.qr(arr)
-    # Fix the LAPACK sign ambiguity: make diag(C) positive real so the
-    # factorization is a deterministic function of the input.
-    d = np.diagonal(c, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0
-    phases = d / np.abs(d)
-    return QrTallResult(
-        F=f * phases[..., np.newaxis, :], C=phases.conj()[..., :, np.newaxis] * c
-    )
+    return _qr_positive(arr)
 
 
 def left_nullspace_basis(a) -> np.ndarray:
@@ -223,10 +220,7 @@ def haar_columns(z: np.ndarray) -> np.ndarray:
     QR with the R-diagonal phases absorbed into Q, which makes the column
     span Haar distributed on the Grassmannian.
     """
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    d[d == 0] = 1.0  # measure-zero guard
-    return q * (d / np.abs(d)).conj()[..., np.newaxis, :]
+    return _qr_positive(z)[0]
 
 
 def random_truncated_unitary(m: int, k: int, rng: np.random.Generator) -> np.ndarray:

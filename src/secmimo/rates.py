@@ -63,15 +63,6 @@ class SecrecyRate:
     leakage: float | None = None
 
 
-@dataclass(frozen=True)
-class SdofEstimate:
-    """Least-squares slope of rate against log2(P) over an SNR window."""
-
-    slope: float
-    intercept: float
-    fit_window: tuple[float, float]
-
-
 # What a two-stage secrecy rate depends on: s1 = S1 S1* and s2 = S2 S2* for
 # S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, and the
 # noise floor G* G (unit noise).
@@ -275,7 +266,7 @@ def logdet_variational_objective(S, E) -> float:
 
 def fit_slope(
     snr_db: np.ndarray, rates: np.ndarray, window: tuple[float, float] | None = None
-) -> SdofEstimate:
+) -> float:
     """Least-squares slope of rate (bits) against log2(P) over an SNR window.
 
     `window` is an inclusive (snr_lo, snr_hi) range in dB. None selects the
@@ -299,5 +290,4 @@ def fit_slope(
             f"need at least 3 samples in window [{lo}, {hi}] dB, got {int(mask.sum())}"
         )
     log2_p = snr[mask] * (math.log2(10.0) / 10.0)
-    slope, intercept = np.polyfit(log2_p, vals[mask], 1)
-    return SdofEstimate(slope=float(slope), intercept=float(intercept), fit_window=(lo, hi))
+    return float(np.polyfit(log2_p, vals[mask], 1)[0])

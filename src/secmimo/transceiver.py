@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .grassmann import perturb_basis, quant_error_bound
+from .grassmann import ZERO_DISTANCE, _check_reached, _perturb_step, quant_error_bound
 from .linalg import (
     ORTHO_TOL,
     RANK_RTOL,
@@ -227,12 +227,22 @@ def tx_precoders_quantized(F, z, distance) -> Precoders:
 
     The quantized subspace sits at the chordal `distance` from F along the
     Gaussian direction `z`; W1 spans it and W2, its orthogonal complement,
-    only approximately nulls the true channel. Both come from one complete
-    QR (:func:`~secmimo.grassmann.perturb_basis`, whose broadcasting over
-    stacks and checks this shares).
+    only approximately nulls the true channel. One complete QR of F + eps Z
+    gives both. The achieved distance ||W2* F||_F must match to
+    PERTURB_TOL; a miss (a rank-deficient Z) raises NumericalError. The
+    stacks of F ``(..., n_t, n_r)``, directions `z` and targets `distance`
+    broadcast together (else InvalidInputError), and an element whose
+    target is below ZERO_DISTANCE keeps F as W1.
     """
-    q = perturb_basis(F, z, distance)
-    n_r = F.shape[-1]
+    f = np.asarray(F, dtype=np.complex128)
+    n_r = f.shape[-1]
+    z, _, t, target = _perturb_step(f, z, distance)
+    # a zero target has eps = 0, so its W2 completes F itself
+    q = np.linalg.qr(f + np.sqrt(t)[..., np.newaxis, np.newaxis] * z, mode="complete").Q
+    zero = (target < ZERO_DISTANCE)[..., np.newaxis, np.newaxis]
+    if np.any(zero):
+        q[..., :n_r] = np.where(zero, f, q[..., :n_r])
+    _check_reached(np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1)), target)
     return Precoders(W1=q[..., :n_r], W2=q[..., n_r:])
 
 
@@ -245,8 +255,7 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     """
     hd = as_stack(Hd, "Hd")
     n_r, n_t = hd.shape[-2:]
-    dec = qr_tall(adjoint(hd))
-    f, c = dec.F, dec.C
+    f, c = qr_tall(adjoint(hd))
     v = left_nullspace_basis(Hj)
     d_s = v.shape[-1]
     b = as_stack(B, "B")

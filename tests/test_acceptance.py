@@ -203,7 +203,7 @@ def test_criterion_9_determinism(monkeypatch):
 def _gap_slope(rows) -> float:
     """Slope of the n_r = 4 curve's mean raw gap (perfect - quantized) over 40-60 dB."""
     rows = [row for row in rows if row.n_r == 4]
-    return fit_slope([r.snr_db for r in rows], [r.gap_mean for r in rows], (40.0, 60.0)).slope
+    return fit_slope([r.snr_db for r in rows], [r.gap_mean for r in rows], (40.0, 60.0))
 
 
 def test_criterion_10_paired_gap_slope(slope_result):
@@ -248,7 +248,7 @@ def _decay_slopes() -> dict:
         for column in ("gap_mean", "leakage_mean"):
             means = np.array([getattr(row, column) for row in rows])
             slopes[(n_r, column)] = (
-                fit_slope([row.snr_db for row in rows], np.log2(means), (40.0, 80.0)).slope
+                fit_slope([row.snr_db for row in rows], np.log2(means), (40.0, 80.0))
                 if means.min() > 0.0
                 else math.nan
             )

@@ -14,7 +14,6 @@ from secmimo.grassmann import (
     chordal_distance,
     codebook_generate,
     feedback_bits,
-    perturb_basis,
     perturb_gram,
     quant_error_bound,
     quantization_target,
@@ -33,6 +32,12 @@ from secmimo.transceiver import AntennaConfig, sample_directions, tx_precoders_q
 
 # delta(40; 4, 2) = 2 * 2^(-39/8), frozen from the closed form
 DELTA_40_4_2 = 0.0681567332915786
+
+
+def _unitary(f, z, distance):
+    """[W1 W2] of the quantized precoders, as one unitary."""
+    prec = tx_precoders_quantized(f, z, distance)
+    return np.concatenate((prec.W1, prec.W2), axis=-1)
 
 
 class TestChordalDistance:
@@ -274,25 +279,25 @@ class TestPerturbQuantize:
 
 
 class TestPerturbToDistance:
-    """perturb_basis placing W1 at a prescribed chordal distance."""
+    """tx_precoders_quantized placing W1 at a prescribed chordal distance."""
 
     def test_zero_distance(self):
         rng = np.random.default_rng(20)
         f = random_truncated_unitary(4, 2, rng)
-        q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), 0.0)
+        q = _unitary(f, random_gaussian_matrix(4, 2, rng), 0.0)
         assert chordal_distance(f, q[:, :2]) == 0.0
 
     def test_beyond_diameter_rejected(self):
         rng = np.random.default_rng(21)
         f = random_truncated_unitary(4, 2, rng)
         with pytest.raises(InvalidInputError):
-            perturb_basis(f, random_gaussian_matrix(4, 2, rng), math.sqrt(2))
+            _unitary(f, random_gaussian_matrix(4, 2, rng), math.sqrt(2))
 
     def test_near_diameter_reachable(self):
         rng = np.random.default_rng(22)
         f = random_truncated_unitary(4, 2, rng)
         target = 0.999 * math.sqrt(2)
-        q = perturb_basis(f, random_gaussian_matrix(4, 2, rng), target)
+        q = _unitary(f, random_gaussian_matrix(4, 2, rng), target)
         assert abs(chordal_distance(f, q[:, :2]) - target) <= 1e-6
 
     @settings(deadline=None, derandomize=True)
@@ -332,7 +337,7 @@ class TestPerturbToDistance:
         r = min(n_r, n_t - n_r)
         parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
         f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
-        z = z - f @ (adjoint(f) @ z)  # as perturb_basis projects it
+        z = z - f @ (adjoint(f) @ z)  # as _perturb_step projects it
         s2 = grassmann._top_squared_singular_values(adjoint(z) @ z, r)
         oracle = np.linalg.svd(z, compute_uv=False)[..., :r] ** 2
         assert s2.shape == oracle.shape
@@ -351,9 +356,9 @@ class TestPerturbToDistance:
         f = random_truncated_unitary(6, 3, rng)
         z = np.stack([random_gaussian_matrix(6, 3, rng) for _ in range(4)])
         targets = np.array([0.0, 1e-9, 0.5, 1.7])
-        stacked = perturb_basis(f, z, targets)
+        stacked = _unitary(f, z, targets)
         for i in range(4):
-            np.testing.assert_array_equal(stacked[i], perturb_basis(f, z[i], targets[i]))
+            np.testing.assert_array_equal(stacked[i], _unitary(f, z[i], targets[i]))
         np.testing.assert_array_equal(stacked[0, :, :3], f)
         np.testing.assert_allclose(
             chordal_distance(f, stacked[..., :3]), targets, rtol=0, atol=1e-12
@@ -365,10 +370,10 @@ class TestPerturbToDistance:
         rng = np.random.default_rng(25)
         f = random_truncated_unitary(6, 3, rng)
         z = np.outer(rng.standard_normal(6), rng.standard_normal(3)).astype(complex)
-        assert chordal_distance(f, perturb_basis(f, z, 0.9)[:, :3]) == pytest.approx(0.9)
+        assert chordal_distance(f, _unitary(f, z, 0.9)[:, :3]) == pytest.approx(0.9)
         _, _, _, j = perturb_gram(f, z, 0.9)
         assert math.sqrt(np.trace(j).real) == pytest.approx(0.9)
-        for build in (perturb_basis, perturb_gram):
+        for build in (tx_precoders_quantized, perturb_gram):
             with pytest.raises(NumericalError):
                 build(f, z, 1.5)
 
@@ -382,7 +387,7 @@ class TestPerturbToDistance:
         if rank:
             z = random_gaussian_matrix(8, rank, rng) @ random_gaussian_matrix(rank, 3, rng)
         for target in (math.sqrt(rank) + 0.1, 1.7):
-            for build in (perturb_basis, perturb_gram):
+            for build in (tx_precoders_quantized, perturb_gram):
                 with pytest.raises(NumericalError):
                     build(f, z, target)
 
@@ -403,7 +408,7 @@ class TestPerturbBasis:
         parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
         f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
         target = fraction * math.sqrt(min(n_r, n_t - n_r))
-        q = perturb_basis(f, z, target)
+        q = _unitary(f, z, target)
         assert q.shape == stack + (n_t, n_t)
         assert np.all(orthonormality_error(q) <= 1e-12)
         by_complement = np.linalg.norm(adjoint(q[..., n_r:]) @ f, axis=(-2, -1))
@@ -421,12 +426,13 @@ class TestPerturbBasis:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_gram_step_matches_basis(self, dims, log_fraction, stack, seed):
-        """perturb_gram's K and J against perturb_basis's [W1 W2]; J keeps tiny targets exact."""
+        """perturb_gram's K and J against the quantized precoders [W1 W2]; J keeps tiny
+        targets exact."""
         n_r, n_t = dims
         parts = np.random.default_rng(seed).standard_normal((2,) + stack + (2, n_t, n_r))
         f, z = haar_columns(complex_gaussian(parts[0])), complex_gaussian(parts[1])
         target = 10.0**log_fraction * math.sqrt(min(n_r, n_t - n_r))
-        q = perturb_basis(f, z, target)
+        q = _unitary(f, z, target)
         z_perp, eps, k, j = perturb_gram(f, z, target)
         w2f = adjoint(q[..., n_r:]) @ f
         np.testing.assert_allclose(j, adjoint(w2f) @ w2f, rtol=0, atol=1e-12)
@@ -441,12 +447,9 @@ class TestPerturbBasis:
         rng = np.random.default_rng(27)
         f = random_truncated_unitary(6, 2, rng)
         z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(2)])
-        q = perturb_basis(f, z, np.array([0.0, 0.4]))
+        q = _unitary(f, z, np.array([0.0, 0.4]))
         np.testing.assert_array_equal(q[0, :, :2], f)
         assert np.linalg.norm(adjoint(q[0, :, 2:]) @ f) <= 1e-15
-        prec = tx_precoders_quantized(f, z, np.array([0.0, 0.4]))
-        np.testing.assert_array_equal(prec.W1, q[..., :2])
-        np.testing.assert_array_equal(prec.W2, q[..., 2:])
 
 
     @pytest.mark.parametrize("z_shape", [(6, 2), (1, 6, 2)])
@@ -469,7 +472,7 @@ class TestPerturbBasis:
         rng = np.random.default_rng(30)
         f = random_truncated_unitary(6, 2, rng)
         z = np.stack([random_gaussian_matrix(6, 2, rng) for _ in range(3)])
-        for build in (tx_precoders_quantized, perturb_basis, perturb_gram):
+        for build in (tx_precoders_quantized, perturb_gram):
             with pytest.raises(InvalidInputError, match="do not broadcast"):
                 build(f, z, np.array([0.1, 0.2]))
             with pytest.raises(InvalidInputError, match="do not broadcast"):

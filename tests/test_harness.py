@@ -760,8 +760,8 @@ class TestSlopesFromRows:
                 perf = np.array([np.mean([r.r_perfect_mean for r in by_snr[s]]) for s in snrs])
                 quant = np.array([np.mean([r.r_quantized_mean for r in by_snr[s]]) for s in snrs])
                 out[key] = {
-                    "perfect": fit_slope(snrs, perf).slope,
-                    "quantized": fit_slope(snrs, quant).slope,
+                    "perfect": fit_slope(snrs, perf),
+                    "quantized": fit_slope(snrs, quant),
                 }
             return out
 

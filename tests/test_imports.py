@@ -99,3 +99,26 @@ def test_openblas_starts_with_one_thread(preset, expected):
     assert value == expected
     if not preset and tasks != "None":
         assert tasks == "1", f"{tasks} threads after numpy loaded"
+
+
+LAZY_PROBE = """
+import contextlib, io, os, sys, tempfile
+from secmimo.cli import cli_main
+loaded = ["secmimo.verification" in sys.modules]
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    out = os.path.join(tmp, "run.csv")
+    codes = [cli_main(["run", "--scenario", "slope", "--trials", "1", "--out", out])]
+    loaded.append("secmimo.verification" in sys.modules)
+    codes.append(cli_main(["verify", "--trials", "1"]))
+    loaded.append("secmimo.verification" in sys.modules)
+print(*codes, *loaded)
+"""
+
+
+def test_run_never_imports_the_verification_suites():
+    """`run` leaves `secmimo.verification` unloaded, and only `verify` loads it; run in a
+    fresh interpreter, as this one may have loaded the suites."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    argv = [sys.executable, "-c", LAZY_PROBE]
+    probe = subprocess.run(argv, env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert probe.stdout.split() == ["0", "0", "False", "False", "True"]

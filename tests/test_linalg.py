@@ -23,27 +23,27 @@ from secmimo.linalg import (
 class TestQrTall:
     def test_already_orthonormal(self):
         a = np.vstack([np.eye(2), np.zeros((2, 2))])
-        dec = qr_tall(a)
-        np.testing.assert_allclose(dec.F, a, atol=1e-12)
-        np.testing.assert_allclose(dec.C, np.eye(2), atol=1e-12)
+        f, c = qr_tall(a)
+        np.testing.assert_allclose(f, a, atol=1e-12)
+        np.testing.assert_allclose(c, np.eye(2), atol=1e-12)
 
     def test_scaling_case(self):
         a = np.array([[2.0], [0.0]])
-        dec = qr_tall(a)
-        np.testing.assert_allclose(dec.F, [[1.0], [0.0]], atol=1e-12)
-        np.testing.assert_allclose(dec.C, [[2.0]], atol=1e-12)
+        f, c = qr_tall(a)
+        np.testing.assert_allclose(f, [[1.0], [0.0]], atol=1e-12)
+        np.testing.assert_allclose(c, [[2.0]], atol=1e-12)
 
     def test_residual_random(self):
         rng = np.random.default_rng(4)
         hd = random_gaussian_matrix(2, 4, rng)
-        dec = qr_tall(hd.conj().T)
-        err = np.linalg.norm(dec.F @ dec.C - hd.conj().T) / np.linalg.norm(hd)
+        f, c = qr_tall(hd.conj().T)
+        err = np.linalg.norm(f @ c - hd.conj().T) / np.linalg.norm(hd)
         assert err < 1e-9
-        assert np.linalg.norm(dec.F.conj().T @ dec.F - np.eye(2)) < 1e-10
-        assert abs(np.linalg.det(dec.C)) > 0
+        assert np.linalg.norm(f.conj().T @ f - np.eye(2)) < 1e-10
+        assert abs(np.linalg.det(c)) > 0
         # upper triangular with positive real diagonal (fixed convention)
-        assert np.allclose(np.tril(dec.C, -1), 0, atol=1e-12)
-        assert np.all(np.real(np.diag(dec.C)) > 0)
+        assert np.allclose(np.tril(c, -1), 0, atol=1e-12)
+        assert np.all(np.real(np.diag(c)) > 0)
 
     def test_rank_deficient_rejected(self):
         col = np.arange(1.0, 5.0).reshape(4, 1)
@@ -87,8 +87,8 @@ def test_decomposition_reconstruction_sweep():
         n = int(rng.integers(1, 7))
         a = random_gaussian_matrix(m, n, rng)
         if m >= n:
-            q = qr_tall(a)
-            assert np.linalg.norm(q.F @ q.C - a) <= 1e-9 * max(1, np.linalg.norm(a))
+            f, c = qr_tall(a)
+            assert np.linalg.norm(f @ c - a) <= 1e-9 * max(1, np.linalg.norm(a))
 
 
 def test_nullspace_annihilation_sweep():
@@ -289,8 +289,8 @@ class TestStacks:
         "kernel, shape",
         [
             (lambda a: orthonormality_error(a), (5, 3)),
-            (lambda a: qr_tall(a).F, (5, 3)),
-            (lambda a: qr_tall(a).C, (5, 3)),
+            (lambda a: qr_tall(a)[0], (5, 3)),
+            (lambda a: qr_tall(a)[1], (5, 3)),
             (haar_columns, (5, 2)),
             (left_nullspace_basis, (5, 2)),
             (lambda a: logdet_pd(hermitian_part(a @ adjoint(a)) + np.eye(4)), (4, 4)),

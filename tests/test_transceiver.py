@@ -137,7 +137,7 @@ class TestTxPrecoders:
     def test_quantized_zero_error_nulls_channel(self):
         rng = np.random.default_rng(9)
         hd = random_gaussian_matrix(2, 4, rng)
-        f = qr_tall(hd.conj().T).F
+        f, _ = qr_tall(hd.conj().T)
         prec = tx_precoders_quantized(f, random_gaussian_matrix(4, 2, rng), 0.0)
         np.testing.assert_array_equal(prec.W1, f)
         assert np.linalg.norm(hd @ prec.W2) < 1e-9

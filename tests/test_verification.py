@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from secmimo import harness, verification
-from secmimo.grassmann import perturb_basis, quantization_target
+from secmimo.grassmann import quantization_target
 from secmimo.linalg import (
     adjoint,
     hermitian_part,
@@ -73,8 +73,8 @@ def test_trial_draws_match_scalar_reference(acfg, seed):
     On its own generator: channels bitwise as sample_channels draws them, G
     as rx_postfilter builds it from them and random_truncated_unitary's B,
     the direction as
-    random_gaussian_matrix, then the uniforms; W1 bitwise the leading
-    columns of perturb_basis on that direction and W2 its complement.
+    random_gaussian_matrix, then the uniforms; W1 bitwise the W1 of
+    tx_precoders_quantized on that direction and W2 its complement.
     """
     n_t, n_r = acfg.n_t, acfg.n_r
     target = quantization_target(20, n_t, n_r)
@@ -98,7 +98,7 @@ def test_trial_draws_match_scalar_reference(acfg, seed):
         ref_z = random_gaussian_matrix(n_t, n_r, rng)
         np.testing.assert_array_equal(z[t, 0], ref_z)
         np.testing.assert_array_equal(u[t], rng.random(2))
-        ref_w1 = perturb_basis(ref_filters.F, ref_z, target)[:, :n_r]
+        ref_w1 = tx_precoders_quantized(ref_filters.F, ref_z, target).W1
         np.testing.assert_array_equal(prec_q.W1[t, 0], ref_w1)
         assert np.linalg.norm(adjoint(ref_w1) @ prec_q.W2[t, 0]) <= 1e-12
 
