@@ -203,7 +203,9 @@ def _perturb_step(f: np.ndarray, z, distance):
     s2 = np.broadcast_to(_top_squared_singular_values(m, r), shape + (r,)).reshape(-1, r)
     t = np.zeros(d2.shape)
     live = np.flatnonzero((target.reshape(-1) >= ZERO_DISTANCE) & (s2[:, 0] > 0.0))
-    # At most 8 steps on a full-rank Z. On a rank-deficient Z that cannot
+    # A full-rank Z took at most 11 steps per element on the perfbench runs
+    # at seeds 0-31: 7, 11 and 9 on slope's (4, 2, 1, 2), (6, 3, 1, 3) and
+    # (8, 4, 1, 4), 8 on gap_vs_bits. On a rank-deficient Z that cannot
     # reach the target the steps diverge, or turn negative on the round-off
     # of a zero sigma_i: an element stops before t < 0 or t sigma_1^2 > 1e16.
     for _ in range(64):

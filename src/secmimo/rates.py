@@ -64,13 +64,13 @@ class SecrecyRate:
 
 
 # What a two-stage secrecy rate depends on: s1 = S1 S1* and s2 = S2 S2* for
-# S_i = G* V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, and the
-# noise floor G* G (unit noise).
-RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 noise")
+# S_i = V* Hd W_i, e1 = E1 E1* and e2 = E2 E2* for E_i = He W_i, and G G*
+# of the post-filter G, which only the leakage reads.
+RateGrams = namedtuple("RateGrams", "s1 s2 e1 e2 gg")
 
-# What a trial's Gram sets share: A = G* V* C* (G* V* Hd = A F*, as Hd* = F C),
-# He, He F, He He* and the noise floor G* G.
-TrialCouplings = namedtuple("TrialCouplings", "A He HeF HeHe noise")
+# What a trial's Gram sets share: A = V* C* (V* Hd = A F*, as Hd* = F C),
+# He, He F, He He* and G G*.
+TrialCouplings = namedtuple("TrialCouplings", "A He HeF HeHe GG")
 
 
 def _logdet_ratio(numer: np.ndarray, denom: np.ndarray) -> float:
@@ -89,16 +89,16 @@ def _clip(raw):
     return np.where(raw > 0.0, raw, 0.0)[()]
 
 
-def _eve_term(e1: np.ndarray, e2: np.ndarray, policy: PowerPolicy, config: AntennaConfig):
-    """Eavesdropper information rate from the Grams E1 E1* and E2 E2*.
+def _term(x1, x2, policy: PowerPolicy, config: AntennaConfig):
+    """Information rate at a unit noise floor from the Grams X1 X1* and X2 X2*.
 
-    log-det ratio of the Eve covariance with and without the information
-    signal; the artificial noise term sits in both determinants.
+    log-det ratio of the receive covariance with and without the information
+    signal X1; the artificial noise through X2 sits in both determinants.
     """
     signal = _per_matrix(policy.signal_scale(config.n_r))
     an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    base = an * e2 + np.eye(config.n_e)
-    return _logdet_ratio(signal * e1 + base, base)
+    base = an * x2 + np.eye(x1.shape[-1])
+    return _logdet_ratio(signal * x1 + base, base)
 
 
 def secrecy_rate_perfect_basic(
@@ -116,13 +116,9 @@ def secrecy_rate_perfect_basic(
     v1 = adjoint(vh[:n_r])
     v0 = adjoint(vh[n_r:])
     v = left_nullspace_basis(channels.Hj)
-    h_eff = v.conj().T @ u @ np.diag(s)
-    t_plus = _logdet_ratio(
-        np.eye(v.shape[1]) + policy.signal_scale(n_r) * (h_eff @ h_eff.conj().T),
-        np.eye(v.shape[1]),
-    )
+    t_plus = _term(_gram(v.conj().T @ u @ np.diag(s)), 0.0, policy, config)
     he = as_matrix(channels.He, "He")
-    t_minus = _eve_term(_gram(he @ v1), _gram(he @ v0), policy, config)
+    t_minus = _term(_gram(he @ v1), _gram(he @ v0), policy, config)
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 
@@ -133,19 +129,17 @@ def _gram(s: np.ndarray) -> np.ndarray:
 
 def _precoder_grams(channels, precoders, filters) -> RateGrams:
     # S2 is zero to round-off when W2 spans the nullspace of Hd
-    g = filters.G
-    gvh = adjoint(g) @ adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
+    vh = adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
     he = as_stack(channels.He, "He")
     e1, e2 = _gram(he @ precoders.W1), _gram(he @ precoders.W2)
-    noise = adjoint(g) @ g
-    return RateGrams(_gram(gvh @ precoders.W1), _gram(gvh @ precoders.W2), e1, e2, noise)
+    return RateGrams(_gram(vh @ precoders.W1), _gram(vh @ precoders.W2), e1, e2, _gram(filters.G))
 
 
 def trial_couplings(channels: ChannelSet, filters: ReceiverFilters) -> TrialCouplings:
     """A trial's TrialCouplings, from its channels and receive filters."""
-    g_star, he = adjoint(filters.G), as_stack(channels.He, "He")
-    a = g_star @ adjoint(filters.V) @ adjoint(filters.C)
-    return TrialCouplings(a, he, he @ filters.F, _gram(he), g_star @ filters.G)
+    he = as_stack(channels.He, "He")
+    a = adjoint(filters.V) @ adjoint(filters.C)
+    return TrialCouplings(a, he, he @ filters.F, _gram(he), _gram(filters.G))
 
 
 def step_grams(couplings: TrialCouplings, step) -> RateGrams:
@@ -162,26 +156,26 @@ def step_grams(couplings: TrialCouplings, step) -> RateGrams:
     y = c.HeF + eps[..., np.newaxis, np.newaxis] * (c.He @ z)
     a_star = adjoint(c.A)
     s2, e1 = c.A @ j @ a_star, y @ k @ adjoint(y)
-    return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.noise)
+    return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.GG)
 
 
 def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
     """Two-stage secrecy rate of a Gram set: one log-det ratio per term and element.
 
-    Positive term: the receive covariance rho P/n_r S1 S1* + L + G* G against
-    L + G* G, with the leakage Gram L = (1-rho) P/(n_t - n_r) S2 S2* and unit
-    noise. Negative term: the eavesdropper's, from E1 E1* and E2 E2* with
-    white unit noise. The result's `leakage` is tr L. `policy.P` and
-    `policy.rho` broadcast against the stack's leading shape, so a stack of
-    shape (T, 1) and P powers give (T, P) arrays.
+    Both terms take one formula at unit noise: the positive term from
+    S1 S1* and S2 S2* after the jammer nuller V, the negative term, the
+    eavesdropper's, from E1 E1* and E2 E2*. The invertible post-filter G
+    cannot change the receiver's information rate, so neither term reads
+    it. The result's `leakage` is (1-rho) P/(n_t - n_r) tr(G G* S2 S2*),
+    the artificial-noise power after G. `policy.P` and `policy.rho`
+    broadcast against the stack's leading shape, so a stack of shape
+    (T, 1) and P powers give (T, P) arrays.
     """
-    signal = _per_matrix(policy.signal_scale(config.n_r))
-    an = policy.an_cov_scale(config.n_t, config.n_r)
-    leak = _per_matrix(an) * grams.s2
-    t_plus = _logdet_ratio(signal * grams.s1 + leak + grams.noise, leak + grams.noise)
-    t_minus = _eve_term(grams.e1, grams.e2, policy, config)
+    t_plus = _term(grams.s1, grams.s2, policy, config)
+    t_minus = _term(grams.e1, grams.e2, policy, config)
     raw = t_plus - t_minus
-    leakage = (an * np.einsum("...ii->...", grams.s2).real)[()]
+    an = policy.an_cov_scale(config.n_t, config.n_r)
+    leakage = (an * np.einsum("...ii->...", grams.gg @ grams.s2).real)[()]
     return SecrecyRate(_clip(raw), raw, t_plus, t_minus, leakage)
 
 
@@ -217,15 +211,16 @@ def eve_rate_limit(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig)
 def beta_P(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:
     """Remainder term of the quantization gap analysis (bits), from a Gram set.
 
-    Difference of the post-filtered log-determinant with and without the
-    leakage Gram matrix, evaluated at information covariance P I (the
-    diagnostic normalization, not the rate policy). Nonnegative for every P
-    because the leakage matrix is positive semidefinite; converges to zero
-    under the power-matched bit schedule.
+    Difference of the receiver's log-determinant at unit noise with and
+    without the leakage Gram matrix, evaluated at information covariance
+    P I (the diagnostic normalization, not the rate policy); G cancels, as
+    in the rates. Nonnegative for every P because the leakage matrix is
+    positive semidefinite; converges to zero under the power-matched bit
+    schedule.
     """
-    m1 = _per_matrix(policy.rho * policy.P) * grams.s1
+    m1 = _per_matrix(policy.rho * policy.P) * grams.s1 + np.eye(grams.s1.shape[-1])
     leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
-    return _logdet_ratio(m1 + leak + grams.noise, m1 + grams.noise)
+    return _logdet_ratio(m1 + leak, m1)
 
 
 def logdet_perturbation_check(A, Delta) -> tuple[float, float, float]:

@@ -147,9 +147,10 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
 
     Each trial draws its bit budget in [4, 30), P in [1, 1e4] and rho in
     [0.2, 0.8]. :func:`grams_rate` rates the perfect and the quantized Gram
-    sets, as in `run`; the oracle takes explicit precoders. The
-    post-filtered terms compare whitened by the invertible G, which keeps
-    mutual information; Eve's compare directly. Failure threshold 1e-8 per term.
+    sets, as in `run`; the oracle takes explicit precoders. Both terms
+    compare directly at unit noise, the receiver's after the jammer nuller
+    V with no whitening by G, which cannot change mutual information.
+    Failure threshold 1e-8 per term.
     """
     worst = []
     for acfg, channels, filters, z, u in _chunks(trials, seed, SMALL_CONFIGS, uniforms=3):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secmimo.errors import InvalidInputError, NumericalError
+from secmimo.errors import InvalidInputError
 from secmimo.grassmann import feedback_bits, perturb_gram, quantization_target
 from secmimo.linalg import (
     LOG2_E,
@@ -37,7 +37,6 @@ from secmimo.transceiver import (
     AntennaConfig,
     ChannelSet,
     PowerPolicy,
-    ReceiverFilters,
     rx_postfilter,
     sample_channels,
     sample_directions,
@@ -319,8 +318,8 @@ class TestSecrecyRateSweep:
     )
     def test_low_snr_absolute_error(self, shape, seed, mode):
         """At -100 dB, where a rate is about 1e-10 bits, each term's absolute error
-        against the sum of log1p over its generalized eigenvalues is a few ulps of 1,
-        times the noise floor's condition number for t+."""
+        against the sum of log1p over its generalized eigenvalues is a few ulps of 1;
+        both terms sit on a unit noise floor."""
         cfg, ch, filters, z, target, _ = _sweep_case(shape, seed, mode)
         policy = PowerPolicy(P=1e-10, rho=0.5)
         grams = _step_grams(ch, filters, z, target)
@@ -333,9 +332,9 @@ class TestSecrecyRateSweep:
             return np.sum(np.log1p(lam)) / math.log(2.0)
 
         eps = np.finfo(float).eps
-        t_plus = log1p_reference(signal * grams.s1, an * grams.s2 + grams.noise)
+        t_plus = log1p_reference(signal * grams.s1, an * grams.s2 + np.eye(cfg.d_s))
         t_minus = log1p_reference(signal * grams.e1, an * grams.e2 + np.eye(cfg.n_e))
-        assert abs(rate.t_plus - t_plus) <= 16 * eps * np.linalg.cond(grams.noise)
+        assert abs(rate.t_plus - t_plus) <= 16 * eps
         assert abs(rate.t_minus - t_minus) <= 16 * eps
 
     def test_stack_broadcasts_like_pointwise_kernel(self):
@@ -351,12 +350,6 @@ class TestSecrecyRateSweep:
             ch_t, filters_t = _trial(ch, t), _trial(filters, t)
             alone = _gram_rate(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy, cfg)
             np.testing.assert_array_equal(sweep.raw[t], alone.raw)
-
-    def test_singular_noise_floor_is_not_positive_definite(self):
-        cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 40, "perfect")
-        flat = ReceiverFilters(**dict(vars(filters), G=np.zeros_like(filters.G)))
-        with pytest.raises(NumericalError):
-            _gram_rate(ch, flat, z, target, PowerPolicy(P=10.0, rho=0.5), cfg)
 
     def test_non_finite_matrix_rejected(self):
         cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 41, "perfect")
@@ -418,7 +411,7 @@ class TestRhoStack:
 
 class TestStepGrams:
     def test_leakage_keeps_tiny_targets(self):
-        """tr(A J A*) against the explicit precoders' leakage, at targets down to 1e-7.
+        """tr(G G* A J A*) against the explicit precoders' leakage, at targets down to 1e-7.
 
         The explicit route loses about 1e-16 / target of relative accuracy, and
         A (I - K) A* would lose 1e-16 / target^2.

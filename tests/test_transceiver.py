@@ -247,6 +247,16 @@ class TestRxPostfilter:
         with pytest.raises(InvalidInputError):
             rx_postfilter(ch.Hd, ch.Hj, B=np.ones((4, 1)))
 
+    def test_b_orthogonal_to_channel_is_not_positive_definite(self):
+        """B from the complement of span(F) has B* F = 0, so G = 0."""
+        rng = np.random.default_rng(17)
+        cfg = AntennaConfig(4, 2, 1, 2)
+        ch = sample_channels(cfg, rng)
+        f = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng)).F
+        b = np.linalg.qr(f, mode="complete").Q[:, cfg.n_r : cfg.n_r + cfg.d_s]
+        with pytest.raises(NumericalError, match="G\\* G is not positive definite"):
+            rx_postfilter(ch.Hd, ch.Hj, B=b)
+
     def test_jammer_annihilated(self):
         rng = np.random.default_rng(15)
         cfg = AntennaConfig(6, 3, 2, 3)
