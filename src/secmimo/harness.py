@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
 import numbers
 import os
@@ -232,26 +233,26 @@ def _run_trials(
     policy: PowerPolicy,
     targets: np.ndarray,
     rngs: list[np.random.Generator],
-    block: int,
 ) -> np.ndarray:
     """Evaluate all operating points for a chunk of channel draws, one per rng.
 
     `policy` and `targets` hold one power and one quantizer distance per
     point. The per-trial stage takes each trial's channels, B, receive
-    filters, the couplings its Gram sets share and the perfect-CSI Gram
-    set, that of the step to distance 0. The per-point stage then takes
-    each quantizer step as n_r x n_r Grams, `block` trials at a time, and
-    rates the block's perfect and quantized Gram sets at every power with
-    :func:`grams_rate`. A point whose target is below ZERO_DISTANCE steps
-    to distance 0, so its two rates agree bit for bit. Returns an array of
-    shape (len(rngs), n_points, 5) holding clipped perfect rate, clipped
-    quantized rate, raw perfect rate, raw quantized rate, leakage.
+    filters, the couplings its Gram sets share and the perfect-CSI Gram set,
+    that of the step to distance 0. The per-point stage then takes each
+    quantizer step as n_r x n_r Grams, in blocks of about BLOCK_POINTS
+    operating points, and rates each block's perfect and quantized Gram sets
+    at every power with :func:`grams_rate`. A point whose target is below
+    ZERO_DISTANCE steps to distance 0, so its two rates agree bit for bit.
+    Returns an array of shape (len(rngs), n_points, 5): the clipped perfect,
+    clipped quantized, raw perfect and raw quantized rates, and the leakage.
     """
     channels, b = sample_trials(acfg, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     couplings = trial_couplings(channels, filters)
     perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
     out = np.empty((len(rngs), targets.size, 5))
+    block = max(1, BLOCK_POINTS // targets.size)
     for start in range(0, len(rngs), block):
         rows = slice(start, start + block)
         z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
@@ -263,34 +264,37 @@ def _run_trials(
     return out
 
 
-def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
-    """Per-trial outputs of one curve, shape (trials, n_points, 5), chunk by chunk.
+def _map_trials(measure, seed: int, curve: int, trials: range) -> np.ndarray:
+    """`measure` of each trial in `trials`, concatenated, at most BLOCK_POINTS trials a call.
 
-    Each chunk holds at most BLOCK_POINTS trials for the per-trial stage,
-    and the per-point stage walks it in blocks of about BLOCK_POINTS
-    operating points. A numerical failure is raised again with the curve,
-    trial and seed of the first trial that fails on its own, so the draw
-    can be replayed.
+    `measure` takes a chunk's generators, trial t's from ``_trial_rng(seed,
+    curve, t)``, and returns one result per trial along axis 0. A numerical
+    failure is raised again with the curve, trial and seed of the first
+    trial that fails on its own, so the draw can be replayed.
     """
-    acfg = cfg.antenna_configs[curve_idx]
-    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho)
-    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points])
-    block = max(1, BLOCK_POINTS // len(points))
     chunks = []
-    for start in range(0, cfg.trials, BLOCK_POINTS):
-        trials = range(start, min(start + BLOCK_POINTS, cfg.trials))
-        rngs = [_trial_rng(cfg.seed, curve_idx, t) for t in trials]
+    for start in range(0, len(trials), BLOCK_POINTS):
+        chunk = trials[start : start + BLOCK_POINTS]
         try:
-            chunks.append(_run_trials(acfg, policy, targets, rngs, block))
+            chunks.append(measure([_trial_rng(seed, curve, t) for t in chunk]))
         except (SecMimoError, np.linalg.LinAlgError):
-            for t in trials:
+            for t in chunk:
                 try:
-                    _run_trials(acfg, policy, targets, [_trial_rng(cfg.seed, curve_idx, t)], 1)
+                    measure([_trial_rng(seed, curve, t)])
                 except (SecMimoError, np.linalg.LinAlgError) as exc:
-                    exc.args = (f"curve {curve_idx}, trial {t}, seed {cfg.seed}: {exc}",)
+                    exc.args = (f"curve {curve}, trial {t}, seed {seed}: {exc}",)
                     raise
             raise
     return np.concatenate(chunks)
+
+
+def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
+    """Per-trial outputs of one curve, shape (trials, n_points, 5), by :func:`_map_trials`."""
+    acfg = cfg.antenna_configs[curve_idx]
+    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho)
+    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points])
+    measure = functools.partial(_run_trials, acfg, policy, targets)
+    return _map_trials(measure, cfg.seed, curve_idx, range(cfg.trials))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

@@ -59,14 +59,6 @@ def as_stack(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array; :func:`as_stack` for one matrix."""
-    arr = as_stack(a, name)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    return arr
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(a.conj(), -1, -2)

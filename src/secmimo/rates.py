@@ -13,10 +13,9 @@ mutual-information oracle in :mod:`secmimo.linalg` provides an independent
 route to the same values.
 
 One kernel, :func:`grams_rate`, rates every two-stage Gram set, perfect
-CSI or quantized, from two Cholesky log-det ratios per element. The
-post-filtered rates and the eavesdropper term also take stacks of
-matrices and a policy whose P and rho are arrays over the stack (see
-:mod:`secmimo.transceiver`); every field of the result is then an array.
+CSI or quantized, from two Cholesky log-det ratios per element. Every rate
+takes stacks of matrices and a policy whose P and rho are arrays over the
+stack (see :mod:`secmimo.transceiver`); the result's fields are then arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .linalg import (
     LOG2_E,
     _logdet_hermitian,
     adjoint,
-    as_matrix,
     as_stack,
     hermitian_part,
     left_nullspace_basis,
@@ -110,15 +108,11 @@ def secrecy_rate_perfect_basic(
     channel is V* U(Hd) Sigma1(Hd) because the information precoder absorbs
     the right singular vectors.
     """
-    hd = as_matrix(channels.Hd, "Hd")
-    u, s, vh = np.linalg.svd(hd, full_matrices=True)
-    n_r = config.n_r
-    v1 = adjoint(vh[:n_r])
-    v0 = adjoint(vh[n_r:])
+    u, s, vh = np.linalg.svd(as_stack(channels.Hd, "Hd"), full_matrices=True)
     v = left_nullspace_basis(channels.Hj)
-    t_plus = _term(_gram(v.conj().T @ u @ np.diag(s)), 0.0, policy, config)
-    he = as_matrix(channels.He, "He")
-    t_minus = _term(_gram(he @ v1), _gram(he @ v0), policy, config)
+    t_plus = _term(_gram(adjoint(v) @ (u * s[..., np.newaxis, :])), 0.0, policy, config)
+    he = as_stack(channels.He, "He") @ adjoint(vh)  # signal on the first n_r columns, AN after
+    t_minus = _term(_gram(he[..., : config.n_r]), _gram(he[..., config.n_r :]), policy, config)
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 

@@ -6,8 +6,8 @@ against the generic mutual-information oracle, the log-det variational and
 perturbation inequalities, leakage bounds and their power-independence, the
 perturbation quantizer's distance accuracy, and the chordal metric axioms.
 
-Suites return counts instead of raising so the CLI can report all of them;
-the test suite asserts on the same outcomes.
+Suites return counts, and :func:`run_verification` makes a numerical failure
+its suite's result, so the CLI reports every suite; the tests assert the same.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
+from .errors import SecMimoError
 from .grassmann import (
     PERTURB_TOL,
     chordal_distance,
@@ -81,31 +82,24 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _draw(acfg: AntennaConfig, rngs, uniforms: int):
-    """A chunk's channels, filters, directions and uniforms, one generator per trial.
+def _per_trial(measure, trials: int, seed: int, configs, uniforms: int = 0) -> np.ndarray:
+    """``measure(acfg, channels, filters, z, u)`` of trials 0 .. trials - 1, config by config.
 
-    Trial k's generator gives the engine's draws (:func:`sample_trials`, then
-    one :func:`sample_directions` direction), then `uniforms` U(0, 1) numbers.
-    Matrices have leading shape (trials, 1), the uniforms (trials, uniforms).
+    Trial t, on ``configs[t % len(configs)]``, is trial t of curve 0 in
+    :func:`harness._map_trials`. It draws as the engine does, one direction,
+    matrices of leading shape (trials, 1), then `uniforms` U(0, 1) numbers.
     """
-    channels, b = sample_trials(acfg, rngs)
-    z = sample_directions(acfg, rngs, [True])
-    u = np.array([rng.random(uniforms) for rng in rngs])
-    return channels, rx_postfilter(channels.Hd, channels.Hj, B=b), z, u
 
+    def config_trials(c: int, acfg: AntennaConfig) -> np.ndarray:
+        def measured(rngs):
+            channels, b = sample_trials(acfg, rngs)
+            z = sample_directions(acfg, rngs, [True])
+            u = np.array([rng.random(uniforms) for rng in rngs])
+            return measure(acfg, channels, rx_postfilter(channels.Hd, channels.Hj, B=b), z, u)
 
-def _chunks(trials: int, seed: int, configs, uniforms: int = 0):
-    """Drawn chunks (acfg, channels, filters, z, u) of trials 0 .. trials - 1.
+        return harness._map_trials(measured, seed, 0, range(c, trials, len(configs)))
 
-    Trial t uses ``configs[t % len(configs)]`` and ``harness._trial_rng(seed,
-    0, t)``. Each config's trials come in order, at most ``BLOCK_POINTS`` to a
-    chunk, so per-trial results concatenate the same for any chunk size.
-    """
-    for c, acfg in enumerate(configs):
-        ts = range(c, trials, len(configs))
-        for start in range(0, len(ts), harness.BLOCK_POINTS):
-            chunk = ts[start : start + harness.BLOCK_POINTS]
-            yield (acfg, *_draw(acfg, [harness._trial_rng(seed, 0, t) for t in chunk], uniforms))
+    return np.concatenate([config_trials(c, acfg) for c, acfg in enumerate(configs[:trials])])
 
 
 _targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
@@ -126,8 +120,8 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
     ||W1* W2|| of both precoders; with quantized feedback W1 is the fed-back
     subspace, so that last norm is the nulling against it.
     """
-    worst = []
-    for acfg, channels, filters, z, _ in _chunks(trials, seed, SLOPE_CONFIGS):
+
+    def worst_norm(acfg, channels, filters, z, _):
         prec_p = tx_precoders_perfect(channels.Hd)
         prec_q = tx_precoders_quantized(filters.F, z, quantization_target(20, acfg.n_t, acfg.n_r))
         products = (
@@ -136,8 +130,9 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
             adjoint(prec_p.W1) @ prec_p.W2,
             adjoint(prec_q.W1) @ prec_q.W2,
         )
-        worst.append(np.max([np.linalg.norm(m, axis=(-2, -1)) for m in products], axis=0))
-    worst = np.concatenate(worst)
+        return np.max([np.linalg.norm(m, axis=(-2, -1)) for m in products], axis=0)
+
+    worst = _per_trial(worst_norm, trials, seed, SLOPE_CONFIGS)
     failures = int(np.count_nonzero(~(worst < ORTHO_TOL)))
     return SuiteResult("orthogonality", trials, failures, f"worst norm {worst.max():.3e}")
 
@@ -152,8 +147,8 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
     V with no whitening by G, which cannot change mutual information.
     Failure threshold 1e-8 per term.
     """
-    worst = []
-    for acfg, channels, filters, z, u in _chunks(trials, seed, SMALL_CONFIGS, uniforms=3):
+
+    def max_diff(acfg, channels, filters, z, u):
         targets = _targets(4 + (26 * u[:, :1]).astype(int), acfg.n_t, acfg.n_r)
         prec_q = tx_precoders_quantized(filters.F, z, targets)
         policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:])
@@ -168,8 +163,9 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
                 leak = h @ prec.W2
                 mi = gaussian_mi(h @ prec.W1, signal_cov, an * (leak @ adjoint(leak)))
                 diffs.append(np.abs(term - mi))
-        worst.append(np.max(diffs, axis=0))
-    worst = np.concatenate(worst)
+        return np.max(diffs, axis=0)
+
+    worst = _per_trial(max_diff, trials, seed, SMALL_CONFIGS, uniforms=3)
     failures = int(np.count_nonzero(~(worst <= 1e-8)))
     return SuiteResult("oracle-equivalence", trials, failures, f"max diff {worst.max():.3e}")
 
@@ -238,10 +234,11 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     acfg = AntennaConfig(4, 2, 1, 2)
     policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5)
     targets = _matched_targets(acfg, policy.P)
-    beta = []
-    for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        beta.append(beta_P(_grams(channels, filters, z, targets), policy, acfg))
-    beta = np.concatenate(beta)
+
+    def remainder(acfg, channels, filters, z, _):
+        return beta_P(_grams(channels, filters, z, targets), policy, acfg)
+
+    beta = _per_trial(remainder, trials, seed, (acfg,))
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
     not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
     failures = neg + max(0, not_decayed - int(0.1 * trials))
@@ -259,8 +256,8 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
     a trial fails when it lies outside by more than 1e-9.
     """
     policy = PowerPolicy(P=1e9, rho=0.5)
-    worst = []
-    for acfg, channels, filters, _, _ in _chunks(trials, seed, SLOPE_CONFIGS):
+
+    def excursion(acfg, channels, filters, z, _):
         grams = _grams(channels, filters)
         term = grams_rate(grams, policy, acfg).t_minus
         diff = term - eve_rate_limit(grams, policy, acfg)
@@ -271,8 +268,9 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
             logdet_perturbation_check(m, shift) for m in (grams.e2 + coef * grams.e1, grams.e2)
         )
         low, high = (lower_x - upper_b) * LOG2_E, (upper_x - lower_b) * LOG2_E
-        worst.append(np.maximum(low - diff, diff - high))
-    worst = np.concatenate(worst)
+        return np.maximum(low - diff, diff - high)
+
+    worst = _per_trial(excursion, trials, seed, SLOPE_CONFIGS)
     failures = int(np.count_nonzero(~(worst <= 1e-9)))
     return SuiteResult(
         "eve-rate-limit", trials, failures, f"worst excursion {max(worst.max(), 0.0):.3e}"
@@ -287,14 +285,15 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
     closed-form leakage must not exceed the analytic bound (up to 1%
     tolerated violations, reported rather than hidden).
     """
-    over = []
-    for acfg, channels, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=2):
+
+    def over(acfg, channels, filters, z, u):
         nf = 10 + (50 * u[:, :1]).astype(int)
         policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5)
         grams = _grams(channels, filters, z, _targets(nf, acfg.n_t, acfg.n_r))
         leak = grams_rate(grams, policy, acfg).leakage
-        over.append(leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9))
-    violations = int(np.count_nonzero(np.concatenate(over)))
+        return leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9)
+
+    violations = int(np.count_nonzero(_per_trial(over, trials, seed, SLOPE_CONFIGS, uniforms=2)))
     failures = max(0, violations - int(0.01 * trials))
     return SuiteResult("leakage-bound", trials, failures, f"violations {violations}")
 
@@ -310,11 +309,11 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
     acfg = AntennaConfig(4, 2, 1, 2)
     policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5)
     targets = _matched_targets(acfg, policy.P)
-    leak = []
-    for _, channels, filters, z, _ in _chunks(trials, seed, (acfg,)):
-        grams = _grams(channels, filters, z, targets)
-        leak.append(grams_rate(grams, policy, acfg).leakage)
-    means = np.concatenate(leak).mean(axis=0)
+
+    def leakage(acfg, channels, filters, z, _):
+        return grams_rate(_grams(channels, filters, z, targets), policy, acfg).leakage
+
+    means = _per_trial(leakage, trials, seed, (acfg,)).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()
     detail = "means " + ", ".join(f"{m:.4f}" for m in means)
     return SuiteResult("leakage-bounded-in-P", trials, 0 if ok else 1, detail)
@@ -327,14 +326,15 @@ def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
     budget drawn in [1, 80). The worse error counts: the engine step's
     sqrt(tr J), or the chordal distance of the explicit W1 (the oracle).
     """
-    errors = []
-    for acfg, _, filters, z, u in _chunks(trials, seed, SLOPE_CONFIGS, uniforms=1):
+
+    def error(acfg, _, filters, z, u):
         target = _targets(1 + (79 * u).astype(int), acfg.n_t, acfg.n_r)
         j = perturb_gram(filters.F, z, target)[3]
         w1 = tx_precoders_quantized(filters.F, z, target).W1
         achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(filters.F, w1)
-        errors.append(np.max(np.abs(np.subtract(achieved, target)), axis=0))
-    worst = np.concatenate(errors)
+        return np.max(np.abs(np.subtract(achieved, target)), axis=0)
+
+    worst = _per_trial(error, trials, seed, SLOPE_CONFIGS, uniforms=1)
     failures = int(np.count_nonzero(~(worst <= PERTURB_TOL)))
     return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst.max():.3e}")
 
@@ -364,16 +364,26 @@ def chordal_metric_suite(trials: int = 1000, seed: int = 10) -> SuiteResult:
 
 
 def run_verification(trials: int = 100, seed: int = 1) -> list[SuiteResult]:
-    """Run every suite with `trials` instances each (seed offsets fixed)."""
-    return [
-        orthogonality_suite(trials, seed),
-        oracle_equivalence_suite(trials, seed + 1),
-        lemma_variational_suite(min(trials, 200), seed + 2),
-        lemma_sandwich_suite(trials, seed + 3),
-        beta_suite(min(trials, 200), seed + 4),
-        eve_limit_suite(min(trials, 200), seed + 5),
-        leakage_bound_suite(trials, seed + 6),
-        leakage_bounded_in_power_suite(min(trials, 200), seed + 7),
-        perturb_accuracy_suite(trials, seed + 8),
-        chordal_metric_suite(trials, seed + 9),
-    ]
+    """Run every suite with `trials` instances each (seed offsets fixed).
+
+    A numerical failure fails all of its suite's trials, the message as the detail.
+    """
+    plan = (
+        ("orthogonality", orthogonality_suite, trials),
+        ("oracle-equivalence", oracle_equivalence_suite, trials),
+        ("lemma-variational", lemma_variational_suite, min(trials, 200)),
+        ("lemma-sandwich", lemma_sandwich_suite, trials),
+        ("beta-remainder", beta_suite, min(trials, 200)),
+        ("eve-rate-limit", eve_limit_suite, min(trials, 200)),
+        ("leakage-bound", leakage_bound_suite, trials),
+        ("leakage-bounded-in-P", leakage_bounded_in_power_suite, min(trials, 200)),
+        ("perturb-accuracy", perturb_accuracy_suite, trials),
+        ("chordal-metric", chordal_metric_suite, trials),
+    )
+    outcomes = []
+    for offset, (name, suite, n) in enumerate(plan):
+        try:
+            outcomes.append(suite(n, seed + offset))
+        except (SecMimoError, np.linalg.LinAlgError) as exc:
+            outcomes.append(SuiteResult(name, n, n, str(exc)))
+    return outcomes

@@ -18,6 +18,9 @@ class _RepeatedRow:
         hd[:, 1] = hd[:, 0]
         return draw
 
+    def random(self, size):
+        return self._rng.random(size)
+
 
 @pytest.fixture
 def degenerate_trials(monkeypatch):

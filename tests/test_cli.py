@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from secmimo import grassmann
 from secmimo.cli import cli_main
 from secmimo.errors import ConfigError, InvalidInputError, NumericalError
 from secmimo.harness import (
@@ -411,6 +412,34 @@ class TestVerify:
         assert "[PASS]" in out
         assert "suites passed" in out
         assert "[FAIL]" not in out
+
+    @staticmethod
+    def _verify(capsys):
+        """`verify --trials 20 --seed 1`: its exit code, suite lines by name, and summary line."""
+        code = cli_main(["verify", "--trials", "20", "--seed", "1"])
+        *lines, summary = capsys.readouterr().out.splitlines()
+        return code, {line.split(":")[0].split("] ")[1]: line for line in lines}, summary
+
+    def test_degenerate_draw_fails_its_suite(self, capsys, degenerate_trials):
+        """All ten suites report, each under its own name; those that draw the trial fail."""
+        _, passing, _ = self._verify(capsys)
+        degenerate_trials(2, 4, {3})
+        code, lines, summary = self._verify(capsys)
+        assert code == 2 and summary.endswith(" suite(s) FAILED")
+        assert len(lines) == 10 and list(lines) == list(passing)
+        assert lines["orthogonality"].startswith(
+            "[FAIL] orthogonality: 0/20 (curve 0, trial 3, seed 1: rank-deficient input to qr_tall"
+        )
+
+    def test_quantizer_miss_fails_perturb_accuracy(self, capsys, monkeypatch):
+        """A quantizer step that misses its distance is perturb-accuracy's FAIL, not a crash."""
+        _, passing, _ = self._verify(capsys)
+        monkeypatch.setattr(grassmann, "PERTURB_TOL", 1e-20)
+        code, lines, _ = self._verify(capsys)
+        assert code == 2 and len(lines) == 10 and list(lines) == list(passing)
+        assert lines["perturb-accuracy"].startswith(
+            "[FAIL] perturb-accuracy: 0/20 (curve 0, trial 0, seed 9: reached chordal distance "
+        )
 
 
 def _line_rows(n_r, snrs):

@@ -586,7 +586,7 @@ class TestReceiverDesignInvariance:
 
         def chunk():
             rngs = [harness._trial_rng(31, 0, t) for t in range(40)]
-            return harness._run_trials(acfg, policy, targets, rngs, 8)
+            return harness._run_trials(acfg, policy, targets, rngs)
 
         base = chunk()
         other = np.random.default_rng(32)

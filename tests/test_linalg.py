@@ -6,7 +6,6 @@ import pytest
 from secmimo.errors import InvalidInputError, NumericalError
 from secmimo.linalg import (
     adjoint,
-    as_matrix,
     complex_gaussian,
     gaussian_mi,
     haar_columns,
@@ -267,13 +266,6 @@ class TestGaussianMi:
         for args in ((h, k[:, :2, :2], s_int), (h, k, s_int[:, :1, :1])):
             with pytest.raises(InvalidInputError):
                 gaussian_mi(*args)
-
-
-def test_as_matrix_guards():
-    with pytest.raises(InvalidInputError):
-        as_matrix(np.ones(3))
-    with pytest.raises(InvalidInputError):
-        as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestStacks:

@@ -86,6 +86,7 @@ class TestPerfectBasic:
         assert abs(rate.raw) < 1e-6
 
     def test_matches_mi_oracle(self):
+        """One trial against gaussian_mi; a stack of five gives each trial's 2-D call bit for bit."""
         rng = np.random.default_rng(2)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
@@ -107,6 +108,13 @@ class TestPerfectBasic:
             an * (he_an @ he_an.conj().T),
         )
         assert rate.raw == pytest.approx(mi_rx - mi_eve, abs=1e-9)
+        cfg = AntennaConfig(6, 3, 1, 3)
+        stacked, _ = sample_trials(cfg, [np.random.default_rng((2, t)) for t in range(5)])
+        rates = secrecy_rate_perfect_basic(stacked, policy, cfg)
+        for t in range(5):
+            alone = secrecy_rate_perfect_basic(_trial(stacked, t), policy, cfg)
+            for name in ("clipped", "raw", "t_plus", "t_minus"):
+                np.testing.assert_array_equal(getattr(rates, name)[t, 0], getattr(alone, name))
 
 
 class TestPerfectG:
@@ -429,6 +437,30 @@ class TestStepGrams:
         np.testing.assert_allclose(
             rate.leakage, secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, rtol=1e-6, atol=0
         )
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 2, 1, 2), (6, 3, 1, 3), (8, 4, 1, 4), (7, 3, 0, 2), (5, 3, 1, 2)]
+    )
+    def test_leakage_is_explicit_formula(self, shape):
+        """grams_rate's leakage is an_cov_scale ||G* V* Hd W2||_F^2 to 1e-10 relative.
+
+        W2 is tx_precoders_quantized's on the same direction and target. Each
+        of 50 trials meets every budget in {4, 12, 30, 60} at every P in
+        {1, 1e2, 1e4, 1e6}.
+        """
+        cfg = AntennaConfig(*shape)
+        rngs = [np.random.default_rng([5, t]) for t in range(50)]
+        ch, b = sample_trials(cfg, rngs)
+        filters = rx_postfilter(ch.Hd, ch.Hj, b)
+        budgets = np.repeat([4, 12, 30, 60], 4)
+        targets = np.array([quantization_target(nf, cfg.n_t, cfg.n_r) for nf in budgets])
+        policy = PowerPolicy(P=np.tile([1.0, 1e2, 1e4, 1e6], 4), rho=0.5)
+        z = sample_directions(cfg, rngs, np.ones(targets.size, bool))
+        leakage = _gram_rate(ch, filters, z, targets, policy, cfg).leakage
+        w2 = tx_precoders_quantized(filters.F, z, targets).W2
+        s = adjoint(filters.G) @ adjoint(filters.V) @ ch.Hd @ w2
+        explicit = policy.an_cov_scale(cfg.n_t, cfg.n_r) * np.linalg.norm(s, axis=(-2, -1)) ** 2
+        np.testing.assert_allclose(leakage, explicit, rtol=1e-10, atol=0)
 
 
 class TestEveRateLimit:

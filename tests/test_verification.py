@@ -17,8 +17,7 @@ from secmimo.transceiver import rx_postfilter, sample_channels, tx_precoders_qua
 from secmimo.verification import (
     SLOPE_CONFIGS,
     SMALL_CONFIGS,
-    _chunks,
-    _draw,
+    _per_trial,
     beta_suite,
     chordal_metric_suite,
     eve_limit_suite,
@@ -67,7 +66,7 @@ def test_run_verification_returns_all_suites():
     list(dict.fromkeys(SMALL_CONFIGS + SLOPE_CONFIGS)),
     ids=lambda c: f"{c.n_t}-{c.n_r}-{c.n_j}-{c.n_e}",
 )
-def test_trial_draws_match_scalar_reference(acfg, seed):
+def test_trial_draws_match_scalar_reference(acfg, seed, monkeypatch):
     """Trial t of a suite chunk draws what it draws alone and what the scalar calls give.
 
     On its own generator: channels bitwise as sample_channels draws them, G
@@ -78,13 +77,27 @@ def test_trial_draws_match_scalar_reference(acfg, seed):
     """
     n_t, n_r = acfg.n_t, acfg.n_r
     target = quantization_target(20, n_t, n_r)
-    ((_, channels, filters, z, u),) = _chunks(3, seed, (acfg,), uniforms=2)
+
+    def draws():
+        """Each chunk's draws of trials 0, 1 and 2, in order."""
+        chunks = []
+
+        def keep(*chunk):
+            chunks.append(chunk)
+            return np.zeros(len(chunk[-1]))
+
+        _per_trial(keep, 3, seed, (acfg,), uniforms=2)
+        return chunks
+
+    ((_, channels, filters, z, u),) = draws()
+    monkeypatch.setattr(harness, "BLOCK_POINTS", 1)
+    alone = draws()
     prec_q = tx_precoders_quantized(filters.F, z, target)
     for t in range(3):
-        ch1, filters1, z1, u1 = _draw(acfg, [harness._trial_rng(seed, 0, t)], 2)
-        for stacked, alone in ((channels, ch1), (filters, filters1)):
+        _, ch1, filters1, z1, u1 = alone[t]
+        for stacked, single in ((channels, ch1), (filters, filters1)):
             for name, m in vars(stacked).items():
-                np.testing.assert_array_equal(m[t], getattr(alone, name)[0], err_msg=name)
+                np.testing.assert_array_equal(m[t], getattr(single, name)[0], err_msg=name)
         np.testing.assert_array_equal(z[t], z1[0])
         np.testing.assert_array_equal(u[t], u1[0])
 
