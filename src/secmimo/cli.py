@@ -158,10 +158,6 @@ def _print_slopes(fits: dict) -> None:
 
 
 def _cmd_verify(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {args.trials}")
     # imported here: `run` and `slopes` never need the suites
     from .verification import run_verification
 

@@ -228,7 +228,10 @@ def _check_reached(achieved, target) -> None:
     miss = ~(np.abs(achieved - target) <= PERTURB_TOL)
     if np.any(miss):
         got, want = first_flagged(np.stack(np.broadcast_arrays(achieved, target), -1), miss)
-        raise NumericalError(f"reached chordal distance {got:.6g}, not {want:.6g}")
+        raise NumericalError(
+            f"reached chordal distance {float(got)!r}, not {float(want)!r} "
+            f"(miss {abs(got - want):.3e} > tolerance {PERTURB_TOL:.0e})"
+        )
 
 
 def perturb_gram(point, z, distance):

@@ -133,17 +133,11 @@ def left_nullspace_basis(a) -> np.ndarray:
     (the whole space annihilates nothing).
     """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim < 2:
-        raise InvalidInputError(
-            f"left_nullspace input must be a matrix or a stack of matrices, got ndim={arr.ndim}"
-        )
-    p, q = arr.shape[-2:]
-    if p < 1:
-        raise InvalidInputError("left_nullspace input must have at least one row")
-    if q == 0:
+    if arr.ndim >= 2 and arr.shape[-1] == 0 < arr.shape[-2]:
+        p = arr.shape[-2]
         return np.broadcast_to(np.eye(p, dtype=np.complex128), arr.shape[:-1] + (p,))
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("left_nullspace input contains non-finite entries")
+    arr = as_stack(arr, "left_nullspace input")
+    p, q = arr.shape[-2:]
     if p <= q:
         raise InvalidInputError(f"no left nullspace for shape {p}x{q} (need p > q)")
     u, s, _ = np.linalg.svd(arr, full_matrices=True)

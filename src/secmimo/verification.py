@@ -6,8 +6,8 @@ against the generic mutual-information oracle, the log-det variational and
 perturbation inequalities, leakage bounds and their power-independence, the
 perturbation quantizer's distance accuracy, and the chordal metric axioms.
 
-Suites return counts, and :func:`run_verification` makes a numerical failure
-its suite's result, so the CLI reports every suite; the tests assert the same.
+:data:`SUITES` declares each suite once. :func:`run_suite` checks the inputs, names
+the result and makes a numerical failure its suite's FAIL, so the CLI reports every suite.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .errors import SecMimoError
+from .errors import ConfigError, SecMimoError
 from .grassmann import (
     PERTURB_TOL,
     chordal_distance,
@@ -75,7 +75,7 @@ class SuiteResult:
     name: str
     total: int
     failures: int
-    detail: str = ""
+    detail: str
 
     @property
     def passed(self) -> bool:
@@ -112,7 +112,7 @@ def _grams(channels, filters, z=None, targets=0.0):
     return step_grams(trial_couplings(channels, filters), step)
 
 
-def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
+def _orthogonality_suite(trials: int, seed: int) -> tuple[int, str]:
     """Nulling and orthogonality invariants of every sampled trial.
 
     Checks, each below 1e-10: jammer annihilation ||V* Hj||, perfect-CSI
@@ -134,10 +134,10 @@ def orthogonality_suite(trials: int = 1000, seed: int = 1) -> SuiteResult:
 
     worst = _per_trial(worst_norm, trials, seed, SLOPE_CONFIGS)
     failures = int(np.count_nonzero(~(worst < ORTHO_TOL)))
-    return SuiteResult("orthogonality", trials, failures, f"worst norm {worst.max():.3e}")
+    return failures, f"worst norm {worst.max():.3e}"
 
 
-def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
+def _oracle_equivalence_suite(trials: int, seed: int) -> tuple[int, str]:
     """The engine's rate terms against the Gaussian mutual-information oracle.
 
     Each trial draws its bit budget in [4, 30), P in [1, 1e4] and rho in
@@ -167,7 +167,7 @@ def oracle_equivalence_suite(trials: int = 500, seed: int = 2) -> SuiteResult:
 
     worst = _per_trial(max_diff, trials, seed, SMALL_CONFIGS, uniforms=3)
     failures = int(np.count_nonzero(~(worst <= 1e-8)))
-    return SuiteResult("oracle-equivalence", trials, failures, f"max diff {worst.max():.3e}")
+    return failures, f"max diff {worst.max():.3e}"
 
 
 def _random_pd(n: int, rng: np.random.Generator, shape=()) -> np.ndarray:
@@ -179,7 +179,7 @@ def _random_pd(n: int, rng: np.random.Generator, shape=()) -> np.ndarray:
     return hermitian_part(m @ adjoint(m)) + np.eye(n)
 
 
-def lemma_variational_suite(trials: int = 100, seed: int = 3) -> SuiteResult:
+def _lemma_variational_suite(trials: int, seed: int) -> tuple[int, str]:
     """Variational form of the log-determinant: maximizer and strictness.
 
     For random positive definite E, the objective at S = E^{-1} must equal
@@ -192,10 +192,10 @@ def lemma_variational_suite(trials: int = 100, seed: int = 3) -> SuiteResult:
     at_opt = logdet_variational_objective(np.linalg.inv(e), e)
     lower = logdet_variational_objective(others, e[:, np.newaxis]) < target[:, np.newaxis]
     ok = (np.abs(at_opt - target) < 1e-9) & np.all(lower, axis=1)
-    return SuiteResult("lemma-variational", trials, int(np.count_nonzero(~ok)))
+    return int(np.count_nonzero(~ok)), ""
 
 
-def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
+def _lemma_sandwich_suite(trials: int, seed: int) -> tuple[int, str]:
     """Perturbation sandwich: trace bounds around the log-det difference.
 
     Random positive definite A with Hermitian Delta (shrunk until A + Delta
@@ -215,7 +215,7 @@ def lemma_sandwich_suite(trials: int = 1000, seed: int = 4) -> SuiteResult:
             delta[low] *= 0.5
         lhs, upper, lower = logdet_perturbation_check(a, delta)
         failures += int(np.count_nonzero(~((lower - 1e-9 <= lhs) & (lhs <= upper + 1e-9))))
-    return SuiteResult("lemma-sandwich", trials, failures)
+    return failures, ""
 
 
 def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
@@ -224,7 +224,7 @@ def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
     return _targets(bits, acfg.n_t, acfg.n_r)
 
 
-def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
+def _beta_suite(trials: int, seed: int) -> tuple[int, str]:
     """Gap remainder term: nonnegative everywhere, decaying under scaling.
 
     beta(P) must be >= -1e-12 at P in {1e3, 1e6} with the power-matched bit
@@ -242,12 +242,10 @@ def beta_suite(trials: int = 200, seed: int = 5) -> SuiteResult:
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
     not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
     failures = neg + max(0, not_decayed - int(0.1 * trials))
-    return SuiteResult(
-        "beta-remainder", trials, failures, f"negative {neg}, not decayed {not_decayed}"
-    )
+    return failures, f"negative {neg}, not decayed {not_decayed}"
 
 
-def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
+def _eve_limit_suite(trials: int, seed: int) -> tuple[int, str]:
     """The engine's perfect-CSI eavesdropper term at P = 1e9 against its limit.
 
     With B = E2 E2*, X = B + coef E1 E1* and d = 1 / an (unit noise), the
@@ -272,12 +270,10 @@ def eve_limit_suite(trials: int = 100, seed: int = 6) -> SuiteResult:
 
     worst = _per_trial(excursion, trials, seed, SLOPE_CONFIGS)
     failures = int(np.count_nonzero(~(worst <= 1e-9)))
-    return SuiteResult(
-        "eve-rate-limit", trials, failures, f"worst excursion {max(worst.max(), 0.0):.3e}"
-    )
+    return failures, f"worst excursion {max(worst.max(), 0.0):.3e}"
 
 
-def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
+def _leakage_bound_suite(trials: int, seed: int) -> tuple[int, str]:
     """Leakage power against its worst-case bound at the bound's distance.
 
     Each trial draws a bit budget in [10, 60) and P in [1, 1e5], and
@@ -295,10 +291,10 @@ def leakage_bound_suite(trials: int = 1000, seed: int = 7) -> SuiteResult:
 
     violations = int(np.count_nonzero(_per_trial(over, trials, seed, SLOPE_CONFIGS, uniforms=2)))
     failures = max(0, violations - int(0.01 * trials))
-    return SuiteResult("leakage-bound", trials, failures, f"violations {violations}")
+    return failures, f"violations {violations}"
 
 
-def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteResult:
+def _leakage_bounded_in_power_suite(trials: int, seed: int) -> tuple[int, str]:
     """Power-independence of leakage under the matched bit schedule.
 
     Mean leakage over P in {1e3, 1e4, 1e5, 1e6} must peak within 5% of the
@@ -315,11 +311,10 @@ def leakage_bounded_in_power_suite(trials: int = 200, seed: int = 8) -> SuiteRes
 
     means = _per_trial(leakage, trials, seed, (acfg,)).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()
-    detail = "means " + ", ".join(f"{m:.4f}" for m in means)
-    return SuiteResult("leakage-bounded-in-P", trials, 0 if ok else 1, detail)
+    return int(not ok), "means " + ", ".join(f"{m:.4f}" for m in means)
 
 
-def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
+def _perturb_accuracy_suite(trials: int, seed: int) -> tuple[int, str]:
     """The quantized subspace sits at its target distance to 1e-6 every call.
 
     Each trial quantizes its receiver subspace F at the target of a bit
@@ -336,10 +331,10 @@ def perturb_accuracy_suite(trials: int = 200, seed: int = 9) -> SuiteResult:
 
     worst = _per_trial(error, trials, seed, SLOPE_CONFIGS, uniforms=1)
     failures = int(np.count_nonzero(~(worst <= PERTURB_TOL)))
-    return SuiteResult("perturb-accuracy", trials, failures, f"worst error {worst.max():.3e}")
+    return failures, f"worst error {worst.max():.3e}"
 
 
-def chordal_metric_suite(trials: int = 1000, seed: int = 10) -> SuiteResult:
+def _chordal_metric_suite(trials: int, seed: int) -> tuple[int, str]:
     """Metric axioms of the chordal distance on random subspace triples.
 
     Symmetry and triangle inequality to 1e-9 plus invariance under a random
@@ -360,30 +355,41 @@ def chordal_metric_suite(trials: int = 1000, seed: int = 10) -> SuiteResult:
             & (chordal_distance(a @ q, a) <= 1e-10)
         )
         failures += int(np.count_nonzero(~ok))
-    return SuiteResult("chordal-metric", trials, failures)
+    return failures, ""
+
+
+# Each suite, in `verify`'s order: (trials, seed) -> (failures, detail), and its trial cap or None.
+SUITES = {
+    "orthogonality": (_orthogonality_suite, None),
+    "oracle-equivalence": (_oracle_equivalence_suite, None),
+    "lemma-variational": (_lemma_variational_suite, 200),
+    "lemma-sandwich": (_lemma_sandwich_suite, None),
+    "beta-remainder": (_beta_suite, 200),
+    "eve-rate-limit": (_eve_limit_suite, 200),
+    "leakage-bound": (_leakage_bound_suite, None),
+    "leakage-bounded-in-P": (_leakage_bounded_in_power_suite, 200),
+    "perturb-accuracy": (_perturb_accuracy_suite, None),
+    "chordal-metric": (_chordal_metric_suite, None),
+}
+
+
+def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
+    """Suite `name` of :data:`SUITES` on `trials` instances from `seed`. A negative seed or no
+    trials is a ConfigError; a numerical failure fails every trial, its message the detail."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    try:
+        failures, detail = SUITES[name][0](trials, seed)
+    except (SecMimoError, np.linalg.LinAlgError) as exc:
+        failures, detail = trials, str(exc)
+    return SuiteResult(name, trials, failures, detail)
 
 
 def run_verification(trials: int = 100, seed: int = 1) -> list[SuiteResult]:
-    """Run every suite with `trials` instances each (seed offsets fixed).
-
-    A numerical failure fails all of its suite's trials, the message as the detail.
-    """
-    plan = (
-        ("orthogonality", orthogonality_suite, trials),
-        ("oracle-equivalence", oracle_equivalence_suite, trials),
-        ("lemma-variational", lemma_variational_suite, min(trials, 200)),
-        ("lemma-sandwich", lemma_sandwich_suite, trials),
-        ("beta-remainder", beta_suite, min(trials, 200)),
-        ("eve-rate-limit", eve_limit_suite, min(trials, 200)),
-        ("leakage-bound", leakage_bound_suite, trials),
-        ("leakage-bounded-in-P", leakage_bounded_in_power_suite, min(trials, 200)),
-        ("perturb-accuracy", perturb_accuracy_suite, trials),
-        ("chordal-metric", chordal_metric_suite, trials),
-    )
-    outcomes = []
-    for offset, (name, suite, n) in enumerate(plan):
-        try:
-            outcomes.append(suite(n, seed + offset))
-        except (SecMimoError, np.linalg.LinAlgError) as exc:
-            outcomes.append(SuiteResult(name, n, n, str(exc)))
-    return outcomes
+    """Every suite of :data:`SUITES`, suite k on min(trials, its cap) instances at seed + k."""
+    return [
+        run_suite(name, min(trials, cap or trials), seed + k)
+        for k, (name, (_, cap)) in enumerate(SUITES.items())
+    ]

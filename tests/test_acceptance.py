@@ -17,15 +17,7 @@ from secmimo import harness
 from secmimo.harness import fitted_slopes_from_rows, render_csv, run_experiment, scenario_config
 from secmimo.rates import fit_slope
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
-from secmimo.verification import (
-    beta_suite,
-    eve_limit_suite,
-    lemma_sandwich_suite,
-    lemma_variational_suite,
-    leakage_bounded_in_power_suite,
-    oracle_equivalence_suite,
-    orthogonality_suite,
-)
+from secmimo.verification import run_suite
 
 ACCEPT_SEED = 20240901
 
@@ -117,7 +109,7 @@ def test_criterion_4_gap_vs_bits():
 
 def test_criterion_5_leakage_boundedness():
     """Leakage stays power-independent under the matched schedule; exact constant."""
-    suite = leakage_bounded_in_power_suite(trials=200, seed=ACCEPT_SEED + 4)
+    suite = run_suite("leakage-bounded-in-P", 200, ACCEPT_SEED + 4)
     constant = 8 * 0.5 / (2 * 0.5 ** (2 / 8))
     bound = leakage_bound(PowerPolicy(P=2.0**10, rho=0.5), 40, AntennaConfig(4, 2, 1, 2))
     exact = abs(bound - constant) < 1e-12 and abs(constant - 2.3784) < 5e-5
@@ -132,7 +124,7 @@ def test_criterion_5_leakage_boundedness():
 
 def test_criterion_6_orthogonality_invariants():
     """All nulling/orthogonality norms below 1e-10 on 1000 trials, zero failures."""
-    suite = orthogonality_suite(trials=1000, seed=ACCEPT_SEED + 5)
+    suite = run_suite("orthogonality", 1000, ACCEPT_SEED + 5)
     _report(
         "criterion-6 orthogonality",
         suite.passed,
@@ -143,7 +135,7 @@ def test_criterion_6_orthogonality_invariants():
 
 def test_criterion_7_oracle_equivalence():
     """Closed-form rate terms match the MI oracle within 1e-8 on 500 instances."""
-    suite = oracle_equivalence_suite(trials=500, seed=ACCEPT_SEED + 6)
+    suite = run_suite("oracle-equivalence", 500, ACCEPT_SEED + 6)
     _report(
         "criterion-7 oracle-equivalence",
         suite.passed,
@@ -155,10 +147,10 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_lemma_suite():
     """Variational maximizer, perturbation sandwich, beta behavior, Eve limit."""
     outcomes = [
-        lemma_variational_suite(trials=100, seed=ACCEPT_SEED + 7),
-        lemma_sandwich_suite(trials=1000, seed=ACCEPT_SEED + 8),
-        beta_suite(trials=200, seed=ACCEPT_SEED + 9),
-        eve_limit_suite(trials=100, seed=ACCEPT_SEED + 10),
+        run_suite("lemma-variational", 100, ACCEPT_SEED + 7),
+        run_suite("lemma-sandwich", 1000, ACCEPT_SEED + 8),
+        run_suite("beta-remainder", 200, ACCEPT_SEED + 9),
+        run_suite("eve-rate-limit", 100, ACCEPT_SEED + 10),
     ]
     ok = all(s.passed for s in outcomes)
     detail = "; ".join(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secmimo import grassmann
+from secmimo import grassmann, harness
 from secmimo.cli import cli_main
 from secmimo.errors import ConfigError, InvalidInputError, NumericalError
 from secmimo.harness import (
@@ -21,6 +21,7 @@ from secmimo.harness import (
     read_csv,
     write_csv,
 )
+from secmimo.verification import SUITES
 
 
 def _run_args(tmp_path, *extra):
@@ -243,6 +244,24 @@ class TestRun:
         assert done.stderr.startswith("configuration error") and "SNR grid" in done.stderr
         assert len(done.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("snr_max", ["1e300", str(harness.MAX_SNR_POINTS)])
+    def test_snr_grid_past_the_point_cap_is_config_error(self, capsys, snr_max):
+        """A 1 dB grid of more than MAX_SNR_POINTS points exits 1 with one line, in-process."""
+        grid = ["--snr-min", "0", "--snr-max", snr_max, "--snr-step", "1"]
+        assert cli_main(["run", "--nr", "2", "--trials", "1", *grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            f"configuration error: an SNR grid holds at most {harness.MAX_SNR_POINTS} points"
+        )
+
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys):
+        """A --config path that cannot be read, here a directory, exits 1 with one line."""
+        assert cli_main(["run", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {tmp_path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_negative_seed_in_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"nr": 2, "trials": 1, "seed": -1}))
@@ -426,20 +445,25 @@ class TestVerify:
         degenerate_trials(2, 4, {3})
         code, lines, summary = self._verify(capsys)
         assert code == 2 and summary.endswith(" suite(s) FAILED")
-        assert len(lines) == 10 and list(lines) == list(passing)
+        assert list(lines) == list(passing) == list(SUITES)
         assert lines["orthogonality"].startswith(
             "[FAIL] orthogonality: 0/20 (curve 0, trial 3, seed 1: rank-deficient input to qr_tall"
         )
 
     def test_quantizer_miss_fails_perturb_accuracy(self, capsys, monkeypatch):
-        """A quantizer step that misses its distance is perturb-accuracy's FAIL, not a crash."""
+        """A quantizer step that misses its distance is perturb-accuracy's FAIL, not a crash,
+        and its line prints the two distances apart."""
         _, passing, _ = self._verify(capsys)
         monkeypatch.setattr(grassmann, "PERTURB_TOL", 1e-20)
         code, lines, _ = self._verify(capsys)
-        assert code == 2 and len(lines) == 10 and list(lines) == list(passing)
-        assert lines["perturb-accuracy"].startswith(
+        assert code == 2 and list(lines) == list(passing) == list(SUITES)
+        line = lines["perturb-accuracy"]
+        assert line.startswith(
             "[FAIL] perturb-accuracy: 0/20 (curve 0, trial 0, seed 9: reached chordal distance "
         )
+        reached, target = re.search(r"distance (\S+), not (\S+) \(miss ", line).groups()
+        assert float(reached) != float(target)
+        assert line.endswith(" > tolerance 1e-20))")
 
 
 def _line_rows(n_r, snrs):

@@ -164,6 +164,10 @@ class TestCodebook:
         with pytest.raises(InvalidInputError):
             codebook_generate(4, 2, 21, np.random.default_rng(6))
 
+    def test_no_bits_rejected(self):
+        with pytest.raises(InvalidInputError, match="bit budget must be >= 1, got 0"):
+            codebook_generate(4, 2, 0, np.random.default_rng(6))
+
     def test_codebook_validation(self):
         p = random_truncated_unitary(4, 2, np.random.default_rng(7))
         with pytest.raises(InvalidInputError):

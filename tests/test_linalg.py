@@ -77,6 +77,21 @@ class TestNullspaces:
         u = left_nullspace_basis(np.zeros((3, 0)))
         np.testing.assert_array_equal(u, np.eye(3))
 
+    @pytest.mark.parametrize(
+        "a, error, match",
+        [
+            (np.ones(3), InvalidInputError, "must be a matrix or a stack of matrices"),
+            (np.ones((0, 2)), InvalidInputError, "at least one row and column"),
+            (np.array([[1.0], [np.nan]]), InvalidInputError, "non-finite"),
+            (np.ones((3, 2)), NumericalError, "rank-deficient"),
+        ],
+        ids=["vector", "no-rows", "nan", "rank-deficient"],
+    )
+    def test_left_rejects(self, a, error, match):
+        """A vector, no rows or a NaN is invalid input; a rank-deficient Hj is numerical."""
+        with pytest.raises(error, match=match):
+            left_nullspace_basis(a)
+
 
 def test_decomposition_reconstruction_sweep():
     """Residual below 1e-9 relative on 1000 random instances."""

@@ -622,6 +622,15 @@ class TestSdofFit:
         rates = snrs * (math.log2(10.0) / 10.0) + 0.1 * np.array([2.0, -1.0, -2.0, -1.0, 2.0])
         assert fit_slope(snrs, rates) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "snr_db, rates",
+        [(SNRS, SNRS[:4]), (SNRS[np.newaxis], SNRS[np.newaxis])],
+        ids=["unequal", "2-D"],
+    )
+    def test_shape_rejected(self, snr_db, rates):
+        with pytest.raises(InvalidInputError, match="1-D arrays of equal length"):
+            fit_slope(snr_db, rates)
+
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             fit_slope(self.SNRS, self._rates(lambda x: x), window=(45.0, 50.0))

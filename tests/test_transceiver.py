@@ -134,6 +134,12 @@ class TestTxPrecoders:
         with pytest.raises(NumericalError):
             tx_precoders_perfect(np.vstack([row, row]))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2)])
+    def test_perfect_needs_a_nullspace(self, shape):
+        """n_t <= n_r leaves no nullspace for the artificial noise."""
+        with pytest.raises(InvalidInputError, match="need n_t > n_r"):
+            tx_precoders_perfect(np.ones(shape))
+
     def test_quantized_zero_error_nulls_channel(self):
         rng = np.random.default_rng(9)
         hd = random_gaussian_matrix(2, 4, rng)
