@@ -106,7 +106,7 @@ def quant_error_bound(n_f: int, n_t: int, n_r: int) -> float:
     """
     if n_t <= n_r or n_r < 1:
         raise InvalidInputError(f"need n_t > n_r >= 1, got ({n_t}, {n_r})")
-    if n_f < 1:
+    if not n_f >= 1:  # so that NaN fails it
         raise InvalidInputError(f"bit budget must be >= 1, got {n_f}")
     n_dim = 2 * n_r * (n_t - n_r)
     # c = [1 / (n_r (n_t - n_r))!] * prod_{i=1..n_r} (n_t - i)! / (n_r - i)!
@@ -124,7 +124,7 @@ def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) ->
     A stand-in for Grassmannian sphere packing in the exhaustive-search
     regime; guarded to n_f <= 20 because the codebook is materialized.
     """
-    if n_f < 1:
+    if not n_f >= 1:  # so that NaN fails it
         raise InvalidInputError(f"bit budget must be >= 1, got {n_f}")
     if n_f > MAX_EXHAUSTIVE_BITS:
         raise InvalidInputError(
@@ -256,11 +256,14 @@ def feedback_bits(power: float, epsilon: float, n_t: int, n_r: int) -> int:
     """Bit budget n_f = ceil((1 + epsilon) n_r (n_t - n_r) log2 P) of the power-scaled law.
 
     Rounding up keeps the sufficiency direction of the scaling law. The law
-    yields no bits at P <= 1; the quantizer still needs one, which at these
-    powers is maximal quantization error anyway.
+    yields no bits at 0 < P <= 1; the quantizer still needs one, which at
+    these powers is maximal quantization error anyway.
     """
+    # each check is written so that NaN fails it
     if not 0 <= epsilon < math.inf:
         raise InvalidInputError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not 0 < power < math.inf:
+        raise InvalidInputError(f"transmit power must be positive and finite, got {power}")
     if power <= 1.0:
         return 1
     half_dim = n_r * (n_t - n_r)

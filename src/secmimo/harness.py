@@ -149,11 +149,6 @@ class ExperimentConfig:
             curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
         except OverflowError as exc:
             raise ConfigError(f"SNR grid, powers and bit budgets must be finite: {exc}") from None
-        # every curve's lowest power, at snr_min, underflowing to 0
-        if curves[0][0][2] == 0.0:
-            raise ConfigError(
-                f"SNR grid powers must be positive and finite, got 0.0 at {self.snr_min} dB"
-            )
         return curves
 
 
@@ -219,6 +214,8 @@ def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[floa
         raise ConfigError(f"an SNR grid holds at most {MAX_SNR_POINTS} points, got {n:.3g}")
     snrs = [cfg.snr_min + i * cfg.snr_step for i in range(n)]
     powers = [(snr, 10.0 ** (snr / 10.0)) for snr in snrs]
+    if powers[0][1] == 0.0:  # the lowest power, at snr_min, underflowing to 0
+        raise ConfigError(f"SNR grid powers must be positive and finite, got 0.0 at {snrs[0]} dB")
     if cfg.nf_grid is not None:
         return [(snr, int(nf), p) for snr, p in powers for nf in cfg.nf_grid]
     return [(snr, feedback_bits(p, cfg.epsilon, acfg.n_t, acfg.n_r), p) for snr, p in powers]
@@ -229,25 +226,23 @@ def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
 
 
 def _run_trials(
-    acfg: AntennaConfig,
-    policy: PowerPolicy,
-    targets: np.ndarray,
-    rngs: list[np.random.Generator],
+    policy: PowerPolicy, targets: np.ndarray, rngs: list[np.random.Generator]
 ) -> np.ndarray:
     """Evaluate all operating points for a chunk of channel draws, one per rng.
 
     `policy` and `targets` hold one power and one quantizer distance per
-    point. The per-trial stage takes each trial's channels, B, receive
-    filters, the couplings its Gram sets share and the perfect-CSI Gram set,
-    that of the step to distance 0. The per-point stage then takes each
-    quantizer step as n_r x n_r Grams, in blocks of about BLOCK_POINTS
-    operating points, and rates each block's perfect and quantized Gram sets
-    at every power with :func:`grams_rate`. A point whose target is below
-    ZERO_DISTANCE steps to distance 0, so its two rates agree bit for bit.
+    point, for the antennas of ``policy.config``. The per-trial stage takes
+    each trial's channels, B, receive filters, the couplings its Gram sets
+    share and the perfect-CSI Gram set, that of the step to distance 0. The
+    per-point stage then takes each quantizer step as n_r x n_r Grams, in
+    blocks of about BLOCK_POINTS operating points, and rates each block's
+    perfect and quantized Gram sets at every power with :func:`grams_rate`.
+    A point whose target is below ZERO_DISTANCE steps to distance 0, so its
+    two rates agree bit for bit.
     Returns an array of shape (len(rngs), n_points, 5): the clipped perfect,
     clipped quantized, raw perfect and raw quantized rates, and the leakage.
     """
-    channels, b = sample_trials(acfg, rngs)
+    channels, b = sample_trials(policy.config, rngs)
     filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
     couplings = trial_couplings(channels, filters)
     perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
@@ -255,11 +250,11 @@ def _run_trials(
     block = max(1, BLOCK_POINTS // targets.size)
     for start in range(0, len(rngs), block):
         rows = slice(start, start + block)
-        z = sample_directions(acfg, rngs[rows], targets >= ZERO_DISTANCE)
+        z = sample_directions(policy.config, rngs[rows], targets >= ZERO_DISTANCE)
         step = perturb_gram(filters.F[rows], z, targets)
         grams = step_grams(couplings._make(m[rows] for m in couplings), step)
-        r_p = grams_rate(perfect._make(m[rows] for m in perfect), policy, acfg)
-        r_q = grams_rate(grams, policy, acfg)
+        r_p = grams_rate(perfect._make(m[rows] for m in perfect), policy)
+        r_q = grams_rate(grams, policy)
         out[rows] = np.stack([r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, r_q.leakage], -1)
     return out
 
@@ -291,9 +286,9 @@ def _map_trials(measure, seed: int, curve: int, trials: range) -> np.ndarray:
 def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
     """Per-trial outputs of one curve, shape (trials, n_points, 5), by :func:`_map_trials`."""
     acfg = cfg.antenna_configs[curve_idx]
-    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho)
+    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho, config=acfg)
     targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points])
-    measure = functools.partial(_run_trials, acfg, policy, targets)
+    measure = functools.partial(_run_trials, policy, targets)
     return _map_trials(measure, cfg.seed, curve_idx, range(cfg.trials))
 
 

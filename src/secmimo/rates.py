@@ -36,13 +36,7 @@ from .linalg import (
     left_nullspace_basis,
     logdet_pd,
 )
-from .transceiver import (
-    AntennaConfig,
-    ChannelSet,
-    PowerPolicy,
-    Precoders,
-    ReceiverFilters,
-)
+from .transceiver import ChannelSet, PowerPolicy, Precoders, ReceiverFilters
 
 
 @dataclass(frozen=True)
@@ -87,21 +81,17 @@ def _clip(raw):
     return np.where(raw > 0.0, raw, 0.0)[()]
 
 
-def _term(x1, x2, policy: PowerPolicy, config: AntennaConfig):
+def _term(x1, x2, policy: PowerPolicy):
     """Information rate at a unit noise floor from the Grams X1 X1* and X2 X2*.
 
     log-det ratio of the receive covariance with and without the information
     signal X1; the artificial noise through X2 sits in both determinants.
     """
-    signal = _per_matrix(policy.signal_scale(config.n_r))
-    an = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r))
-    base = an * x2 + np.eye(x1.shape[-1])
-    return _logdet_ratio(signal * x1 + base, base)
+    base = _per_matrix(policy.an_cov_scale) * x2 + np.eye(x1.shape[-1])
+    return _logdet_ratio(_per_matrix(policy.signal_scale) * x1 + base, base)
 
 
-def secrecy_rate_perfect_basic(
-    channels: ChannelSet, policy: PowerPolicy, config: AntennaConfig
-) -> SecrecyRate:
+def secrecy_rate_perfect_basic(channels: ChannelSet, policy: PowerPolicy) -> SecrecyRate:
     """Secrecy rate with perfect CSI and SVD-aligned precoding, no G filter.
 
     The receiver applies only the jammer nuller V; the effective direct
@@ -110,9 +100,10 @@ def secrecy_rate_perfect_basic(
     """
     u, s, vh = np.linalg.svd(as_stack(channels.Hd, "Hd"), full_matrices=True)
     v = left_nullspace_basis(channels.Hj)
-    t_plus = _term(_gram(adjoint(v) @ (u * s[..., np.newaxis, :])), 0.0, policy, config)
+    t_plus = _term(_gram(adjoint(v) @ (u * s[..., np.newaxis, :])), 0.0, policy)
     he = as_stack(channels.He, "He") @ adjoint(vh)  # signal on the first n_r columns, AN after
-    t_minus = _term(_gram(he[..., : config.n_r]), _gram(he[..., config.n_r :]), policy, config)
+    n_r = policy.config.n_r
+    t_minus = _term(_gram(he[..., :n_r]), _gram(he[..., n_r:]), policy)
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 
@@ -153,7 +144,7 @@ def step_grams(couplings: TrialCouplings, step) -> RateGrams:
     return RateGrams(c.A @ k @ a_star, s2, e1, c.HeHe - e1, c.GG)
 
 
-def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> SecrecyRate:
+def grams_rate(grams: RateGrams, policy: PowerPolicy) -> SecrecyRate:
     """Two-stage secrecy rate of a Gram set: one log-det ratio per term and element.
 
     Both terms take one formula at unit noise: the positive term from
@@ -165,11 +156,10 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> 
     broadcast against the stack's leading shape, so a stack of shape
     (T, 1) and P powers give (T, P) arrays.
     """
-    t_plus = _term(grams.s1, grams.s2, policy, config)
-    t_minus = _term(grams.e1, grams.e2, policy, config)
+    t_plus = _term(grams.s1, grams.s2, policy)
+    t_minus = _term(grams.e1, grams.e2, policy)
     raw = t_plus - t_minus
-    an = policy.an_cov_scale(config.n_t, config.n_r)
-    leakage = (an * np.einsum("...ii->...", grams.gg @ grams.s2).real)[()]
+    leakage = (policy.an_cov_scale * np.einsum("...ii->...", grams.gg @ grams.s2).real)[()]
     return SecrecyRate(_clip(raw), raw, t_plus, t_minus, leakage)
 
 
@@ -178,7 +168,6 @@ def secrecy_rate_G(
     precoders: Precoders,
     filters: ReceiverFilters,
     policy: PowerPolicy,
-    config: AntennaConfig,
 ) -> SecrecyRate:
     """Secrecy rate under the two-stage receiver, for explicit perfect or quantized precoders.
 
@@ -186,23 +175,23 @@ def secrecy_rate_G(
     Gram route. L is zero to round-off for perfect precoders, whose W2 spans
     the nullspace of Hd.
     """
-    return grams_rate(_precoder_grams(channels, precoders, filters), policy, config)
+    return grams_rate(_precoder_grams(channels, precoders, filters), policy)
 
 
-def eve_rate_limit(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:
+def eve_rate_limit(grams: RateGrams, policy: PowerPolicy) -> float:
     """High-power limit of the eavesdropper rate term (bits), from a Gram set.
 
-    As P grows, the Eve term converges to
-    log2 det(I + rho/(1-rho) * (n_t - n_r)/n_r * A B^{-1}) with
-    A = E1 E1* and B = E2 E2*, which exists because n_e <= n_t - n_r keeps
-    B invertible. The information covariance is P/n_r I, as in every rate
-    here. Stacks give one limit per element.
+    As P grows, the Eve term converges to log2 det(I + s/a * A B^{-1}) with
+    s/a = rho/(1-rho) * (n_t - n_r)/n_r the ratio of the policy's signal and
+    artificial-noise scales, A = E1 E1* and B = E2 E2*; the limit exists
+    because n_e <= n_t - n_r keeps B invertible. Stacks give one limit per
+    element.
     """
-    coef = policy.rho * (config.n_t - config.n_r) / ((1.0 - policy.rho) * config.n_r)
-    return _logdet_ratio(grams.e2 + _per_matrix(coef) * grams.e1, grams.e2)
+    coef = _per_matrix(policy.signal_scale / policy.an_cov_scale)
+    return _logdet_ratio(grams.e2 + coef * grams.e1, grams.e2)
 
 
-def beta_P(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> float:
+def beta_P(grams: RateGrams, policy: PowerPolicy) -> float:
     """Remainder term of the quantization gap analysis (bits), from a Gram set.
 
     Difference of the receiver's log-determinant at unit noise with and
@@ -213,7 +202,7 @@ def beta_P(grams: RateGrams, policy: PowerPolicy, config: AntennaConfig) -> floa
     schedule.
     """
     m1 = _per_matrix(policy.rho * policy.P) * grams.s1 + np.eye(grams.s1.shape[-1])
-    leak = _per_matrix(policy.an_cov_scale(config.n_t, config.n_r)) * grams.s2
+    leak = _per_matrix(policy.an_cov_scale) * grams.s2
     return _logdet_ratio(m1 + leak, m1)
 
 

@@ -79,16 +79,17 @@ class AntennaConfig:
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Transmit power split for one operating point, at unit noise at both receivers.
+    """Transmit power split for one operating point of `config`, at unit noise at both receivers.
 
-    `rho` is the fraction of the power budget P on the information signal;
-    the rest drives artificial noise with covariance P/(n_t - n_r) I. The
-    information covariance is P/n_r I. P and rho may also be arrays over a
-    stack's leading axes, one value per element.
+    `rho` is the fraction of the power budget P on the n_r information
+    streams; the rest drives artificial noise in the other n_t - n_r
+    dimensions. P and rho may also be arrays over a stack's leading axes,
+    one value per element.
     """
 
     P: float
     rho: float
+    config: AntennaConfig
 
     def __post_init__(self):
         # each check is written so that NaN fails it
@@ -96,14 +97,18 @@ class PowerPolicy:
             raise InvalidInputError(f"transmit power must be positive and finite, got {self.P}")
         if not np.all((np.asarray(self.rho) > 0.0) & (np.asarray(self.rho) < 1.0)):
             raise InvalidInputError(f"rho must lie in (0, 1), got {self.rho}")
+        if not isinstance(self.config, AntennaConfig):
+            raise InvalidInputError(f"config must be an AntennaConfig, got {self.config!r}")
 
-    def signal_scale(self, n_r: int) -> float:
-        """Effective information covariance scale rho P / n_r."""
-        return self.rho * ((1.0 / n_r) * self.P)
+    @property
+    def signal_scale(self) -> float:
+        """Information covariance scale rho P / n_r, per stream."""
+        return self.rho * ((1.0 / self.config.n_r) * self.P)
 
-    def an_cov_scale(self, n_t: int, n_r: int) -> float:
-        """Effective artificial-noise covariance scale (1 - rho) P / (n_t - n_r)."""
-        return (1.0 - self.rho) * self.P / (n_t - n_r)
+    @property
+    def an_cov_scale(self) -> float:
+        """Artificial-noise covariance scale (1 - rho) P / (n_t - n_r), per dimension."""
+        return (1.0 - self.rho) * self.P / (self.config.n_t - self.config.n_r)
 
 
 @dataclass(frozen=True)
@@ -281,12 +286,13 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
     return ReceiverFilters(V=v, G=g, F=f, C=c)
 
 
-def leakage_bound(policy: PowerPolicy, n_f, config: AntennaConfig) -> float:
+def leakage_bound(policy: PowerPolicy, n_f) -> float:
     """Worst-case leakage power for a sphere-packing codebook with n_f bits.
 
     2 (1-rho) P / (n_t - n_r) * delta(n_f)^2 with delta the quantization
     error bound (higher-order factor dropped), independent of P under the
     power-matched bit schedule. Arrays of n_f and P broadcast together.
     """
-    delta = np.vectorize(quant_error_bound, otypes=[float])(n_f, config.n_t, config.n_r)
-    return 2.0 * policy.an_cov_scale(config.n_t, config.n_r) * delta**2
+    n_t, n_r = policy.config.n_t, policy.config.n_r
+    delta = np.vectorize(quant_error_bound, otypes=[float])(n_f, n_t, n_r)
+    return 2.0 * policy.an_cov_scale * delta**2

@@ -151,12 +151,12 @@ def _oracle_equivalence_suite(trials: int, seed: int) -> tuple[int, str]:
     def max_diff(acfg, channels, filters, z, u):
         targets = _targets(4 + (26 * u[:, :1]).astype(int), acfg.n_t, acfg.n_r)
         prec_q = tx_precoders_quantized(filters.F, z, targets)
-        policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:])
-        an = _per_matrix(policy.an_cov_scale(acfg.n_t, acfg.n_r))
+        policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:], config=acfg)
+        an = _per_matrix(policy.an_cov_scale)
         vh = adjoint(filters.V) @ channels.Hd
         signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
-        r_p = grams_rate(_grams(channels, filters), policy, acfg)
-        r_q = grams_rate(_grams(channels, filters, z, targets), policy, acfg)
+        r_p = grams_rate(_grams(channels, filters), policy)
+        r_q = grams_rate(_grams(channels, filters, z, targets), policy)
         diffs = []
         for rate, prec in (r_p, tx_precoders_perfect(channels.Hd)), (r_q, prec_q):
             for h, term in (vh, rate.t_plus), (channels.He, rate.t_minus):
@@ -232,11 +232,11 @@ def _beta_suite(trials: int, seed: int) -> tuple[int, str]:
     trials; each trial quantizes one direction at both powers' targets.
     """
     acfg = AntennaConfig(4, 2, 1, 2)
-    policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5)
+    policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5, config=acfg)
     targets = _matched_targets(acfg, policy.P)
 
     def remainder(acfg, channels, filters, z, _):
-        return beta_P(_grams(channels, filters, z, targets), policy, acfg)
+        return beta_P(_grams(channels, filters, z, targets), policy)
 
     beta = _per_trial(remainder, trials, seed, (acfg,))
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
@@ -248,19 +248,18 @@ def _beta_suite(trials: int, seed: int) -> tuple[int, str]:
 def _eve_limit_suite(trials: int, seed: int) -> tuple[int, str]:
     """The engine's perfect-CSI eavesdropper term at P = 1e9 against its limit.
 
-    With B = E2 E2*, X = B + coef E1 E1* and d = 1 / an (unit noise), the
+    With B = E2 E2*, X = B + (signal / an) E1 E1* and d = 1 / an (unit
+    noise), for the policy's signal and artificial-noise scales, the
     :func:`~secmimo.rates.logdet_perturbation_check` bounds of (X, d I) and
     (B, d I) put term - limit in [lower_X - upper_B, upper_X - lower_B] log2 e;
     a trial fails when it lies outside by more than 1e-9.
     """
-    policy = PowerPolicy(P=1e9, rho=0.5)
 
     def excursion(acfg, channels, filters, z, _):
+        policy = PowerPolicy(P=1e9, rho=0.5, config=acfg)
         grams = _grams(channels, filters)
-        term = grams_rate(grams, policy, acfg).t_minus
-        diff = term - eve_rate_limit(grams, policy, acfg)
-        coef = policy.rho * (acfg.n_t - acfg.n_r) / ((1.0 - policy.rho) * acfg.n_r)
-        d = 1.0 / policy.an_cov_scale(acfg.n_t, acfg.n_r)
+        diff = grams_rate(grams, policy).t_minus - eve_rate_limit(grams, policy)
+        coef, d = policy.signal_scale / policy.an_cov_scale, 1.0 / policy.an_cov_scale
         shift = np.broadcast_to(d * np.eye(acfg.n_e), grams.e2.shape)
         (_, upper_x, lower_x), (_, upper_b, lower_b) = (
             logdet_perturbation_check(m, shift) for m in (grams.e2 + coef * grams.e1, grams.e2)
@@ -284,10 +283,9 @@ def _leakage_bound_suite(trials: int, seed: int) -> tuple[int, str]:
 
     def over(acfg, channels, filters, z, u):
         nf = 10 + (50 * u[:, :1]).astype(int)
-        policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5)
+        policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5, config=acfg)
         grams = _grams(channels, filters, z, _targets(nf, acfg.n_t, acfg.n_r))
-        leak = grams_rate(grams, policy, acfg).leakage
-        return leak > leakage_bound(policy, nf, acfg) * (1.0 + 1e-9)
+        return grams_rate(grams, policy).leakage > leakage_bound(policy, nf) * (1.0 + 1e-9)
 
     violations = int(np.count_nonzero(_per_trial(over, trials, seed, SLOPE_CONFIGS, uniforms=2)))
     failures = max(0, violations - int(0.01 * trials))
@@ -303,11 +301,11 @@ def _leakage_bounded_in_power_suite(trials: int, seed: int) -> tuple[int, str]:
     differ by the schedule's effect and not by independent draws.
     """
     acfg = AntennaConfig(4, 2, 1, 2)
-    policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5)
+    policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5, config=acfg)
     targets = _matched_targets(acfg, policy.P)
 
     def leakage(acfg, channels, filters, z, _):
-        return grams_rate(_grams(channels, filters, z, targets), policy, acfg).leakage
+        return grams_rate(_grams(channels, filters, z, targets), policy).leakage
 
     means = _per_trial(leakage, trials, seed, (acfg,)).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()

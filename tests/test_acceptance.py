@@ -6,20 +6,56 @@ experiments at desk scale; 6-8 are exactness/inequality sweeps; 9 pins the
 determinism contract.
 Criterion 10 holds the n_r = 4 gap slope near 0, tightly enough to catch a bit law 3% short.
 Criterion 11 holds the decay of the mean gap and leakage at P^(-epsilon), as tightly.
+
+Each criterion has a negative control, a `test_criterion_N_catches_*` test that patches the
+program and sees the criterion's own condition fail, or a stated exemption (:data:`EXEMPT`).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from secmimo import harness
+from secmimo.grassmann import quantization_target
 from secmimo.harness import fitted_slopes_from_rows, render_csv, run_experiment, scenario_config
 from secmimo.rates import fit_slope
 from secmimo.transceiver import AntennaConfig, PowerPolicy, leakage_bound
-from secmimo.verification import run_suite
+from secmimo.verification import SUITES, run_suite
 
 ACCEPT_SEED = 20240901
+
+# Criterion -> name of its negative control, filled by @_catches.
+CATCHES = {}
+
+# Criteria with no negative control here, and why.
+EXEMPT = {
+    2: "no plausible patch fails it: a 20%-short bit law and a doubled channel variance both "
+    "keep its 60 dB gap under 0.25 bits",
+    # each wraps verify suites, whose mutation tests are in test_verification.py
+    5: ("leakage-bounded-in-P",),
+    6: ("orthogonality",),
+    7: ("oracle-equivalence",),
+    8: ("lemma-variational", "lemma-sandwich", "beta-remainder", "eve-rate-limit"),
+}
+
+
+def _catches(criterion: int):
+    """Register the decorated test as `criterion`'s negative control."""
+
+    def register(test):
+        CATCHES[criterion] = test.__name__
+        return test
+
+    return register
+
+
+def _short_law(factor, power, epsilon, n_t, n_r):
+    """A bit law `factor` of the paper's: ceil(factor (1 + epsilon) n_r (n_t - n_r) log2 P)."""
+    if power <= 1.0:
+        return 1
+    return math.ceil(factor * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -32,19 +68,34 @@ def slope_result():
     return run_experiment(cfg)
 
 
-def test_criterion_1_sdof_slopes(slope_result):
-    """Slopes of both mean curves within 0.15 of n_r - n_j over 40-60 dB."""
+def _sdof_slopes(rows) -> tuple[bool, str]:
+    """Whether both slopes of every curve lie within 0.15 of n_r - n_j, and the slopes."""
     ok = True
     details = []
     for n_r, d_s in ((2, 1), (3, 2), (4, 3)):
-        fit = fitted_slopes_from_rows(slope_result)[(2 * n_r, n_r, 1, n_r)]
+        fit = fitted_slopes_from_rows(rows)[(2 * n_r, n_r, 1, n_r)]
         details.append(
             f"n_r={n_r}: perfect {fit['perfect']:.3f}, quantized {fit['quantized']:.3f} "
             f"(target {d_s})"
         )
         ok = ok and abs(fit["perfect"] - d_s) <= 0.15 and abs(fit["quantized"] - d_s) <= 0.15
-    _report("criterion-1 sdof-slopes", ok, "; ".join(details))
+    return ok, "; ".join(details)
+
+
+def test_criterion_1_sdof_slopes(slope_result):
+    """Slopes of both mean curves within 0.15 of n_r - n_j over 40-60 dB."""
+    ok, detail = _sdof_slopes(slope_result)
+    _report("criterion-1 sdof-slopes", ok, detail)
     assert ok
+
+
+@_catches(1)
+def test_criterion_1_catches_a_short_bit_law(monkeypatch):
+    """A bit law 20% short of the paper's, quantized slopes near 0.8 d_s, fails criterion 1."""
+    monkeypatch.setattr(harness, "feedback_bits", functools.partial(_short_law, 0.8))
+    cfg = scenario_config("slope", [2, 3, 4], trials=500, seed=ACCEPT_SEED)
+    ok, detail = _sdof_slopes(run_experiment(cfg))
+    assert not ok, f"a 20%-short bit law kept the slopes at {detail}"
 
 
 def test_criterion_2_vanishing_gap():
@@ -70,11 +121,16 @@ def test_criterion_2_vanishing_gap():
     assert ok
 
 
-def test_criterion_3_saturation():
-    """Fixed 30 bits: quantized slope < 0.3 while perfect stays near 2."""
+def _saturation() -> tuple[bool, dict]:
+    """Whether the fixed-30-bit curve saturates with its perfect slope near 2, and its slopes."""
     cfg = scenario_config("saturation", trials=200, seed=ACCEPT_SEED + 2)
     fit = fitted_slopes_from_rows(run_experiment(cfg))[(6, 3, 1, 3)]
-    ok = fit["quantized"] < 0.3 and abs(fit["perfect"] - 2.0) <= 0.15
+    return fit["quantized"] < 0.3 and abs(fit["perfect"] - 2.0) <= 0.15, fit
+
+
+def test_criterion_3_saturation():
+    """Fixed 30 bits: quantized slope < 0.3 while perfect stays near 2."""
+    ok, fit = _saturation()
     _report(
         "criterion-3 saturation",
         ok,
@@ -83,8 +139,17 @@ def test_criterion_3_saturation():
     assert ok
 
 
-def test_criterion_4_gap_vs_bits():
-    """Mean gap strictly decreasing in bits; below 0.1 at 90 bits and 10 dB."""
+@_catches(3)
+def test_criterion_3_catches_targets_at_zero(monkeypatch):
+    """Quantizer targets forced to 0, so the fixed budget costs nothing, fail criterion 3."""
+    monkeypatch.setattr(harness, "quantization_target", lambda n_f, n_t, n_r: 0.0)
+    ok, fit = _saturation()
+    assert not ok, f"targets at 0 kept the slopes at {fit}"
+
+
+def _gap_vs_bits() -> tuple[bool, dict]:
+    """Whether every SNR's mean gap falls strictly in bits and is below 0.1 at 90 bits and
+    10 dB, and the gaps by SNR and bits."""
     cfg = scenario_config(
         "gap_vs_bits",
         trials=200,
@@ -98,7 +163,12 @@ def test_criterion_4_gap_vs_bits():
     for snr, gaps in sorted(by_snr.items()):
         seq = [gaps[nf] for nf in (10, 30, 50, 70, 90)]
         ok = ok and all(b < a for a, b in zip(seq, seq[1:]))
-    ok = ok and by_snr[10.0][90] < 0.1
+    return ok and by_snr[10.0][90] < 0.1, by_snr
+
+
+def test_criterion_4_gap_vs_bits():
+    """Mean gap strictly decreasing in bits; below 0.1 at 90 bits and 10 dB."""
+    ok, by_snr = _gap_vs_bits()
     _report(
         "criterion-4 gap-vs-bits",
         ok,
@@ -107,11 +177,20 @@ def test_criterion_4_gap_vs_bits():
     assert ok
 
 
+@_catches(4)
+def test_criterion_4_catches_a_budget_ignored(monkeypatch):
+    """Every target at the 30-bit one, so the gap cannot fall with the budget, fails criterion 4."""
+    at_30_bits = functools.partial(quantization_target, 30)
+    monkeypatch.setattr(harness, "quantization_target", lambda n_f, n_t, n_r: at_30_bits(n_t, n_r))
+    ok, by_snr = _gap_vs_bits()
+    assert not ok, f"a budget ignored kept the gaps at {by_snr}"
+
+
 def test_criterion_5_leakage_boundedness():
     """Leakage stays power-independent under the matched schedule; exact constant."""
     suite = run_suite("leakage-bounded-in-P", 200, ACCEPT_SEED + 4)
     constant = 8 * 0.5 / (2 * 0.5 ** (2 / 8))
-    bound = leakage_bound(PowerPolicy(P=2.0**10, rho=0.5), 40, AntennaConfig(4, 2, 1, 2))
+    bound = leakage_bound(PowerPolicy(P=2.0**10, rho=0.5, config=AntennaConfig(4, 2, 1, 2)), 40)
     exact = abs(bound - constant) < 1e-12 and abs(constant - 2.3784) < 5e-5
     ok = suite.passed and exact
     _report(
@@ -161,9 +240,9 @@ def test_criterion_8_lemma_suite():
     assert ok
 
 
-def test_criterion_9_determinism(monkeypatch):
-    """Identical seed and config give byte-identical CSV and bitwise-equal
-    per-trial arrays for blocks of 1, 8 and a whole curve, and on a rerun."""
+def _blocks_agree(monkeypatch) -> tuple[bool, list, list]:
+    """Whether blocks of 1, 8 and 16 trials and a rerun give byte-identical CSVs and
+    bitwise-equal per-trial arrays, and the CSVs and arrays in that order."""
     cfg = scenario_config(
         "slope",
         [2],
@@ -179,10 +258,15 @@ def test_criterion_9_determinism(monkeypatch):
         monkeypatch.setattr(harness, "BLOCK_POINTS", block * len(points))
         texts.append(render_csv(run_experiment(cfg)))
         per_trial.append(harness._curve_trials(cfg, 0, points))
-    rerun = render_csv(run_experiment(cfg))
-    ok = texts[0] == texts[1] == texts[2] == rerun and all(
-        np.array_equal(arr, per_trial[0]) for arr in per_trial[1:]
-    )
+    texts.append(render_csv(run_experiment(cfg)))
+    ok = len(set(texts)) == 1 and all(np.array_equal(arr, per_trial[0]) for arr in per_trial)
+    return ok, texts, per_trial
+
+
+def test_criterion_9_determinism(monkeypatch):
+    """Identical seed and config give byte-identical CSV and bitwise-equal
+    per-trial arrays for blocks of 1, 8 and a whole curve, and on a rerun."""
+    ok, texts, per_trial = _blocks_agree(monkeypatch)
     _report(
         "criterion-9 determinism",
         ok,
@@ -190,6 +274,22 @@ def test_criterion_9_determinism(monkeypatch):
         "across blocks of 1/8/16 trials and a rerun",
     )
     assert ok
+
+
+@_catches(9)
+def test_criterion_9_catches_a_generator_per_curve(monkeypatch):
+    """One generator shared by a curve's trials, reseeded at trial 0, fails criterion 9: its
+    draws follow the chunking, so blocks of 1 and 8 trials write different CSVs."""
+    shared = {}
+
+    def shared_rng(seed, curve, trial):
+        if trial == 0:
+            shared[seed, curve] = np.random.default_rng([seed, curve])
+        return shared[seed, curve]
+
+    monkeypatch.setattr(harness, "_trial_rng", shared_rng)
+    ok, texts, _ = _blocks_agree(monkeypatch)
+    assert not ok and texts[0] != texts[1]
 
 
 def _gap_slope(rows) -> float:
@@ -206,16 +306,10 @@ def test_criterion_10_paired_gap_slope(slope_result):
     assert ok
 
 
-def _short_law(power, epsilon, n_t, n_r):
-    """A bit law 3% short of the paper's: ceil(0.97 (1 + epsilon) n_r (n_t - n_r) log2 P)."""
-    if power <= 1.0:
-        return 1
-    return math.ceil(0.97 * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
-
-
+@_catches(10)
 def test_criterion_10_catches_a_short_bit_law(monkeypatch):
     """A bit law 3% short of the paper's fails criterion 10."""
-    monkeypatch.setattr(harness, "feedback_bits", _short_law)
+    monkeypatch.setattr(harness, "feedback_bits", functools.partial(_short_law, 0.97))
     slope = _gap_slope(run_experiment(scenario_config("slope", [4], trials=500, seed=ACCEPT_SEED)))
     assert abs(slope) > 0.03, f"a 3%-short bit law kept the gap slope at {slope:.4f}"
 
@@ -261,8 +355,23 @@ def test_criterion_11_loss_decays_like_p_to_minus_epsilon():
     assert ok
 
 
+@_catches(11)
 def test_criterion_11_catches_a_short_bit_law(monkeypatch):
     """A bit law 3% short of the paper's, an exponent near -0.455, fails criterion 11."""
-    monkeypatch.setattr(harness, "feedback_bits", _short_law)
+    monkeypatch.setattr(harness, "feedback_bits", functools.partial(_short_law, 0.97))
     slopes = _decay_slopes()
     assert not _decays_at_half(slopes), f"a 3%-short bit law kept the decay slopes at {slopes}"
+
+
+def test_every_criterion_has_a_negative_control():
+    """Criteria 1-11 each have a registered `catches` test or an exemption, not both; an
+    exemption by wrapped suites names entries of SUITES, each of which test_verification.py
+    holds to a mutation test."""
+    tests = [name for name in globals() if name.startswith("test_criterion_")]
+    criteria = {int(name.split("_")[2]) for name in tests}
+    assert criteria == set(range(1, 12))
+    assert CATCHES.keys() | EXEMPT.keys() == criteria and not CATCHES.keys() & EXEMPT.keys()
+    for criterion, name in CATCHES.items():
+        assert name.startswith(f"test_criterion_{criterion}_catches_") and name in globals()
+    for reason in EXEMPT.values():
+        assert isinstance(reason, str) or set(reason) <= SUITES.keys(), reason

@@ -129,8 +129,12 @@ class TestQuantErrorBound:
             assert delta * (c * 2.0**nf) ** (1 / 8) == pytest.approx(2.0, rel=1e-12)
 
     def test_invalid_bits(self):
-        with pytest.raises(InvalidInputError):
-            quant_error_bound(0, 4, 2)
+        """A budget below 1, NaN included, gets no distance; NaN once gave 0.0, a perfect
+        quantizer."""
+        for n_f in (0, -3, math.nan):
+            for distance in quant_error_bound, quantization_target:
+                with pytest.raises(InvalidInputError, match="bit budget must be >= 1"):
+                    distance(n_f, 4, 2)
 
     @pytest.mark.parametrize("n_t,n_r", [(2, 2), (2, 3), (3, 0)])
     @pytest.mark.parametrize("distance", [quant_error_bound, quantization_target])
@@ -167,6 +171,8 @@ class TestCodebook:
     def test_no_bits_rejected(self):
         with pytest.raises(InvalidInputError, match="bit budget must be >= 1, got 0"):
             codebook_generate(4, 2, 0, np.random.default_rng(6))
+        with pytest.raises(InvalidInputError, match="bit budget must be >= 1, got nan"):
+            codebook_generate(4, 2, math.nan, np.random.default_rng(6))
 
     def test_codebook_validation(self):
         p = random_truncated_unitary(4, 2, np.random.default_rng(7))
@@ -500,13 +506,20 @@ class TestFeedbackBits:
         assert feedback_bits(1.0 + 1e-9, 0.0, 4, 2) == 1
 
     def test_schedule_validation(self):
-        """The scaled law needs a finite epsilon >= 0, in feedback_bits and in validate."""
+        """The scaled law needs a finite epsilon >= 0, in feedback_bits and in validate, and
+        feedback_bits a positive finite power; validate's SNR grid cannot reach any other."""
         for epsilon in (-0.1, math.inf, math.nan):
             for p in (0.5, 1e3):
                 with pytest.raises(InvalidInputError, match="epsilon"):
                     feedback_bits(p, epsilon, 4, 2)
             with pytest.raises(ConfigError, match="epsilon"):
                 scenario_config("slope", [2], epsilon=epsilon, trials=1).validate()
+        for power in (math.nan, math.inf, -math.inf, -5.0, 0.0):
+            with pytest.raises(InvalidInputError, match="transmit power must be positive"):
+                feedback_bits(power, 0.0, 4, 2)
+        for snr_min in (-4000.0, 4000.0):  # a power of 0.0, then of inf
+            with pytest.raises(ConfigError, match="finite"):
+                scenario_config("slope", [2], snr_min=snr_min, snr_max=snr_min + 10).validate()
 
 
 def test_grassmann_point_validation():

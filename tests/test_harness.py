@@ -360,7 +360,7 @@ def _trial_points(cfg, curve, trial):
         z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
         if target >= ZERO_DISTANCE:
             z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
-        points.append((PowerPolicy(P=power, rho=cfg.rho), target, z))
+        points.append((PowerPolicy(P=power, rho=cfg.rho, config=acfg), target, z))
     return acfg, channels, filters, points
 
 
@@ -376,8 +376,8 @@ def _reference_trial(cfg, curve, trial):
     out = np.empty((len(points), 5))
     for i, (policy, target, z) in enumerate(points):
         step = perturb_gram(filters.F, z, target)
-        r_p = grams_rate(perfect, policy, acfg)
-        r_q = grams_rate(step_grams(couplings, step), policy, acfg)
+        r_p = grams_rate(perfect, policy)
+        r_q = grams_rate(step_grams(couplings, step), policy)
         out[i] = (r_p.clipped, r_q.clipped, r_p.raw, r_q.raw, r_q.leakage)
     return out
 
@@ -386,12 +386,13 @@ def _explicit_trial(cfg, curve, trial):
     """One trial through explicit precoders and secrecy_rate_G: tx_precoders_perfect
     at the curve's power vector, and tx_precoders_quantized at each point."""
     acfg, channels, filters, points = _trial_points(cfg, curve, trial)
-    powers = PowerPolicy(P=np.array([policy.P for policy, _, _ in points]), rho=cfg.rho)
-    r_p = secrecy_rate_G(channels, tx_precoders_perfect(channels.Hd), filters, powers, acfg)
+    powers = np.array([policy.P for policy, _, _ in points])
+    powers = PowerPolicy(P=powers, rho=cfg.rho, config=acfg)
+    r_p = secrecy_rate_G(channels, tx_precoders_perfect(channels.Hd), filters, powers)
     out = np.empty((len(points), 5))
     for i, (policy, target, z) in enumerate(points):
         prec_q = tx_precoders_quantized(filters.F, z, target)
-        r_q = secrecy_rate_G(channels, prec_q, filters, policy, acfg)
+        r_q = secrecy_rate_G(channels, prec_q, filters, policy)
         out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
     return out
 
@@ -582,11 +583,11 @@ class TestReceiverDesignInvariance:
     def test_redrawn_b_keeps_every_rate(self, monkeypatch, acfg):
         # targets 0.9, 0.3 and 0.01, each at three powers
         targets = np.repeat([0.9, 0.3, 0.01], 3)
-        policy = PowerPolicy(P=np.tile([1e1, 1e3, 1e6], 3), rho=0.5)
+        policy = PowerPolicy(P=np.tile([1e1, 1e3, 1e6], 3), rho=0.5, config=acfg)
 
         def chunk():
             rngs = [harness._trial_rng(31, 0, t) for t in range(40)]
-            return harness._run_trials(acfg, policy, targets, rngs)
+            return harness._run_trials(policy, targets, rngs)
 
         base = chunk()
         other = np.random.default_rng(32)

@@ -1,13 +1,19 @@
 """Every name a source module imports is referenced in that module, no public name is dead,
-and importing the package starts OpenBLAS with one thread."""
+no rate or bound takes the antenna counts beside a power policy, and importing the package
+starts OpenBLAS with one thread."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+from secmimo import rates, transceiver
+from secmimo.transceiver import AntennaConfig, PowerPolicy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "secmimo"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -72,6 +78,40 @@ def test_no_dead_public_code():
     assert not dead, f"no source module uses {[defined[n] for n in dead]}"
     assert set(TEST_ONLY) <= set(defined), f"not defined: {sorted(set(TEST_ONLY) - set(defined))}"
     assert not set(TEST_ONLY) & used, f"have a source caller: {sorted(set(TEST_ONLY) & used)}"
+
+
+def _public_callables(module):
+    """Each public function of `module`, and each public method or property of its public
+    classes, by qualified name."""
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+            member = member.fget if isinstance(member, property) else member
+            if not attr.startswith("_") and inspect.isfunction(member):
+                yield f"{name}.{attr}", member
+
+
+def _takes_policy_and_config(fn) -> bool:
+    return {PowerPolicy, AntennaConfig} <= set(typing.get_type_hints(fn).values())
+
+
+@pytest.mark.parametrize("module", [rates, transceiver], ids=lambda m: m.__name__)
+def test_no_config_beside_a_policy(module):
+    """A PowerPolicy carries the AntennaConfig it splits power over, so no public function or
+    method of the module takes both, by their type hints; some take the policy alone."""
+    hinted = dict(_public_callables(module))
+    both = sorted(name for name, fn in hinted.items() if _takes_policy_and_config(fn))
+    assert not both, f"{both} take an AntennaConfig beside a PowerPolicy"
+    takers = [fn for fn in hinted.values() if PowerPolicy in typing.get_type_hints(fn).values()]
+    assert takers, f"{module.__name__} has no function that takes a PowerPolicy"
+
+    def both_counts(grams, policy: PowerPolicy, config: AntennaConfig):
+        pass
+
+    assert _takes_policy_and_config(both_counts)
 
 
 # What OpenBLAS reads for its thread count, in its order.

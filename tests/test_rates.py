@@ -75,14 +75,14 @@ class TestPerfectBasic:
             He=np.array([[0.0, 1.0]], dtype=complex),
             Hj=np.zeros((1, 0), dtype=complex),
         )
-        policy = PowerPolicy(P=2.0, rho=0.5)
-        rate = secrecy_rate_perfect_basic(ch, policy, cfg)
+        policy = PowerPolicy(P=2.0, rho=0.5, config=cfg)
+        rate = secrecy_rate_perfect_basic(ch, policy)
         assert rate.clipped == pytest.approx(1.0, abs=1e-12)
         assert rate.t_minus == pytest.approx(0.0, abs=1e-12)
 
     def test_vanishes_with_rho(self):
         cfg, ch, _, _, _ = _random_trial(1)
-        rate = secrecy_rate_perfect_basic(ch, PowerPolicy(P=100.0, rho=1e-9), cfg)
+        rate = secrecy_rate_perfect_basic(ch, PowerPolicy(P=100.0, rho=1e-9, config=cfg))
         assert abs(rate.raw) < 1e-6
 
     def test_matches_mi_oracle(self):
@@ -90,15 +90,15 @@ class TestPerfectBasic:
         rng = np.random.default_rng(2)
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
-        policy = PowerPolicy(P=37.0, rho=0.6)
-        rate = secrecy_rate_perfect_basic(ch, policy, cfg)
+        policy = PowerPolicy(P=37.0, rho=0.6, config=cfg)
+        rate = secrecy_rate_perfect_basic(ch, policy)
         from secmimo.linalg import left_nullspace_basis
 
         u, s, vh = np.linalg.svd(ch.Hd)
         v = left_nullspace_basis(ch.Hj)
         h_eff = v.conj().T @ u @ np.diag(s)
         per_stream = policy.P / 2
-        an = policy.an_cov_scale(4, 2)
+        an = policy.an_cov_scale
         he_s = ch.He @ vh[:2].conj().T
         he_an = ch.He @ vh[2:].conj().T
         mi_rx = gaussian_mi(h_eff, policy.rho * per_stream * np.eye(2), None)
@@ -110,9 +110,9 @@ class TestPerfectBasic:
         assert rate.raw == pytest.approx(mi_rx - mi_eve, abs=1e-9)
         cfg = AntennaConfig(6, 3, 1, 3)
         stacked, _ = sample_trials(cfg, [np.random.default_rng((2, t)) for t in range(5)])
-        rates = secrecy_rate_perfect_basic(stacked, policy, cfg)
+        rates = secrecy_rate_perfect_basic(stacked, policy)
         for t in range(5):
-            alone = secrecy_rate_perfect_basic(_trial(stacked, t), policy, cfg)
+            alone = secrecy_rate_perfect_basic(_trial(stacked, t), policy)
             for name in ("clipped", "raw", "t_plus", "t_minus"):
                 np.testing.assert_array_equal(getattr(rates, name)[t, 0], getattr(alone, name))
 
@@ -124,16 +124,14 @@ class TestPerfectG:
         cfg = AntennaConfig(2, 1, 0, 1)
         ch, filters = _channels_and_filters(cfg, rng)
         prec = tx_precoders_perfect(ch.Hd)
-        policy = PowerPolicy(P=25.0, rho=0.5)
-        with_g = secrecy_rate_G(ch, prec, filters, policy, cfg)
-        basic = secrecy_rate_perfect_basic(ch, policy, cfg)
+        policy = PowerPolicy(P=25.0, rho=0.5, config=cfg)
+        with_g = secrecy_rate_G(ch, prec, filters, policy)
+        basic = secrecy_rate_perfect_basic(ch, policy)
         assert with_g.raw == pytest.approx(basic.raw, abs=1e-9)
 
     def test_t_plus_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(4)
-        rate = secrecy_rate_G(
-            ch, prec_p, filters, PowerPolicy(P=100.0, rho=1e-12), cfg
-        )
+        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=100.0, rho=1e-12, config=cfg))
         assert rate.t_plus < 1e-6
 
     def test_high_snr_slope_is_ds(self):
@@ -142,23 +140,23 @@ class TestPerfectG:
             cfg, ch, filters, prec_p, _ = _random_trial(seed, AntennaConfig(6, 3, 1, 3))
             snrs, rates = [], []
             for k in range(20, 31):
-                policy = PowerPolicy(P=2.0**k, rho=0.5)
+                policy = PowerPolicy(P=2.0**k, rho=0.5, config=cfg)
                 snrs.append(10.0 * math.log10(policy.P))
-                rates.append(secrecy_rate_G(ch, prec_p, filters, policy, cfg).raw)
+                rates.append(secrecy_rate_G(ch, prec_p, filters, policy).raw)
             slope = fit_slope(np.array(snrs), np.array(rates), window=(min(snrs), max(snrs)))
             assert slope == pytest.approx(cfg.d_s, abs=0.05)
 
     def test_t_plus_monotone_in_power(self):
         cfg, ch, filters, prec_p, _ = _random_trial(7)
         values = [
-            secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=p, rho=0.5), cfg).t_plus
+            secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=p, rho=0.5, config=cfg)).t_plus
             for p in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_clipping(self):
         cfg, ch, filters, prec_p, _ = _random_trial(8)
-        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=1e-6, rho=0.5), cfg)
+        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=1e-6, rho=0.5, config=cfg))
         assert rate.clipped == max(rate.raw, 0.0)
 
 
@@ -169,9 +167,9 @@ class TestQuantizedG:
         cfg = AntennaConfig(4, 2, 1, 2)
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
-        policy = PowerPolicy(P=200.0, rho=0.5)
-        quantized = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
-        perfect = secrecy_rate_G(ch, tx_precoders_perfect(ch.Hd), filters, policy, cfg)
+        policy = PowerPolicy(P=200.0, rho=0.5, config=cfg)
+        quantized = secrecy_rate_G(ch, prec_q, filters, policy)
+        perfect = secrecy_rate_G(ch, tx_precoders_perfect(ch.Hd), filters, policy)
         assert quantized.raw == pytest.approx(perfect.raw, abs=1e-9)
 
     def test_quantized_below_perfect_at_high_snr(self):
@@ -186,10 +184,10 @@ class TestQuantizedG:
             prec_p = tx_precoders_perfect(ch.Hd)
             good = True
             for snr in (40.0, 50.0, 60.0):
-                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
-                r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
-                r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
+                r_p = secrecy_rate_G(ch, prec_p, filters, policy)
+                r_q = secrecy_rate_G(ch, prec_q, filters, policy)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
             ok += good
         assert ok >= 0.95 * trials
@@ -203,9 +201,9 @@ class TestQuantizedG:
             ch, filters = _channels_and_filters(cfg, rng)
             values = {}
             for snr in (50.0, 60.0):
-                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, 30, rng)
-                values[snr] = secrecy_rate_G(ch, prec_q, filters, policy, cfg).clipped
+                values[snr] = secrecy_rate_G(ch, prec_q, filters, policy).clipped
             deltas.append(values[60.0] - values[50.0])
         assert float(np.mean(deltas)) < 0.5
 
@@ -221,10 +219,10 @@ class TestQuantizedG:
             ch, filters = _channels_and_filters(cfg, rng)
             prec_p = tx_precoders_perfect(ch.Hd)
             for i, snr in enumerate(snrs):
-                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5)
+                policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
-                r_p = secrecy_rate_G(ch, prec_p, filters, policy, cfg)
-                r_q = secrecy_rate_G(ch, prec_q, filters, policy, cfg)
+                r_p = secrecy_rate_G(ch, prec_p, filters, policy)
+                r_q = secrecy_rate_G(ch, prec_q, filters, policy)
                 gaps[i] += r_p.raw - r_q.raw
         gaps /= trials
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -250,9 +248,9 @@ def _step_grams(ch, filters, z, target):
     return step_grams(trial_couplings(ch, filters), perturb_gram(filters.F, z, target))
 
 
-def _gram_rate(ch, filters, z, target, policy, cfg):
+def _gram_rate(ch, filters, z, target, policy):
     """grams_rate of the Gram set of the quantizer step."""
-    return grams_rate(_step_grams(ch, filters, z, target), policy, cfg)
+    return grams_rate(_step_grams(ch, filters, z, target), policy)
 
 
 def _trial(stacked, t):
@@ -288,10 +286,10 @@ class TestSecrecyRateSweep:
         powers = 10.0 ** np.array(log_powers)
         grams = _step_grams(ch, filters, z, target)
         stack = grams._make(m[np.newaxis, np.newaxis] for m in grams)
-        sweep = grams_rate(stack, PowerPolicy(P=powers, rho=0.5), cfg)
+        sweep = grams_rate(stack, PowerPolicy(P=powers, rho=0.5, config=cfg))
         assert sweep.raw.shape == (1, len(powers))
         for i, power in enumerate(powers):
-            point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5), cfg)
+            point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5, config=cfg))
             for name in ("t_plus", "t_minus", "raw", "leakage"):
                 assert _close(getattr(sweep, name)[0, i], getattr(point, name)), name
             assert sweep.clipped[0, i] == max(sweep.raw[0, i], 0.0)
@@ -307,10 +305,10 @@ class TestSecrecyRateSweep:
     def test_matches_gaussian_mi(self, shape, seed, mode, log_power, rho):
         """Both terms against the generic oracle at unit noise; G drops out of the receiver's MI."""
         cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode)
-        policy = PowerPolicy(P=10.0**log_power, rho=rho)
-        rate = _gram_rate(ch, filters, z, target, policy, cfg)
+        policy = PowerPolicy(P=10.0**log_power, rho=rho, config=cfg)
+        rate = _gram_rate(ch, filters, z, target, policy)
         signal_cov = rho * policy.P / cfg.n_r * np.eye(cfg.n_r)
-        an = policy.an_cov_scale(cfg.n_t, cfg.n_r)
+        an = policy.an_cov_scale
         vh = filters.V.conj().T @ ch.Hd
         leak, e2 = vh @ prec.W2, ch.He @ prec.W2
         mi_plus = gaussian_mi(vh @ prec.W1, signal_cov, an * (leak @ leak.conj().T))
@@ -329,10 +327,10 @@ class TestSecrecyRateSweep:
         against the sum of log1p over its generalized eigenvalues is a few ulps of 1;
         both terms sit on a unit noise floor."""
         cfg, ch, filters, z, target, _ = _sweep_case(shape, seed, mode)
-        policy = PowerPolicy(P=1e-10, rho=0.5)
+        policy = PowerPolicy(P=1e-10, rho=0.5, config=cfg)
         grams = _step_grams(ch, filters, z, target)
-        rate = grams_rate(grams, policy, cfg)
-        signal, an = policy.signal_scale(cfg.n_r), policy.an_cov_scale(cfg.n_t, cfg.n_r)
+        rate = grams_rate(grams, policy)
+        signal, an = policy.signal_scale, policy.an_cov_scale
 
         def log1p_reference(extra, floor):
             inv = np.linalg.inv(np.linalg.cholesky(floor))
@@ -351,24 +349,24 @@ class TestSecrecyRateSweep:
         rngs = [np.random.default_rng((31, t)) for t in range(4)]
         ch, b = sample_trials(cfg, rngs)
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
-        policy = PowerPolicy(P=10.0 ** np.arange(0.0, 7.0), rho=0.5)
-        sweep = _gram_rate(ch, filters, np.zeros_like(filters.F), 0.0, policy, cfg)
+        policy = PowerPolicy(P=10.0 ** np.arange(0.0, 7.0), rho=0.5, config=cfg)
+        sweep = _gram_rate(ch, filters, np.zeros_like(filters.F), 0.0, policy)
         assert sweep.raw.shape == (4, 7)
         for t in range(4):
             ch_t, filters_t = _trial(ch, t), _trial(filters, t)
-            alone = _gram_rate(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy, cfg)
+            alone = _gram_rate(ch_t, filters_t, np.zeros_like(filters_t.F), 0.0, policy)
             np.testing.assert_array_equal(sweep.raw[t], alone.raw)
 
     def test_non_finite_matrix_rejected(self):
         cfg, ch, filters, z, target, _ = _sweep_case((4, 2, 1, 2), 41, "perfect")
-        policy = PowerPolicy(P=10.0, rho=0.5)
+        policy = PowerPolicy(P=10.0, rho=0.5, config=cfg)
         he = ch.He.copy()
         he[0, 0] = np.nan
         with pytest.raises(InvalidInputError):
-            _gram_rate(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy, cfg)
+            _gram_rate(ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj), filters, z, target, policy)
         grams = _step_grams(ch, filters, z, target)
         with pytest.raises(InvalidInputError):
-            grams_rate(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy, cfg)
+            grams_rate(grams._replace(e1=np.full_like(grams.e1, np.nan)), policy)
 
 
 def _fields(result):
@@ -376,14 +374,14 @@ def _fields(result):
     return tuple(vars(result).values()) if isinstance(result, SecrecyRate) else (result,)
 
 
-# each kernel of a trial's config, channels, filters, precoders and Grams at a policy
+# each kernel of a trial's channels, filters, precoders and Grams at a policy
 _RHO_KERNELS = {
-    "grams_rate": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
-    "secrecy_rate_G": lambda c, ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol, c),
+    "grams_rate": lambda ch, f, w, g, pol: grams_rate(g, pol),
+    "secrecy_rate_G": lambda ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol),
     # grams_rate over a vector of powers, the engine's power sweep
-    "grams_rate_sweep": lambda c, ch, f, w, g, pol: grams_rate(g, pol, c),
-    "eve_rate_limit": lambda c, ch, f, w, g, pol: eve_rate_limit(g, pol, c),
-    "beta_P": lambda c, ch, f, w, g, pol: beta_P(g, pol, c),
+    "grams_rate_sweep": lambda ch, f, w, g, pol: grams_rate(g, pol),
+    "eve_rate_limit": lambda ch, f, w, g, pol: eve_rate_limit(g, pol),
+    "beta_P": lambda ch, f, w, g, pol: beta_P(g, pol),
 }
 
 
@@ -408,11 +406,10 @@ class TestRhoStack:
         cfg, stacks, rho = case
         kernel = _RHO_KERNELS[name]
         power = np.array([1.0, 1e3, 1e9]) if name == "grams_rate_sweep" else 1e4
-        stacked = _fields(kernel(cfg, *stacks, PowerPolicy(P=power, rho=rho)))
+        stacked = _fields(kernel(*stacks, PowerPolicy(P=power, rho=rho, config=cfg)))
         for t in range(len(rho)):
-            alone = _fields(
-                kernel(cfg, *(_trial(s, t) for s in stacks), PowerPolicy(P=power, rho=rho[t, 0]))
-            )
+            policy = PowerPolicy(P=power, rho=rho[t, 0], config=cfg)
+            alone = _fields(kernel(*(_trial(s, t) for s in stacks), policy))
             for got, want in zip(stacked, alone):
                 np.testing.assert_array_equal(got[t], np.reshape(want, got[t].shape))
 
@@ -429,13 +426,13 @@ class TestStepGrams:
         ch, filters = _channels_and_filters(cfg, rng)
         z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
         targets = np.array([1e-7, 1e-4, 0.5, 1.5])
-        policy = PowerPolicy(P=np.full(targets.shape, 1e6), rho=0.5)
+        policy = PowerPolicy(P=np.full(targets.shape, 1e6), rho=0.5, config=cfg)
         step = perturb_gram(filters.F, z, targets)
         grams = step_grams(trial_couplings(ch, filters), step)
-        rate = grams_rate(grams, policy, cfg)
+        rate = grams_rate(grams, policy)
         prec = tx_precoders_quantized(filters.F, z, targets)
         np.testing.assert_allclose(
-            rate.leakage, secrecy_rate_G(ch, prec, filters, policy, cfg).leakage, rtol=1e-6, atol=0
+            rate.leakage, secrecy_rate_G(ch, prec, filters, policy).leakage, rtol=1e-6, atol=0
         )
 
     @pytest.mark.parametrize(
@@ -454,32 +451,31 @@ class TestStepGrams:
         filters = rx_postfilter(ch.Hd, ch.Hj, b)
         budgets = np.repeat([4, 12, 30, 60], 4)
         targets = np.array([quantization_target(nf, cfg.n_t, cfg.n_r) for nf in budgets])
-        policy = PowerPolicy(P=np.tile([1.0, 1e2, 1e4, 1e6], 4), rho=0.5)
+        policy = PowerPolicy(P=np.tile([1.0, 1e2, 1e4, 1e6], 4), rho=0.5, config=cfg)
         z = sample_directions(cfg, rngs, np.ones(targets.size, bool))
-        leakage = _gram_rate(ch, filters, z, targets, policy, cfg).leakage
+        leakage = _gram_rate(ch, filters, z, targets, policy).leakage
         w2 = tx_precoders_quantized(filters.F, z, targets).W2
         s = adjoint(filters.G) @ adjoint(filters.V) @ ch.Hd @ w2
-        explicit = policy.an_cov_scale(cfg.n_t, cfg.n_r) * np.linalg.norm(s, axis=(-2, -1)) ** 2
+        explicit = policy.an_cov_scale * np.linalg.norm(s, axis=(-2, -1)) ** 2
         np.testing.assert_allclose(leakage, explicit, rtol=1e-10, atol=0)
 
 
 class TestEveRateLimit:
     def test_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(10)
-        policy = PowerPolicy(P=10.0, rho=1e-12)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy, cfg)
+        policy = PowerPolicy(P=10.0, rho=1e-12, config=cfg)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy)
         assert limit < 1e-9
 
     def test_t_minus_converges(self):
         """The Eve term converges to the closed-form limit along P = 1e3, 1e6, 1e9."""
         cfg, ch, filters, prec_p, _ = _random_trial(11)
-        policy9 = PowerPolicy(P=1e9, rho=0.5)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy9, cfg)
+        policy9 = PowerPolicy(P=1e9, rho=0.5, config=cfg)
+        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy9)
         diffs = []
         for p in (1e3, 1e6, 1e9):
-            t_minus = secrecy_rate_G(
-                ch, prec_p, filters, PowerPolicy(P=p, rho=0.5), cfg
-            ).t_minus
+            policy = PowerPolicy(P=p, rho=0.5, config=cfg)
+            t_minus = secrecy_rate_G(ch, prec_p, filters, policy).t_minus
             diffs.append(abs(t_minus - limit))
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-3
@@ -492,8 +488,8 @@ class TestEveRateLimit:
         prec = tx_precoders_perfect(ch.Hd)
         he = prec.W2[:, :2].conj().T  # rows orthogonal to W1's span
         ch2 = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
-        policy = PowerPolicy(P=10.0, rho=0.5)
-        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters), policy, cfg)
+        policy = PowerPolicy(P=10.0, rho=0.5, config=cfg)
+        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters), policy)
         assert limit == pytest.approx(0.0, abs=1e-9)
 
     def test_stack_matches_per_matrix_calls(self):
@@ -501,12 +497,12 @@ class TestEveRateLimit:
         ch, b = sample_trials(cfg, [np.random.default_rng((40, t)) for t in range(5)])
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_perfect(ch.Hd)
-        policy = PowerPolicy(P=1e9, rho=0.3)
-        limits = eve_rate_limit(_precoder_grams(ch, prec, filters), policy, cfg)
+        policy = PowerPolicy(P=1e9, rho=0.3, config=cfg)
+        limits = eve_rate_limit(_precoder_grams(ch, prec, filters), policy)
         assert limits.shape == (5, 1)
         for t in range(5):
             grams = _precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)))
-            assert limits[t, 0] == eve_rate_limit(grams, policy, cfg)
+            assert limits[t, 0] == eve_rate_limit(grams, policy)
 
 
 class TestBetaP:
@@ -515,15 +511,15 @@ class TestBetaP:
         cfg = AntennaConfig(4, 2, 1, 2)
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
-        policy = PowerPolicy(P=1e3, rho=0.5)
+        policy = PowerPolicy(P=1e3, rho=0.5, config=cfg)
         grams = _precoder_grams(ch, prec_q, filters)
-        assert beta_P(grams, policy, cfg) == pytest.approx(0.0, abs=1e-9)
+        assert beta_P(grams, policy) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonnegative_sweep(self):
         for seed in range(50):
             cfg, ch, filters, _, prec_q = _random_trial(4000 + seed, nf=int(10 + seed % 30))
-            policy = PowerPolicy(P=float(10 ** (1 + seed % 5)), rho=0.5)
-            assert beta_P(_precoder_grams(ch, prec_q, filters), policy, cfg) >= -1e-12
+            policy = PowerPolicy(P=float(10 ** (1 + seed % 5)), rho=0.5, config=cfg)
+            assert beta_P(_precoder_grams(ch, prec_q, filters), policy) >= -1e-12
 
 
 class TestLogdetPerturbation:

@@ -68,19 +68,32 @@ class TestPowerPolicy:
             {"rho": np.nan},
             {"rho": np.array([[0.5], [np.nan]])},
             {"rho": np.array([0.2, 0.0])},
+            {"config": (4, 2, 1, 2)},
+            {"config": None},
         ]
+        cfg = AntennaConfig(4, 2, 1, 2)
         for fields in bad:
             with pytest.raises(InvalidInputError):
-                PowerPolicy(**{"P": 1.0, "rho": 0.5, **fields})
-        policy = PowerPolicy(P=np.array([1.0, 1e9]), rho=np.array([[0.2], [0.8]]))
-        assert policy.an_cov_scale(4, 2).shape == (2, 2)
+                PowerPolicy(**{"P": 1.0, "rho": 0.5, "config": cfg, **fields})
+        policy = PowerPolicy(P=np.array([1.0, 1e9]), rho=np.array([[0.2], [0.8]]), config=cfg)
+        assert policy.an_cov_scale.shape == (2, 2)
 
     def test_scales(self):
-        """rho P / n_r and (1 - rho) P / (n_t - n_r), broadcast over arrays of P and rho."""
-        policy = PowerPolicy(P=np.array([8.0, 800.0]), rho=np.array([[0.25], [0.5]]))
-        np.testing.assert_array_equal(policy.signal_scale(2), [[1.0, 100.0], [2.0, 200.0]])
+        """rho P / n_r and (1 - rho) P / (n_t - n_r) of the policy's config, bit for bit the
+        expressions `rho * ((1.0 / n_r) * P)` and `(1.0 - rho) * P / (n_t - n_r)`, broadcast
+        over arrays of P and rho, and exact at (5, 2, 1, 2)."""
+        powers, rho = 10.0 ** np.linspace(-3.0, 9.0, 13), np.array([[0.1], [0.3], [0.5], [0.7]])
+        for shape in (4, 2, 1, 2), (5, 2, 1, 2), (7, 3, 0, 2), (8, 4, 1, 4):
+            n_t, n_r = shape[:2]
+            policy = PowerPolicy(P=powers, rho=rho, config=AntennaConfig(*shape))
+            assert policy.signal_scale.shape == policy.an_cov_scale.shape == (4, 13)
+            np.testing.assert_array_equal(policy.signal_scale, rho * ((1.0 / n_r) * powers))
+            np.testing.assert_array_equal(policy.an_cov_scale, (1.0 - rho) * powers / (n_t - n_r))
+        cfg = AntennaConfig(5, 2, 1, 2)
+        policy = PowerPolicy(P=np.array([8.0, 800.0]), rho=np.array([[0.25], [0.5]]), config=cfg)
+        np.testing.assert_array_equal(policy.signal_scale, [[1.0, 100.0], [2.0, 200.0]])
         an = [[6.0 / 3, 600.0 / 3], [4.0 / 3, 400.0 / 3]]
-        np.testing.assert_array_equal(policy.an_cov_scale(5, 2), an)
+        np.testing.assert_array_equal(policy.an_cov_scale, an)
 
 
 class TestSampleChannels:
@@ -294,8 +307,8 @@ class TestLeakage:
         ch = sample_channels(cfg, rng)
         filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
         prec = tx_precoders_perfect(ch.Hd)
-        policy = PowerPolicy(P=100.0, rho=0.5)
-        assert secrecy_rate_G(ch, prec, filters, policy, cfg).leakage < 1e-18
+        policy = PowerPolicy(P=100.0, rho=0.5, config=cfg)
+        assert secrecy_rate_G(ch, prec, filters, policy).leakage < 1e-18
 
     @pytest.mark.parametrize("n_r", [2, 3, 4])
     def test_stack_matches_each_matrix_bitwise(self, n_r):
@@ -308,20 +321,21 @@ class TestLeakage:
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_quantized(filters.F, z, targets)
         powers = 10.0 ** np.arange(13)
-        stacked = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=powers, rho=0.5), cfg).leakage
+        policy = PowerPolicy(P=powers, rho=0.5, config=cfg)
+        stacked = secrecy_rate_G(ch, prec, filters, policy).leakage
         for t in range(8):
             trial = ReceiverFilters(**{name: m[t, 0] for name, m in vars(filters).items()})
             ch_t = ChannelSet(**{name: m[t, 0] for name, m in vars(ch).items()})
             for p in range(13):
                 prec_p = Precoders(W1=prec.W1[t, p], W2=prec.W2[t, p])
-                policy = PowerPolicy(P=powers[p], rho=0.5)
-                assert stacked[t, p] == secrecy_rate_G(ch_t, prec_p, trial, policy, cfg).leakage
+                policy = PowerPolicy(P=powers[p], rho=0.5, config=cfg)
+                assert stacked[t, p] == secrecy_rate_G(ch_t, prec_p, trial, policy).leakage
 
     def test_monte_carlo_cross_check(self):
         """Empirical mean of ||e_L||^2 over 1e5 Gaussian draws within 2%."""
         cfg, ch, filters, prec_q = self._trial(17)
-        policy = PowerPolicy(P=50.0, rho=0.4)
-        closed = secrecy_rate_G(ch, prec_q, filters, policy, cfg).leakage
+        policy = PowerPolicy(P=50.0, rho=0.4, config=cfg)
+        closed = secrecy_rate_G(ch, prec_q, filters, policy).leakage
         rng = np.random.default_rng(170)
         n_an = cfg.n_t - cfg.n_r
         coupling = np.sqrt(1 - policy.rho) * (
@@ -333,8 +347,8 @@ class TestLeakage:
 
     def test_linear_in_power(self):
         cfg, ch, filters, prec_q = self._trial(18)
-        l1 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=10.0, rho=0.5), cfg).leakage
-        l2 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=20.0, rho=0.5), cfg).leakage
+        l1 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=10.0, rho=0.5, config=cfg)).leakage
+        l2 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=20.0, rho=0.5, config=cfg)).leakage
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
 
     def test_vanishes_with_distance(self):
@@ -343,11 +357,11 @@ class TestLeakage:
         cfg = AntennaConfig(4, 2, 1, 2)
         ch = sample_channels(cfg, rng)
         filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
-        policy = PowerPolicy(P=100.0, rho=0.5)
+        policy = PowerPolicy(P=100.0, rho=0.5, config=cfg)
         prev = np.inf
         for dist in (0.5, 0.1, 0.01, 1e-3, 1e-4):
             prec_q = tx_precoders_quantized(filters.F, random_gaussian_matrix(4, 2, rng), dist)
-            leak = secrecy_rate_G(ch, prec_q, filters, policy, cfg).leakage
+            leak = secrecy_rate_G(ch, prec_q, filters, policy).leakage
             assert leak < prev
             prev = leak
         assert prev < 1e-6
@@ -355,20 +369,20 @@ class TestLeakage:
     def test_bound_value_at_matched_bits(self):
         """At P = 2^10, the matched 40-bit budget gives the P-free constant."""
         cfg = AntennaConfig(4, 2, 1, 2)
-        policy = PowerPolicy(P=2.0**10, rho=0.5)
-        bound = leakage_bound(policy, 40, cfg)
+        policy = PowerPolicy(P=2.0**10, rho=0.5, config=cfg)
+        bound = leakage_bound(policy, 40)
         constant = 8 * (1 - policy.rho) / ((cfg.n_t - cfg.n_r) * 0.5 ** (2 / 8))
         assert bound == pytest.approx(constant, rel=1e-12)
         assert bound == pytest.approx(2.378414230005442, rel=1e-12)
 
     def test_bound_vanishes_as_rho_to_one(self):
         cfg = AntennaConfig(4, 2, 1, 2)
-        assert leakage_bound(PowerPolicy(P=10.0, rho=0.999999), 20, cfg) < 1e-5
+        assert leakage_bound(PowerPolicy(P=10.0, rho=0.999999, config=cfg), 20) < 1e-5
 
     def test_leakage_below_bound(self):
         """Closed-form leakage never exceeds the analytic bound at the bound's distance."""
         for seed in range(30):
             cfg, ch, filters, prec_q = self._trial(100 + seed, nf=25)
-            policy = PowerPolicy(P=float(10 ** (1 + seed % 4)), rho=0.5)
-            leak = secrecy_rate_G(ch, prec_q, filters, policy, cfg).leakage
-            assert leak <= leakage_bound(policy, 25, cfg) * (1 + 1e-9)
+            policy = PowerPolicy(P=float(10 ** (1 + seed % 4)), rho=0.5, config=cfg)
+            leak = secrecy_rate_G(ch, prec_q, filters, policy).leakage
+            assert leak <= leakage_bound(policy, 25) * (1 + 1e-9)
