@@ -1,6 +1,6 @@
-"""Subspace quantization on the Grassmann manifold G(n_t, n_r).
+"""Subspace quantization on the Grassmann manifold G(n_t, k).
 
-A point of the manifold is an n_r-dimensional subspace of complex n_t-space,
+A point of the manifold is a k-dimensional subspace of complex n_t-space,
 represented by a tall matrix with orthonormal columns. Representatives are
 unique only up to a right-unitary factor, so subspace equality is always
 tested through the chordal distance, never entrywise.
@@ -11,7 +11,9 @@ a random-perturbation surrogate that constructs a neighbor at exactly the
 worst-case distance the sphere-packing bound (Dai, Liu & Rider, IEEE Trans.
 IT 2008) predicts for a given bit budget, finding the step size by Newton's
 method and checking the distance once. Experiments use the surrogate because
-packing-based codebooks are infeasible beyond a few tens of bits.
+packing-based codebooks are infeasible beyond a few tens of bits. The bit
+law and the target read the fed-back G(n_t, k) from an `AntennaConfig` by
+attribute: `transceiver` imports this module, so this one cannot import it.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ def quant_error_bound(n_f: int, n_t: int, n_r: int) -> float:
     return 2.0 * math.exp(exponent) if exponent > -700 else 0.0
 
 
+# quant_error_bound per budget in `math`; numpy's exp differs in the last bit on some budgets.
+_error_bounds = np.vectorize(quant_error_bound, otypes=[float])
+
+
 def codebook_generate(n_t: int, n_r: int, n_f: int, rng: np.random.Generator) -> Codebook:
     """Random codebook of 2^n_f independent Haar-distributed subspaces.
 
@@ -157,16 +163,17 @@ def quantize(point, book: Codebook) -> tuple[np.ndarray, int, float]:
     return best, idx, chordal_distance(best, f)
 
 
-def quantization_target(n_f: int, n_t: int, n_r: int) -> float:
-    """Perturbation quantizer's distance: quant_error_bound clamped inside the diameter."""
-    bound = quant_error_bound(n_f, n_t, n_r)  # checks the counts before the sqrt
-    return min(bound, _DIAMETER_CLAMP * math.sqrt(min(n_r, n_t - n_r)))
+def quantization_target(n_f, config):
+    """Per budget in `n_f`, quant_error_bound on `config`'s G(n_t, k), clamped in the diameter."""
+    n_t, k = config.n_t, config.k
+    return np.minimum(_error_bounds(n_f, n_t, k), _DIAMETER_CLAMP * math.sqrt(min(k, n_t - k)))[()]
 
 
 def _check_target(distance, r: int) -> None:
-    if np.any((np.asarray(distance) < 0) | (np.asarray(distance) >= math.sqrt(r))):
+    bad = ~((np.asarray(distance) >= 0) & (np.asarray(distance) < math.sqrt(r)))  # NaN fails
+    if np.any(bad):
         raise InvalidInputError(
-            f"target distance {distance} outside [0, sqrt(min(n_r, n_t - n_r)))"
+            f"target distance {first_flagged(distance, bad)} outside [0, sqrt(min(k, n_t - k)))"
         )
 
 
@@ -252,8 +259,8 @@ def perturb_gram(point, z, distance):
     return z, np.sqrt(t), k, j
 
 
-def feedback_bits(power: float, epsilon: float, n_t: int, n_r: int) -> int:
-    """Bit budget n_f = ceil((1 + epsilon) n_r (n_t - n_r) log2 P) of the power-scaled law.
+def feedback_bits(power: float, epsilon: float, config) -> int:
+    """Bit budget n_f = ceil((1 + epsilon) k (n_t - k) log2 P) of the power-scaled law.
 
     Rounding up keeps the sufficiency direction of the scaling law. The law
     yields no bits at 0 < P <= 1; the quantizer still needs one, which at
@@ -266,5 +273,4 @@ def feedback_bits(power: float, epsilon: float, n_t: int, n_r: int) -> int:
         raise InvalidInputError(f"transmit power must be positive and finite, got {power}")
     if power <= 1.0:
         return 1
-    half_dim = n_r * (n_t - n_r)
-    return math.ceil((1.0 + epsilon) * half_dim * math.log2(power))
+    return math.ceil((1.0 + epsilon) * (config.k * (config.n_t - config.k)) * math.log2(power))

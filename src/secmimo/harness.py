@@ -218,7 +218,7 @@ def _curve_points(cfg: ExperimentConfig, acfg: AntennaConfig) -> list[tuple[floa
         raise ConfigError(f"SNR grid powers must be positive and finite, got 0.0 at {snrs[0]} dB")
     if cfg.nf_grid is not None:
         return [(snr, int(nf), p) for snr, p in powers for nf in cfg.nf_grid]
-    return [(snr, feedback_bits(p, cfg.epsilon, acfg.n_t, acfg.n_r), p) for snr, p in powers]
+    return [(snr, feedback_bits(p, cfg.epsilon, acfg), p) for snr, p in powers]
 
 
 def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
@@ -234,7 +234,7 @@ def _run_trials(
     point, for the antennas of ``policy.config``. The per-trial stage takes
     each trial's channels, B, receive filters, the couplings its Gram sets
     share and the perfect-CSI Gram set, that of the step to distance 0. The
-    per-point stage then takes each quantizer step as n_r x n_r Grams, in
+    per-point stage then takes each quantizer step as k x k Grams, in
     blocks of about BLOCK_POINTS operating points, and rates each block's
     perfect and quantized Gram sets at every power with :func:`grams_rate`.
     A point whose target is below ZERO_DISTANCE steps to distance 0, so its
@@ -287,7 +287,7 @@ def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
     """Per-trial outputs of one curve, shape (trials, n_points, 5), by :func:`_map_trials`."""
     acfg = cfg.antenna_configs[curve_idx]
     policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho, config=acfg)
-    targets = np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points])
+    targets = quantization_target([nf for _, nf, _ in points], acfg)
     measure = functools.partial(_run_trials, policy, targets)
     return _map_trials(measure, cfg.seed, curve_idx, range(cfg.trials))
 

@@ -44,7 +44,7 @@ class SecrecyRate:
     """One secrecy-rate evaluation: floored value, raw value, both terms.
 
     `leakage` is the mean artificial-noise power reaching the post-filtered
-    receiver, (1-rho) P/(n_t - n_r) ||G* V* Hd W2||_F^2, for the rates that
+    receiver, (1-rho) P/(n_t - k) ||G* V* Hd W2||_F^2, for the rates that
     use the two-stage receiver, and None otherwise.
     """
 
@@ -101,9 +101,9 @@ def secrecy_rate_perfect_basic(channels: ChannelSet, policy: PowerPolicy) -> Sec
     u, s, vh = np.linalg.svd(as_stack(channels.Hd, "Hd"), full_matrices=True)
     v = left_nullspace_basis(channels.Hj)
     t_plus = _term(_gram(adjoint(v) @ (u * s[..., np.newaxis, :])), 0.0, policy)
-    he = as_stack(channels.He, "He") @ adjoint(vh)  # signal on the first n_r columns, AN after
-    n_r = policy.config.n_r
-    t_minus = _term(_gram(he[..., :n_r]), _gram(he[..., n_r:]), policy)
+    he = as_stack(channels.He, "He") @ adjoint(vh)  # signal on the first k columns, AN after
+    k = policy.config.k
+    t_minus = _term(_gram(he[..., :k]), _gram(he[..., k:]), policy)
     raw = t_plus - t_minus
     return SecrecyRate(clipped=_clip(raw), raw=raw, t_plus=t_plus, t_minus=t_minus)
 
@@ -151,7 +151,7 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy) -> SecrecyRate:
     S1 S1* and S2 S2* after the jammer nuller V, the negative term, the
     eavesdropper's, from E1 E1* and E2 E2*. The invertible post-filter G
     cannot change the receiver's information rate, so neither term reads
-    it. The result's `leakage` is (1-rho) P/(n_t - n_r) tr(G G* S2 S2*),
+    it. The result's `leakage` is (1-rho) P/(n_t - k) tr(G G* S2 S2*),
     the artificial-noise power after G. `policy.P` and `policy.rho`
     broadcast against the stack's leading shape, so a stack of shape
     (T, 1) and P powers give (T, P) arrays.
@@ -182,9 +182,9 @@ def eve_rate_limit(grams: RateGrams, policy: PowerPolicy) -> float:
     """High-power limit of the eavesdropper rate term (bits), from a Gram set.
 
     As P grows, the Eve term converges to log2 det(I + s/a * A B^{-1}) with
-    s/a = rho/(1-rho) * (n_t - n_r)/n_r the ratio of the policy's signal and
+    s/a = rho/(1-rho) * (n_t - k)/k the ratio of the policy's signal and
     artificial-noise scales, A = E1 E1* and B = E2 E2*; the limit exists
-    because n_e <= n_t - n_r keeps B invertible. Stacks give one limit per
+    because n_e <= n_t - k keeps B invertible. Stacks give one limit per
     element.
     """
     coef = _per_matrix(policy.signal_scale / policy.an_cov_scale)

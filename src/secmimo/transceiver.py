@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .grassmann import ZERO_DISTANCE, _check_reached, _perturb_step, quant_error_bound
+from .grassmann import ZERO_DISTANCE, _check_reached, _error_bounds, _perturb_step
 from .linalg import (
     ORTHO_TOL,
     RANK_RTOL,
@@ -49,7 +49,7 @@ class AntennaConfig:
 
     Validity requires integer counts (no bools) with n_t > n_r > n_j >= 0
     (nullspaces for artificial noise and jammer nulling both exist) and
-    n_e <= n_t - n_r (the eavesdropper cannot escape the artificial noise).
+    n_e <= n_t - k (the eavesdropper cannot escape the artificial noise).
     """
 
     n_t: int
@@ -62,14 +62,14 @@ class AntennaConfig:
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts):
             raise InvalidInputError(f"antenna counts must be integers, got {counts}")
         if not (self.n_t > self.n_r > self.n_j >= 0):
-            raise InvalidInputError(
-                f"need n_t > n_r > n_j >= 0, got ({self.n_t}, {self.n_r}, {self.n_j})"
-            )
-        if not (1 <= self.n_e <= self.n_t - self.n_r):
-            raise InvalidInputError(
-                f"need 1 <= n_e <= n_t - n_r, got n_e={self.n_e} with "
-                f"n_t - n_r = {self.n_t - self.n_r}"
-            )
+            raise InvalidInputError(f"need n_t > n_r > n_j >= 0, got {counts[:3]}")
+        if not (1 <= self.n_e <= self.n_t - self.k):
+            raise InvalidInputError(f"need 1 <= n_e <= n_t - k, got {counts} with k = {self.k}")
+
+    @property
+    def k(self) -> int:
+        """Fed-back dimension, a point of G(n_t, k), and the stream count: n_r."""
+        return self.n_r
 
     @property
     def d_s(self) -> int:
@@ -81,8 +81,8 @@ class AntennaConfig:
 class PowerPolicy:
     """Transmit power split for one operating point of `config`, at unit noise at both receivers.
 
-    `rho` is the fraction of the power budget P on the n_r information
-    streams; the rest drives artificial noise in the other n_t - n_r
+    `rho` is the fraction of the power budget P on the k information
+    streams; the rest drives artificial noise in the other n_t - k
     dimensions. P and rho may also be arrays over a stack's leading axes,
     one value per element.
     """
@@ -92,23 +92,26 @@ class PowerPolicy:
     config: AntennaConfig
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not np.all((np.asarray(self.P) > 0) & (np.asarray(self.P) < math.inf)):
-            raise InvalidInputError(f"transmit power must be positive and finite, got {self.P}")
-        if not np.all((np.asarray(self.rho) > 0.0) & (np.asarray(self.rho) < 1.0)):
-            raise InvalidInputError(f"rho must lie in (0, 1), got {self.rho}")
+        # each check is written so that NaN fails it, and names the first bad value
+        p, rho = np.asarray(self.P), np.asarray(self.rho)
+        for bad, value, need in (
+            (~((p > 0) & (p < math.inf)), p, "transmit power must be positive and finite"),
+            (~((rho > 0.0) & (rho < 1.0)), rho, "rho must lie in (0, 1)"),
+        ):
+            if np.any(bad):
+                raise InvalidInputError(f"{need}, got {first_flagged(value, bad)}")
         if not isinstance(self.config, AntennaConfig):
             raise InvalidInputError(f"config must be an AntennaConfig, got {self.config!r}")
 
     @property
     def signal_scale(self) -> float:
-        """Information covariance scale rho P / n_r, per stream."""
-        return self.rho * ((1.0 / self.config.n_r) * self.P)
+        """Information covariance scale rho P / k, per stream."""
+        return self.rho * ((1.0 / self.config.k) * self.P)
 
     @property
     def an_cov_scale(self) -> float:
-        """Artificial-noise covariance scale (1 - rho) P / (n_t - n_r), per dimension."""
-        return (1.0 - self.rho) * self.P / (self.config.n_t - self.config.n_r)
+        """Artificial-noise covariance scale (1 - rho) P / (n_t - k), per dimension."""
+        return (1.0 - self.rho) * self.P / (self.config.n_t - self.config.k)
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ def sample_channels(config: AntennaConfig, rng: np.random.Generator) -> ChannelS
 def sample_trials(config: AntennaConfig, rngs) -> tuple[ChannelSet, np.ndarray]:
     """Channels and receiver design matrix B of a block of trials: each trial's first draw.
 
-    Trial k draws from ``rngs[k]`` with one standard-normal call, in the
+    Trial i draws from ``rngs[i]`` with one standard-normal call, in the
     order of :func:`sample_channels`, then ``random_truncated_unitary(n_t,
     d_s)`` for B. A generator's consecutive draws concatenate, so each trial
     gets exactly what those calls made one after another return. Every
@@ -192,20 +195,20 @@ def sample_trials(config: AntennaConfig, rngs) -> tuple[ChannelSet, np.ndarray]:
 def sample_directions(config: AntennaConfig, rngs, directions) -> np.ndarray:
     """Quantizer directions of a block of trials: each trial's second draw.
 
-    Trial k draws from ``rngs[k]``, after :func:`sample_trials`, one n_t x
-    n_r Gaussian direction per operating point flagged in `directions`, as
-    that many ``random_gaussian_matrix(n_t, n_r)`` calls would. The result
-    has shape ``(len(rngs), len(directions), n_t, n_r)``, zero at the
+    Trial i draws from ``rngs[i]``, after :func:`sample_trials`, one n_t x
+    k Gaussian direction per operating point flagged in `directions`, as
+    that many ``random_gaussian_matrix(n_t, k)`` calls would. The result
+    has shape ``(len(rngs), len(directions), n_t, k)``, zero at the
     unflagged points.
     """
-    n_t, n_r = config.n_t, config.n_r
+    n_t, k = config.n_t, config.k
     flagged = np.asarray(directions, dtype=bool)
     n_z = int(flagged.sum())
-    normals = np.stack([rng.standard_normal(2 * n_z * n_t * n_r) for rng in rngs])
-    drawn = complex_gaussian(normals.reshape(len(rngs), n_z, 2, n_t, n_r))
+    normals = np.stack([rng.standard_normal(2 * n_z * n_t * k) for rng in rngs])
+    drawn = complex_gaussian(normals.reshape(len(rngs), n_z, 2, n_t, k))
     if n_z == flagged.size:
         return drawn
-    z = np.zeros((len(rngs), flagged.size, n_t, n_r), dtype=np.complex128)
+    z = np.zeros((len(rngs), flagged.size, n_t, k), dtype=np.complex128)
     z[:, flagged] = drawn
     return z
 
@@ -289,10 +292,8 @@ def rx_postfilter(Hd, Hj, B) -> ReceiverFilters:
 def leakage_bound(policy: PowerPolicy, n_f) -> float:
     """Worst-case leakage power for a sphere-packing codebook with n_f bits.
 
-    2 (1-rho) P / (n_t - n_r) * delta(n_f)^2 with delta the quantization
-    error bound (higher-order factor dropped), independent of P under the
+    2 (1-rho) P / (n_t - k) * delta(n_f)^2 with delta the error bound on
+    G(n_t, k) (higher-order factor dropped), independent of P under the
     power-matched bit schedule. Arrays of n_f and P broadcast together.
     """
-    n_t, n_r = policy.config.n_t, policy.config.n_r
-    delta = np.vectorize(quant_error_bound, otypes=[float])(n_f, n_t, n_r)
-    return 2.0 * policy.an_cov_scale * delta**2
+    return 2.0 * policy.an_cov_scale * _error_bounds(n_f, policy.config.n_t, policy.config.k) ** 2

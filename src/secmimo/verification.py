@@ -102,9 +102,6 @@ def _per_trial(measure, trials: int, seed: int, configs, uniforms: int = 0) -> n
     return np.concatenate([config_trials(c, acfg) for c, acfg in enumerate(configs[:trials])])
 
 
-_targets = np.vectorize(quantization_target, otypes=[float])  # one per bit budget
-
-
 def _grams(channels, filters, z=None, targets=0.0):
     """A chunk's Gram set as the engine builds it; perfect CSI when `z` is None."""
     z = np.zeros_like(filters.F) if z is None else z
@@ -123,7 +120,7 @@ def _orthogonality_suite(trials: int, seed: int) -> tuple[int, str]:
 
     def worst_norm(acfg, channels, filters, z, _):
         prec_p = tx_precoders_perfect(channels.Hd)
-        prec_q = tx_precoders_quantized(filters.F, z, quantization_target(20, acfg.n_t, acfg.n_r))
+        prec_q = tx_precoders_quantized(filters.F, z, quantization_target(20, acfg))
         products = (
             adjoint(filters.V) @ channels.Hj,
             channels.Hd @ prec_p.W2,
@@ -149,7 +146,7 @@ def _oracle_equivalence_suite(trials: int, seed: int) -> tuple[int, str]:
     """
 
     def max_diff(acfg, channels, filters, z, u):
-        targets = _targets(4 + (26 * u[:, :1]).astype(int), acfg.n_t, acfg.n_r)
+        targets = quantization_target(4 + (26 * u[:, :1]).astype(int), acfg)
         prec_q = tx_precoders_quantized(filters.F, z, targets)
         policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:], config=acfg)
         an = _per_matrix(policy.an_cov_scale)
@@ -220,8 +217,7 @@ def _lemma_sandwich_suite(trials: int, seed: int) -> tuple[int, str]:
 
 def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
     """Quantizer target at each power under the power-matched bit schedule."""
-    bits = [feedback_bits(p, 0.0, acfg.n_t, acfg.n_r) for p in powers]
-    return _targets(bits, acfg.n_t, acfg.n_r)
+    return quantization_target([feedback_bits(p, 0.0, acfg) for p in powers], acfg)
 
 
 def _beta_suite(trials: int, seed: int) -> tuple[int, str]:
@@ -284,7 +280,7 @@ def _leakage_bound_suite(trials: int, seed: int) -> tuple[int, str]:
     def over(acfg, channels, filters, z, u):
         nf = 10 + (50 * u[:, :1]).astype(int)
         policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5, config=acfg)
-        grams = _grams(channels, filters, z, _targets(nf, acfg.n_t, acfg.n_r))
+        grams = _grams(channels, filters, z, quantization_target(nf, acfg))
         return grams_rate(grams, policy).leakage > leakage_bound(policy, nf) * (1.0 + 1e-9)
 
     violations = int(np.count_nonzero(_per_trial(over, trials, seed, SLOPE_CONFIGS, uniforms=2)))
@@ -321,7 +317,7 @@ def _perturb_accuracy_suite(trials: int, seed: int) -> tuple[int, str]:
     """
 
     def error(acfg, _, filters, z, u):
-        target = _targets(1 + (79 * u).astype(int), acfg.n_t, acfg.n_r)
+        target = quantization_target(1 + (79 * u).astype(int), acfg)
         j = perturb_gram(filters.F, z, target)[3]
         w1 = tx_precoders_quantized(filters.F, z, target).W1
         achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(filters.F, w1)

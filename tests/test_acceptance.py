@@ -51,11 +51,11 @@ def _catches(criterion: int):
     return register
 
 
-def _short_law(factor, power, epsilon, n_t, n_r):
-    """A bit law `factor` of the paper's: ceil(factor (1 + epsilon) n_r (n_t - n_r) log2 P)."""
+def _short_law(factor, power, epsilon, acfg):
+    """A bit law `factor` of the paper's: ceil(factor (1 + epsilon) k (n_t - k) log2 P)."""
     if power <= 1.0:
         return 1
-    return math.ceil(factor * (1.0 + epsilon) * n_r * (n_t - n_r) * math.log2(power))
+    return math.ceil(factor * (1.0 + epsilon) * acfg.k * (acfg.n_t - acfg.k) * math.log2(power))
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -142,7 +142,7 @@ def test_criterion_3_saturation():
 @_catches(3)
 def test_criterion_3_catches_targets_at_zero(monkeypatch):
     """Quantizer targets forced to 0, so the fixed budget costs nothing, fail criterion 3."""
-    monkeypatch.setattr(harness, "quantization_target", lambda n_f, n_t, n_r: 0.0)
+    monkeypatch.setattr(harness, "quantization_target", lambda n_f, acfg: np.zeros(len(n_f)))
     ok, fit = _saturation()
     assert not ok, f"targets at 0 kept the slopes at {fit}"
 
@@ -180,8 +180,11 @@ def test_criterion_4_gap_vs_bits():
 @_catches(4)
 def test_criterion_4_catches_a_budget_ignored(monkeypatch):
     """Every target at the 30-bit one, so the gap cannot fall with the budget, fails criterion 4."""
-    at_30_bits = functools.partial(quantization_target, 30)
-    monkeypatch.setattr(harness, "quantization_target", lambda n_f, n_t, n_r: at_30_bits(n_t, n_r))
+
+    def at_30_bits(n_f, acfg):
+        return quantization_target(np.full(len(n_f), 30), acfg)
+
+    monkeypatch.setattr(harness, "quantization_target", at_30_bits)
     ok, by_snr = _gap_vs_bits()
     assert not ok, f"a budget ignored kept the gaps at {by_snr}"
 

@@ -32,6 +32,7 @@ from secmimo.transceiver import AntennaConfig, sample_directions, tx_precoders_q
 
 # delta(40; 4, 2) = 2 * 2^(-39/8), frozen from the closed form
 DELTA_40_4_2 = 0.0681567332915786
+CFG_4_2 = AntennaConfig(4, 2, 1, 2)
 
 
 def _unitary(f, z, distance):
@@ -130,18 +131,51 @@ class TestQuantErrorBound:
 
     def test_invalid_bits(self):
         """A budget below 1, NaN included, gets no distance; NaN once gave 0.0, a perfect
-        quantizer."""
+        quantizer. In an array, the first bad budget is named."""
         for n_f in (0, -3, math.nan):
-            for distance in quant_error_bound, quantization_target:
-                with pytest.raises(InvalidInputError, match="bit budget must be >= 1"):
-                    distance(n_f, 4, 2)
+            with pytest.raises(InvalidInputError, match="bit budget must be >= 1"):
+                quant_error_bound(n_f, 4, 2)
+            with pytest.raises(InvalidInputError, match=f"must be >= 1, got {float(n_f)}$"):
+                quantization_target(np.array([5.0, n_f, -7.0]), CFG_4_2)
 
     @pytest.mark.parametrize("n_t,n_r", [(2, 2), (2, 3), (3, 0)])
     @pytest.mark.parametrize("distance", [quant_error_bound, quantization_target])
     def test_invalid_antenna_counts(self, distance, n_t, n_r):
-        """n_t > n_r >= 1 is checked before any arithmetic on the counts."""
-        with pytest.raises(InvalidInputError, match="n_t > n_r >= 1"):
-            distance(5, n_t, n_r)
+        """n_t > n_r >= 1 is checked before any arithmetic on the counts: by
+        quant_error_bound itself, and by the AntennaConfig that quantization_target and
+        feedback_bits read them from."""
+        with pytest.raises(InvalidInputError, match="need n_t > n_r"):
+            if distance is quant_error_bound:
+                distance(5, n_t, n_r)
+            else:
+                distance(5, AntennaConfig(n_t, n_r, 0, 1))
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, math.nan])
+    def test_stacked_target_error_names_the_first_bad_value(self, bad):
+        """Targets outside [0, sqrt(min(k, n_t - k))), NaN included (it once ended in a
+        NumericalError), get a one-line message that names the first bad one, not the whole
+        array."""
+        rng = np.random.default_rng(21)
+        f = random_truncated_unitary(4, 2, rng)
+        targets = np.full((10, 5), 0.5)
+        targets[3, 1], targets[7, 2] = bad, 2.0
+        for build in (perturb_gram, tx_precoders_quantized):
+            with pytest.raises(InvalidInputError, match=f"target distance {bad} outside") as caught:
+                build(f, random_gaussian_matrix(4, 2, rng), targets)
+            assert "\n" not in str(caught.value)
+            assert "sqrt(min(k, n_t - k))" in str(caught.value)
+
+    def test_target_is_one_route_for_one_budget_or_many(self):
+        """quantization_target of an array of budgets is, bit for bit, that of each budget,
+        quant_error_bound clamped inside the diameter of G(n_t, k)."""
+        for acfg in (AntennaConfig(3, 1, 0, 1), CFG_4_2, AntennaConfig(7, 4, 1, 3)):
+            budgets = np.array([[1, 2, 5], [40, 333, 10**6]])
+            targets = quantization_target(budgets, acfg)
+            assert targets.shape == budgets.shape
+            clamp = 0.999 * math.sqrt(min(acfg.k, acfg.n_t - acfg.k))
+            for nf, target in zip(budgets.flat, targets.flat):
+                assert target == quantization_target(int(nf), acfg)
+                assert target == min(quant_error_bound(int(nf), acfg.n_t, acfg.k), clamp)
 
 
 class TestCodebook:
@@ -233,9 +267,9 @@ class TestQuantize:
 
 def _quantized_w1(f, nf, rng):
     """W1 of the quantized precoders for n_f bits, on one direction drawn from rng."""
-    n_t, n_r = f.shape
-    z = random_gaussian_matrix(n_t, n_r, rng)
-    return tx_precoders_quantized(f, z, quantization_target(nf, n_t, n_r)).W1
+    n_t, k = f.shape
+    z = random_gaussian_matrix(n_t, k, rng)
+    return tx_precoders_quantized(f, z, quantization_target(nf, AntennaConfig(n_t, k, 0, 1))).W1
 
 
 class TestPerturbQuantize:
@@ -277,7 +311,7 @@ class TestPerturbQuantize:
         """The engine's direction draw and builder repeat on the same seed."""
         cfg = AntennaConfig(4, 2, 1, 2)
         f = random_truncated_unitary(4, 2, np.random.default_rng(18))
-        target = quantization_target(25, 4, 2)
+        target = quantization_target(25, cfg)
         a, b = (
             tx_precoders_quantized(
                 f, sample_directions(cfg, [np.random.default_rng(19)], [True]), target
@@ -490,20 +524,41 @@ class TestPerturbBasis:
 
 
 class TestFeedbackBits:
+    def test_law_on_valid_configs(self):
+        """On every valid config the law reads G(n_t, k) from the config: ceil((1 + epsilon)
+        k (n_t - k) log2 P) bits above P = 1, and never fewer than 1. Counts that once gave
+        a negative budget, (2, 3) among them, make no config."""
+        configs = [
+            AntennaConfig(n_t, n_r, n_j, n_e)
+            for n_t in range(2, 9)
+            for n_r in range(1, n_t)
+            for n_j in range(n_r)
+            for n_e in range(1, n_t - n_r + 1)
+        ]
+        for acfg in configs:
+            for power in (0.5, 1.0, 1.0 + 1e-9, 2.0, 1e3, 2.0**10, 1e9):
+                for epsilon in (0.0, 0.5):
+                    bits = feedback_bits(power, epsilon, acfg)
+                    law = (1.0 + epsilon) * acfg.k * (acfg.n_t - acfg.k) * math.log2(power)
+                    assert bits == max(1, math.ceil(law)) >= 1
+        for n_t, n_r in (2, 2), (3, 0), (2, 3):
+            with pytest.raises(InvalidInputError, match="need n_t > n_r > n_j >= 0"):
+                AntennaConfig(n_t, n_r, 0, 1)
+
     def test_scaled_examples(self):
-        assert feedback_bits(2**10, 0.0, 4, 2) == 40
-        assert feedback_bits(2**10, 0.5, 4, 2) == 60
+        assert feedback_bits(2**10, 0.0, CFG_4_2) == 40
+        assert feedback_bits(2**10, 0.5, CFG_4_2) == 60
 
     def test_rounds_up(self):
         # 4 * log2(1000) = 39.86... -> 40
-        assert feedback_bits(1e3, 0.0, 4, 2) == 40
+        assert feedback_bits(1e3, 0.0, CFG_4_2) == 40
 
     def test_low_power_gives_one_bit(self):
         """The law yields no bits at P <= 1; the quantizer still gets one."""
         for p in (1.0, 0.5, 1e-3):
-            assert feedback_bits(p, 0.0, 4, 2) == 1
-            assert feedback_bits(p, 3.0, 4, 2) == 1
-        assert feedback_bits(1.0 + 1e-9, 0.0, 4, 2) == 1
+            assert feedback_bits(p, 0.0, CFG_4_2) == 1
+            assert feedback_bits(p, 3.0, CFG_4_2) == 1
+        assert feedback_bits(1.0 + 1e-9, 0.0, CFG_4_2) == 1
 
     def test_schedule_validation(self):
         """The scaled law needs a finite epsilon >= 0, in feedback_bits and in validate, and
@@ -511,12 +566,12 @@ class TestFeedbackBits:
         for epsilon in (-0.1, math.inf, math.nan):
             for p in (0.5, 1e3):
                 with pytest.raises(InvalidInputError, match="epsilon"):
-                    feedback_bits(p, epsilon, 4, 2)
+                    feedback_bits(p, epsilon, CFG_4_2)
             with pytest.raises(ConfigError, match="epsilon"):
                 scenario_config("slope", [2], epsilon=epsilon, trials=1).validate()
         for power in (math.nan, math.inf, -math.inf, -5.0, 0.0):
             with pytest.raises(InvalidInputError, match="transmit power must be positive"):
-                feedback_bits(power, 0.0, 4, 2)
+                feedback_bits(power, 0.0, CFG_4_2)
         for snr_min in (-4000.0, 4000.0):  # a power of 0.0, then of inf
             with pytest.raises(ConfigError, match="finite"):
                 scenario_config("slope", [2], snr_min=snr_min, snr_max=snr_min + 10).validate()

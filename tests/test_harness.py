@@ -356,7 +356,7 @@ def _trial_points(cfg, curve, trial):
     filters = rx_postfilter(channels.Hd, channels.Hj, b)
     points = []
     for _, nf, power in _curve_points(cfg, acfg):
-        target = quantization_target(nf, acfg.n_t, acfg.n_r)
+        target = quantization_target(nf, acfg)
         z = np.zeros((acfg.n_t, acfg.n_r), dtype=complex)
         if target >= ZERO_DISTANCE:
             z = random_gaussian_matrix(acfg.n_t, acfg.n_r, rng)
@@ -502,15 +502,15 @@ class TestEngineOracle:
         """At each point whose target is below ZERO_DISTANCE, every trial's quantized
         rates equal its perfect ones bit for bit, and the row's gap_mean is +0.0."""
         for curve, (acfg, points) in enumerate(zip(cfg.antenna_configs, cfg.validate())):
-            targets = [quantization_target(nf, acfg.n_t, acfg.n_r) for _, nf, _ in points]
-            zero = np.array(targets) < ZERO_DISTANCE
+            zero = quantization_target([nf for _, nf, _ in points], acfg) < ZERO_DISTANCE
             assert np.count_nonzero(zero) == n_zero
             engine = _engine_trials(cfg, curve)[:, zero]
             np.testing.assert_array_equal(engine[..., [1, 3]], engine[..., [0, 2]])
         gaps = [
             r.gap_mean
             for r in run_experiment(cfg)
-            if quantization_target(r.nf_bits, r.n_t, r.n_r) < ZERO_DISTANCE
+            if quantization_target(r.nf_bits, AntennaConfig(r.n_t, r.n_r, r.n_j, r.n_e))
+            < ZERO_DISTANCE
         ]
         assert len(gaps) == n_zero * len(cfg.antenna_configs)
         assert all(g == 0.0 and not np.signbit(g) for g in gaps)

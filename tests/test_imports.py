@@ -1,6 +1,7 @@
 """Every name a source module imports is referenced in that module, no public name is dead,
-no rate or bound takes the antenna counts beside a power policy, and importing the package
-starts OpenBLAS with one thread."""
+no rate or bound takes the antenna counts beside a power policy, no function but the
+shape-generic bounds takes the pair (n_t, n_r), and importing the package starts OpenBLAS
+with one thread."""
 
 import ast
 import inspect
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from secmimo import rates, transceiver
+from secmimo import grassmann, harness, rates, transceiver, verification
 from secmimo.transceiver import AntennaConfig, PowerPolicy
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "secmimo"
@@ -112,6 +113,24 @@ def test_no_config_beside_a_policy(module):
         pass
 
     assert _takes_policy_and_config(both_counts)
+
+
+# Public functions that take (n_t, n_r) as the shape of any G(n_t, n_r), not of one config's.
+SHAPE_GENERIC = {"quant_error_bound", "codebook_generate"}
+
+
+@pytest.mark.parametrize(
+    "module", [grassmann, transceiver, harness, verification], ids=lambda m: m.__name__
+)
+def test_no_antenna_count_pair(module):
+    """The fed-back G(n_t, k) is read from an AntennaConfig, so no public function or method
+    of the module takes parameters named both n_t and n_r, but the shape-generic bounds."""
+    pairs = sorted(
+        name
+        for name, fn in _public_callables(module)
+        if {"n_t", "n_r"} <= set(inspect.signature(fn).parameters) and name not in SHAPE_GENERIC
+    )
+    assert not pairs, f"{pairs} take the pair (n_t, n_r); pass the AntennaConfig"
 
 
 # What OpenBLAS reads for its thread count, in its order.

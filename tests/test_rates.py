@@ -55,7 +55,7 @@ def _channels_and_filters(cfg, rng):
 def _quantized(cfg, filters, nf, rng):
     """Quantized precoders for nf bits, on one direction drawn from rng."""
     z = random_gaussian_matrix(cfg.n_t, cfg.n_r, rng)
-    return tx_precoders_quantized(filters.F, z, quantization_target(nf, cfg.n_t, cfg.n_r))
+    return tx_precoders_quantized(filters.F, z, quantization_target(nf, cfg))
 
 
 def _random_trial(seed, cfg=None, nf=30):
@@ -185,7 +185,7 @@ class TestQuantizedG:
             good = True
             for snr in (40.0, 50.0, 60.0):
                 policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
-                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, cfg), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
@@ -220,7 +220,7 @@ class TestQuantizedG:
             prec_p = tx_precoders_perfect(ch.Hd)
             for i, snr in enumerate(snrs):
                 policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
-                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, 4, 2), rng)
+                prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, cfg), rng)
                 r_p = secrecy_rate_G(ch, prec_p, filters, policy)
                 r_q = secrecy_rate_G(ch, prec_q, filters, policy)
                 gaps[i] += r_p.raw - r_q.raw
@@ -450,7 +450,7 @@ class TestStepGrams:
         ch, b = sample_trials(cfg, rngs)
         filters = rx_postfilter(ch.Hd, ch.Hj, b)
         budgets = np.repeat([4, 12, 30, 60], 4)
-        targets = np.array([quantization_target(nf, cfg.n_t, cfg.n_r) for nf in budgets])
+        targets = quantization_target(budgets, cfg)
         policy = PowerPolicy(P=np.tile([1.0, 1e2, 1e4, 1e6], 4), rho=0.5, config=cfg)
         z = sample_directions(cfg, rngs, np.ones(targets.size, bool))
         leakage = _gram_rate(ch, filters, z, targets, policy).leakage

@@ -36,6 +36,7 @@ class TestAntennaConfig:
     def test_derived_dimensions(self):
         cfg = AntennaConfig(6, 3, 1, 3)
         assert cfg.d_s == 2
+        assert cfg.k == cfg.n_r == 3
 
     @pytest.mark.parametrize(
         "bad",
@@ -77,6 +78,21 @@ class TestPowerPolicy:
                 PowerPolicy(**{"P": 1.0, "rho": 0.5, "config": cfg, **fields})
         policy = PowerPolicy(P=np.array([1.0, 1e9]), rho=np.array([[0.2], [0.8]]), config=cfg)
         assert policy.an_cov_scale.shape == (2, 2)
+
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [("P", -1.0, "transmit power must be positive and finite, got -1.0$"),
+         ("rho", 1.5, "rho must lie in \\(0, 1\\), got 1.5$")],
+    )
+    def test_stacked_error_names_the_first_bad_value(self, field, bad, match):
+        """A 50-element array with bad values at 17 and 31 gets a one-line message that
+        names the first of them, not the whole array."""
+        values = np.full(50, 0.5)
+        values[17], values[31] = bad, np.nan
+        fields = {"P": 1.0, "rho": 0.5, field: values}
+        with pytest.raises(InvalidInputError, match=match) as caught:
+            PowerPolicy(**fields, config=AntennaConfig(4, 2, 1, 2))
+        assert "\n" not in str(caught.value)
 
     def test_scales(self):
         """rho P / n_r and (1 - rho) P / (n_t - n_r) of the policy's config, bit for bit the

@@ -94,7 +94,7 @@ def test_trial_draws_match_scalar_reference(acfg, seed, monkeypatch):
     tx_precoders_quantized on that direction and W2 its complement.
     """
     n_t, n_r = acfg.n_t, acfg.n_r
-    target = quantization_target(20, n_t, n_r)
+    target = quantization_target(20, acfg)
 
     def draws():
         """Each chunk's draws of trials 0, 1 and 2, in order."""
@@ -167,12 +167,12 @@ def test_leakage_bounded_in_power_at_noisy_seeds(verify_seed):
 @_mutates("leakage-bounded-in-P")
 @pytest.mark.parametrize("verify_seed", [5, 11, 22, 42])
 def test_leakage_bounded_in_power_detects_under_scaled_bits(verify_seed, monkeypatch):
-    """With ceil(0.97 n_r (n_t - n_r) log2 P) bits, leakage grows with P and the suite fails."""
+    """With ceil(0.97 k (n_t - k) log2 P) bits, leakage grows with P and the suite fails."""
 
     def under_scaled(acfg, powers):
-        half_dim = acfg.n_r * (acfg.n_t - acfg.n_r)
+        half_dim = acfg.k * (acfg.n_t - acfg.k)
         bits = [math.ceil(0.97 * half_dim * math.log2(p)) for p in powers]
-        return np.array([quantization_target(nf, acfg.n_t, acfg.n_r) for nf in bits])
+        return quantization_target(bits, acfg)
 
     monkeypatch.setattr(verification, "_matched_targets", under_scaled)
     outcome = run_suite("leakage-bounded-in-P", 200, verify_seed + 7)
