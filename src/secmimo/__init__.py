@@ -46,8 +46,9 @@ from .rates import (
     beta_P,
     eve_rate_limit,
     fit_slope,
+    grams_rate,
     logdet_perturbation_check,
-    secrecy_rate_G,
+    precoder_grams,
     secrecy_rate_perfect_basic,
 )
 from .transceiver import (

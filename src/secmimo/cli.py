@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError, SecMimoError
+from .errors import ConfigError, SecMimoError
 from .harness import (
     SCENARIOS,
     ExperimentConfig,
@@ -134,11 +134,7 @@ def _experiment_config(args) -> tuple[ExperimentConfig, str | None]:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg, out = _experiment_config(args)
-    except InvalidInputError as exc:
-        # raised by the antenna-config constructor
-        raise ConfigError(str(exc)) from exc
+    cfg, out = _experiment_config(args)
     rows = run_experiment(cfg)
     if out:
         write_csv(rows, out)

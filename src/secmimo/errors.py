@@ -6,9 +6,10 @@ Four classes, one per outcome a caller can act on. Everything derives from
 - :class:`ConfigError`: an invalid experiment configuration, config file,
   results file or output path. The CLI exits 1.
 - :class:`InvalidInputError`: a library call's argument breaks a documented
-  precondition (shape, finiteness, value range, codebook size). The CLI
-  exits 1 when one is raised while it builds the configuration or reads a
-  results file, and 2 when one is raised inside a run.
+  precondition (shape, finiteness, value range, codebook size). The config
+  boundary (``scenario_config`` and ``ExperimentConfig.validate``) turns
+  each one it meets into a ConfigError, so one that reaches the CLI comes
+  from inside a run, and the CLI exits 2.
 - :class:`NumericalError`: a degenerate draw, such as a rank-deficient
   channel, a singular Gram matrix, a matrix that is not positive definite
   or a quantizer step that misses its distance. The paper's channels are

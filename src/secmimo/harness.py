@@ -18,12 +18,13 @@ import functools
 import math
 import numbers
 import os
+import sys
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SecMimoError
+from .errors import ConfigError, InvalidInputError, SecMimoError
 from .grassmann import ZERO_DISTANCE, feedback_bits, perturb_gram, quantization_target
 from .rates import fit_slope, grams_rate, step_grams, trial_couplings
 from .transceiver import (
@@ -87,6 +88,14 @@ def _is_budget(bits) -> bool:
     return isinstance(bits, (int, np.integer)) and not isinstance(bits, bool) and bits >= 1
 
 
+def _check_trials(trials: int) -> None:
+    """A trial count must be 1 or more, and small enough to index a range of trials."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if trials > sys.maxsize:
+        raise ConfigError(f"trials must be <= {sys.maxsize}, got {trials}")
+
+
 @dataclass
 class ExperimentConfig:
     """Full description of one Monte Carlo experiment; its bits come from exactly
@@ -104,7 +113,9 @@ class ExperimentConfig:
     nf_grid: tuple | None = None  # fixed bit budgets swept at every SNR
 
     def validate(self) -> list:
-        """Check the configuration; return each curve's (snr_db, nf_bits, power) points."""
+        """Accept the configuration, or raise one ConfigError; return each curve's
+        (points, policy, targets): its (snr_db, nf_bits, power) operating points, their
+        PowerPolicy and quantizer target distances."""
         for name, (kind, *none) in _FIELD_KINDS.items():
             value, (admits, noun) = getattr(self, name), _KINDS[kind]
             if isinstance(value, bool) or not isinstance(value, (admits, *none)):
@@ -117,13 +128,10 @@ class ExperimentConfig:
                 f"got {' and '.join(given) or 'none'}"
                 + (", which exclude each other" if len(given) > 1 else "")
             )
-        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
-            raise ConfigError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         grid = self.nf_grid
         if grid is not None and not (grid and all(map(_is_budget, grid))):
             raise ConfigError(f"nf_grid needs integer bit budgets >= 1, got {grid!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        _check_trials(self.trials)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not -math.inf < self.snr_min < self.snr_max < math.inf:
@@ -132,8 +140,6 @@ class ExperimentConfig:
             )
         if not 0 < self.snr_step < math.inf:
             raise ConfigError(f"snr_step must be positive and finite, got {self.snr_step}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if not self.antenna_configs:
             raise ConfigError("at least one antenna configuration is required")
         for cfg in self.antenna_configs:
@@ -144,9 +150,17 @@ class ExperimentConfig:
                 "antenna configurations must be distinct, got "
                 + ", ".join(f"({c.n_t}, {c.n_r}, {c.n_j}, {c.n_e})" for c in self.antenna_configs)
             )
-        # an SNR point count, bit budget or power past the float range
+        # PowerPolicy and feedback_bits check rho and epsilon, and an SNR point count, bit
+        # budget or power past the float range overflows
         try:
-            curves = [_curve_points(self, acfg) for acfg in self.antenna_configs]
+            curves = []
+            for acfg in self.antenna_configs:
+                points = _curve_points(self, acfg)
+                _, bits, powers = zip(*points)
+                policy = PowerPolicy(P=np.array(powers), rho=self.rho, config=acfg)
+                curves.append((points, policy, quantization_target(bits, acfg)))
+        except InvalidInputError as exc:
+            raise ConfigError(str(exc)) from exc
         except OverflowError as exc:
             raise ConfigError(f"SNR grid, powers and bit budgets must be finite: {exc}") from None
         return curves
@@ -179,7 +193,10 @@ def scenario_config(scenario: str, n_r_list=None, **overrides) -> ExperimentConf
         settings = {k: v for k, v in settings.items() if k not in BIT_SOURCES}
     # an empty list is kept, so that validate rejects it
     n_rs = row.n_rs if n_r_list is None else tuple(n_r_list)
-    configs = tuple(AntennaConfig(2 * n, n, 1, n) for n in n_rs)
+    try:
+        configs = tuple(AntennaConfig(2 * n, n, 1, n) for n in n_rs)
+    except InvalidInputError as exc:
+        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(scenario, configs, **{**settings, **overrides})
 
 
@@ -283,15 +300,6 @@ def _map_trials(measure, seed: int, curve: int, trials: range) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _curve_trials(cfg: ExperimentConfig, curve_idx: int, points) -> np.ndarray:
-    """Per-trial outputs of one curve, shape (trials, n_points, 5), by :func:`_map_trials`."""
-    acfg = cfg.antenna_configs[curve_idx]
-    policy = PowerPolicy(P=np.array([p for _, _, p in points]), rho=cfg.rho, config=acfg)
-    targets = quantization_target([nf for _, nf, _ in points], acfg)
-    measure = functools.partial(_run_trials, policy, targets)
-    return _map_trials(measure, cfg.seed, curve_idx, range(cfg.trials))
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the configured Monte Carlo experiment; return one row per operating point.
 
@@ -299,10 +307,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     the same configuration produce identical results. Aggregation averages
     a dense (trials x points) array in fixed order.
     """
-    curves = cfg.validate()
     rows: list[ResultRow] = []
-    for curve_idx, (acfg, points) in enumerate(zip(cfg.antenna_configs, curves)):
-        means = _curve_trials(cfg, curve_idx, points).mean(axis=0)
+    for curve_idx, (points, policy, targets) in enumerate(cfg.validate()):
+        measure = functools.partial(_run_trials, policy, targets)
+        means = _map_trials(measure, cfg.seed, curve_idx, range(cfg.trials)).mean(axis=0)
+        acfg = policy.config
         for i, (snr_db, nf, _) in enumerate(points):
             rows.append(
                 ResultRow(

@@ -13,7 +13,8 @@ mutual-information oracle in :mod:`secmimo.linalg` provides an independent
 route to the same values.
 
 One kernel, :func:`grams_rate`, rates every two-stage Gram set, perfect
-CSI or quantized, from two Cholesky log-det ratios per element. Every rate
+CSI or quantized, from two Cholesky log-det ratios per element, whether
+:func:`step_grams` or :func:`precoder_grams` built the set. Every rate
 takes stacks of matrices and a policy whose P and rho are arrays over the
 stack (see :mod:`secmimo.transceiver`); the result's fields are then arrays.
 """
@@ -92,11 +93,12 @@ def _term(x1, x2, policy: PowerPolicy):
 
 
 def secrecy_rate_perfect_basic(channels: ChannelSet, policy: PowerPolicy) -> SecrecyRate:
-    """Secrecy rate with perfect CSI and SVD-aligned precoding, no G filter.
+    """Secrecy rate with perfect CSI and SVD-aligned precoding, a second route.
 
-    The receiver applies only the jammer nuller V; the effective direct
-    channel is V* U(Hd) Sigma1(Hd) because the information precoder absorbs
-    the right singular vectors.
+    It takes the SVD of Hd and the jammer nuller V, without
+    :func:`~secmimo.transceiver.rx_postfilter`'s QR factors: the effective
+    direct channel is V* U(Hd) Sigma1(Hd) because the information precoder
+    absorbs the right singular vectors.
     """
     u, s, vh = np.linalg.svd(as_stack(channels.Hd, "Hd"), full_matrices=True)
     v = left_nullspace_basis(channels.Hj)
@@ -112,8 +114,11 @@ def _gram(s: np.ndarray) -> np.ndarray:
     return s @ adjoint(s)
 
 
-def _precoder_grams(channels, precoders, filters) -> RateGrams:
-    # S2 is zero to round-off when W2 spans the nullspace of Hd
+def precoder_grams(
+    channels: ChannelSet, precoders: Precoders, filters: ReceiverFilters
+) -> RateGrams:
+    """The Gram set of explicit precoders, perfect or quantized: the oracle of the engine's
+    Gram route. S2 S2* is zero to round-off when W2 spans the nullspace of Hd."""
     vh = adjoint(filters.V) @ as_stack(channels.Hd, "Hd")
     he = as_stack(channels.He, "He")
     e1, e2 = _gram(he @ precoders.W1), _gram(he @ precoders.W2)
@@ -161,21 +166,6 @@ def grams_rate(grams: RateGrams, policy: PowerPolicy) -> SecrecyRate:
     raw = t_plus - t_minus
     leakage = (policy.an_cov_scale * np.einsum("...ii->...", grams.gg @ grams.s2).real)[()]
     return SecrecyRate(_clip(raw), raw, t_plus, t_minus, leakage)
-
-
-def secrecy_rate_G(
-    channels: ChannelSet,
-    precoders: Precoders,
-    filters: ReceiverFilters,
-    policy: PowerPolicy,
-) -> SecrecyRate:
-    """Secrecy rate under the two-stage receiver, for explicit perfect or quantized precoders.
-
-    :func:`grams_rate` of their Gram set, and the oracle for the engine's
-    Gram route. L is zero to round-off for perfect precoders, whose W2 spans
-    the nullspace of Hd.
-    """
-    return grams_rate(_precoder_grams(channels, precoders, filters), policy)
 
 
 def eve_rate_limit(grams: RateGrams, policy: PowerPolicy) -> float:

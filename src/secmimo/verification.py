@@ -368,12 +368,12 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
-    """Suite `name` of :data:`SUITES` on `trials` instances from `seed`. A negative seed or no
-    trials is a ConfigError; a numerical failure fails every trial, its message the detail."""
+    """Suite `name` of :data:`SUITES` on `trials` instances from `seed`. A negative seed, or
+    trials outside [1, sys.maxsize], is a ConfigError; a numerical failure fails every trial,
+    its message the detail."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    harness._check_trials(trials)
     try:
         failures, detail = SUITES[name][0](trials, seed)
     except (SecMimoError, np.linalg.LinAlgError) as exc:

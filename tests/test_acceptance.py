@@ -257,10 +257,16 @@ def _blocks_agree(monkeypatch) -> tuple[bool, list, list]:
     )
     points = harness._curve_points(cfg, cfg.antenna_configs[0])
     texts, per_trial = [], []
+    map_trials = harness._map_trials
+
+    def recorded(*args):  # the per-trial array of run_experiment's one curve
+        per_trial.append(map_trials(*args))
+        return per_trial[-1]
+
+    monkeypatch.setattr(harness, "_map_trials", recorded)
     for block in (1, 8, cfg.trials):
         monkeypatch.setattr(harness, "BLOCK_POINTS", block * len(points))
         texts.append(render_csv(run_experiment(cfg)))
-        per_trial.append(harness._curve_trials(cfg, 0, points))
     texts.append(render_csv(run_experiment(cfg)))
     ok = len(set(texts)) == 1 and all(np.array_equal(arr, per_trial[0]) for arr in per_trial)
     return ok, texts, per_trial

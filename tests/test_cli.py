@@ -203,6 +203,16 @@ class TestRun:
         assert captured.err.startswith("configuration error") and "trials" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [["run", "--nr", "2"], ["verify"]], ids=["run", "verify"])
+    def test_trials_past_maxsize_is_config_error(self, capsys, command):
+        """A trial count past sys.maxsize, more than a range of trials holds, exits 1 with one
+        line that names trials, before any trial runs."""
+        assert cli_main([*command, "--trials", str(2**64)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"trials must be <= {sys.maxsize}, got {2**64}"
+        assert captured.err == f"configuration error: {message}\n"
+
     @pytest.mark.parametrize(
         "settings",
         [
@@ -210,13 +220,19 @@ class TestRun:
             {"nr": 2, "epsilon": 1e308},
             {"snr_max": 4000.0, "snr_step": 1000.0},
             {"snr_min": -4000.0, "snr_step": 500.0},
+            {"scenario": "custom", "nr": 2, "nf": [10**400]},
+            {"scenario": "saturation", "nr": 10**400},
         ],
-        ids=["snr-count", "bit-budget", "power", "power-underflow"],
+        ids=["snr-count", "bit-budget", "power", "power-underflow", "nf", "nr"],
     )
     def test_overflowing_grid_is_config_error(self, tmp_path, capsys, settings):
-        """An SNR grid, power or bit budget past the float range, or a power that underflows
-        to 0, exits 1, by flag or file."""
-        flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+        """An SNR grid, power, bit budget or antenna count past the float range, or a power
+        that underflows to 0, exits 1, by flag or file; a list is one flag per value."""
+        flags = [
+            f"--{key.replace('_', '-')}={value}"
+            for key, values in settings.items()
+            for value in (values if isinstance(values, list) else [values])
+        ]
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(settings))
         for args in (flags, ["--config", str(cfg_file)]):
@@ -362,7 +378,7 @@ class TestExitCodes:
             ("run_experiment", InvalidInputError, 2),
             ("run_experiment", np.linalg.LinAlgError, 2),
             ("run_experiment", ConfigError, 1),
-            ("scenario_config", InvalidInputError, 1),
+            ("scenario_config", ConfigError, 1),
         ],
     )
     def test_error_class_maps_to_exit_code(self, monkeypatch, capsys, stage, error, code):

@@ -3,7 +3,8 @@
 Whatever the input, `cli_main` returns 0, 1 or 2, raises nothing, emits no
 warning, and writes at most one line to stderr: exactly one for exit 1 and
 for a numerical failure of `run` or `slopes`. Runs are kept small: every
-`run` passes --trials at most 2 and an SNR grid of at most 29 points.
+`run` passes --trials at most 2 and an SNR grid of at most 29 points, but for
+an example whose 2**64 trials the configuration rejects.
 """
 
 import contextlib
@@ -36,7 +37,7 @@ _FLAG_VALUES = {
     "seed": st.integers(-2, 2**64),
     "rho": st.sampled_from([0.0, 0.3, 0.5, 1.0, -0.5, float("nan")]),
     "epsilon": st.sampled_from([0.0, 0.25, -1.0, 1e308, float("inf")]),
-    "nf": st.integers(-1, 200),
+    "nf": st.one_of(st.integers(-1, 200), st.integers(-1, 10**400)),
 }
 
 
@@ -174,6 +175,8 @@ def _results_file(rows) -> bytes:
 class TestFuzz:
     @_SETTINGS
     @given(argv=_run_argv(), config=st.one_of(st.none(), _config_text()), to_file=st.booleans())
+    @example(["run", "--scenario", "saturation", "--nf", str(10**400)], None, False)
+    @example(["run", "--trials", str(2**64)], None, False)
     def test_run_arguments(self, tmp_path_factory, argv, config, to_file):
         work = tmp_path_factory.mktemp("run")
         if config is not None:
@@ -203,6 +206,7 @@ class TestFuzz:
         seed=_mostly(st.integers(-2, 2**64)),
         extra=_mostly_nothing(),
     )
+    @example(trials=str(2**64), seed="1", extra=[])
     def test_verify_arguments(self, tmp_path_factory, trials, seed, extra):
         work = tmp_path_factory.mktemp("verify")
         code, _, err = _call(["verify", "--trials", trials, "--seed", seed, *extra], work)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: configs, determinism, CSV round-trips."""
 
 import csv
+import functools
 import re
 from dataclasses import fields, replace
 
@@ -21,7 +22,6 @@ from secmimo.harness import (
     ExperimentConfig,
     ResultRow,
     _curve_points,
-    _curve_trials,
     fitted_slopes_from_rows,
     read_csv,
     render_csv,
@@ -38,7 +38,7 @@ from secmimo.linalg import (
 from secmimo.rates import (
     fit_slope,
     grams_rate,
-    secrecy_rate_G,
+    precoder_grams,
     step_grams,
     trial_couplings,
 )
@@ -90,9 +90,8 @@ class TestConfig:
         """Curves off the (2 n_r, n_r, 1, n_r) shape validate and run in every scenario."""
         curves = (AntennaConfig(5, 2, 1, 2), AntennaConfig(6, 2, 1, 2))
         cfg = replace(scenario_config(scenario, trials=1, snr_max=20.0), antenna_configs=curves)
-        points = cfg.validate()
         rows = run_experiment(cfg)
-        assert len(rows) == sum(map(len, points))
+        assert len(rows) == sum(len(points) for points, _, _ in cfg.validate())
         assert {(r.n_t, r.n_r, r.n_j, r.n_e) for r in rows} == {(5, 2, 1, 2), (6, 2, 1, 2)}
 
     def test_validation_rejects_wrong_schedule(self):
@@ -117,7 +116,7 @@ class TestConfig:
         """A grid whose lowest power underflows to 0 fails validate; a subnormal one passes."""
         with pytest.raises(ConfigError, match="positive and finite"):
             scenario_config("slope", [2], snr_min=-4000.0, snr_step=500.0).validate()
-        points = scenario_config("slope", [2], snr_min=-3230.0, snr_step=500.0).validate()[0]
+        points = scenario_config("slope", [2], snr_min=-3230.0, snr_step=500.0).validate()[0][0]
         assert 0.0 < points[0][2] < 1e-300
 
     @pytest.mark.parametrize("scenario", ["slope", "saturation", "gap_vs_bits", "custom"])
@@ -171,7 +170,7 @@ class TestConfig:
     def test_fixed_budgets_are_one_grid(self, cfg):
         """Every scenario with fixed bits takes any budget grid, one budget included,
         and sweeps it in order at every SNR."""
-        points = cfg.validate()[0]
+        points, _, _ = cfg.validate()[0]
         assert [nf for _, nf, _ in points] == list(cfg.nf_grid) * (len(points) // len(cfg.nf_grid))
 
     @pytest.mark.parametrize(
@@ -231,7 +230,8 @@ class TestConfig:
         numpy = replace(plain, nf_grid=(np.int64(10), np.int32(20)))
         assert render_csv(run_experiment(numpy)) == render_csv(run_experiment(plain))
         cfg = scenario_config("saturation", trials=1, nf_grid=(np.int64(30),))
-        assert cfg.validate() == scenario_config("saturation", trials=1).validate()
+        default = scenario_config("saturation", trials=1)
+        assert [c[0] for c in cfg.validate()] == [c[0] for c in default.validate()]
 
     def test_run_flags_are_config_fields(self):
         """Every `run` flag but --nr, --nf, --out and --config sets the config field of its
@@ -383,22 +383,25 @@ def _reference_trial(cfg, curve, trial):
 
 
 def _explicit_trial(cfg, curve, trial):
-    """One trial through explicit precoders and secrecy_rate_G: tx_precoders_perfect
+    """One trial through explicit precoders and precoder_grams: tx_precoders_perfect
     at the curve's power vector, and tx_precoders_quantized at each point."""
     acfg, channels, filters, points = _trial_points(cfg, curve, trial)
     powers = np.array([policy.P for policy, _, _ in points])
     powers = PowerPolicy(P=powers, rho=cfg.rho, config=acfg)
-    r_p = secrecy_rate_G(channels, tx_precoders_perfect(channels.Hd), filters, powers)
+    r_p = grams_rate(precoder_grams(channels, tx_precoders_perfect(channels.Hd), filters), powers)
     out = np.empty((len(points), 5))
     for i, (policy, target, z) in enumerate(points):
         prec_q = tx_precoders_quantized(filters.F, z, target)
-        r_q = secrecy_rate_G(channels, prec_q, filters, policy)
+        r_q = grams_rate(precoder_grams(channels, prec_q, filters), policy)
         out[i] = (r_p.clipped[i], r_q.clipped, r_p.raw[i], r_q.raw, r_q.leakage)
     return out
 
 
 def _engine_trials(cfg, curve):
-    return _curve_trials(cfg, curve, cfg.validate()[curve])
+    """Per-trial outputs of one curve, from the _map_trials call that run_experiment makes."""
+    _, policy, targets = cfg.validate()[curve]
+    measure = functools.partial(harness._run_trials, policy, targets)
+    return harness._map_trials(measure, cfg.seed, curve, range(cfg.trials))
 
 
 class TestDeterminism:
@@ -501,8 +504,8 @@ class TestEngineOracle:
     def test_zero_target_has_no_gap(self, cfg, n_zero):
         """At each point whose target is below ZERO_DISTANCE, every trial's quantized
         rates equal its perfect ones bit for bit, and the row's gap_mean is +0.0."""
-        for curve, (acfg, points) in enumerate(zip(cfg.antenna_configs, cfg.validate())):
-            zero = quantization_target([nf for _, nf, _ in points], acfg) < ZERO_DISTANCE
+        for curve, (points, policy, _) in enumerate(cfg.validate()):
+            zero = quantization_target([nf for _, nf, _ in points], policy.config) < ZERO_DISTANCE
             assert np.count_nonzero(zero) == n_zero
             engine = _engine_trials(cfg, curve)[:, zero]
             np.testing.assert_array_equal(engine[..., [1, 3]], engine[..., [0, 2]])
@@ -534,9 +537,8 @@ class TestBlockLinearAlgebra:
         spy("qr")
         cfg = scenario_config("slope", [2, 3, 4], trials=4, seed=3)
         for curve, acfg in enumerate(cfg.antenna_configs):
-            points = _curve_points(cfg, acfg)
-            assert len(points) > 1
-            _curve_trials(cfg, curve, points)
+            assert len(_curve_points(cfg, acfg)) > 1
+            _engine_trials(cfg, curve)
         for name, seen in shapes.items():
             assert seen, name
             assert all(len(shape) == 4 and shape[:2] == (4, 1) for shape in seen), (name, seen)
@@ -559,13 +561,12 @@ class TestBlockLinearAlgebra:
         for name in per_trial + ("grams_rate", "perturb_gram", "step_grams"):
             counted(name)
         cfg = scenario_config("gap_vs_bits", trials=20, seed=2)
-        points = _curve_points(cfg, cfg.antenna_configs[0])
-        _curve_trials(cfg, 0, points)
+        _engine_trials(cfg, 0)
         steps = dict.fromkeys(("perturb_gram", "step_grams"), 1 + 3)
         assert calls == dict.fromkeys(per_trial, 1) | {"grams_rate": 2 * 3} | steps
         calls.clear()
         monkeypatch.setattr(harness, "BLOCK_POINTS", 8)
-        _curve_trials(cfg, 0, points)
+        _engine_trials(cfg, 0)
         steps = dict.fromkeys(("perturb_gram", "step_grams"), 3 + 20)
         assert calls == dict.fromkeys(per_trial, 3) | {"grams_rate": 2 * 20} | steps
 

@@ -1,7 +1,7 @@
 """Every name a source module imports is referenced in that module, no public name is dead,
-no rate or bound takes the antenna counts beside a power policy, no function but the
-shape-generic bounds takes the pair (n_t, n_r), and importing the package starts OpenBLAS
-with one thread."""
+every input of an exported function can be built from exported names, no rate or bound takes
+the antenna counts beside a power policy, no function but the shape-generic bounds takes the
+pair (n_t, n_r), and importing the package starts OpenBLAS with one thread."""
 
 import ast
 import inspect
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import secmimo
 from secmimo import grassmann, harness, rates, transceiver, verification
 from secmimo.transceiver import AntennaConfig, PowerPolicy
 
@@ -39,8 +40,9 @@ TEST_ONLY = {
     "quantize": "the exhaustive nearest-codeword oracle of the perturbation quantizer",
     "random_truncated_unitary": "Haar-random orthonormal columns for test inputs",
     "sample_channels": "one trial's channels drawn call by call, the oracle of sample_trials",
-    "secrecy_rate_perfect_basic": "the perfect-CSI rate without the G filter, a second route",
-    "secrecy_rate_G": "the explicit-precoder oracle of the engine's Gram route",
+    "secrecy_rate_perfect_basic": "the perfect-CSI rate from the SVD of Hd and the nuller V, "
+    "without rx_postfilter's QR factors, a second route",
+    "precoder_grams": "the Gram set of explicit precoders, the oracle of the engine's Gram route",
 }
 
 
@@ -79,6 +81,30 @@ def test_no_dead_public_code():
     assert not dead, f"no source module uses {[defined[n] for n in dead]}"
     assert set(TEST_ONLY) <= set(defined), f"not defined: {sorted(set(TEST_ONLY) - set(defined))}"
     assert not set(TEST_ONLY) & used, f"have a source caller: {sorted(set(TEST_ONLY) & used)}"
+
+
+def _secmimo_classes(hint) -> set:
+    """The secmimo classes a type hint names, inside containers and unions too."""
+    if inspect.isclass(hint) and hint.__module__.startswith("secmimo."):
+        return {hint}
+    return set().union(*map(_secmimo_classes, typing.get_args(hint)))
+
+
+def test_every_exported_input_can_be_built():
+    """Each secmimo class that an exported function takes, by its type hints, is exported
+    or is the return hint of an exported function, so a caller can build every input."""
+    exported = {getattr(secmimo, name) for name in dir(secmimo) if not name.startswith("_")}
+    hints = {fn: typing.get_type_hints(fn) for fn in exported if inspect.isfunction(fn)}
+    built = exported | set().union(*(_secmimo_classes(h.get("return")) for h in hints.values()))
+    unbuildable = sorted(
+        f"{fn.__name__} takes {cls.__name__}"
+        for fn, fn_hints in hints.items()
+        for name, hint in fn_hints.items()
+        if name != "return"
+        for cls in _secmimo_classes(hint) - built
+    )
+    assert not unbuildable, f"no exported name builds the input: {unbuildable}"
+    assert _secmimo_classes(list[rates.RateGrams] | None) == {rates.RateGrams}
 
 
 def _public_callables(module):

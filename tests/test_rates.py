@@ -21,14 +21,13 @@ from secmimo.linalg import (
 )
 from secmimo.rates import (
     SecrecyRate,
-    _precoder_grams,
     beta_P,
     eve_rate_limit,
     fit_slope,
     grams_rate,
     logdet_perturbation_check,
     logdet_variational_objective,
-    secrecy_rate_G,
+    precoder_grams,
     secrecy_rate_perfect_basic,
     step_grams,
     trial_couplings,
@@ -125,13 +124,14 @@ class TestPerfectG:
         ch, filters = _channels_and_filters(cfg, rng)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=25.0, rho=0.5, config=cfg)
-        with_g = secrecy_rate_G(ch, prec, filters, policy)
+        with_g = grams_rate(precoder_grams(ch, prec, filters), policy)
         basic = secrecy_rate_perfect_basic(ch, policy)
         assert with_g.raw == pytest.approx(basic.raw, abs=1e-9)
 
     def test_t_plus_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(4)
-        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=100.0, rho=1e-12, config=cfg))
+        policy = PowerPolicy(P=100.0, rho=1e-12, config=cfg)
+        rate = grams_rate(precoder_grams(ch, prec_p, filters), policy)
         assert rate.t_plus < 1e-6
 
     def test_high_snr_slope_is_ds(self):
@@ -142,21 +142,23 @@ class TestPerfectG:
             for k in range(20, 31):
                 policy = PowerPolicy(P=2.0**k, rho=0.5, config=cfg)
                 snrs.append(10.0 * math.log10(policy.P))
-                rates.append(secrecy_rate_G(ch, prec_p, filters, policy).raw)
+                rates.append(grams_rate(precoder_grams(ch, prec_p, filters), policy).raw)
             slope = fit_slope(np.array(snrs), np.array(rates), window=(min(snrs), max(snrs)))
             assert slope == pytest.approx(cfg.d_s, abs=0.05)
 
     def test_t_plus_monotone_in_power(self):
         cfg, ch, filters, prec_p, _ = _random_trial(7)
+        grams = precoder_grams(ch, prec_p, filters)
         values = [
-            secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=p, rho=0.5, config=cfg)).t_plus
+            grams_rate(grams, PowerPolicy(P=p, rho=0.5, config=cfg)).t_plus
             for p in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_clipping(self):
         cfg, ch, filters, prec_p, _ = _random_trial(8)
-        rate = secrecy_rate_G(ch, prec_p, filters, PowerPolicy(P=1e-6, rho=0.5, config=cfg))
+        policy = PowerPolicy(P=1e-6, rho=0.5, config=cfg)
+        rate = grams_rate(precoder_grams(ch, prec_p, filters), policy)
         assert rate.clipped == max(rate.raw, 0.0)
 
 
@@ -168,8 +170,8 @@ class TestQuantizedG:
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
         policy = PowerPolicy(P=200.0, rho=0.5, config=cfg)
-        quantized = secrecy_rate_G(ch, prec_q, filters, policy)
-        perfect = secrecy_rate_G(ch, tx_precoders_perfect(ch.Hd), filters, policy)
+        quantized = grams_rate(precoder_grams(ch, prec_q, filters), policy)
+        perfect = grams_rate(precoder_grams(ch, tx_precoders_perfect(ch.Hd), filters), policy)
         assert quantized.raw == pytest.approx(perfect.raw, abs=1e-9)
 
     def test_quantized_below_perfect_at_high_snr(self):
@@ -186,8 +188,8 @@ class TestQuantizedG:
             for snr in (40.0, 50.0, 60.0):
                 policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, cfg), rng)
-                r_p = secrecy_rate_G(ch, prec_p, filters, policy)
-                r_q = secrecy_rate_G(ch, prec_q, filters, policy)
+                r_p = grams_rate(precoder_grams(ch, prec_p, filters), policy)
+                r_q = grams_rate(precoder_grams(ch, prec_q, filters), policy)
                 good = good and (r_q.raw <= r_p.raw + 1e-6)
             ok += good
         assert ok >= 0.95 * trials
@@ -203,7 +205,7 @@ class TestQuantizedG:
             for snr in (50.0, 60.0):
                 policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, 30, rng)
-                values[snr] = secrecy_rate_G(ch, prec_q, filters, policy).clipped
+                values[snr] = grams_rate(precoder_grams(ch, prec_q, filters), policy).clipped
             deltas.append(values[60.0] - values[50.0])
         assert float(np.mean(deltas)) < 0.5
 
@@ -221,8 +223,8 @@ class TestQuantizedG:
             for i, snr in enumerate(snrs):
                 policy = PowerPolicy(P=10.0 ** (snr / 10.0), rho=0.5, config=cfg)
                 prec_q = _quantized(cfg, filters, feedback_bits(policy.P, epsilon, cfg), rng)
-                r_p = secrecy_rate_G(ch, prec_p, filters, policy)
-                r_q = secrecy_rate_G(ch, prec_q, filters, policy)
+                r_p = grams_rate(precoder_grams(ch, prec_p, filters), policy)
+                r_q = grams_rate(precoder_grams(ch, prec_q, filters), policy)
                 gaps[i] += r_p.raw - r_q.raw
         gaps /= trials
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
@@ -281,7 +283,7 @@ class TestSecrecyRateSweep:
     )
     def test_matches_pointwise_kernel(self, shape, seed, mode, fraction, log_powers):
         """A (1, 1) Gram stack over P powers gives (1, P) arrays; each power against
-        secrecy_rate_G at that power, to 1e-10."""
+        the explicit precoders' Gram set at that power, to 1e-10."""
         cfg, ch, filters, z, target, prec = _sweep_case(shape, seed, mode, fraction)
         powers = 10.0 ** np.array(log_powers)
         grams = _step_grams(ch, filters, z, target)
@@ -289,7 +291,8 @@ class TestSecrecyRateSweep:
         sweep = grams_rate(stack, PowerPolicy(P=powers, rho=0.5, config=cfg))
         assert sweep.raw.shape == (1, len(powers))
         for i, power in enumerate(powers):
-            point = secrecy_rate_G(ch, prec, filters, PowerPolicy(P=power, rho=0.5, config=cfg))
+            policy = PowerPolicy(P=power, rho=0.5, config=cfg)
+            point = grams_rate(precoder_grams(ch, prec, filters), policy)
             for name in ("t_plus", "t_minus", "raw", "leakage"):
                 assert _close(getattr(sweep, name)[0, i], getattr(point, name)), name
             assert sweep.clipped[0, i] == max(sweep.raw[0, i], 0.0)
@@ -377,7 +380,7 @@ def _fields(result):
 # each kernel of a trial's channels, filters, precoders and Grams at a policy
 _RHO_KERNELS = {
     "grams_rate": lambda ch, f, w, g, pol: grams_rate(g, pol),
-    "secrecy_rate_G": lambda ch, f, w, g, pol: secrecy_rate_G(ch, w, f, pol),
+    "precoder_grams": lambda ch, f, w, g, pol: grams_rate(precoder_grams(ch, w, f), pol),
     # grams_rate over a vector of powers, the engine's power sweep
     "grams_rate_sweep": lambda ch, f, w, g, pol: grams_rate(g, pol),
     "eve_rate_limit": lambda ch, f, w, g, pol: eve_rate_limit(g, pol),
@@ -432,7 +435,10 @@ class TestStepGrams:
         rate = grams_rate(grams, policy)
         prec = tx_precoders_quantized(filters.F, z, targets)
         np.testing.assert_allclose(
-            rate.leakage, secrecy_rate_G(ch, prec, filters, policy).leakage, rtol=1e-6, atol=0
+            rate.leakage,
+            grams_rate(precoder_grams(ch, prec, filters), policy).leakage,
+            rtol=1e-6,
+            atol=0,
         )
 
     @pytest.mark.parametrize(
@@ -464,18 +470,18 @@ class TestEveRateLimit:
     def test_vanishes_with_rho(self):
         cfg, ch, filters, prec_p, _ = _random_trial(10)
         policy = PowerPolicy(P=10.0, rho=1e-12, config=cfg)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy)
+        limit = eve_rate_limit(precoder_grams(ch, prec_p, filters), policy)
         assert limit < 1e-9
 
     def test_t_minus_converges(self):
         """The Eve term converges to the closed-form limit along P = 1e3, 1e6, 1e9."""
         cfg, ch, filters, prec_p, _ = _random_trial(11)
         policy9 = PowerPolicy(P=1e9, rho=0.5, config=cfg)
-        limit = eve_rate_limit(_precoder_grams(ch, prec_p, filters), policy9)
+        limit = eve_rate_limit(precoder_grams(ch, prec_p, filters), policy9)
         diffs = []
         for p in (1e3, 1e6, 1e9):
             policy = PowerPolicy(P=p, rho=0.5, config=cfg)
-            t_minus = secrecy_rate_G(ch, prec_p, filters, policy).t_minus
+            t_minus = grams_rate(precoder_grams(ch, prec_p, filters), policy).t_minus
             diffs.append(abs(t_minus - limit))
         assert diffs[0] > diffs[1] > diffs[2]
         assert diffs[2] < 1e-3
@@ -489,7 +495,7 @@ class TestEveRateLimit:
         he = prec.W2[:, :2].conj().T  # rows orthogonal to W1's span
         ch2 = ChannelSet(Hd=ch.Hd, He=he, Hj=ch.Hj)
         policy = PowerPolicy(P=10.0, rho=0.5, config=cfg)
-        limit = eve_rate_limit(_precoder_grams(ch2, prec, filters), policy)
+        limit = eve_rate_limit(precoder_grams(ch2, prec, filters), policy)
         assert limit == pytest.approx(0.0, abs=1e-9)
 
     def test_stack_matches_per_matrix_calls(self):
@@ -498,10 +504,10 @@ class TestEveRateLimit:
         filters = rx_postfilter(ch.Hd, ch.Hj, B=b)
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=1e9, rho=0.3, config=cfg)
-        limits = eve_rate_limit(_precoder_grams(ch, prec, filters), policy)
+        limits = eve_rate_limit(precoder_grams(ch, prec, filters), policy)
         assert limits.shape == (5, 1)
         for t in range(5):
-            grams = _precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)))
+            grams = precoder_grams(*(_trial(m, t) for m in (ch, prec, filters)))
             assert limits[t, 0] == eve_rate_limit(grams, policy)
 
 
@@ -512,14 +518,14 @@ class TestBetaP:
         ch, filters = _channels_and_filters(cfg, rng)
         prec_q = tx_precoders_quantized(filters.F, np.zeros((4, 2)), 0.0)
         policy = PowerPolicy(P=1e3, rho=0.5, config=cfg)
-        grams = _precoder_grams(ch, prec_q, filters)
+        grams = precoder_grams(ch, prec_q, filters)
         assert beta_P(grams, policy) == pytest.approx(0.0, abs=1e-9)
 
     def test_nonnegative_sweep(self):
         for seed in range(50):
             cfg, ch, filters, _, prec_q = _random_trial(4000 + seed, nf=int(10 + seed % 30))
             policy = PowerPolicy(P=float(10 ** (1 + seed % 5)), rho=0.5, config=cfg)
-            assert beta_P(_precoder_grams(ch, prec_q, filters), policy) >= -1e-12
+            assert beta_P(precoder_grams(ch, prec_q, filters), policy) >= -1e-12
 
 
 class TestLogdetPerturbation:

@@ -15,7 +15,7 @@ from secmimo.linalg import (
     random_gaussian_matrix,
     random_truncated_unitary,
 )
-from secmimo.rates import secrecy_rate_G
+from secmimo.rates import grams_rate, precoder_grams
 from secmimo.transceiver import (
     AntennaConfig,
     ChannelSet,
@@ -324,7 +324,7 @@ class TestLeakage:
         filters = rx_postfilter(ch.Hd, ch.Hj, random_truncated_unitary(4, 1, rng))
         prec = tx_precoders_perfect(ch.Hd)
         policy = PowerPolicy(P=100.0, rho=0.5, config=cfg)
-        assert secrecy_rate_G(ch, prec, filters, policy).leakage < 1e-18
+        assert grams_rate(precoder_grams(ch, prec, filters), policy).leakage < 1e-18
 
     @pytest.mark.parametrize("n_r", [2, 3, 4])
     def test_stack_matches_each_matrix_bitwise(self, n_r):
@@ -338,20 +338,21 @@ class TestLeakage:
         prec = tx_precoders_quantized(filters.F, z, targets)
         powers = 10.0 ** np.arange(13)
         policy = PowerPolicy(P=powers, rho=0.5, config=cfg)
-        stacked = secrecy_rate_G(ch, prec, filters, policy).leakage
+        stacked = grams_rate(precoder_grams(ch, prec, filters), policy).leakage
         for t in range(8):
             trial = ReceiverFilters(**{name: m[t, 0] for name, m in vars(filters).items()})
             ch_t = ChannelSet(**{name: m[t, 0] for name, m in vars(ch).items()})
             for p in range(13):
                 prec_p = Precoders(W1=prec.W1[t, p], W2=prec.W2[t, p])
                 policy = PowerPolicy(P=powers[p], rho=0.5, config=cfg)
-                assert stacked[t, p] == secrecy_rate_G(ch_t, prec_p, trial, policy).leakage
+                grams = precoder_grams(ch_t, prec_p, trial)
+                assert stacked[t, p] == grams_rate(grams, policy).leakage
 
     def test_monte_carlo_cross_check(self):
         """Empirical mean of ||e_L||^2 over 1e5 Gaussian draws within 2%."""
         cfg, ch, filters, prec_q = self._trial(17)
         policy = PowerPolicy(P=50.0, rho=0.4, config=cfg)
-        closed = secrecy_rate_G(ch, prec_q, filters, policy).leakage
+        closed = grams_rate(precoder_grams(ch, prec_q, filters), policy).leakage
         rng = np.random.default_rng(170)
         n_an = cfg.n_t - cfg.n_r
         coupling = np.sqrt(1 - policy.rho) * (
@@ -363,8 +364,9 @@ class TestLeakage:
 
     def test_linear_in_power(self):
         cfg, ch, filters, prec_q = self._trial(18)
-        l1 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=10.0, rho=0.5, config=cfg)).leakage
-        l2 = secrecy_rate_G(ch, prec_q, filters, PowerPolicy(P=20.0, rho=0.5, config=cfg)).leakage
+        grams = precoder_grams(ch, prec_q, filters)
+        l1 = grams_rate(grams, PowerPolicy(P=10.0, rho=0.5, config=cfg)).leakage
+        l2 = grams_rate(grams, PowerPolicy(P=20.0, rho=0.5, config=cfg)).leakage
         assert l2 == pytest.approx(2 * l1, rel=1e-12)
 
     def test_vanishes_with_distance(self):
@@ -377,7 +379,7 @@ class TestLeakage:
         prev = np.inf
         for dist in (0.5, 0.1, 0.01, 1e-3, 1e-4):
             prec_q = tx_precoders_quantized(filters.F, random_gaussian_matrix(4, 2, rng), dist)
-            leak = secrecy_rate_G(ch, prec_q, filters, policy).leakage
+            leak = grams_rate(precoder_grams(ch, prec_q, filters), policy).leakage
             assert leak < prev
             prev = leak
         assert prev < 1e-6
@@ -400,5 +402,5 @@ class TestLeakage:
         for seed in range(30):
             cfg, ch, filters, prec_q = self._trial(100 + seed, nf=25)
             policy = PowerPolicy(P=float(10 ** (1 + seed % 4)), rho=0.5, config=cfg)
-            leak = secrecy_rate_G(ch, prec_q, filters, policy).leakage
+            leak = grams_rate(precoder_grams(ch, prec_q, filters), policy).leakage
             assert leak <= leakage_bound(policy, 25) * (1 + 1e-9)

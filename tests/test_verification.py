@@ -1,6 +1,7 @@
 """Regression tests for the verification suites at reduced instance counts."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -65,10 +66,15 @@ def test_run_verification_returns_all_suites():
 
 @pytest.mark.parametrize(
     "args, message",
-    [((0,), "trials must be >= 1, got 0"), ((5, -1), "seed must be >= 0, got -1")],
+    [
+        ((0,), "trials must be >= 1, got 0"),
+        ((5, -1), "seed must be >= 0, got -1"),
+        ((2**64,), f"trials must be <= {sys.maxsize}, got {2**64}"),
+    ],
 )
 def test_run_verification_checks_its_inputs(args, message):
-    """Too few trials or a negative seed is a ConfigError before any suite runs."""
+    """Too few or too many trials, or a negative seed, is a ConfigError before any suite
+    runs."""
     with pytest.raises(ConfigError, match=f"^{message}$"):
         run_verification(*args)
 
