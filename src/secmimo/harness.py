@@ -26,10 +26,12 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInputError, SecMimoError
 from .grassmann import ZERO_DISTANCE, feedback_bits, perturb_gram, quantization_target
-from .rates import fit_slope, grams_rate, step_grams, trial_couplings
+from .rates import RateGrams, TrialCouplings, fit_slope, grams_rate, step_grams, trial_couplings
 from .transceiver import (
     AntennaConfig,
+    ChannelSet,
     PowerPolicy,
+    ReceiverFilters,
     rx_postfilter,
     sample_directions,
     sample_trials,
@@ -88,12 +90,14 @@ def _is_budget(bits) -> bool:
     return isinstance(bits, (int, np.integer)) and not isinstance(bits, bool) and bits >= 1
 
 
-def _check_trials(trials: int) -> None:
-    """A trial count must be 1 or more, and small enough to index a range of trials."""
+def _check_run(trials: int, seed: int) -> None:
+    """Trials must lie in [1, sys.maxsize], so that a range indexes them; then seed >= 0."""
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if trials > sys.maxsize:
         raise ConfigError(f"trials must be <= {sys.maxsize}, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass
@@ -131,9 +135,7 @@ class ExperimentConfig:
         grid = self.nf_grid
         if grid is not None and not (grid and all(map(_is_budget, grid))):
             raise ConfigError(f"nf_grid needs integer bit budgets >= 1, got {grid!r}")
-        _check_trials(self.trials)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_run(self.trials, self.seed)
         if not -math.inf < self.snr_min < self.snr_max < math.inf:
             raise ConfigError(
                 f"need finite snr_min < snr_max, got [{self.snr_min}, {self.snr_max}]"
@@ -242,27 +244,41 @@ def _trial_rng(seed: int, curve: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(curve, trial)))
 
 
+class TrialStage(typing.NamedTuple):
+    """The per-trial stage of a chunk of trials, one trial per leading index."""
+
+    channels: ChannelSet  # the first draw's channels
+    filters: ReceiverFilters  # receive filters, from the channels and the first draw's B
+    couplings: TrialCouplings  # what every Gram set of the trial shares
+    perfect: RateGrams  # the perfect-CSI Gram set, that of the step to distance 0
+
+
+def _trial_stage(acfg: AntennaConfig, rngs: list[np.random.Generator]) -> TrialStage:
+    """`run`'s and `verify`'s per-trial stage: each generator's first draw, and what it fixes."""
+    channels, b = sample_trials(acfg, rngs)
+    filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
+    couplings = trial_couplings(channels, filters)
+    perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
+    return TrialStage(channels, filters, couplings, perfect)
+
+
 def _run_trials(
     policy: PowerPolicy, targets: np.ndarray, rngs: list[np.random.Generator]
 ) -> np.ndarray:
     """Evaluate all operating points for a chunk of channel draws, one per rng.
 
     `policy` and `targets` hold one power and one quantizer distance per
-    point, for the antennas of ``policy.config``. The per-trial stage takes
-    each trial's channels, B, receive filters, the couplings its Gram sets
-    share and the perfect-CSI Gram set, that of the step to distance 0. The
-    per-point stage then takes each quantizer step as k x k Grams, in
-    blocks of about BLOCK_POINTS operating points, and rates each block's
-    perfect and quantized Gram sets at every power with :func:`grams_rate`.
-    A point whose target is below ZERO_DISTANCE steps to distance 0, so its
-    two rates agree bit for bit.
+    point, for the antennas of ``policy.config``. The per-trial stage is
+    :func:`_trial_stage`, which `verify` shares. The per-point stage then
+    takes each quantizer step as k x k Grams, in blocks of about
+    BLOCK_POINTS operating points, and rates each block's perfect and
+    quantized Gram sets at every power with :func:`grams_rate`. A point
+    whose target is below ZERO_DISTANCE steps to distance 0, so its two
+    rates agree bit for bit.
     Returns an array of shape (len(rngs), n_points, 5): the clipped perfect,
     clipped quantized, raw perfect and raw quantized rates, and the leakage.
     """
-    channels, b = sample_trials(policy.config, rngs)
-    filters = rx_postfilter(channels.Hd, channels.Hj, B=b)
-    couplings = trial_couplings(channels, filters)
-    perfect = step_grams(couplings, perturb_gram(filters.F, np.zeros_like(filters.F), 0.0))
+    _, filters, couplings, perfect = _trial_stage(policy.config, rngs)
     out = np.empty((len(rngs), targets.size, 5))
     block = max(1, BLOCK_POINTS // targets.size)
     for start in range(0, len(rngs), block):

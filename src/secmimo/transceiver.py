@@ -21,6 +21,7 @@ kernels apply to each element and broadcast trial-level stacks of shape
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +48,9 @@ from .linalg import (
 class AntennaConfig:
     """Antenna counts of the four terminals plus the derived dimensions.
 
-    Validity requires integer counts (no bools) with n_t > n_r > n_j >= 0
-    (nullspaces for artificial noise and jammer nulling both exist) and
-    n_e <= n_t - k (the eavesdropper cannot escape the artificial noise).
+    Validity requires integer counts (no bools) up to the largest float, with
+    n_t > n_r > n_j >= 0 (nullspaces for artificial noise and jammer nulling
+    both exist) and n_e <= n_t - k (Eve cannot escape the artificial noise).
     """
 
     n_t: int
@@ -61,6 +62,8 @@ class AntennaConfig:
         counts = (self.n_t, self.n_r, self.n_j, self.n_e)
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in counts):
             raise InvalidInputError(f"antenna counts must be integers, got {counts}")
+        if max(counts) > sys.float_info.max:
+            raise InvalidInputError(f"antenna counts must be <= {sys.float_info.max:.4g}")
         if not (self.n_t > self.n_r > self.n_j >= 0):
             raise InvalidInputError(f"need n_t > n_r > n_j >= 0, got {counts[:3]}")
         if not (1 <= self.n_e <= self.n_t - self.k):

@@ -17,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harness
-from .errors import ConfigError, SecMimoError
-from .grassmann import (
-    PERTURB_TOL,
-    chordal_distance,
-    feedback_bits,
-    perturb_gram,
-    quantization_target,
-)
+from .errors import SecMimoError
+from .grassmann import PERTURB_TOL, chordal_distance, perturb_gram, quantization_target
 from .linalg import (
     LOG2_E,
     ORTHO_TOL,
@@ -43,15 +37,12 @@ from .rates import (
     logdet_perturbation_check,
     logdet_variational_objective,
     step_grams,
-    trial_couplings,
 )
 from .transceiver import (
     AntennaConfig,
     PowerPolicy,
     leakage_bound,
-    rx_postfilter,
     sample_directions,
-    sample_trials,
     tx_precoders_perfect,
     tx_precoders_quantized,
 )
@@ -83,30 +74,23 @@ class SuiteResult:
 
 
 def _per_trial(measure, trials: int, seed: int, configs, uniforms: int = 0) -> np.ndarray:
-    """``measure(acfg, channels, filters, z, u)`` of trials 0 .. trials - 1, config by config.
+    """``measure(acfg, stage, z, u)`` of trials 0 .. trials - 1, config by config.
 
     Trial t, on ``configs[t % len(configs)]``, is trial t of curve 0 in
-    :func:`harness._map_trials`. It draws as the engine does, one direction,
-    matrices of leading shape (trials, 1), then `uniforms` U(0, 1) numbers.
+    :func:`harness._map_trials`, its `stage` the engine's :func:`harness._trial_stage`.
+    It then draws one direction, of leading shape (trials, 1), and `uniforms` U(0, 1) numbers.
     """
 
     def config_trials(c: int, acfg: AntennaConfig) -> np.ndarray:
         def measured(rngs):
-            channels, b = sample_trials(acfg, rngs)
+            stage = harness._trial_stage(acfg, rngs)
             z = sample_directions(acfg, rngs, [True])
             u = np.array([rng.random(uniforms) for rng in rngs])
-            return measure(acfg, channels, rx_postfilter(channels.Hd, channels.Hj, B=b), z, u)
+            return measure(acfg, stage, z, u)
 
         return harness._map_trials(measured, seed, 0, range(c, trials, len(configs)))
 
     return np.concatenate([config_trials(c, acfg) for c, acfg in enumerate(configs[:trials])])
-
-
-def _grams(channels, filters, z=None, targets=0.0):
-    """A chunk's Gram set as the engine builds it; perfect CSI when `z` is None."""
-    z = np.zeros_like(filters.F) if z is None else z
-    step = perturb_gram(filters.F, z, targets)
-    return step_grams(trial_couplings(channels, filters), step)
 
 
 def _orthogonality_suite(trials: int, seed: int) -> tuple[int, str]:
@@ -118,12 +102,12 @@ def _orthogonality_suite(trials: int, seed: int) -> tuple[int, str]:
     subspace, so that last norm is the nulling against it.
     """
 
-    def worst_norm(acfg, channels, filters, z, _):
-        prec_p = tx_precoders_perfect(channels.Hd)
-        prec_q = tx_precoders_quantized(filters.F, z, quantization_target(20, acfg))
+    def worst_norm(acfg, stage, z, _):
+        prec_p = tx_precoders_perfect(stage.channels.Hd)
+        prec_q = tx_precoders_quantized(stage.filters.F, z, quantization_target(20, acfg))
         products = (
-            adjoint(filters.V) @ channels.Hj,
-            channels.Hd @ prec_p.W2,
+            adjoint(stage.filters.V) @ stage.channels.Hj,
+            stage.channels.Hd @ prec_p.W2,
             adjoint(prec_p.W1) @ prec_p.W2,
             adjoint(prec_q.W1) @ prec_q.W2,
         )
@@ -145,15 +129,16 @@ def _oracle_equivalence_suite(trials: int, seed: int) -> tuple[int, str]:
     Failure threshold 1e-8 per term.
     """
 
-    def max_diff(acfg, channels, filters, z, u):
+    def max_diff(acfg, stage, z, u):
+        channels, filters = stage.channels, stage.filters
         targets = quantization_target(4 + (26 * u[:, :1]).astype(int), acfg)
         prec_q = tx_precoders_quantized(filters.F, z, targets)
         policy = PowerPolicy(P=10.0 ** (4.0 * u[:, 1:2]), rho=0.2 + 0.6 * u[:, 2:], config=acfg)
         an = _per_matrix(policy.an_cov_scale)
         vh = adjoint(filters.V) @ channels.Hd
-        signal_cov = _per_matrix(policy.rho * (1.0 / acfg.n_r) * policy.P) * np.eye(acfg.n_r)
-        r_p = grams_rate(_grams(channels, filters), policy)
-        r_q = grams_rate(_grams(channels, filters, z, targets), policy)
+        signal_cov = _per_matrix(policy.rho * (1.0 / acfg.k) * policy.P) * np.eye(acfg.k)
+        r_p = grams_rate(stage.perfect, policy)
+        r_q = grams_rate(step_grams(stage.couplings, perturb_gram(filters.F, z, targets)), policy)
         diffs = []
         for rate, prec in (r_p, tx_precoders_perfect(channels.Hd)), (r_q, prec_q):
             for h, term in (vh, rate.t_plus), (channels.He, rate.t_minus):
@@ -215,26 +200,22 @@ def _lemma_sandwich_suite(trials: int, seed: int) -> tuple[int, str]:
     return failures, ""
 
 
-def _matched_targets(acfg: AntennaConfig, powers) -> np.ndarray:
-    """Quantizer target at each power under the power-matched bit schedule."""
-    return quantization_target([feedback_bits(p, 0.0, acfg) for p in powers], acfg)
-
-
 def _beta_suite(trials: int, seed: int) -> tuple[int, str]:
     """Gap remainder term: nonnegative everywhere, decaying under scaling.
 
     beta(P) must be >= -1e-12 at P in {1e3, 1e6} with the power-matched bit
     schedule, and must shrink from P = 1e3 to P = 1e6 on at least 90% of
-    trials; each trial quantizes one direction at both powers' targets.
+    trials; each trial quantizes one direction at both powers' targets, as
+    `validate` builds them for `run`'s slope curve at n_r = 2, (4, 2, 1, 2).
     """
-    acfg = AntennaConfig(4, 2, 1, 2)
-    policy = PowerPolicy(P=np.array([1e3, 1e6]), rho=0.5, config=acfg)
-    targets = _matched_targets(acfg, policy.P)
+    cfg = harness.scenario_config("slope", (2,), snr_min=30.0, snr_max=60.0, snr_step=30.0)
+    ((_, policy, targets),) = cfg.validate()
 
-    def remainder(acfg, channels, filters, z, _):
-        return beta_P(_grams(channels, filters, z, targets), policy)
+    def remainder(acfg, stage, z, _):
+        step = perturb_gram(stage.filters.F, z, targets)
+        return beta_P(step_grams(stage.couplings, step), policy)
 
-    beta = _per_trial(remainder, trials, seed, (acfg,))
+    beta = _per_trial(remainder, trials, seed, (policy.config,))
     neg = int(np.count_nonzero(~np.all(beta >= -1e-12, axis=1)))
     not_decayed = int(np.count_nonzero(~(beta[:, 1] < beta[:, 0])))
     failures = neg + max(0, not_decayed - int(0.1 * trials))
@@ -251,9 +232,9 @@ def _eve_limit_suite(trials: int, seed: int) -> tuple[int, str]:
     a trial fails when it lies outside by more than 1e-9.
     """
 
-    def excursion(acfg, channels, filters, z, _):
+    def excursion(acfg, stage, z, _):
         policy = PowerPolicy(P=1e9, rho=0.5, config=acfg)
-        grams = _grams(channels, filters)
+        grams = stage.perfect
         diff = grams_rate(grams, policy).t_minus - eve_rate_limit(grams, policy)
         coef, d = policy.signal_scale / policy.an_cov_scale, 1.0 / policy.an_cov_scale
         shift = np.broadcast_to(d * np.eye(acfg.n_e), grams.e2.shape)
@@ -277,10 +258,11 @@ def _leakage_bound_suite(trials: int, seed: int) -> tuple[int, str]:
     tolerated violations, reported rather than hidden).
     """
 
-    def over(acfg, channels, filters, z, u):
+    def over(acfg, stage, z, u):
         nf = 10 + (50 * u[:, :1]).astype(int)
         policy = PowerPolicy(P=10.0 ** (5.0 * u[:, 1:]), rho=0.5, config=acfg)
-        grams = _grams(channels, filters, z, quantization_target(nf, acfg))
+        step = perturb_gram(stage.filters.F, z, quantization_target(nf, acfg))
+        grams = step_grams(stage.couplings, step)
         return grams_rate(grams, policy).leakage > leakage_bound(policy, nf) * (1.0 + 1e-9)
 
     violations = int(np.count_nonzero(_per_trial(over, trials, seed, SLOPE_CONFIGS, uniforms=2)))
@@ -294,16 +276,17 @@ def _leakage_bounded_in_power_suite(trials: int, seed: int) -> tuple[int, str]:
     Mean leakage over P in {1e3, 1e4, 1e5, 1e6} must peak within 5% of the
     peak over the first two grid points. Each trial quantizes one direction
     at all four powers' targets (common random numbers), so the means
-    differ by the schedule's effect and not by independent draws.
+    differ by the schedule's effect and not by independent draws. The
+    schedule is `run`'s, from `validate`, as in the beta-remainder suite.
     """
-    acfg = AntennaConfig(4, 2, 1, 2)
-    policy = PowerPolicy(P=np.array([1e3, 1e4, 1e5, 1e6]), rho=0.5, config=acfg)
-    targets = _matched_targets(acfg, policy.P)
+    cfg = harness.scenario_config("slope", (2,), snr_min=30.0, snr_max=60.0, snr_step=10.0)
+    ((_, policy, targets),) = cfg.validate()
 
-    def leakage(acfg, channels, filters, z, _):
-        return grams_rate(_grams(channels, filters, z, targets), policy).leakage
+    def leakage(acfg, stage, z, _):
+        step = perturb_gram(stage.filters.F, z, targets)
+        return grams_rate(step_grams(stage.couplings, step), policy).leakage
 
-    means = _per_trial(leakage, trials, seed, (acfg,)).mean(axis=0)
+    means = _per_trial(leakage, trials, seed, (policy.config,)).mean(axis=0)
     ok = means.max() <= 1.05 * means[:2].max()
     return int(not ok), "means " + ", ".join(f"{m:.4f}" for m in means)
 
@@ -316,11 +299,11 @@ def _perturb_accuracy_suite(trials: int, seed: int) -> tuple[int, str]:
     sqrt(tr J), or the chordal distance of the explicit W1 (the oracle).
     """
 
-    def error(acfg, _, filters, z, u):
+    def error(acfg, stage, z, u):
         target = quantization_target(1 + (79 * u).astype(int), acfg)
-        j = perturb_gram(filters.F, z, target)[3]
-        w1 = tx_precoders_quantized(filters.F, z, target).W1
-        achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(filters.F, w1)
+        j = perturb_gram(stage.filters.F, z, target)[3]
+        w1 = tx_precoders_quantized(stage.filters.F, z, target).W1
+        achieved = np.sqrt(np.einsum("...ii->...", j).real), chordal_distance(stage.filters.F, w1)
         return np.max(np.abs(np.subtract(achieved, target)), axis=0)
 
     worst = _per_trial(error, trials, seed, SLOPE_CONFIGS, uniforms=1)
@@ -368,12 +351,9 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int, seed: int) -> SuiteResult:
-    """Suite `name` of :data:`SUITES` on `trials` instances from `seed`. A negative seed, or
-    trials outside [1, sys.maxsize], is a ConfigError; a numerical failure fails every trial,
-    its message the detail."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    harness._check_trials(trials)
+    """Suite `name` of :data:`SUITES` on `trials` instances from `seed`, both checked as `run`
+    checks them (a ConfigError); a numerical failure fails every trial, its message the detail."""
+    harness._check_run(trials, seed)
     try:
         failures, detail = SUITES[name][0](trials, seed)
     except (SecMimoError, np.linalg.LinAlgError) as exc:

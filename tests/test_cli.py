@@ -214,20 +214,22 @@ class TestRun:
         assert captured.err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize(
-        "settings",
+        "settings, named",
         [
-            {"snr_max": 1e308, "snr_step": 1e-10},
-            {"nr": 2, "epsilon": 1e308},
-            {"snr_max": 4000.0, "snr_step": 1000.0},
-            {"snr_min": -4000.0, "snr_step": 500.0},
-            {"scenario": "custom", "nr": 2, "nf": [10**400]},
-            {"scenario": "saturation", "nr": 10**400},
+            ({"snr_max": 1e308, "snr_step": 1e-10}, "finite"),
+            ({"nr": 2, "epsilon": 1e308}, "finite"),
+            ({"snr_max": 4000.0, "snr_step": 1000.0}, "finite"),
+            ({"snr_min": -4000.0, "snr_step": 500.0}, "finite"),
+            ({"scenario": "custom", "nr": 2, "nf": [10**400]}, "finite"),
+            ({"scenario": "saturation", "nr": 10**400}, "antenna counts"),
         ],
         ids=["snr-count", "bit-budget", "power", "power-underflow", "nf", "nr"],
     )
-    def test_overflowing_grid_is_config_error(self, tmp_path, capsys, settings):
+    def test_overflowing_grid_is_config_error(self, tmp_path, capsys, settings, named):
         """An SNR grid, power, bit budget or antenna count past the float range, or a power
-        that underflows to 0, exits 1, by flag or file; a list is one flag per value."""
+        that underflows to 0, exits 1, by flag or file, with one line that names what is out of
+        range: an antenna count past it names the counts, not the grid. A list is one flag per
+        value."""
         flags = [
             f"--{key.replace('_', '-')}={value}"
             for key, values in settings.items()
@@ -239,8 +241,10 @@ class TestRun:
             assert cli_main(["run", "--trials", "1", *args]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("configuration error") and "finite" in captured.err
+            assert captured.err.startswith("configuration error") and named in captured.err
             assert len(captured.err.splitlines()) == 1
+            if named == "antenna counts":
+                assert "SNR" not in captured.err
 
     @pytest.mark.parametrize("grid", [["--snr-max", "1e300"], ["--snr-step", "1e-300"]])
     def test_huge_snr_grid_is_config_error(self, grid):

@@ -1,7 +1,8 @@
 """Every name a source module imports is referenced in that module, no public name is dead,
 every input of an exported function can be built from exported names, no rate or bound takes
 the antenna counts beside a power policy, no function but the shape-generic bounds takes the
-pair (n_t, n_r), and importing the package starts OpenBLAS with one thread."""
+pair (n_t, n_r), `verification` builds no trial or bit schedule of its own, and importing the
+package starts OpenBLAS with one thread."""
 
 import ast
 import inspect
@@ -157,6 +158,24 @@ def test_no_antenna_count_pair(module):
         if {"n_t", "n_r"} <= set(inspect.signature(fn).parameters) and name not in SHAPE_GENERIC
     )
     assert not pairs, f"{pairs} take the pair (n_t, n_r); pass the AntennaConfig"
+
+
+# What builds a trial or its bit schedule; `verification` takes both from `harness`.
+TRIAL_MODEL = {"sample_trials", "rx_postfilter", "trial_couplings", "feedback_bits"}
+
+
+def test_verification_takes_the_trial_model_from_harness():
+    """`verification` neither imports nor calls the functions that build a trial or its bit
+    schedule: its suites get their trials from `harness._trial_stage` and their matched
+    schedules from `ExperimentConfig.validate`, as `run` does."""
+    tree = ast.parse((SRC / "verification.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+        names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    assert not names & TRIAL_MODEL, f"verification uses {sorted(names & TRIAL_MODEL)}"
+    assert "_trial_stage" in names and "validate" in names
 
 
 # What OpenBLAS reads for its thread count, in its order.

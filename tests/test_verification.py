@@ -1,10 +1,11 @@
 """Regression tests for the verification suites at reduced instance counts."""
 
-import math
+import functools
 import sys
 
 import numpy as np
 import pytest
+from test_acceptance import _short_law
 
 from secmimo import harness, verification
 from secmimo.errors import ConfigError
@@ -28,15 +29,15 @@ from secmimo.verification import (
 # Each suite's test id: the name of its function.
 _suite_id = {name: suite.__name__.lstrip("_") for name, (suite, _) in SUITES.items()}
 
-# The test that patches the program so that each suite must FAIL, by suite name.
+# The tests that patch the program so that each suite must FAIL, by suite name.
 _MUTATION_TESTS = {}
 
 
 def _mutates(name):
-    """Register the decorated test as suite `name`'s mutation test."""
+    """Register the decorated test as a mutation test of suite `name`."""
 
     def register(test):
-        _MUTATION_TESTS[name] = test.__name__
+        _MUTATION_TESTS.setdefault(name, []).append(test.__name__)
         return test
 
     return register
@@ -93,9 +94,9 @@ def test_every_suite_has_a_mutation_test():
 def test_trial_draws_match_scalar_reference(acfg, seed, monkeypatch):
     """Trial t of a suite chunk draws what it draws alone and what the scalar calls give.
 
-    On its own generator: channels bitwise as sample_channels draws them, G
-    as rx_postfilter builds it from them and random_truncated_unitary's B,
-    the direction as
+    On its own generator: the per-trial stage's channels bitwise as
+    sample_channels draws them, its G as rx_postfilter builds it from them
+    and random_truncated_unitary's B, the direction as
     random_gaussian_matrix, then the uniforms; W1 bitwise the W1 of
     tx_precoders_quantized on that direction and W2 its complement.
     """
@@ -113,13 +114,14 @@ def test_trial_draws_match_scalar_reference(acfg, seed, monkeypatch):
         _per_trial(keep, 3, seed, (acfg,), uniforms=2)
         return chunks
 
-    ((_, channels, filters, z, u),) = draws()
+    ((_, stage, z, u),) = draws()
+    channels, filters = stage.channels, stage.filters
     monkeypatch.setattr(harness, "BLOCK_POINTS", 1)
     alone = draws()
     prec_q = tx_precoders_quantized(filters.F, z, target)
     for t in range(3):
-        _, ch1, filters1, z1, u1 = alone[t]
-        for stacked, single in ((channels, ch1), (filters, filters1)):
+        _, stage1, z1, u1 = alone[t]
+        for stacked, single in ((channels, stage1.channels), (filters, stage1.filters)):
             for name, m in vars(stacked).items():
                 np.testing.assert_array_equal(m[t], getattr(single, name)[0], err_msg=name)
         np.testing.assert_array_equal(z[t], z1[0])
@@ -173,14 +175,9 @@ def test_leakage_bounded_in_power_at_noisy_seeds(verify_seed):
 @_mutates("leakage-bounded-in-P")
 @pytest.mark.parametrize("verify_seed", [5, 11, 22, 42])
 def test_leakage_bounded_in_power_detects_under_scaled_bits(verify_seed, monkeypatch):
-    """With ceil(0.97 k (n_t - k) log2 P) bits, leakage grows with P and the suite fails."""
-
-    def under_scaled(acfg, powers):
-        half_dim = acfg.k * (acfg.n_t - acfg.k)
-        bits = [math.ceil(0.97 * half_dim * math.log2(p)) for p in powers]
-        return quantization_target(bits, acfg)
-
-    monkeypatch.setattr(verification, "_matched_targets", under_scaled)
+    """With ceil(0.97 k (n_t - k) log2 P) bits as the engine's law, leakage grows with P and
+    the suite fails."""
+    monkeypatch.setattr(harness, "feedback_bits", functools.partial(_short_law, 0.97))
     outcome = run_suite("leakage-bounded-in-P", 200, verify_seed + 7)
     assert not outcome.passed, outcome.detail
 
@@ -239,6 +236,21 @@ def test_oracle_equivalence_runs_the_engine_route(monkeypatch):
         return grams._replace(e2=grams.e2 * (1.0 + 1e-6))
 
     monkeypatch.setattr(verification, "step_grams", skewed)
+    outcome = run_suite("oracle-equivalence", 100, 2)
+    assert outcome.failures == outcome.total == 100, outcome.detail
+
+
+@_mutates("oracle-equivalence")
+def test_oracle_equivalence_runs_the_engine_trial_stage(monkeypatch):
+    """The engine's per-trial stage with its perfect-CSI E2 E2* scaled by 1 + 1e-6 fails every
+    trial."""
+    step_grams = harness.step_grams
+
+    def skewed(couplings, step):
+        grams = step_grams(couplings, step)
+        return grams._replace(e2=grams.e2 * (1.0 + 1e-6))
+
+    monkeypatch.setattr(harness, "step_grams", skewed)
     outcome = run_suite("oracle-equivalence", 100, 2)
     assert outcome.failures == outcome.total == 100, outcome.detail
 
